@@ -8,109 +8,66 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import (
-    CorpusFilterConfig,
-    filter_corpus,
-    load_corpus,
-    save_corpus,
-)
+from .corpus import CorpusFilterConfig, load_embeddings
 from .errors import StageError, ToolkitError, ValidationError
 from .gradcheck import central_difference, relative_error, sample_flat_indices
-from .indications import NormalizerConfig, normalize_indication
+from .indications import NormalizerConfig
 from .losses import (
     AlignmentBatch,
     global_alignment_loss,
     local_alignment_loss,
+    total_alignment_loss,
     total_alignment_loss_grad,
 )
 from .pipeline import (
-    PipelineConfig,
+    _dump_json,
+    _parse_config,
+    _read_json,
+    _stage_attach,
+    _stage_filter,
+    _stage_normalize,
+    _stage_score,
+    _stage_see,
     fuse_demo_result,
     load_config,
     m_gt_key,
     parse_m_gt,
-    read_entity_sets,
-    read_generated,
-    read_label_csv,
     run_pipeline,
-    score_from_files,
 )
-from .retrieval import load_index, top_k
-from .see import see_extract
+from .retrieval import index_from_vectors, load_index, save_index, top_k
 
 M_GT_FLAG_CHOICES = ("60", "80", "90", "100", "cpl")
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
-    path.write_text(
-        "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows), encoding="utf-8"
-    )
-
-
 def _cmd_filter(args) -> int:
     if args.filter_config:
-        raw = json.loads(Path(args.filter_config).read_text(encoding="utf-8"))
-        cfg = CorpusFilterConfig(
-            min_tokens=int(raw.get("min_tokens", 3)),
-            junk_patterns=tuple(raw.get("junk_patterns", ())),
-        )
+        rules = _parse_config(CorpusFilterConfig, _read_json(args.filter_config))
     else:
-        cfg = CorpusFilterConfig(min_tokens=args.min_tokens, junk_patterns=tuple(args.junk))
-    records = load_corpus(args.corpus)
-    kept, dropped = filter_corpus(records, cfg)
-    save_corpus(kept, args.out)
-    if args.dropped:
-        _write_jsonl(
-            Path(args.dropped),
-            [{"study_id": rec.study_id, "reason": reason} for rec, reason in dropped],
-        )
-    print(f"kept {len(kept)} of {len(records)} records ({len(dropped)} dropped)")
+        rules = CorpusFilterConfig(min_tokens=args.min_tokens, junk_patterns=tuple(args.junk))
+    kept, dropped = _stage_filter(args.corpus, args.out, rules, args.dropped)
+    print(f"kept {kept} of {kept + dropped} records ({dropped} dropped)")
     return 0
 
 
 def _cmd_see_extract(args) -> int:
-    records = load_corpus(args.corpus)
-    rows = [
-        {"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered}
-        for rec in records
-    ]
-    _write_jsonl(Path(args.out), rows)
-    print(f"extracted {len(rows)} factual sequences")
+    print(f"extracted {_stage_see(args.corpus, args.out)} factual sequences")
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    records = load_corpus(args.corpus)
-    cfg = NormalizerConfig()
-    normalized = [
-        replace(rec, indication=normalize_indication(rec.indication, cfg)) for rec in records
-    ]
-    save_corpus(normalized, args.out)
-    print(f"normalized {len(normalized)} records")
+    print(f"normalized {_stage_normalize(args.corpus, args.out, NormalizerConfig())} records")
     return 0
 
 
 def _cmd_index(args) -> int:
-    from .corpus import StudyRecord, ReportDocument, load_embeddings
-    from .retrieval import build_index, save_index
-
     embeddings = load_embeddings(args.embeddings)
-    records = [
-        StudyRecord(
-            study_id=sid,
-            report=ReportDocument.from_text(sid, ""),
-            entities=(),
-            embedding=vec,
-        )
-        for sid, vec in embeddings.items()
-    ]
-    index = build_index(records, normalize=not args.no_normalize)
+    index = index_from_vectors(
+        list(embeddings), list(embeddings.values()), normalize=not args.no_normalize
+    )
     save_index(index, args.out)
     print(f"indexed {index.n} embeddings of dimension {index.dim}")
     return 0
@@ -128,31 +85,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_attach_shc(args) -> int:
-    from .corpus import attach_embeddings, load_embeddings
-    from .retrieval import attach_shc
-
-    records = load_corpus(args.corpus)
-    records = attach_embeddings(records, load_embeddings(args.embeddings))
-    index = load_index(args.index)
-    sequences = None
-    if args.sequences:
-        sequences = {
-            row["study_id"]: row["factual_sequence"]
-            for row in (json.loads(line) for line in Path(args.sequences).read_text().splitlines() if line)
-        }
-    attached = attach_shc(records, index, args.k, sequences=sequences)
-    rows = [
-        {
-            "study_id": rec.study_id,
-            "cases": [
-                {"study_id": c.study_id, "score": c.score, "factual_sequence": c.factual_sequence}
-                for c in cases
-            ],
-        }
-        for rec, cases in attached
-    ]
-    _write_jsonl(Path(args.out), rows)
-    print(f"attached top-{args.k} cases for {len(rows)} records")
+    n = _stage_attach(args.corpus, args.embeddings, args.index, args.sequences, args.out, args.k)
+    print(f"attached top-{args.k} cases for {n} records")
     return 0
 
 
@@ -187,26 +121,11 @@ def _cmd_align_demo(args) -> int:
     loss_t2i = global_alignment_loss(batch, "text_to_image")
     loss_local = local_alignment_loss(batch)
     total, grads = total_alignment_loss_grad(batch)
-
-    def rebuild() -> float:
-        fresh = AlignmentBatch(
-            image_feats=batch.image_feats,
-            text_feats=batch.text_feats,
-            image_locals=batch.image_locals,
-            text_locals=batch.text_locals,
-            temperature=batch.temperature,
-        )
-        return (
-            global_alignment_loss(fresh, "image_to_text")
-            + global_alignment_loss(fresh, "text_to_image")
-            + local_alignment_loss(fresh)
-        )
-
     max_err = 0.0
     for name in ("image_feats", "text_feats", "image_locals", "text_locals"):
         array = getattr(batch, name)
         for flat_index in sample_flat_indices(rng, array.size, 6):
-            numeric = central_difference(rebuild, array, flat_index)
+            numeric = central_difference(lambda: total_alignment_loss(batch), array, flat_index)
             analytic = float(grads[name].reshape(-1)[flat_index])
             max_err = max(max_err, relative_error(analytic, numeric))
     print(f"global_image_to_text: {loss_i2t:.6f}")
@@ -218,32 +137,22 @@ def _cmd_align_demo(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    records = load_corpus(args.ref)
-    generated = read_generated(Path(args.gen))
-    labels = read_label_csv(Path(args.labels)) if args.labels else None
-    entities = read_entity_sets(Path(args.entities)) if args.entities else None
     m_gt = parse_m_gt(args.mgt)
-    scores = score_from_files(records, generated, labels, entities, (m_gt,))
-    report = scores[m_gt_key(m_gt)]
+    report = _stage_score(args.ref, args.gen, args.labels, args.entities, (m_gt,))[m_gt_key(m_gt)]
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _dump_json(args.out, report)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
 
 
 def _cmd_run(args) -> int:
-    overrides = {
+    paths = {
         "corpus": args.corpus,
         "embeddings": args.embeddings,
         "out_dir": args.out_dir,
         "generated": args.generated,
-        "k": args.k,
-        "seed": args.seed,
-        "jobs": args.jobs,
     }
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, {"paths": paths, "k": args.k, "seed": args.seed, "jobs": args.jobs})
     manifest = run_pipeline(cfg)
     print(f"pipeline complete; manifest at {manifest}")
     return 0

@@ -12,16 +12,21 @@ Corpus files are JSONL, one study per line:
      "labels14": [0/1 x14]|null}
 
 Embedding files are JSONL with ``{"study_id": str, "vec": [float x d]}``.
+
+Every file the toolkit writes goes through ``atomic_write``, so an
+interrupted write leaves the previous file, never a truncated one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import CorpusError, ValidationError
 
@@ -34,6 +39,9 @@ __all__ = [
     "tokenize",
     "load_corpus",
     "save_corpus",
+    "atomic_write",
+    "read_jsonl",
+    "dump_jsonl",
     "record_from_json",
     "record_to_json",
     "filter_corpus",
@@ -226,9 +234,29 @@ def record_to_json(record: StudyRecord) -> dict:
     }
 
 
-def load_corpus(path: str | Path) -> list[StudyRecord]:
-    """Read a corpus JSONL file; errors name the offending line."""
-    records = []
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a temporary file beside ``path``; on a clean exit it replaces ``path``.
+
+    The data is flushed to disk before ``os.replace`` swaps it in.  If the
+    body raises, the temporary file is removed and ``path`` keeps its old
+    content.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if binary else "w", encoding=None if binary else "utf-8") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
+    """Yield ``(line number, parsed object)`` per non-blank line; bad JSON names the line."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
@@ -238,17 +266,30 @@ def load_corpus(path: str | Path) -> list[StudyRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            try:
-                records.append(record_from_json(obj))
-            except ValidationError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+            yield lineno, obj
+
+
+def dump_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
+    """Write one sorted-key JSON object per line, atomically."""
+    with atomic_write(path) as handle:
+        for obj in objects:
+            handle.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def load_corpus(path: str | Path) -> list[StudyRecord]:
+    """Read a corpus JSONL file; errors name the offending line."""
+    records = []
+    for lineno, obj in read_jsonl(path):
+        try:
+            records.append(record_from_json(obj))
+        except ValidationError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     return records
 
 
 def save_corpus(records: Iterable[StudyRecord], path: str | Path) -> None:
     """Write records as corpus JSONL (deterministic key order)."""
-    lines = [json.dumps(record_to_json(r), sort_keys=True) for r in records]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    dump_jsonl(path, map(record_to_json, records))
 
 
 def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
@@ -258,28 +299,20 @@ def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
     """
     out: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-            if "study_id" not in obj or "vec" not in obj:
-                raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'vec'")
-            sid = str(obj["study_id"])
-            if sid in out:
-                raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-            vec = tuple(float(v) for v in obj["vec"])
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise CorpusError(
-                    f"{path}: line {lineno}: vector of length {len(vec)} but corpus dimension is {dim}"
-                )
-            out[sid] = vec
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict) or "study_id" not in obj or "vec" not in obj:
+            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'vec'")
+        sid = str(obj["study_id"])
+        if sid in out:
+            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
+        vec = tuple(float(v) for v in obj["vec"])
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise CorpusError(
+                f"{path}: line {lineno}: vector of length {len(vec)} but corpus dimension is {dim}"
+            )
+        out[sid] = vec
     return out
 
 

@@ -32,6 +32,7 @@ from .errors import ValidationError
 
 __all__ = [
     "LAYER_NAMES",
+    "LAYER_SHAPES",
     "BRANCHES",
     "LayerParams",
     "FusionParams",
@@ -46,6 +47,26 @@ __all__ = [
 ]
 
 LAYER_NAMES = ("img_enrich", "ind_enrich", "integrate")
+# Shape of every LayerParams weight in units of the feature width d, in field
+# order; init_params draws the matrices in this order.
+LAYER_SHAPES = {
+    "self_q": (1, 1),
+    "self_k": (1, 1),
+    "self_v": (1, 1),
+    "self_o": (1, 1),
+    "cross_q": (1, 1),
+    "cross_k": (1, 1),
+    "cross_v": (1, 1),
+    "cross_o": (1, 1),
+    "ff1": (1, 4),
+    "ff2": (4, 1),
+    "ln1_gain": (1,),
+    "ln1_bias": (1,),
+    "ln2_gain": (1,),
+    "ln2_bias": (1,),
+    "ln3_gain": (1,),
+    "ln3_bias": (1,),
+}
 BRANCHES = ("full", "no_indication", "no_shc", "image_only")
 
 _LN_EPS = 1e-5
@@ -85,19 +106,8 @@ class LayerParams:
         return LayerParams(**{name: arr.copy() for name, arr in self.arrays().items()})
 
     def validate(self, d: int) -> None:
-        hidden = 4 * d
-        expect = {
-            "ff1": (d, hidden),
-            "ff2": (hidden, d),
-            "ln1_gain": (d,),
-            "ln1_bias": (d,),
-            "ln2_gain": (d,),
-            "ln2_bias": (d,),
-            "ln3_gain": (d,),
-            "ln3_bias": (d,),
-        }
         for name, arr in self.arrays().items():
-            shape = expect.get(name, (d, d))
+            shape = _shape(name, d)
             if arr.shape != shape:
                 raise ValidationError(f"layer weight {name} has shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
@@ -105,25 +115,11 @@ class LayerParams:
 
     @classmethod
     def zeros(cls, d: int) -> "LayerParams":
-        hidden = 4 * d
-        return cls(
-            self_q=np.zeros((d, d)),
-            self_k=np.zeros((d, d)),
-            self_v=np.zeros((d, d)),
-            self_o=np.zeros((d, d)),
-            cross_q=np.zeros((d, d)),
-            cross_k=np.zeros((d, d)),
-            cross_v=np.zeros((d, d)),
-            cross_o=np.zeros((d, d)),
-            ff1=np.zeros((d, hidden)),
-            ff2=np.zeros((hidden, d)),
-            ln1_gain=np.zeros(d),
-            ln1_bias=np.zeros(d),
-            ln2_gain=np.zeros(d),
-            ln2_bias=np.zeros(d),
-            ln3_gain=np.zeros(d),
-            ln3_bias=np.zeros(d),
-        )
+        return cls(**{name: np.zeros(_shape(name, d)) for name in LAYER_SHAPES})
+
+
+def _shape(name: str, d: int) -> tuple[int, ...]:
+    return tuple(units * d for units in LAYER_SHAPES[name])
 
 
 @dataclass
@@ -138,20 +134,14 @@ class FusionParams:
     integrate: LayerParams
 
     def layers(self) -> dict[str, LayerParams]:
-        return {
-            "img_enrich": self.img_enrich,
-            "ind_enrich": self.ind_enrich,
-            "integrate": self.integrate,
-        }
+        return {name: getattr(self, name) for name in LAYER_NAMES}
 
     def copy(self) -> "FusionParams":
         return FusionParams(
             d=self.d,
             n_heads=self.n_heads,
             seed=self.seed,
-            img_enrich=self.img_enrich.copy(),
-            ind_enrich=self.ind_enrich.copy(),
-            integrate=self.integrate.copy(),
+            **{name: layer.copy() for name, layer in self.layers().items()},
         )
 
     def validate(self) -> None:
@@ -164,8 +154,9 @@ class FusionParams:
 def init_params(d: int, n_heads: int, seed: int) -> FusionParams:
     """Deterministic seeded initialization.
 
-    Projections draw uniform with scale 1/sqrt(fan_in); norm gains start at
-    1 and biases at 0.  The same seed always yields bit-identical weights.
+    Projections draw uniform with scale 1/sqrt(fan_in), in LAYER_SHAPES
+    order; norm gains start at 1 and biases at 0.  The same seed always
+    yields bit-identical weights.
     """
     if d <= 0:
         raise ValidationError(f"feature width must be positive, got {d}")
@@ -173,39 +164,15 @@ def init_params(d: int, n_heads: int, seed: int) -> FusionParams:
         raise ValidationError(f"n_heads {n_heads} does not divide feature width {d}")
     rng = np.random.default_rng(seed)
 
-    def uniform(fan_in: int, fan_out: int) -> np.ndarray:
-        bound = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
+    def init(name: str) -> np.ndarray:
+        shape = _shape(name, d)
+        if len(shape) == 2:
+            bound = 1.0 / math.sqrt(shape[0])
+            return rng.uniform(-bound, bound, size=shape)
+        return np.ones(shape) if name.endswith("_gain") else np.zeros(shape)
 
-    def layer() -> LayerParams:
-        hidden = 4 * d
-        return LayerParams(
-            self_q=uniform(d, d),
-            self_k=uniform(d, d),
-            self_v=uniform(d, d),
-            self_o=uniform(d, d),
-            cross_q=uniform(d, d),
-            cross_k=uniform(d, d),
-            cross_v=uniform(d, d),
-            cross_o=uniform(d, d),
-            ff1=uniform(d, hidden),
-            ff2=uniform(hidden, d),
-            ln1_gain=np.ones(d),
-            ln1_bias=np.zeros(d),
-            ln2_gain=np.ones(d),
-            ln2_bias=np.zeros(d),
-            ln3_gain=np.ones(d),
-            ln3_bias=np.zeros(d),
-        )
-
-    return FusionParams(
-        d=d,
-        n_heads=n_heads,
-        seed=seed,
-        img_enrich=layer(),
-        ind_enrich=layer(),
-        integrate=layer(),
-    )
+    layers = {layer: LayerParams(**{name: init(name) for name in LAYER_SHAPES}) for layer in LAYER_NAMES}
+    return FusionParams(d=d, n_heads=n_heads, seed=seed, **layers)
 
 
 def _as_feature_matrix(value, name: str) -> np.ndarray:
@@ -262,11 +229,7 @@ class FusionGradients:
     indication: np.ndarray | None
 
     def layers(self) -> dict[str, LayerParams]:
-        return {
-            "img_enrich": self.img_enrich,
-            "ind_enrich": self.ind_enrich,
-            "integrate": self.integrate,
-        }
+        return {name: getattr(self, name) for name in LAYER_NAMES}
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,18 @@
 
     filter -> see-extract -> normalize -> index -> attach-shc -> fuse-demo -> score
 
-in order.  Every stage reads only files and writes one artifact, so deleting
-an intermediate and rerunning regenerates it; a manifest records input and
+in order.  Each ``_stage_*`` function takes its input and output paths as
+arguments: ``run_pipeline`` binds them under ``paths.out_dir`` and the CLI
+subcommands bind them from their flags, so both run the same code.  Every
+stage reads only files and replaces its artifact atomically, so deleting an
+intermediate and rerunning regenerates it; a manifest records input and
 artifact hashes plus the effective configuration.  Runs are deterministic:
 identical inputs and config reproduce byte-identical artifacts.
+
+The configuration is declared once, as dataclasses that mirror the sections
+of the JSON file.  ``load_config`` parses and ``PipelineConfig.echo``
+renders it from their fields, so an unknown key or a value of the wrong JSON
+type fails by name.
 """
 
 from __future__ import annotations
@@ -17,9 +25,10 @@ import hashlib
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from types import UnionType
+from typing import Callable, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -28,10 +37,13 @@ from .corpus import (
     CorpusFilterConfig,
     EntityLabel,
     StudyRecord,
+    atomic_write,
     attach_embeddings,
+    dump_jsonl,
     filter_corpus,
     load_corpus,
     load_embeddings,
+    read_jsonl,
     save_corpus,
     tokenize,
 )
@@ -45,6 +57,8 @@ from .see import see_extract
 
 __all__ = [
     "PipelineConfig",
+    "PathsConfig",
+    "FusionConfig",
     "load_config",
     "run_pipeline",
     "parallel_map",
@@ -59,8 +73,6 @@ __all__ = [
     "STAGE_ORDER",
 ]
 
-STAGE_ORDER = ("filter", "see-extract", "normalize", "index", "attach-shc", "fuse-demo", "score")
-
 _ARTIFACTS = {
     "filter": "filtered.jsonl",
     "see-extract": "sequences.jsonl",
@@ -70,6 +82,7 @@ _ARTIFACTS = {
     "fuse-demo": "fusion.json",
     "score": "scores.json",
 }
+STAGE_ORDER = tuple(_ARTIFACTS)
 
 
 def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
@@ -83,16 +96,14 @@ def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
 
 def parse_m_gt(value) -> float:
     """Accept 60/80/90/100 (int or str) or "cpl"/infinity for complete references."""
-    if isinstance(value, str):
-        if value.lower() in ("cpl", "inf", "complete"):
-            return math.inf
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValidationError(f"invalid m_gt value {value!r}") from None
+    if isinstance(value, str) and value.lower() in ("cpl", "inf", "complete"):
+        return math.inf
     if value == math.inf:
         return math.inf
-    ivalue = int(value)
+    try:
+        ivalue = int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"invalid m_gt value {value!r}") from None
     if ivalue < 0:
         raise ValidationError(f"m_gt must be >= 0, got {value}")
     return float(ivalue)
@@ -102,9 +113,14 @@ def m_gt_key(m_gt: float) -> str:
     return "cpl" if m_gt == math.inf else str(int(m_gt))
 
 
-@dataclass
-class PipelineConfig:
-    """Effective configuration for one run; flags > file > defaults."""
+# ---------------------------------------------------------------------------
+# Configuration: one declaration, parsed and echoed from its fields
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PathsConfig:
+    """Input files and the output directory (the ``paths`` section)."""
 
     corpus: Path
     embeddings: Path
@@ -112,15 +128,35 @@ class PipelineConfig:
     generated: Path | None = None
     generated_labels: Path | None = None
     generated_entities: Path | None = None
+
+
+@dataclass(frozen=True)
+class FusionConfig:
+    """Sizes for the fuse-demo stage (the ``fusion`` section)."""
+
+    d: int = 8
+    heads: int = 2
+    si: int = 4
+    sh: int = 6
+    sn: int = 3
+
+
+@dataclass
+class PipelineConfig:
+    """Effective configuration for one run; flags > file > defaults.
+
+    Each field is one key of the config file; a dataclass-typed field is a
+    section whose own fields are its keys.
+    """
+
+    paths: PathsConfig
     k: int = 1
-    m_gt: tuple[float, ...] = (math.inf,)
+    m_gt: tuple[float, ...] = field(
+        default=(math.inf,), metadata={"parse_item": parse_m_gt, "echo_item": m_gt_key}
+    )
     filter: CorpusFilterConfig = field(default_factory=CorpusFilterConfig)
     normalizer: NormalizerConfig = field(default_factory=NormalizerConfig)
-    fusion_d: int = 8
-    fusion_heads: int = 2
-    fusion_si: int = 4
-    fusion_sh: int = 6
-    fusion_sn: int = 3
+    fusion: FusionConfig = field(default_factory=FusionConfig)
     tau: float = 0.07
     seed: int = 7
     index_normalize: bool = True
@@ -140,209 +176,200 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """JSON-able snapshot of the effective configuration for the manifest."""
-        return {
-            "paths": {
-                "corpus": str(self.corpus),
-                "embeddings": str(self.embeddings),
-                "out_dir": str(self.out_dir),
-                "generated": str(self.generated) if self.generated else None,
-                "generated_labels": str(self.generated_labels) if self.generated_labels else None,
-                "generated_entities": str(self.generated_entities)
-                if self.generated_entities
-                else None,
-            },
-            "k": self.k,
-            "m_gt": [m_gt_key(m) for m in self.m_gt],
-            "filter": {
-                "min_tokens": self.filter.min_tokens,
-                "junk_patterns": list(self.filter.junk_patterns),
-            },
-            "normalizer": {
-                "illegal_chars": sorted(self.normalizer.illegal_chars),
-                "invalid_words": list(self.normalizer.invalid_words),
-                "male_terms": sorted(self.normalizer.male_terms),
-                "female_terms": sorted(self.normalizer.female_terms),
-            },
-            "fusion": {
-                "d": self.fusion_d,
-                "heads": self.fusion_heads,
-                "si": self.fusion_si,
-                "sh": self.fusion_sh,
-                "sn": self.fusion_sn,
-            },
-            "tau": self.tau,
-            "seed": self.seed,
-            "index_normalize": self.index_normalize,
-            "jobs": self.jobs,
-        }
+        return _echo(self)
+
+
+# JSON type each scalar field type accepts; bool is excluded from the numbers.
+_JSON_TYPES = {
+    bool: (bool, "true or false"),
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    Path: (str, "a path string"),
+}
+
+
+def _parse_config(cls, raw, prefix: str = ""):
+    """Build dataclass ``cls`` from a JSON object, converting each field by its type.
+
+    A missing key takes the field's default; an unknown key, a missing
+    required key or a value of the wrong JSON type raises ValidationError
+    naming the dotted key.
+    """
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config section {prefix.rstrip('.')!r} must be a JSON object")
+    declared = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in declared:
+            raise ValidationError(f"unknown config key {prefix + key!r}")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for name, f in declared.items():
+        if name in raw:
+            kwargs[name] = _convert(hints[name], raw[name], prefix + name, f.metadata)
+        elif is_dataclass(hints[name]):
+            kwargs[name] = _parse_config(hints[name], {}, prefix + name + ".")
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValidationError(f"config is missing required key {prefix + name!r}")
+    return cls(**kwargs)
+
+
+def _convert(tp, value, key: str, metadata):
+    if is_dataclass(tp):
+        return _parse_config(tp, value, key + ".")
+    if get_origin(tp) is UnionType:  # "X | None"
+        if value is None:
+            return None
+        (tp,) = [arg for arg in get_args(tp) if arg is not type(None)]
+    if get_origin(tp) in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ValidationError(f"config key {key!r} must be a list, got {value!r}")
+        item = metadata.get("parse_item") or (lambda v: _convert(get_args(tp)[0], v, key, {}))
+        return get_origin(tp)(item(v) for v in value)
+    accepted, described = _JSON_TYPES[tp]
+    if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
+        raise ValidationError(f"config key {key!r} must be {described}, got {value!r}")
+    return tp(value)
+
+
+def _echo(value, echo_item=None):
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name), f.metadata.get("echo_item")) for f in fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [echo_item(v) if echo_item else _echo(v) for v in value]
+    if isinstance(value, Path):
+        return str(value)
+    return value
+
+
+def _merge(raw: dict, overrides: dict) -> dict:
+    """``raw`` with ``overrides`` laid over it, section by section; None means unset."""
+    merged = dict(raw)
+    for key, value in overrides.items():
+        if isinstance(value, dict) and isinstance(merged.get(key, {}), dict):
+            value = _merge(merged.get(key, {}), value)
+        if value is not None:
+            merged[key] = value
+    return merged
+
+
+def _read_json(path: str | Path) -> dict:
+    """Read a JSON object from ``path``; bad JSON names the line."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{path}: expected a JSON object")
+    return raw
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from an optional JSON file plus override values."""
-    raw: dict = {}
-    if path is not None:
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path}: invalid JSON ({exc.msg})") from None
-    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
-    paths = dict(raw.get("paths", {}))
-    for key in ("corpus", "embeddings", "out_dir", "generated", "generated_labels", "generated_entities"):
-        if key in overrides:
-            paths[key] = overrides.pop(key)
+    """Build a PipelineConfig from an optional JSON file plus override values.
 
-    def path_of(key: str, required: bool) -> Path | None:
-        value = paths.get(key)
-        if value is None:
-            if required:
-                raise ValidationError(f"config is missing required path {key!r}")
-            return None
-        return Path(value)
-
-    filter_raw = dict(raw.get("filter", {}))
-    normalizer_raw = dict(raw.get("normalizer", {}))
-    fusion_raw = dict(raw.get("fusion", {}))
-    cfg_filter = CorpusFilterConfig(
-        min_tokens=int(overrides.pop("min_tokens", filter_raw.get("min_tokens", 3))),
-        junk_patterns=tuple(overrides.pop("junk_patterns", filter_raw.get("junk_patterns", ()))),
-    )
-    norm_kwargs = {}
-    if "illegal_chars" in normalizer_raw:
-        norm_kwargs["illegal_chars"] = frozenset(normalizer_raw["illegal_chars"])
-    if "invalid_words" in normalizer_raw:
-        norm_kwargs["invalid_words"] = tuple(normalizer_raw["invalid_words"])
-    if "male_terms" in normalizer_raw:
-        norm_kwargs["male_terms"] = frozenset(normalizer_raw["male_terms"])
-    if "female_terms" in normalizer_raw:
-        norm_kwargs["female_terms"] = frozenset(normalizer_raw["female_terms"])
-    m_gt_raw = overrides.pop("m_gt", raw.get("m_gt", ["cpl"]))
-    return PipelineConfig(
-        corpus=path_of("corpus", required=True),
-        embeddings=path_of("embeddings", required=True),
-        out_dir=path_of("out_dir", required=True),
-        generated=path_of("generated", required=False),
-        generated_labels=path_of("generated_labels", required=False),
-        generated_entities=path_of("generated_entities", required=False),
-        k=int(overrides.pop("k", raw.get("k", 1))),
-        m_gt=tuple(parse_m_gt(m) for m in m_gt_raw),
-        filter=cfg_filter,
-        normalizer=NormalizerConfig(**norm_kwargs),
-        fusion_d=int(overrides.pop("fusion_d", fusion_raw.get("d", 8))),
-        fusion_heads=int(overrides.pop("fusion_heads", fusion_raw.get("heads", 2))),
-        fusion_si=int(overrides.pop("fusion_si", fusion_raw.get("si", 4))),
-        fusion_sh=int(overrides.pop("fusion_sh", fusion_raw.get("sh", 6))),
-        fusion_sn=int(overrides.pop("fusion_sn", fusion_raw.get("sn", 3))),
-        tau=float(overrides.pop("tau", raw.get("tau", 0.07))),
-        seed=int(overrides.pop("seed", raw.get("seed", 7))),
-        index_normalize=bool(overrides.pop("index_normalize", raw.get("index_normalize", True))),
-        jobs=int(overrides.pop("jobs", raw.get("jobs", 1))),
-    )
+    ``overrides`` has the file's shape, e.g. ``{"k": 0, "paths": {"corpus":
+    ...}}``; None values leave the file's value in place.
+    """
+    raw = _read_json(path) if path is not None else {}
+    return _parse_config(PipelineConfig, _merge(raw, overrides or {}))
 
 
 def sha256_file(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _dump_jsonl(path: Path, objects: Iterable[dict]) -> None:
-    lines = [json.dumps(obj, sort_keys=True) for obj in objects]
-    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _dump_json(path: str | Path, obj: dict) -> None:
+    with atomic_write(path) as handle:
+        handle.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _dump_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
-def _load_jsonl(path: Path) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Stage implementations (file in, file out)
-# ---------------------------------------------------------------------------
-
-
-def _stage_filter(cfg: PipelineConfig) -> Path:
-    records = load_corpus(cfg.corpus)
-    kept, _dropped = filter_corpus(records, cfg.filter)
-    out = cfg.out_dir / _ARTIFACTS["filter"]
-    save_corpus(kept, out)
+def _read_id_map(path: str | Path, field_name: str) -> dict[str, str]:
+    """Map study_id to ``field_name`` over a JSONL file that lists each id once."""
+    out: dict[str, str] = {}
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row, dict) or "study_id" not in row or field_name not in row:
+            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and {field_name!r}")
+        sid = str(row["study_id"])
+        if sid in out:
+            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
+        out[sid] = str(row[field_name])
     return out
 
 
-def _stage_see(cfg: PipelineConfig) -> Path:
-    records = load_corpus(cfg.out_dir / _ARTIFACTS["filter"])
+# ---------------------------------------------------------------------------
+# Stage implementations (files in, one artifact out)
+# ---------------------------------------------------------------------------
+
+
+def _stage_filter(
+    corpus: str | Path,
+    out: str | Path,
+    rules: CorpusFilterConfig,
+    dropped_out: str | Path | None = None,
+) -> tuple[int, int]:
+    """Write the records ``rules`` keep, and optionally the dropped ids with reasons.
+
+    Returns (kept, dropped) counts.
+    """
+    kept, dropped = filter_corpus(load_corpus(corpus), rules)
+    save_corpus(kept, out)
+    if dropped_out is not None:
+        dump_jsonl(dropped_out, ({"study_id": rec.study_id, "reason": why} for rec, why in dropped))
+    return len(kept), len(dropped)
+
+
+def _stage_see(corpus: str | Path, out: str | Path, jobs: int = 1) -> int:
+    """Write one factual sequence per record; returns the record count."""
     rows = parallel_map(
         lambda rec: {"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered},
-        records,
-        cfg.jobs,
+        load_corpus(corpus),
+        jobs,
     )
-    out = cfg.out_dir / _ARTIFACTS["see-extract"]
-    _dump_jsonl(out, rows)
-    return out
+    dump_jsonl(out, rows)
+    return len(rows)
 
 
-def _stage_normalize(cfg: PipelineConfig) -> Path:
-    from dataclasses import replace
-
-    records = load_corpus(cfg.out_dir / _ARTIFACTS["filter"])
+def _stage_normalize(corpus: str | Path, out: str | Path, normalizer: NormalizerConfig) -> int:
+    """Write the corpus with normalized indications; returns the record count."""
     normalized = [
-        replace(rec, indication=normalize_indication(rec.indication, cfg.normalizer))
-        for rec in records
+        replace(rec, indication=normalize_indication(rec.indication, normalizer))
+        for rec in load_corpus(corpus)
     ]
-    out = cfg.out_dir / _ARTIFACTS["normalize"]
     save_corpus(normalized, out)
-    return out
+    return len(normalized)
 
 
-def _load_indexed_records(cfg: PipelineConfig) -> list[StudyRecord]:
-    records = load_corpus(cfg.out_dir / _ARTIFACTS["normalize"])
-    embeddings = load_embeddings(cfg.embeddings)
-    return attach_embeddings(records, embeddings)
+def _indexed_records(corpus: str | Path, embeddings: str | Path) -> list[StudyRecord]:
+    return attach_embeddings(load_corpus(corpus), load_embeddings(embeddings))
 
 
-def _stage_index(cfg: PipelineConfig) -> Path:
-    records = _load_indexed_records(cfg)
-    index = build_index(records, normalize=cfg.index_normalize)
-    out = cfg.out_dir / _ARTIFACTS["index"]
-    save_index(index, out)
-    return out
+def _stage_index(corpus: str | Path, embeddings: str | Path, out: str | Path, normalize: bool) -> None:
+    """Index exactly the corpus records, each of which needs an embedding."""
+    save_index(build_index(_indexed_records(corpus, embeddings), normalize=normalize), out)
 
 
-def _stage_attach(cfg: PipelineConfig) -> Path:
-    records = _load_indexed_records(cfg)
-    index = load_index(cfg.out_dir / _ARTIFACTS["index"])
-    sequences = {
-        row["study_id"]: row["factual_sequence"]
-        for row in _load_jsonl(cfg.out_dir / _ARTIFACTS["see-extract"])
-    }
-    attached = attach_shc(records, index, cfg.k, sequences=sequences)
-    rows = [
-        {
-            "study_id": rec.study_id,
-            "cases": [
-                {
-                    "study_id": case.study_id,
-                    "score": case.score,
-                    "factual_sequence": case.factual_sequence,
-                }
-                for case in cases
-            ],
-        }
-        for rec, cases in attached
-    ]
-    out = cfg.out_dir / _ARTIFACTS["attach-shc"]
-    _dump_jsonl(out, rows)
-    return out
+def _stage_attach(
+    corpus: str | Path,
+    embeddings: str | Path,
+    index: str | Path,
+    sequences: str | Path | None,
+    out: str | Path,
+    k: int,
+) -> int:
+    """Write each record's top-k similar cases; returns the record count.
+
+    ``sequences`` is a JSONL of {"study_id", "factual_sequence"}; without
+    it the sequences are extracted from the corpus records.
+    """
+    records = _indexed_records(corpus, embeddings)
+    loaded = load_index(index)
+    by_id = _read_id_map(sequences, "factual_sequence") if sequences is not None else None
+    attached = attach_shc(records, loaded, k, sequences=by_id)
+    rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
+    dump_jsonl(out, rows)
+    return len(attached)
 
 
 def fuse_demo_result(
@@ -404,35 +431,25 @@ def fuse_demo_result(
     }
 
 
-def _stage_fuse_demo(cfg: PipelineConfig) -> Path:
-    records = load_corpus(cfg.out_dir / _ARTIFACTS["normalize"])
-    has_indication = any(rec.indication for rec in records) and cfg.fusion_sn > 0
+def _stage_fuse_demo(corpus: str | Path, out: str | Path, fusion: FusionConfig, k: int, seed: int) -> None:
+    """Run the fusion demo on the branch the corpus and k select."""
+    has_indication = any(rec.indication for rec in load_corpus(corpus)) and fusion.sn > 0
     result = fuse_demo_result(
-        d=cfg.fusion_d,
-        n_heads=cfg.fusion_heads,
-        seed=cfg.seed,
-        s_image=cfg.fusion_si,
-        s_shc=cfg.fusion_sh,
-        s_indication=cfg.fusion_sn,
-        with_shc=cfg.k > 0,
+        d=fusion.d,
+        n_heads=fusion.heads,
+        seed=seed,
+        s_image=fusion.si,
+        s_shc=fusion.sh,
+        s_indication=fusion.sn,
+        with_shc=k > 0,
         with_indication=has_indication,
     )
-    out = cfg.out_dir / _ARTIFACTS["fuse-demo"]
     _dump_json(out, result)
-    return out
 
 
 def read_generated(path: Path) -> dict[str, str]:
     """Read generated reports: JSONL of {"study_id", "text"}."""
-    out: dict[str, str] = {}
-    for lineno, row in enumerate(_load_jsonl(path), 1):
-        if "study_id" not in row or "text" not in row:
-            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'text'")
-        sid = str(row["study_id"])
-        if sid in out:
-            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        out[sid] = str(row["text"])
-    return out
+    return _read_id_map(path, "text")
 
 
 def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
@@ -462,8 +479,8 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
 def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
     """Read generated-side entities: JSONL of {"study_id", "entities": [{"tokens","label"}]}."""
     out: dict[str, set[tuple[str, str]]] = {}
-    for lineno, row in enumerate(_load_jsonl(path), 1):
-        if "study_id" not in row or "entities" not in row:
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row, dict) or "study_id" not in row or "entities" not in row:
             raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'entities'")
         sid = str(row["study_id"])
         entries = set()
@@ -526,32 +543,28 @@ def score_from_files(
     }
 
 
-def _stage_score(cfg: PipelineConfig) -> Path:
-    if cfg.generated is None:
+def _stage_score(
+    reference: str | Path,
+    generated: str | Path | None,
+    labels: str | Path | None,
+    entities: str | Path | None,
+    m_gt_values: tuple[float, ...],
+    out: str | Path | None = None,
+) -> dict[str, dict[str, float]]:
+    """Score the generated files against the reference corpus; write to ``out`` if given."""
+    if generated is None:
         raise ValidationError("score stage requires paths.generated in the config")
-    records = load_corpus(cfg.out_dir / _ARTIFACTS["normalize"])
-    generated = read_generated(cfg.generated)
-    labels = read_label_csv(cfg.generated_labels) if cfg.generated_labels else None
-    entities = read_entity_sets(cfg.generated_entities) if cfg.generated_entities else None
-    scores = score_from_files(records, generated, labels, entities, cfg.m_gt)
-    out = cfg.out_dir / _ARTIFACTS["score"]
-    _dump_json(out, scores)
-    return out
-
-
-_STAGE_FUNCS: dict[str, Callable[[PipelineConfig], Path]] = {
-    "filter": _stage_filter,
-    "see-extract": _stage_see,
-    "normalize": _stage_normalize,
-    "index": _stage_index,
-    "attach-shc": _stage_attach,
-    "fuse-demo": _stage_fuse_demo,
-    "score": _stage_score,
-}
-
-
-def _manifest_path(cfg: PipelineConfig) -> Path:
-    return cfg.out_dir / "run_manifest.json"
+    records = load_corpus(reference)
+    scores = score_from_files(
+        records,
+        read_generated(generated),
+        read_label_csv(labels) if labels else None,
+        read_entity_sets(entities) if entities else None,
+        m_gt_values,
+    )
+    if out is not None:
+        _dump_json(out, scores)
+    return scores
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -560,15 +573,11 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     On a stage failure the manifest is still written, flagged failed with
     the completed stages listed, and a StageError is raised.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    paths = cfg.paths
+    paths.out_dir.mkdir(parents=True, exist_ok=True)
     inputs = {}
-    for name, path in (
-        ("corpus", cfg.corpus),
-        ("embeddings", cfg.embeddings),
-        ("generated", cfg.generated),
-        ("generated_labels", cfg.generated_labels),
-        ("generated_entities", cfg.generated_entities),
-    ):
+    for name in (f.name for f in fields(PathsConfig) if f.name != "out_dir"):
+        path = getattr(paths, name)
         if path is not None:
             if not Path(path).exists():
                 raise ValidationError(f"input file {path} does not exist")
@@ -581,21 +590,37 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "stages": [],
         "status": "ok",
     }
+    manifest_path = paths.out_dir / "run_manifest.json"
+    art = {stage: paths.out_dir / name for stage, name in _ARTIFACTS.items()}
+    stages: dict[str, Callable[[], object]] = {
+        "filter": lambda: _stage_filter(paths.corpus, art["filter"], cfg.filter),
+        "see-extract": lambda: _stage_see(art["filter"], art["see-extract"], cfg.jobs),
+        "normalize": lambda: _stage_normalize(art["filter"], art["normalize"], cfg.normalizer),
+        "index": lambda: _stage_index(
+            art["normalize"], paths.embeddings, art["index"], cfg.index_normalize
+        ),
+        "attach-shc": lambda: _stage_attach(
+            art["normalize"], paths.embeddings, art["index"], art["see-extract"],
+            art["attach-shc"], cfg.k,
+        ),
+        "fuse-demo": lambda: _stage_fuse_demo(
+            art["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed
+        ),
+        "score": lambda: _stage_score(
+            art["normalize"], paths.generated, paths.generated_labels,
+            paths.generated_entities, cfg.m_gt, art["score"],
+        ),
+    }
     for stage in STAGE_ORDER:
         try:
-            artifact = _STAGE_FUNCS[stage](cfg)
+            stages[stage]()
         except (ToolkitError, OSError) as exc:
             manifest["status"] = "failed"
             manifest["failed_stage"] = stage
-            _dump_json(_manifest_path(cfg), manifest)
+            _dump_json(manifest_path, manifest)
             raise StageError(stage, exc) from exc
         manifest["stages"].append(
-            {
-                "name": stage,
-                "artifacts": [
-                    {"path": artifact.name, "sha256": sha256_file(artifact)}
-                ],
-            }
+            {"name": stage, "artifacts": [{"path": art[stage].name, "sha256": sha256_file(art[stage])}]}
         )
-    _dump_json(_manifest_path(cfg), manifest)
-    return _manifest_path(cfg)
+    _dump_json(manifest_path, manifest)
+    return manifest_path

@@ -2,9 +2,10 @@
 
 Scores are plain dot products (cosine once rows and query are unit length,
 which is the default).  Two implementations share one contract:
-``top_k_naive`` scans and fully sorts, while ``top_k`` walks the matrix in
-blocks and keeps a bounded best-K candidate set.  Both order ties by row
-insertion order, so results are reproducible bit for bit.
+``top_k_naive`` scans and fully sorts, while ``top_k`` partitions the score
+vector around its k-th best score and sorts only the rows that reach it.
+Both order ties by row insertion order, so results are reproducible bit for
+bit.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -20,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import StudyRecord
+from .corpus import StudyRecord, atomic_write
 from .errors import CorpusError, ValidationError
 from .see import see_extract
 
@@ -29,6 +30,7 @@ __all__ = [
     "RetrievalResult",
     "SimilarCase",
     "build_index",
+    "index_from_vectors",
     "top_k",
     "top_k_naive",
     "attach_shc",
@@ -38,7 +40,6 @@ __all__ = [
 
 _MAGIC = b"SEIX"
 _VERSION = 1
-_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -99,11 +100,7 @@ def build_index(records: Sequence[StudyRecord], normalize: bool = True) -> Embed
     Every record must carry an embedding of one shared dimension; rows are
     L2-normalized iff ``normalize``.
     """
-    if not records:
-        raise ValidationError("cannot build an index from zero records")
     dim: int | None = None
-    rows = []
-    ids = []
     for rec in records:
         if rec.embedding is None:
             raise ValidationError(f"study {rec.study_id!r} has no embedding")
@@ -114,9 +111,22 @@ def build_index(records: Sequence[StudyRecord], normalize: bool = True) -> Embed
                 f"study {rec.study_id!r} has embedding dimension {len(rec.embedding)} "
                 f"but the index dimension is {dim}"
             )
-        ids.append(rec.study_id)
-        rows.append(rec.embedding)
-    matrix = np.asarray(rows, dtype=np.float64)
+    return index_from_vectors(
+        [rec.study_id for rec in records], [rec.embedding for rec in records], normalize
+    )
+
+
+def index_from_vectors(
+    ids: Sequence[str], vectors: Sequence[Sequence[float]], normalize: bool = True
+) -> EmbeddingIndex:
+    """Build an index whose row i is ``vectors[i]`` under ``ids[i]``.
+
+    The vectors must share one dimension; rows are L2-normalized iff
+    ``normalize``.
+    """
+    if not ids:
+        raise ValidationError("cannot build an index from zero records")
+    matrix = np.asarray(vectors, dtype=np.float64)
     if normalize:
         norms = np.linalg.norm(matrix, axis=1)
         zero = np.nonzero(norms == 0.0)[0]
@@ -125,7 +135,7 @@ def build_index(records: Sequence[StudyRecord], normalize: bool = True) -> Embed
                 f"study {ids[int(zero[0])]!r} has a zero-norm embedding; cannot normalize"
             )
         matrix = matrix / norms[:, None]
-    return EmbeddingIndex(dim=int(dim), ids=tuple(ids), matrix=matrix, normalized=normalize)
+    return EmbeddingIndex(dim=matrix.shape[1], ids=tuple(ids), matrix=matrix, normalized=normalize)
 
 
 def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
@@ -154,37 +164,32 @@ def top_k(
     k: int,
     exclude_id: str | None = None,
 ) -> RetrievalResult:
-    """Exact top-k by dot product with a blocked, bounded candidate merge.
+    """Exact top-k by dot product: partial selection, then an exact tie-break.
 
-    Scores come from one matrix-vector product (so they are bit-identical to
-    the naive scan's); selection then walks the score vector in blocks and
-    keeps at most k candidates, never sorting more than a block at a time.
-    Ties break toward the earlier row; ``exclude_id`` never appears; asking
-    for more hits than candidates returns all of them.
+    Scores come from the same matrix-vector product as the naive scan, so
+    they are bit-identical to it.  ``np.partition`` finds the k-th best
+    score; every row reaching it is kept, so ties at the cut are complete,
+    and only those rows are sorted.  Ties break toward the earlier row;
+    ``exclude_id`` never appears; asking for more hits than candidates
+    returns all of them.
     """
     if k < 0:
         raise ValidationError(f"k must be >= 0, got {k}")
     q = _prepare_query(index, query)
+    skip = index.row_of(exclude_id) if exclude_id is not None else None
+    k = min(k, index.n - (skip is not None))
     if k == 0:
         return RetrievalResult(query_id=exclude_id, hits=())
-    all_scores = index.matrix @ q
-    skip = index.row_of(exclude_id) if exclude_id is not None else None
-    best_rows = np.empty(0, dtype=np.int64)
-    best_scores = np.empty(0, dtype=np.float64)
-    for start in range(0, index.n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, index.n)
-        scores = all_scores[start:stop]
-        rows = np.arange(start, stop, dtype=np.int64)
-        if skip is not None and start <= skip < stop:
-            keep = rows != skip
-            rows = rows[keep]
-            scores = scores[keep]
-        cand_rows = np.concatenate([best_rows, rows])
-        cand_scores = np.concatenate([best_scores, scores])
-        order = np.lexsort((cand_rows, -cand_scores))[:k]
-        best_rows = cand_rows[order]
-        best_scores = cand_scores[order]
-    return _result(index, best_rows, best_scores, exclude_id)
+    scores = index.matrix @ q
+    neg = -scores  # ascending order of neg is the ranking; NaN sorts last, as in lexsort
+    if skip is not None:
+        neg[skip] = np.inf
+    kth = np.partition(neg, k - 1)[k - 1]
+    rows = np.flatnonzero(~(neg > kth))
+    if skip is not None:
+        rows = rows[rows != skip]
+    rows = rows[np.lexsort((rows, neg[rows]))[:k]]
+    return _result(index, rows, scores[rows], exclude_id)
 
 
 def top_k_naive(
@@ -229,6 +234,9 @@ def attach_shc(
         if index.row_of(rec.study_id) is None:
             raise ValidationError(f"study {rec.study_id!r} is not indexed")
         result = top_k(index, np.asarray(rec.embedding, dtype=np.float64), k, exclude_id=rec.study_id)
+        for sid, _ in result.hits:
+            if sid not in sequences:
+                raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
         cases = tuple(
             SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
             for sid, score in result.hits
@@ -245,7 +253,8 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
     parts.append(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    with atomic_write(path, binary=True) as handle:
+        handle.writelines(parts)
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:

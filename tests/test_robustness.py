@@ -1,0 +1,219 @@
+"""Malformed inputs fail by name, config typos fail loudly, writes are atomic."""
+
+import json
+import os
+import resource
+import signal
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+from sei.corpus import atomic_write, load_corpus, save_corpus
+from sei.errors import ValidationError
+from sei.pipeline import load_config, run_pipeline
+from sei.retrieval import attach_shc, build_index
+
+from conftest import make_record, write_pipeline_fixture
+
+
+def run_cli(*args, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "sei", *args], capture_output=True, text=True, **kwargs
+    )
+
+
+def assert_clean_exit_2(proc, *needles):
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for needle in needles:
+        assert needle in proc.stderr
+
+
+class TestCliMalformedInput:
+    def test_filter_config_bad_json(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        bad = tmp_path / "filter.json"
+        bad.write_text('{"min_tokens": 3,\n "junk_patterns": [}\n')
+        proc = run_cli(
+            "filter", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "kept.jsonl"),
+            "--filter-config", str(bad),
+        )
+        assert_clean_exit_2(proc, str(bad), "line 2")
+
+    def test_filter_config_unknown_key(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        bad = tmp_path / "filter.json"
+        bad.write_text('{"min_token": 3}\n')
+        proc = run_cli(
+            "filter", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "kept.jsonl"),
+            "--filter-config", str(bad),
+        )
+        assert_clean_exit_2(proc, "min_token")
+
+    def _attach_inputs(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        index = tmp_path / "idx.bin"
+        sequences = tmp_path / "seq.jsonl"
+        assert run_cli("index", "--embeddings", str(paths["embeddings"]), "--out", str(index)).returncode == 0
+        proc = run_cli("see-extract", "--corpus", str(paths["corpus"]), "--out", str(sequences))
+        assert proc.returncode == 0, proc.stderr
+        return paths, index, sequences
+
+    def _attach(self, paths, index, sequences, tmp_path):
+        return run_cli(
+            "attach-shc", "--corpus", str(paths["corpus"]), "--embeddings", str(paths["embeddings"]),
+            "--index", str(index), "--k", "2", "--sequences", str(sequences),
+            "--out", str(tmp_path / "shc.jsonl"),
+        )
+
+    def test_attach_sequences_bad_jsonl_line(self, tmp_path):
+        paths, index, sequences = self._attach_inputs(tmp_path)
+        lines = sequences.read_text().splitlines()
+        lines[3] = lines[3][:-5]
+        sequences.write_text("\n".join(lines) + "\n")
+        proc = self._attach(paths, index, sequences, tmp_path)
+        assert_clean_exit_2(proc, str(sequences), "line 4")
+
+    def test_attach_sequences_missing_retrieved_id(self, tmp_path):
+        paths, index, sequences = self._attach_inputs(tmp_path)
+        rows = [json.loads(line) for line in sequences.read_text().splitlines()]
+        sequences.write_text("".join(json.dumps(row) + "\n" for row in rows[1:]))
+        proc = self._attach(paths, index, sequences, tmp_path)
+        assert_clean_exit_2(proc, repr(rows[0]["study_id"]))
+
+
+def test_attach_shc_missing_sequence_names_id(rng):
+    records = [
+        replace(make_record(rng, study_id=f"s{i}"), embedding=tuple(rng.standard_normal(3)))
+        for i in range(3)
+    ]
+    index = build_index(records)
+    with pytest.raises(ValidationError, match="'s2'"):
+        attach_shc(records, index, 2, sequences={"s0": "x", "s1": "y"})
+
+
+class TestConfigStrictness:
+    @pytest.mark.parametrize(
+        "file_patch, overrides, key",
+        [
+            ({"kk": 1}, None, "kk"),
+            ({"paths": {"corpos": "x"}}, None, "paths.corpos"),
+            ({"filter": {"min_token": 3}}, None, "filter.min_token"),
+            ({"normalizer": {"male_term": ["m"]}}, None, "normalizer.male_term"),
+            ({"fusion": {"dd": 8}}, None, "fusion.dd"),
+            ({}, {"seeed": 3}, "seeed"),
+            ({}, {"paths": {"outdir": "x"}}, "paths.outdir"),
+            ({"index_normalize": "false"}, None, "index_normalize"),
+            ({"k": "1"}, None, "k"),
+            ({"k": True}, None, "k"),
+            ({"tau": "0.07"}, None, "tau"),
+            ({"filter": {"junk_patterns": "is subnitted"}}, None, "filter.junk_patterns"),
+            ({"filter": []}, None, "filter"),
+            ({"m_gt": [[60]]}, None, "m_gt"),
+        ],
+    )
+    def test_typo_or_wrong_type_names_the_key(self, tmp_path, file_patch, overrides, key):
+        paths = write_pipeline_fixture(tmp_path)
+        raw = json.loads(paths["config"].read_text())
+        for name, value in file_patch.items():
+            if isinstance(value, dict) and isinstance(raw.get(name), dict):
+                raw[name].update(value)
+            else:
+                raw[name] = value
+        paths["config"].write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as exc:
+            load_config(paths["config"], overrides)
+        assert key in str(exc.value)
+
+    def test_every_declared_key_round_trips_through_echo(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        raw = json.loads(paths["config"].read_text())
+        raw.update(index_normalize=False, jobs=2)
+        raw["normalizer"] = {"illegal_chars": ["/"], "invalid_words": ["history:"],
+                             "male_terms": ["man"], "female_terms": ["woman"]}
+        paths["config"].write_text(json.dumps(raw))
+        cfg = load_config(paths["config"])
+        echoed = tmp_path / "echoed.json"
+        echoed.write_text(json.dumps(cfg.echo()))
+        assert load_config(echoed) == cfg
+        assert cfg.index_normalize is False and cfg.jobs == 2
+
+    def test_bad_json_names_the_line(self, tmp_path):
+        bad = tmp_path / "config.json"
+        bad.write_text('{\n  "k": 1,\n  "seed": \n}\n')
+        with pytest.raises(ValidationError, match="line 4"):
+            load_config(bad)
+
+
+def test_manifest_config_block_is_pinned(tmp_path):
+    paths = write_pipeline_fixture(tmp_path)
+    manifest = json.loads(run_pipeline(load_config(paths["config"])).read_text())
+    root = str(tmp_path)
+    assert manifest["config"] == {
+        "filter": {"junk_patterns": ["is subnitted"], "min_tokens": 3},
+        "fusion": {"d": 8, "heads": 2, "sh": 6, "si": 4, "sn": 3},
+        "index_normalize": True,
+        "jobs": 1,
+        "k": 1,
+        "m_gt": ["60", "80", "90", "100", "cpl"],
+        "normalizer": {
+            "female_terms": ["f", "female", "lady", "woman"],
+            "illegal_chars": ["/", "@", "_"],
+            "invalid_words": ["history:", "-year-old", "year old"],
+            "male_terms": ["gentleman", "m", "male", "man"],
+        },
+        "paths": {
+            "corpus": f"{root}/corpus.jsonl",
+            "embeddings": f"{root}/emb.jsonl",
+            "generated": f"{root}/generated.jsonl",
+            "generated_entities": f"{root}/gen_entities.jsonl",
+            "generated_labels": f"{root}/gen_labels.csv",
+            "out_dir": f"{root}/out",
+        },
+        "seed": 7,
+        "tau": 0.07,
+    }
+
+
+class TestAtomicWrites:
+    def test_serializer_raising_partway_keeps_previous(self, tmp_path, rng):
+        path = tmp_path / "corpus.jsonl"
+        records = [make_record(rng, study_id=f"s{i}") for i in range(5)]
+        save_corpus(records, path)
+        before = path.read_bytes()
+
+        def failing():
+            yield from records[:3]
+            raise RuntimeError("serializer failed")
+
+        with pytest.raises(RuntimeError):
+            save_corpus(failing(), path)
+        with pytest.raises(RuntimeError):
+            with atomic_write(path, binary=True) as handle:
+                handle.write(b"partial")
+                raise RuntimeError("serializer failed")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]
+        assert load_corpus(path) == records
+
+    def test_write_failing_at_os_level_keeps_previous(self, tmp_path):
+        """A write that hits the file-size limit (as on a full disk) exits 3, old artifact intact."""
+        paths = write_pipeline_fixture(tmp_path)
+        out = tmp_path / "normalized.jsonl"
+        args = ("normalize", "--corpus", str(paths["corpus"]), "--out", str(out))
+        assert run_cli(*args).returncode == 0
+        before = out.read_bytes()
+        limit = len(before) // 4
+
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+
+        proc = run_cli(*args, preexec_fn=limit_file_size)
+        assert proc.returncode == 3, proc.stderr
+        assert out.read_bytes() == before
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
