@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusFilterConfig, load_embeddings
+from .corpus import CorpusFilterConfig, attach_embeddings, load_corpus, load_embeddings
 from .errors import StageError, ToolkitError, ValidationError
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig
@@ -26,6 +26,7 @@ from .losses import (
 from .pipeline import (
     _dump_json,
     _parse_config,
+    _read_id_map,
     _read_json,
     _stage_attach,
     _stage_filter,
@@ -48,18 +49,21 @@ def _cmd_filter(args) -> int:
         rules = _parse_config(CorpusFilterConfig, _read_json(args.filter_config))
     else:
         rules = CorpusFilterConfig(min_tokens=args.min_tokens, junk_patterns=tuple(args.junk))
-    kept, dropped = _stage_filter(args.corpus, args.out, rules, args.dropped)
-    print(f"kept {kept} of {kept + dropped} records ({dropped} dropped)")
+    kept, dropped = _stage_filter(load_corpus(args.corpus), args.out, rules, args.dropped)
+    print(f"kept {len(kept)} of {len(kept) + dropped} records ({dropped} dropped)")
     return 0
 
 
 def _cmd_see_extract(args) -> int:
-    print(f"extracted {_stage_see(args.corpus, args.out)} factual sequences")
+    records = load_corpus(args.corpus)
+    _stage_see(records, args.out)
+    print(f"extracted {len(records)} factual sequences")
     return 0
 
 
 def _cmd_normalize(args) -> int:
-    print(f"normalized {_stage_normalize(args.corpus, args.out, NormalizerConfig())} records")
+    normalized = _stage_normalize(load_corpus(args.corpus), args.out, NormalizerConfig())
+    print(f"normalized {len(normalized)} records")
     return 0
 
 
@@ -85,7 +89,10 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_attach_shc(args) -> int:
-    n = _stage_attach(args.corpus, args.embeddings, args.index, args.sequences, args.out, args.k)
+    records = attach_embeddings(load_corpus(args.corpus), load_embeddings(args.embeddings))
+    index = load_index(args.index)
+    sequences = _read_id_map(args.sequences, "factual_sequence") if args.sequences is not None else None
+    n = _stage_attach(records, index, sequences, args.out, args.k)
     print(f"attached top-{args.k} cases for {n} records")
     return 0
 
@@ -138,7 +145,8 @@ def _cmd_align_demo(args) -> int:
 
 def _cmd_score(args) -> int:
     m_gt = parse_m_gt(args.mgt)
-    report = _stage_score(args.ref, args.gen, args.labels, args.entities, (m_gt,))[m_gt_key(m_gt)]
+    records = load_corpus(args.ref)
+    report = _stage_score(records, args.gen, args.labels, args.entities, (m_gt,))[m_gt_key(m_gt)]
     if args.out:
         _dump_json(args.out, report)
     print(json.dumps(report, sort_keys=True, indent=2))

@@ -178,6 +178,28 @@ class CorpusFilterConfig:
             raise ValidationError("junk_patterns must be non-empty strings")
 
 
+def _number(convert, value, what: str):
+    """``convert(value)``; a value it rejects raises ValidationError naming ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be numeric, got {value!r}") from None
+
+
+def _numbers(convert, values, what: str) -> tuple:
+    """The JSON list ``values`` with ``convert`` applied to each item.
+
+    Anything but a list, or an item ``convert`` rejects, raises
+    ValidationError naming ``what``.
+    """
+    if isinstance(values, list):
+        try:
+            return tuple(map(convert, values))
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{what} must be a list of numbers")
+
+
 def record_from_json(obj: dict) -> StudyRecord:
     """Build a validated StudyRecord from one parsed corpus JSON object."""
     if not isinstance(obj, dict):
@@ -188,7 +210,12 @@ def record_from_json(obj: dict) -> StudyRecord:
     study_id = str(obj["study_id"])
     report = ReportDocument.from_text(study_id, str(obj["findings"]))
     entities = []
-    for ent in obj.get("entities") or []:
+    raw_entities = obj.get("entities") or []
+    if not isinstance(raw_entities, list):
+        raise ValidationError("field 'entities' must be a list")
+    for ent in raw_entities:
+        if not isinstance(ent, dict):
+            raise ValidationError(f"entity {ent!r} is not a JSON object")
         for key in ("tokens", "label", "start_ix", "end_ix"):
             if key not in ent:
                 raise ValidationError(f"entity missing field {key!r}")
@@ -196,8 +223,8 @@ def record_from_json(obj: dict) -> StudyRecord:
             EntityAnnotation(
                 tokens=str(ent["tokens"]),
                 label=EntityLabel.parse(str(ent["label"])),
-                start_ix=int(ent["start_ix"]),
-                end_ix=int(ent["end_ix"]),
+                start_ix=_number(int, ent["start_ix"], "entity field 'start_ix'"),
+                end_ix=_number(int, ent["end_ix"], "entity field 'end_ix'"),
             )
         )
     indication = obj.get("indication")
@@ -205,7 +232,7 @@ def record_from_json(obj: dict) -> StudyRecord:
         indication = str(indication)
     labels14 = obj.get("labels14")
     if labels14 is not None:
-        labels14 = tuple(int(v) for v in labels14)
+        labels14 = _numbers(int, labels14, "field 'labels14'")
     return StudyRecord(
         study_id=study_id,
         report=report,
@@ -305,7 +332,10 @@ def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
         sid = str(obj["study_id"])
         if sid in out:
             raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        vec = tuple(float(v) for v in obj["vec"])
+        try:
+            vec = _numbers(float, obj["vec"], "field 'vec'")
+        except ValidationError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

@@ -4,6 +4,13 @@ References may be truncated to a target length while generated reports stay
 untouched, so corpora can be scored both against concise excerpts and
 against complete reference reports.  BLEU is corpus-level and unsmoothed;
 ROUGE-L is a per-pair LCS F-measure (beta = 1.2) averaged over pairs.
+
+``score_settings`` serves every truncation setting from one pass over the
+pairs: each generated side is counted once, each distinct truncated
+reference length is clipped once, and one LCS row gives ROUGE-L at every
+reference prefix.  ``score_corpus``, ``corpus_bleu`` and ``rouge_l`` go
+through the same per-pair helpers and final formulas, so each metric has
+one implementation.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ __all__ = [
     "micro_f1",
     "entity_f1",
     "score_corpus",
+    "score_settings",
     "M_GT_CHOICES",
 ]
 
@@ -48,6 +56,7 @@ LABELS14 = (
 CX5_INDICES = (1, 4, 5, 7, 9)  # Cardiomegaly, Edema, Consolidation, Atelectasis, Pleural Effusion
 
 M_GT_CHOICES = (60, 80, 90, 100, math.inf)
+ROUGE_BETA = 1.2
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,49 @@ def truncate_reference(tokens: Sequence[str], m_gt: float) -> tuple[str, ...]:
     return toks[: int(m_gt)]
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens: tuple[str, ...], max_n: int) -> Counter:
+    """Every n-gram of orders 1..max_n in one Counter; a key's length is its order."""
+    return Counter(
+        tokens[i : i + n] for n in range(1, max_n + 1) for i in range(len(tokens) - n + 1)
+    )
+
+
+def _clipped_counts(gen_counts: Counter, ref_counts: Counter, max_n: int) -> list[int]:
+    """Per order, the generated n-grams that the reference also holds, clipped to its count."""
+    clipped = [0] * max_n
+    for gram, count in gen_counts.items():
+        ref_count = ref_counts.get(gram)
+        if ref_count:
+            clipped[len(gram) - 1] += min(count, ref_count)
+    return clipped
+
+
+class _BleuTally:
+    """Corpus-level BLEU sums: clipped and total n-grams per order, and the lengths."""
+
+    def __init__(self, max_n: int):
+        self.clipped = [0] * max_n
+        self.totals = [0] * max_n
+        self.gen_len = 0
+        self.ref_len = 0
+
+    def add(self, clipped: list[int], gen_len: int, ref_len: int) -> None:
+        self.gen_len += gen_len
+        self.ref_len += ref_len
+        for order, count in enumerate(clipped):
+            self.clipped[order] += count
+            self.totals[order] += max(0, gen_len - order)
+
+    def bleu(self, n: int) -> float:
+        """BLEU-n from the first ``n`` orders of the sums."""
+        if self.gen_len == 0:
+            return 0.0
+        clipped, totals = self.clipped[:n], self.totals[:n]
+        if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
+            return 0.0
+        log_precision = sum(math.log(c / t) for c, t in zip(clipped, totals)) / n
+        brevity = 1.0 if self.gen_len > self.ref_len else math.exp(1.0 - self.ref_len / self.gen_len)
+        return brevity * math.exp(log_precision)
 
 
 def corpus_bleu(pairs: Sequence[EvalPair], n: int) -> float:
@@ -87,59 +137,51 @@ def corpus_bleu(pairs: Sequence[EvalPair], n: int) -> float:
         raise ValidationError("corpus_bleu requires at least one pair")
     if n < 1:
         raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    clipped = [0] * n
-    totals = [0] * n
-    gen_len = 0
-    ref_len = 0
+    tally = _BleuTally(n)
     for pair in pairs:
-        gen_len += len(pair.generated)
-        ref_len += len(pair.reference)
-        for order in range(1, n + 1):
-            gen_counts = _ngram_counts(pair.generated, order)
-            ref_counts = _ngram_counts(pair.reference, order)
-            clipped[order - 1] += sum(min(c, ref_counts[g]) for g, c in gen_counts.items())
-            totals[order - 1] += sum(gen_counts.values())
-    if gen_len == 0:
-        return 0.0
-    if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
-        return 0.0
-    log_precision = sum(math.log(c / t) for c, t in zip(clipped, totals)) / n
-    brevity = 1.0 if gen_len > ref_len else math.exp(1.0 - ref_len / gen_len)
-    return brevity * math.exp(log_precision)
+        gen_counts = _ngram_counts(pair.generated, n)
+        ref_counts = _ngram_counts(pair.reference, n)
+        tally.add(_clipped_counts(gen_counts, ref_counts, n), len(pair.generated), len(pair.reference))
+    return tally.bleu(n)
+
+
+def _lcs_prefix_lengths(a: Sequence[str], b: Sequence[str]) -> list[int]:
+    """Entry ``j`` is the LCS length of ``a`` and ``b[:j]``, for every prefix of ``b``."""
+    prev = [0] * (len(b) + 1)
+    for tok_a in a:
+        cur = [0]
+        for j, tok_b in enumerate(b):
+            if tok_a == tok_b:
+                cur.append(prev[j] + 1)
+            else:
+                up, left = prev[j + 1], cur[j]
+                cur.append(up if up > left else left)
+        prev = cur
+    return prev
 
 
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for tok_a in a:
-        cur = [0] * (len(b) + 1)
-        for j, tok_b in enumerate(b, 1):
-            if tok_a == tok_b:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+    return _lcs_prefix_lengths(a, b)[-1]
 
 
-def rouge_l(pairs: Sequence[EvalPair], beta: float = 1.2) -> float:
+def _rouge_f(lcs: int, gen_len: int, ref_len: int, beta_sq: float) -> float:
+    """One pair's LCS F-measure; an empty side or no common token scores 0."""
+    if not ref_len or not gen_len or lcs == 0:
+        return 0.0
+    precision = lcs / gen_len
+    recall = lcs / ref_len
+    return (1 + beta_sq) * recall * precision / (recall + beta_sq * precision)
+
+
+def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     """Mean per-pair LCS F-measure; a pair with an empty reference scores 0."""
     if not pairs:
         raise ValidationError("rouge_l requires at least one pair")
     beta_sq = beta * beta
-    scores = []
-    for pair in pairs:
-        if not pair.reference or not pair.generated:
-            scores.append(0.0)
-            continue
-        lcs = _lcs_len(pair.generated, pair.reference)
-        if lcs == 0:
-            scores.append(0.0)
-            continue
-        precision = lcs / len(pair.generated)
-        recall = lcs / len(pair.reference)
-        scores.append((1 + beta_sq) * recall * precision / (recall + beta_sq * precision))
+    scores = [
+        _rouge_f(_lcs_len(pair.generated, pair.reference), len(pair.generated), len(pair.reference), beta_sq)
+        for pair in pairs
+    ]
     return sum(scores) / len(scores)
 
 
@@ -219,30 +261,59 @@ def score_corpus(
     ``entities`` holds (generated, reference) entity sets; metrics whose
     inputs are absent are omitted from the report, never zeroed.
     """
+    return score_settings(pairs, labels, entities, (m_gt,))[m_gt]
+
+
+def score_settings(
+    pairs: Sequence[EvalPair],
+    labels: Sequence[tuple[Sequence[int], Sequence[int]]] | None = None,
+    entities: Sequence[tuple[Iterable, Iterable]] | None = None,
+    m_gt_values: Sequence[float] = (math.inf,),
+) -> dict[float, dict[str, float]]:
+    """``score_corpus`` at every setting in ``m_gt_values``, in one pass over the pairs.
+
+    Each pair's generated n-grams are counted once and clipped against each
+    distinct truncated reference length, and one LCS row over the reference
+    gives ROUGE-L at every prefix length.  The label and entity scores do
+    not depend on truncation, so they are computed once and shared.
+    """
     if not pairs:
         raise ValidationError("score_corpus requires at least one pair")
     if labels is not None and len(labels) != len(pairs):
         raise ValidationError(f"{len(labels)} label rows for {len(pairs)} pairs")
     if entities is not None and len(entities) != len(pairs):
         raise ValidationError(f"{len(entities)} entity rows for {len(pairs)} pairs")
-    truncated = [
-        EvalPair(
-            generated=pair.generated,
-            reference=truncate_reference(pair.reference, m_gt),
-            reference_truncated_at=m_gt,
-        )
-        for pair in pairs
-    ]
-    report = {
-        "BL-2": corpus_bleu(truncated, 2),
-        "BL-4": corpus_bleu(truncated, 4),
-        "R_L": rouge_l(truncated),
-    }
+    settings = tuple(dict.fromkeys(m_gt_values))
+    for m_gt in settings:
+        truncate_reference((), m_gt)  # rejects an invalid setting before any work
+    beta_sq = ROUGE_BETA * ROUGE_BETA
+    tallies = {m_gt: _BleuTally(4) for m_gt in settings}
+    rouge = {m_gt: [] for m_gt in settings}
+    for pair in pairs:
+        gen, ref = pair.generated, pair.reference
+        gen_counts = _ngram_counts(gen, 4)
+        lcs = _lcs_prefix_lengths(gen, ref)
+        clipped_at: dict[int, list[int]] = {}
+        for m_gt in settings:
+            cut = len(ref) if m_gt == math.inf else min(int(m_gt), len(ref))
+            if cut not in clipped_at:
+                clipped_at[cut] = _clipped_counts(gen_counts, _ngram_counts(ref[:cut], 4), 4)
+            tallies[m_gt].add(clipped_at[cut], len(gen), cut)
+            rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut, beta_sq))
+    shared = {}
     if labels is not None:
         pred = [row[0] for row in labels]
         gold = [row[1] for row in labels]
-        report["CX14"] = micro_f1(pred, gold)
-        report["CX5"] = micro_f1(pred, gold, subset=CX5_INDICES)
+        shared["CX14"] = micro_f1(pred, gold)
+        shared["CX5"] = micro_f1(pred, gold, subset=CX5_INDICES)
     if entities is not None:
-        report["RG-F1"] = sum(entity_f1(gen, ref) for gen, ref in entities) / len(entities)
-    return report
+        shared["RG-F1"] = sum(entity_f1(gen, ref) for gen, ref in entities) / len(entities)
+    return {
+        m_gt: {
+            "BL-2": tallies[m_gt].bleu(2),
+            "BL-4": tallies[m_gt].bleu(4),
+            "R_L": sum(rouge[m_gt]) / len(rouge[m_gt]),
+            **shared,
+        }
+        for m_gt in settings
+    }

@@ -4,11 +4,13 @@
 
     filter -> see-extract -> normalize -> index -> attach-shc -> fuse-demo -> score
 
-in order.  Each ``_stage_*`` function takes its input and output paths as
-arguments: ``run_pipeline`` binds them under ``paths.out_dir`` and the CLI
-subcommands bind them from their flags, so both run the same code.  Every
-stage reads only files and replaces its artifact atomically, so deleting an
-intermediate and rerunning regenerates it; a manifest records input and
+in order.  Each ``_stage_*`` function takes parsed inputs (records, the
+embeddings map, the sequences map) and an output path, replaces its artifact
+atomically and returns what the next stage consumes.  ``run_pipeline`` parses
+``paths.corpus`` and ``paths.embeddings`` once each and hands the records
+forward; the CLI subcommands parse the files their flags name and call the
+same stage functions.  Every artifact is rewritten on each run, so deleting
+an intermediate and rerunning regenerates it; a manifest records input and
 artifact hashes plus the effective configuration.  Runs are deterministic:
 identical inputs and config reproduce byte-identical artifacts.
 
@@ -51,8 +53,8 @@ from .errors import CorpusError, StageError, ToolkitError, ValidationError
 from .fusion import FeatureSet, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig, normalize_indication
-from .metrics import EvalPair, score_corpus
-from .retrieval import attach_shc, build_index, load_index, save_index
+from .metrics import EvalPair, score_settings
+from .retrieval import EmbeddingIndex, attach_shc, build_index, load_index, save_index
 from .see import see_extract
 
 __all__ = [
@@ -299,74 +301,75 @@ def _read_id_map(path: str | Path, field_name: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stage implementations (files in, one artifact out)
+# Stage implementations (parsed inputs in, one artifact out, what the next
+# stage consumes returned)
 # ---------------------------------------------------------------------------
 
 
 def _stage_filter(
-    corpus: str | Path,
+    records: list[StudyRecord],
     out: str | Path,
     rules: CorpusFilterConfig,
     dropped_out: str | Path | None = None,
-) -> tuple[int, int]:
+) -> tuple[list[StudyRecord], int]:
     """Write the records ``rules`` keep, and optionally the dropped ids with reasons.
 
-    Returns (kept, dropped) counts.
+    Returns the kept records and the dropped count.
     """
-    kept, dropped = filter_corpus(load_corpus(corpus), rules)
+    kept, dropped = filter_corpus(records, rules)
     save_corpus(kept, out)
     if dropped_out is not None:
         dump_jsonl(dropped_out, ({"study_id": rec.study_id, "reason": why} for rec, why in dropped))
-    return len(kept), len(dropped)
+    return kept, len(dropped)
 
 
-def _stage_see(corpus: str | Path, out: str | Path, jobs: int = 1) -> int:
-    """Write one factual sequence per record; returns the record count."""
+def _stage_see(records: list[StudyRecord], out: str | Path, jobs: int = 1) -> dict[str, str]:
+    """Write one factual sequence per record; returns them keyed by study_id."""
     rows = parallel_map(
         lambda rec: {"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered},
-        load_corpus(corpus),
+        records,
         jobs,
     )
     dump_jsonl(out, rows)
-    return len(rows)
+    return {row["study_id"]: row["factual_sequence"] for row in rows}
 
 
-def _stage_normalize(corpus: str | Path, out: str | Path, normalizer: NormalizerConfig) -> int:
-    """Write the corpus with normalized indications; returns the record count."""
+def _stage_normalize(
+    records: list[StudyRecord], out: str | Path, normalizer: NormalizerConfig
+) -> list[StudyRecord]:
+    """Write the records with normalized indications; returns them."""
     normalized = [
-        replace(rec, indication=normalize_indication(rec.indication, normalizer))
-        for rec in load_corpus(corpus)
+        replace(rec, indication=normalize_indication(rec.indication, normalizer)) for rec in records
     ]
     save_corpus(normalized, out)
-    return len(normalized)
+    return normalized
 
 
-def _indexed_records(corpus: str | Path, embeddings: str | Path) -> list[StudyRecord]:
-    return attach_embeddings(load_corpus(corpus), load_embeddings(embeddings))
-
-
-def _stage_index(corpus: str | Path, embeddings: str | Path, out: str | Path, normalize: bool) -> None:
-    """Index exactly the corpus records, each of which needs an embedding."""
-    save_index(build_index(_indexed_records(corpus, embeddings), normalize=normalize), out)
+def _stage_index(
+    records: list[StudyRecord],
+    embeddings: dict[str, tuple[float, ...]],
+    out: str | Path,
+    normalize: bool,
+) -> list[StudyRecord]:
+    """Index exactly the records, each of which needs an embedding; returns them embedded."""
+    embedded = attach_embeddings(records, embeddings)
+    save_index(build_index(embedded, normalize=normalize), out)
+    return embedded
 
 
 def _stage_attach(
-    corpus: str | Path,
-    embeddings: str | Path,
-    index: str | Path,
-    sequences: str | Path | None,
+    records: list[StudyRecord],
+    index: EmbeddingIndex,
+    sequences: dict[str, str] | None,
     out: str | Path,
     k: int,
 ) -> int:
-    """Write each record's top-k similar cases; returns the record count.
+    """Write each embedded record's top-k similar cases; returns the record count.
 
-    ``sequences`` is a JSONL of {"study_id", "factual_sequence"}; without
-    it the sequences are extracted from the corpus records.
+    ``sequences`` maps study_id to factual sequence; without it the
+    sequences are extracted from the records.
     """
-    records = _indexed_records(corpus, embeddings)
-    loaded = load_index(index)
-    by_id = _read_id_map(sequences, "factual_sequence") if sequences is not None else None
-    attached = attach_shc(records, loaded, k, sequences=by_id)
+    attached = attach_shc(records, index, k, sequences=sequences)
     rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
     dump_jsonl(out, rows)
     return len(attached)
@@ -431,9 +434,11 @@ def fuse_demo_result(
     }
 
 
-def _stage_fuse_demo(corpus: str | Path, out: str | Path, fusion: FusionConfig, k: int, seed: int) -> None:
-    """Run the fusion demo on the branch the corpus and k select."""
-    has_indication = any(rec.indication for rec in load_corpus(corpus)) and fusion.sn > 0
+def _stage_fuse_demo(
+    records: list[StudyRecord], out: str | Path, fusion: FusionConfig, k: int, seed: int
+) -> None:
+    """Run the fusion demo on the branch the records and k select."""
+    has_indication = any(rec.indication for rec in records) and fusion.sn > 0
     result = fuse_demo_result(
         d=fusion.d,
         n_heads=fusion.heads,
@@ -483,11 +488,16 @@ def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
         if not isinstance(row, dict) or "study_id" not in row or "entities" not in row:
             raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'entities'")
         sid = str(row["study_id"])
+        if not isinstance(row["entities"], list):
+            raise CorpusError(f"{path}: line {lineno}: field 'entities' must be a list")
         entries = set()
         for ent in row["entities"]:
-            if "tokens" not in ent or "label" not in ent:
+            if not isinstance(ent, dict) or "tokens" not in ent or "label" not in ent:
                 raise CorpusError(f"{path}: line {lineno}: entity missing 'tokens' or 'label'")
-            label = EntityLabel.parse(str(ent["label"]))
+            try:
+                label = EntityLabel.parse(str(ent["label"]))
+            except ValidationError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
             entries.add((str(ent["tokens"]).lower(), label.value))
         out[sid] = entries
     return out
@@ -537,24 +547,21 @@ def score_from_files(
                 raise ValidationError(f"study {rec.study_id!r} has no generated entity set")
             ref_set = {(e.tokens.lower(), e.label.value) for e in rec.entities}
             entities.append((generated_entities[rec.study_id], ref_set))
-    return {
-        m_gt_key(m): score_corpus(pairs, labels=labels, entities=entities, m_gt=m)
-        for m in m_gt_values
-    }
+    scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=m_gt_values)
+    return {m_gt_key(m): report for m, report in scores.items()}
 
 
 def _stage_score(
-    reference: str | Path,
+    records: list[StudyRecord],
     generated: str | Path | None,
     labels: str | Path | None,
     entities: str | Path | None,
     m_gt_values: tuple[float, ...],
     out: str | Path | None = None,
 ) -> dict[str, dict[str, float]]:
-    """Score the generated files against the reference corpus; write to ``out`` if given."""
+    """Score the generated files against the reference records; write to ``out`` if given."""
     if generated is None:
         raise ValidationError("score stage requires paths.generated in the config")
-    records = load_corpus(reference)
     scores = score_from_files(
         records,
         read_generated(generated),
@@ -592,28 +599,30 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     }
     manifest_path = paths.out_dir / "run_manifest.json"
     art = {stage: paths.out_dir / name for stage, name in _ARTIFACTS.items()}
+    # Stage results by stage name.  The last stage to read a result pops it,
+    # so the embedded records do not outlive attach-shc.
+    done: dict[str, object] = {}
     stages: dict[str, Callable[[], object]] = {
-        "filter": lambda: _stage_filter(paths.corpus, art["filter"], cfg.filter),
-        "see-extract": lambda: _stage_see(art["filter"], art["see-extract"], cfg.jobs),
-        "normalize": lambda: _stage_normalize(art["filter"], art["normalize"], cfg.normalizer),
+        "filter": lambda: _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0],
+        "see-extract": lambda: _stage_see(done["filter"], art["see-extract"], cfg.jobs),
+        "normalize": lambda: _stage_normalize(done.pop("filter"), art["normalize"], cfg.normalizer),
         "index": lambda: _stage_index(
-            art["normalize"], paths.embeddings, art["index"], cfg.index_normalize
+            done["normalize"], load_embeddings(paths.embeddings), art["index"], cfg.index_normalize
         ),
         "attach-shc": lambda: _stage_attach(
-            art["normalize"], paths.embeddings, art["index"], art["see-extract"],
-            art["attach-shc"], cfg.k,
+            done.pop("index"), load_index(art["index"]), done.pop("see-extract"), art["attach-shc"], cfg.k
         ),
         "fuse-demo": lambda: _stage_fuse_demo(
-            art["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed
+            done["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed
         ),
         "score": lambda: _stage_score(
-            art["normalize"], paths.generated, paths.generated_labels,
+            done["normalize"], paths.generated, paths.generated_labels,
             paths.generated_entities, cfg.m_gt, art["score"],
         ),
     }
     for stage in STAGE_ORDER:
         try:
-            stages[stage]()
+            done[stage] = stages[stage]()
         except (ToolkitError, OSError) as exc:
             manifest["status"] = "failed"
             manifest["failed_stage"] = stage

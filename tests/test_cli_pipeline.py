@@ -161,6 +161,43 @@ class TestRunPipeline:
         assert first == second
 
 
+class TestParseOnce:
+    """One run parses the corpus and the embeddings file once each."""
+
+    @pytest.fixture
+    def parse_calls(self, monkeypatch):
+        import sei.pipeline
+
+        calls = {"load_corpus": 0, "load_embeddings": 0}
+        for name in calls:
+            real = getattr(sei.pipeline, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(sei.pipeline, name, counted)
+        return calls
+
+    def test_each_input_parsed_once(self, tmp_path, parse_calls):
+        paths = write_pipeline_fixture(tmp_path)
+        manifest = json.loads(run_pipeline(load_config(paths["config"])).read_text())
+        assert manifest["status"] == "ok"
+        assert parse_calls == {"load_corpus": 1, "load_embeddings": 1}
+
+    def test_malformed_embeddings_still_fail_the_index_stage(self, tmp_path, parse_calls):
+        paths = write_pipeline_fixture(tmp_path)
+        lines = paths["embeddings"].read_text().splitlines()
+        lines[4] = lines[4][:-3]
+        paths["embeddings"].write_text("\n".join(lines) + "\n")
+        with pytest.raises(StageError, match="stage index.*line 5"):
+            run_pipeline(load_config(paths["config"]))
+        manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
+        assert manifest["failed_stage"] == "index"
+        assert [s["name"] for s in manifest["stages"]] == ["filter", "see-extract", "normalize"]
+        assert parse_calls == {"load_corpus": 1, "load_embeddings": 1}
+
+
 class TestCli:
     def test_version(self):
         proc = run_cli("--version")

@@ -1,13 +1,20 @@
-"""Property tests: top_k against its oracle, fusion weights against the shape table."""
+"""Property tests: top_k against its oracle, fusion weights against the shape table,
+the one-pass scorer against per-setting scoring, and the scoring and SEE invariants."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sei.corpus import EntityAnnotation, EntityLabel, ReportDocument, StudyRecord
 from sei.fusion import LAYER_NAMES, LAYER_SHAPES, LayerParams, init_params
+from sei.metrics import EvalPair, score_corpus, score_settings, truncate_reference
 from sei.retrieval import index_from_vectors, top_k, top_k_naive
+from sei.see import see_extract
+
+M_GT_SETTINGS = (60, 80, 90, 100, math.inf)
 
 
 @st.composite
@@ -47,3 +54,82 @@ def test_shape_table_lists_layer_fields_in_order():
     for name in LAYER_NAMES:
         for weight, array in params.layers()[name].arrays().items():
             assert array.shape == tuple(4 * units for units in LAYER_SHAPES[weight])
+
+
+def as_hex(report: dict) -> dict:
+    return {name: float(value).hex() for name, value in report.items()}
+
+
+@st.composite
+def scoring_case(draw):
+    """Pairs over a four-word vocabulary, so n-grams repeat, with references of
+    0-150 tokens, so every truncation setting cuts some of them; optional
+    label vectors and entity sets."""
+    words = st.sampled_from(["a", "b", "c", "d"])
+    n = draw(st.integers(1, 6))
+    pairs = []
+    for _ in range(n):
+        ref_len = draw(st.integers(0, 150))
+        pairs.append(
+            EvalPair(
+                generated=draw(st.lists(words, max_size=40)),
+                reference=draw(st.lists(words, min_size=ref_len, max_size=ref_len)),
+            )
+        )
+    labels = None
+    if draw(st.booleans()):
+        vector = st.lists(st.integers(0, 1), min_size=14, max_size=14)
+        labels = [(draw(vector), draw(vector)) for _ in range(n)]
+    entities = None
+    if draw(st.booleans()):
+        entity = st.tuples(words, st.sampled_from([label.value for label in EntityLabel]))
+        entities = [(draw(st.sets(entity, max_size=3)), draw(st.sets(entity, max_size=3))) for _ in range(n)]
+    return pairs, labels, entities
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_case())
+def test_one_pass_scoring_matches_each_setting_bit_for_bit(case):
+    pairs, labels, entities = case
+    together = score_settings(pairs, labels, entities, M_GT_SETTINGS)
+    assert list(together) == list(M_GT_SETTINGS)
+    for m_gt in M_GT_SETTINGS:
+        alone = score_corpus(pairs, labels, entities, m_gt=m_gt)
+        assert as_hex(together[m_gt]) == as_hex(alone)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_case(), st.sampled_from(M_GT_SETTINGS))
+def test_scoring_truncates_the_reference_only(case, m_gt):
+    """Scoring at m_gt equals scoring the pre-truncated references in full: only the reference is cut."""
+    pairs, labels, entities = case
+    truncated = [EvalPair(pair.generated, truncate_reference(pair.reference, m_gt)) for pair in pairs]
+    assert as_hex(score_corpus(pairs, labels, entities, m_gt=m_gt)) == as_hex(
+        score_corpus(truncated, labels, entities)
+    )
+
+
+@st.composite
+def annotated_record(draw):
+    """A report of 1-4 sentences with entities that may overlap, repeat or cross sentences."""
+    words = st.sampled_from(["lungs", "clear", "heart", "size", "normal", "effusion", "no"])
+    sentences = draw(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=4))
+    report = ReportDocument.from_text("s0", " ".join(" ".join(s) + " ." for s in sentences))
+    word_ix = [i for i, tok in enumerate(report.tokens) if tok != "."]
+    entities = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.sampled_from(word_ix))
+        end = draw(st.sampled_from([i for i in word_ix if i >= start]))
+        text = " ".join(report.tokens[start : end + 1])  # may hold a "." and so cross sentences
+        label = draw(st.sampled_from(list(EntityLabel)))
+        entities.append(EntityAnnotation(tokens=text, label=label, start_ix=start, end_ix=end))
+    return StudyRecord(study_id="s0", report=report, entities=tuple(entities))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_see_ignores_entity_order(data):
+    record = data.draw(annotated_record())
+    permuted = data.draw(st.permutations(record.entities))
+    reordered = StudyRecord(study_id="s0", report=record.report, entities=tuple(permuted))
+    assert see_extract(reordered) == see_extract(record)

@@ -83,6 +83,47 @@ class TestCliMalformedInput:
         proc = self._attach(paths, index, sequences, tmp_path)
         assert_clean_exit_2(proc, repr(rows[0]["study_id"]))
 
+    def test_index_non_numeric_vector_entry(self, tmp_path):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [1.0, "x"]}\n')
+        proc = run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / "idx.bin"))
+        assert_clean_exit_2(proc, str(emb), "line 2", "'vec'")
+
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"labels14": "abc"}, "labels14"),
+            ({"labels14": 5}, "labels14"),
+            ({"entity": {"start_ix": "zero"}}, "start_ix"),
+            ({"entity": {"end_ix": "zero"}}, "end_ix"),
+            ({"entities": 5}, "entities"),
+            ({"entities": [5]}, "entity 5"),
+        ],
+    )
+    def test_see_extract_wrong_typed_corpus_field(self, tmp_path, patch, needle):
+        paths = write_pipeline_fixture(tmp_path)
+        rows = [json.loads(line) for line in paths["corpus"].read_text().splitlines()]
+        patch = dict(patch)
+        rows[2]["entities"][0].update(patch.pop("entity", {}))
+        rows[2].update(patch)
+        paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+        proc = run_cli("see-extract", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "seq.jsonl"))
+        assert_clean_exit_2(proc, str(paths["corpus"]), "line 3", needle)
+
+    @pytest.mark.parametrize(
+        "entities, needle",
+        [(5, "'entities'"), ([5], "'tokens'"), ([{"tokens": "x", "label": "BAD"}], "'BAD'")],
+    )
+    def test_score_malformed_entities_file(self, tmp_path, entities, needle):
+        paths = write_pipeline_fixture(tmp_path)
+        bad = tmp_path / "entities.jsonl"
+        rows = [{"study_id": "st000", "entities": []}, {"study_id": "st001", "entities": entities}]
+        bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        proc = run_cli(
+            "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--entities", str(bad),
+        )
+        assert_clean_exit_2(proc, str(bad), "line 2", needle)
+
 
 def test_attach_shc_missing_sequence_names_id(rng):
     records = [
