@@ -23,7 +23,9 @@ from .losses import (
     total_alignment_loss,
     total_alignment_loss_grad,
 )
+from .metrics import M_GT_CHOICES
 from .pipeline import (
+    FusionConfig,
     _dump_json,
     _parse_config,
     _read_id_map,
@@ -41,7 +43,7 @@ from .pipeline import (
 )
 from .retrieval import index_from_vectors, load_index, save_index, top_k
 
-M_GT_FLAG_CHOICES = ("60", "80", "90", "100", "cpl")
+M_GT_FLAG_CHOICES = tuple(map(m_gt_key, M_GT_CHOICES))
 
 
 def _cmd_filter(args) -> int:
@@ -98,16 +100,8 @@ def _cmd_attach_shc(args) -> int:
 
 
 def _cmd_fuse_demo(args) -> int:
-    result = fuse_demo_result(
-        d=args.d,
-        n_heads=args.heads,
-        seed=args.seed,
-        s_image=args.si,
-        s_shc=args.sh,
-        s_indication=args.sn,
-        with_shc=not args.no_shc,
-        with_indication=not args.no_indication,
-    )
+    fusion = FusionConfig(d=args.d, heads=args.heads, si=args.si, sh=args.sh, sn=args.sn)
+    result = fuse_demo_result(fusion, args.seed, not args.no_shc, not args.no_indication)
     print(f"branch: {result['branch']}")
     print(f"checksum: sha256:{result['checksum']}")
     print(f"output_sum: {result['output_sum']:.12e}")

@@ -20,6 +20,7 @@ interrupted write leaves the previous file, never a truncated one.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -41,6 +42,7 @@ __all__ = [
     "save_corpus",
     "atomic_write",
     "read_jsonl",
+    "read_text",
     "dump_jsonl",
     "record_from_json",
     "record_to_json",
@@ -282,11 +284,24 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of ``path``; an invalid byte raises CorpusError naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise CorpusError(f"{path}: line {lineno}: invalid UTF-8") from None
+
+
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
-    """Yield ``(line number, parsed object)`` per non-blank line; bad JSON names the line."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.strip()
+    """Yield ``(line number, parsed object)`` per non-blank line; bad UTF-8 or JSON names the line."""
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise CorpusError(f"{path}: line {lineno}: invalid UTF-8") from None
             if not line:
                 continue
             try:
@@ -322,7 +337,8 @@ def save_corpus(records: Iterable[StudyRecord], path: str | Path) -> None:
 def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
     """Read an embeddings JSONL file into an id -> vector map.
 
-    All vectors must share one dimension; duplicates are rejected.
+    All vectors must share one dimension and hold finite values; duplicates
+    are rejected.
     """
     out: dict[str, tuple[float, ...]] = {}
     dim: int | None = None
@@ -336,6 +352,8 @@ def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
             vec = _numbers(float, obj["vec"], "field 'vec'")
         except ValidationError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+        if not all(map(math.isfinite, vec)):
+            raise CorpusError(f"{path}: line {lineno}: field 'vec' holds a NaN or infinite value")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

@@ -10,6 +10,10 @@ Absent inputs route through deterministic fallback branches:
     indication only    -> no_shc:        L3(image, indication)
     neither            -> image_only:    L3(image, image)
 
+``ROUTES`` is the single statement of this diagram: the forward pass walks a
+branch's route, the backward pass walks it in reverse, and the fuse-demo
+gradient probe reads the layers a branch uses from it.
+
 Each layer applies, with residual connections around every sublayer,
 
     x += SelfAttn(norm(x));  x += CrossAttn(norm(x), memory);  x += FFN(norm(x))
@@ -33,7 +37,7 @@ from .errors import ValidationError
 __all__ = [
     "LAYER_NAMES",
     "LAYER_SHAPES",
-    "BRANCHES",
+    "ROUTES",
     "LayerParams",
     "FusionParams",
     "FeatureSet",
@@ -67,7 +71,19 @@ LAYER_SHAPES = {
     "ln3_gain": (1,),
     "ln3_bias": (1,),
 }
-BRANCHES = ("full", "no_indication", "no_shc", "image_only")
+# Each branch's decoder layers in forward order as (layer, queries, memory).
+# A source is an input ("image", "shc", "indication") or an earlier layer's
+# output.  fuse takes the first branch whose inputs are all present.
+ROUTES = {
+    "full": (
+        ("img_enrich", "image", "shc"),
+        ("ind_enrich", "indication", "shc"),
+        ("integrate", "img_enrich", "ind_enrich"),
+    ),
+    "no_indication": (("img_enrich", "image", "shc"), ("integrate", "img_enrich", "img_enrich")),
+    "no_shc": (("integrate", "image", "indication"),),
+    "image_only": (("integrate", "image", "image"),),
+}
 
 _LN_EPS = 1e-5
 _GELU_A = math.sqrt(2.0 / math.pi)
@@ -102,9 +118,6 @@ class LayerParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(**{name: arr.copy() for name, arr in self.arrays().items()})
-
     def validate(self, d: int) -> None:
         for name, arr in self.arrays().items():
             shape = _shape(name, d)
@@ -135,14 +148,6 @@ class FusionParams:
 
     def layers(self) -> dict[str, LayerParams]:
         return {name: getattr(self, name) for name in LAYER_NAMES}
-
-    def copy(self) -> "FusionParams":
-        return FusionParams(
-            d=self.d,
-            n_heads=self.n_heads,
-            seed=self.seed,
-            **{name: layer.copy() for name, layer in self.layers().items()},
-        )
 
     def validate(self) -> None:
         if self.d % self.n_heads != 0:
@@ -321,7 +326,7 @@ def _attention_forward(x_q, memory, wq, wk, wv, wo, n_heads):
     probs = _softmax_last(scores)  # (heads, S_q, S_m), rows sum to 1
     merged_ctx = _merge_heads(np.matmul(probs, vh))
     out = merged_ctx @ wo
-    return out, probs, _AttnTape(x_q, memory, wq, wk, wv, wo, qh, kh, vh, probs, merged_ctx, scale, n_heads)
+    return out, _AttnTape(x_q, memory, wq, wk, wv, wo, qh, kh, vh, probs, merged_ctx, scale, n_heads)
 
 
 def _attention_backward(dout: np.ndarray, tape: _AttnTape):
@@ -353,18 +358,16 @@ class _DecoderTape(NamedTuple):
     n3: np.ndarray
     ff_pre: np.ndarray
     ff_act: np.ndarray
-    self_probs: np.ndarray
-    cross_probs: np.ndarray
 
 
 def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int):
     n1, t_ln1 = _layer_norm_forward(queries, layer.ln1_gain, layer.ln1_bias)
-    sa, self_probs, t_sa = _attention_forward(
+    sa, t_sa = _attention_forward(
         n1, n1, layer.self_q, layer.self_k, layer.self_v, layer.self_o, n_heads
     )
     x1 = queries + sa
     n2, t_ln2 = _layer_norm_forward(x1, layer.ln2_gain, layer.ln2_bias)
-    ca, cross_probs, t_ca = _attention_forward(
+    ca, t_ca = _attention_forward(
         n2, memory, layer.cross_q, layer.cross_k, layer.cross_v, layer.cross_o, n_heads
     )
     x2 = x1 + ca
@@ -372,32 +375,26 @@ def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int):
     ff_pre = n3 @ layer.ff1
     ff_act = _gelu(ff_pre)
     out = x2 + ff_act @ layer.ff2
-    tape = _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_act, self_probs, cross_probs)
-    return out, tape
+    return out, _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_act)
 
 
 def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams):
-    grads = LayerParams.zeros(layer.ff1.shape[0])
     # feed-forward sublayer
-    grads.ff2 = tape.ff_act.T @ dout
+    dff2 = tape.ff_act.T @ dout
     dpre = (dout @ layer.ff2.T) * _gelu_grad(tape.ff_pre)
-    grads.ff1 = tape.n3.T @ dpre
-    dn3 = dpre @ layer.ff1.T
-    dx2_ln, grads.ln3_gain, grads.ln3_bias = _layer_norm_backward(dn3, tape.ln3)
+    dff1 = tape.n3.T @ dpre
+    dx2_ln, *dln3 = _layer_norm_backward(dpre @ layer.ff1.T, tape.ln3)
     dx2 = dout + dx2_ln
     # cross-attention sublayer
-    dn2, dmemory, grads.cross_q, grads.cross_k, grads.cross_v, grads.cross_o = _attention_backward(
-        dx2, tape.cross_attn
-    )
-    dx1_ln, grads.ln2_gain, grads.ln2_bias = _layer_norm_backward(dn2, tape.ln2)
+    dn2, dmemory, *dcross = _attention_backward(dx2, tape.cross_attn)
+    dx1_ln, *dln2 = _layer_norm_backward(dn2, tape.ln2)
     dx1 = dx2 + dx1_ln
     # self-attention sublayer: queries and memory are the same normed input
-    dn1_q, dn1_m, grads.self_q, grads.self_k, grads.self_v, grads.self_o = _attention_backward(
-        dx1, tape.self_attn
-    )
-    dx0_ln, grads.ln1_gain, grads.ln1_bias = _layer_norm_backward(dn1_q + dn1_m, tape.ln1)
-    dqueries = dx1 + dx0_ln
-    return dqueries, dmemory, grads
+    dn1_q, dn1_m, *dself = _attention_backward(dx1, tape.self_attn)
+    dx0_ln, *dln1 = _layer_norm_backward(dn1_q + dn1_m, tape.ln1)
+    # LayerParams field order: self q/k/v/o, cross q/k/v/o, ff1, ff2, ln1..ln3 gain/bias
+    grads = LayerParams(*dself, *dcross, dff1, dff2, *dln1, *dln2, *dln3)
+    return dx1 + dx0_ln, dmemory, grads
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +424,7 @@ def decoder_layer(
     layer.validate(d)
     out, tape = _decoder_forward(q, m, layer, n_heads)
     if return_probs:
-        return out, {"self": tape.self_probs, "cross": tape.cross_probs}
+        return out, {"self": tape.self_attn.probs, "cross": tape.cross_attn.probs}
     return out
 
 
@@ -438,26 +435,19 @@ def _fuse_forward(features: FeatureSet, params: FusionParams):
         raise ValidationError(
             f"image width {image.shape[1]} does not match parameter width {params.d}"
         )
-    h = params.n_heads
+    # Inputs by name; the walk adds each layer's output under the layer's name.
+    values = {"image": image, "shc": features.shc, "indication": features.indication}
+    branch, route = next(
+        (name, route)
+        for name, route in ROUTES.items()
+        if all(values[src] is not None for _, *sources in route for src in sources if src in values)
+    )
     tapes: dict[str, _DecoderTape] = {}
-    if features.shc is not None and features.indication is not None:
-        e_img, tapes["img_enrich"] = _decoder_forward(image, features.shc, params.img_enrich, h)
-        e_ind, tapes["ind_enrich"] = _decoder_forward(
-            features.indication, features.shc, params.ind_enrich, h
+    for layer, queries, memory in route:
+        values[layer], tapes[layer] = _decoder_forward(
+            values[queries], values[memory], getattr(params, layer), params.n_heads
         )
-        fused, tapes["integrate"] = _decoder_forward(e_img, e_ind, params.integrate, h)
-        branch = "full"
-    elif features.shc is not None:
-        e_img, tapes["img_enrich"] = _decoder_forward(image, features.shc, params.img_enrich, h)
-        fused, tapes["integrate"] = _decoder_forward(e_img, e_img, params.integrate, h)
-        branch = "no_indication"
-    elif features.indication is not None:
-        fused, tapes["integrate"] = _decoder_forward(image, features.indication, params.integrate, h)
-        branch = "no_shc"
-    else:
-        fused, tapes["integrate"] = _decoder_forward(image, image, params.integrate, h)
-        branch = "image_only"
-    return FusionOutput(fused=fused, branch_taken=branch), tapes
+    return FusionOutput(fused=values[route[-1][0]], branch_taken=branch), tapes
 
 
 def fuse(features: FeatureSet, params: FusionParams) -> FusionOutput:
@@ -480,38 +470,26 @@ def fuse_backward(features: FeatureSet, params: FusionParams, upstream) -> Fusio
         )
     if not np.all(np.isfinite(up)):
         raise ValidationError("upstream gradient contains non-finite values")
-    d = params.d
-    g_img_layer = LayerParams.zeros(d)
-    g_ind_layer = LayerParams.zeros(d)
-    d_shc = None
-    d_ind = None
-    branch = output.branch_taken
-    if branch == "full":
-        de_img, de_ind, g_int = _decoder_backward(up, tapes["integrate"], params.integrate)
-        d_image, d_shc_a, g_img_layer = _decoder_backward(
-            de_img, tapes["img_enrich"], params.img_enrich
+    route = ROUTES[output.branch_taken]
+    # Gradient by source, created on its first write and summed after that.
+    # At most two ever meet, so the sum's order does not change its bits;
+    # starting from zeros would, since 0.0 + -0.0 is 0.0.
+    grads = {route[-1][0]: up}
+    layer_grads: dict[str, LayerParams] = {}
+    for layer, queries, memory in reversed(route):
+        dq, dm, layer_grads[layer] = _decoder_backward(
+            grads.pop(layer), tapes[layer], getattr(params, layer)
         )
-        d_ind, d_shc_b, g_ind_layer = _decoder_backward(
-            de_ind, tapes["ind_enrich"], params.ind_enrich
-        )
-        d_shc = d_shc_a + d_shc_b
-    elif branch == "no_indication":
-        dq, dm, g_int = _decoder_backward(up, tapes["integrate"], params.integrate)
-        d_image, d_shc, g_img_layer = _decoder_backward(
-            dq + dm, tapes["img_enrich"], params.img_enrich
-        )
-    elif branch == "no_shc":
-        d_image, d_ind, g_int = _decoder_backward(up, tapes["integrate"], params.integrate)
-    else:  # image_only
-        dq, dm, g_int = _decoder_backward(up, tapes["integrate"], params.integrate)
-        d_image = dq + dm
+        for src, grad in ((queries, dq), (memory, dm)):
+            grads[src] = grads[src] + grad if src in grads else grad
+    for name in LAYER_NAMES:
+        if name not in layer_grads:
+            layer_grads[name] = LayerParams.zeros(params.d)
     return FusionGradients(
-        img_enrich=g_img_layer,
-        ind_enrich=g_ind_layer,
-        integrate=g_int,
-        image=d_image,
-        shc=d_shc,
-        indication=d_ind,
+        **layer_grads,
+        image=grads["image"],
+        shc=grads.get("shc"),
+        indication=grads.get("indication"),
     )
 
 

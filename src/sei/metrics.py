@@ -65,7 +65,6 @@ class EvalPair:
 
     generated: tuple[str, ...]
     reference: tuple[str, ...]
-    reference_truncated_at: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "generated", tuple(self.generated))

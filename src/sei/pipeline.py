@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -46,14 +47,15 @@ from .corpus import (
     load_corpus,
     load_embeddings,
     read_jsonl,
+    read_text,
     save_corpus,
     tokenize,
 )
 from .errors import CorpusError, StageError, ToolkitError, ValidationError
-from .fusion import FeatureSet, fuse, fuse_backward, fusion_objective, init_params
+from .fusion import ROUTES, FeatureSet, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig, normalize_indication
-from .metrics import EvalPair, score_settings
+from .metrics import M_GT_CHOICES, EvalPair, score_settings
 from .retrieval import EmbeddingIndex, attach_shc, build_index, load_index, save_index
 from .see import see_extract
 
@@ -169,9 +171,8 @@ class PipelineConfig:
             raise ValidationError(f"k must be >= 0, got {self.k}")
         if self.jobs < 1:
             raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
-        allowed = (60.0, 80.0, 90.0, 100.0, math.inf)
         for value in self.m_gt:
-            if value not in allowed:
+            if value not in M_GT_CHOICES:
                 raise ValidationError(
                     f"m_gt must be one of 60, 80, 90, 100, or cpl; got {value}"
                 )
@@ -260,7 +261,7 @@ def _merge(raw: dict, overrides: dict) -> dict:
 def _read_json(path: str | Path) -> dict:
     """Read a JSON object from ``path``; bad JSON names the line."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise CorpusError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(raw, dict):
@@ -375,46 +376,30 @@ def _stage_attach(
     return len(attached)
 
 
-def fuse_demo_result(
-    d: int,
-    n_heads: int,
-    seed: int,
-    s_image: int,
-    s_shc: int,
-    s_indication: int,
-    with_shc: bool,
-    with_indication: bool,
-    fd_samples: int = 12,
-) -> dict:
+def fuse_demo_result(fusion: FusionConfig, seed: int, with_shc: bool, with_indication: bool) -> dict:
     """Run the fusion network on seeded random features and spot-check gradients.
 
     Returns the branch taken, a checksum of the fused output, and the largest
-    relative error between analytic and finite-difference gradients over a
-    sampled parameter subset.
+    relative error between analytic and finite-difference gradients over one
+    sampled entry of every weight array in the layers the branch uses.
     """
+    d = fusion.d
     rng = np.random.default_rng(seed)
-    params = init_params(d, n_heads, seed)
+    params = init_params(d, fusion.heads, seed)
     features = FeatureSet(
-        image=rng.standard_normal((s_image, d)),
-        shc=rng.standard_normal((s_shc, d)) if with_shc else None,
-        indication=rng.standard_normal((s_indication, d)) if with_indication else None,
+        image=rng.standard_normal((fusion.si, d)),
+        shc=rng.standard_normal((fusion.sh, d)) if with_shc else None,
+        indication=rng.standard_normal((fusion.sn, d)) if with_indication else None,
     )
     output = fuse(features, params)
     upstream = rng.standard_normal(output.fused.shape)
     grads = fuse_backward(features, params, upstream)
-    active = {"integrate"}
-    if output.branch_taken in ("full", "no_indication"):
-        active.add("img_enrich")
-    if output.branch_taken == "full":
-        active.add("ind_enrich")
     max_err = 0.0
     checked = 0
-    for layer_name, layer in params.layers().items():
-        if layer_name not in active:
-            continue
+    for layer_name, _, _ in ROUTES[output.branch_taken]:
         grad_layer = grads.layers()[layer_name]
-        for array_name, array in layer.arrays().items():
-            for flat_index in sample_flat_indices(rng, array.size, max(1, fd_samples // 8)):
+        for array_name, array in params.layers()[layer_name].arrays().items():
+            for flat_index in sample_flat_indices(rng, array.size, 1):
                 numeric = central_difference(
                     lambda: fusion_objective(features, params, upstream), array, flat_index
                 )
@@ -429,7 +414,7 @@ def fuse_demo_result(
         "max_fd_rel_error": max_err,
         "gradients_checked": checked,
         "d": d,
-        "n_heads": n_heads,
+        "n_heads": fusion.heads,
         "seed": seed,
     }
 
@@ -439,17 +424,7 @@ def _stage_fuse_demo(
 ) -> None:
     """Run the fusion demo on the branch the records and k select."""
     has_indication = any(rec.indication for rec in records) and fusion.sn > 0
-    result = fuse_demo_result(
-        d=fusion.d,
-        n_heads=fusion.heads,
-        seed=seed,
-        s_image=fusion.si,
-        s_shc=fusion.sh,
-        s_indication=fusion.sn,
-        with_shc=k > 0,
-        with_indication=has_indication,
-    )
-    _dump_json(out, result)
+    _dump_json(out, fuse_demo_result(fusion, seed, with_shc=k > 0, with_indication=has_indication))
 
 
 def read_generated(path: Path) -> dict[str, str]:
@@ -460,24 +435,23 @@ def read_generated(path: Path) -> dict[str, str]:
 def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     """Read a label CSV with header study_id,l1..l14."""
     out: dict[str, tuple[int, ...]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or header[0] != "study_id" or len(header) != 15:
-            raise CorpusError(f"{path}: expected header study_id,l1..l14")
-        for lineno, row in enumerate(reader, 2):
-            if len(row) != 15:
-                raise CorpusError(f"{path}: line {lineno}: expected 15 columns, got {len(row)}")
-            sid = row[0]
-            if sid in out:
-                raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-            try:
-                vec = tuple(int(v) for v in row[1:])
-            except ValueError:
-                raise CorpusError(f"{path}: line {lineno}: labels must be integers") from None
-            if any(v not in (0, 1) for v in vec):
-                raise CorpusError(f"{path}: line {lineno}: labels must be 0 or 1")
-            out[sid] = vec
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or header[0] != "study_id" or len(header) != 15:
+        raise CorpusError(f"{path}: expected header study_id,l1..l14")
+    for lineno, row in enumerate(reader, 2):
+        if len(row) != 15:
+            raise CorpusError(f"{path}: line {lineno}: expected 15 columns, got {len(row)}")
+        sid = row[0]
+        if sid in out:
+            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
+        try:
+            vec = tuple(int(v) for v in row[1:])
+        except ValueError:
+            raise CorpusError(f"{path}: line {lineno}: labels must be integers") from None
+        if any(v not in (0, 1) for v in vec):
+            raise CorpusError(f"{path}: line {lineno}: labels must be 0 or 1")
+        out[sid] = vec
     return out
 
 
@@ -488,6 +462,8 @@ def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
         if not isinstance(row, dict) or "study_id" not in row or "entities" not in row:
             raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'entities'")
         sid = str(row["study_id"])
+        if sid in out:
+            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
         if not isinstance(row["entities"], list):
             raise CorpusError(f"{path}: line {lineno}: field 'entities' must be a list")
         entries = set()

@@ -277,7 +277,10 @@ def load_index(path: str | Path) -> EmbeddingIndex:
         offset += 4
         if offset + length > len(blob):
             raise CorpusError(f"{path}: index file truncated in id table")
-        ids.append(blob[offset : offset + length].decode("utf-8"))
+        try:
+            ids.append(blob[offset : offset + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CorpusError(f"{path}: id {len(ids) + 1} in the id table is not valid UTF-8") from None
         offset += length
     expected = n * dim * 4
     if len(blob) - offset != expected:

@@ -197,13 +197,30 @@ class TestFuseBranches:
             assert out.fused.shape == (4, 8)
             assert np.all(np.isfinite(out.fused))
 
-    def test_no_indication_equals_substitution(self, rng):
+    @pytest.mark.parametrize("branch", ["full", "no_indication", "no_shc", "image_only"])
+    def test_no_indication_equals_substitution(self, rng, branch):
+        """Each branch equals the module docstring's diagram, written as explicit layer calls."""
         params = init_params(8, 2, 11)
-        features = self._features(rng, indication=False)
+        features = self._features(
+            rng, shc=branch in ("full", "no_indication"), indication=branch in ("full", "no_shc")
+        )
         out = fuse(features, params)
-        enriched = decoder_layer(features.image, features.shc, params.img_enrich, 2)
-        substituted = decoder_layer(enriched, enriched, params.integrate, 2)
-        assert np.array_equal(out.fused, substituted)
+
+        def layer(name, queries, memory):
+            return decoder_layer(queries, memory, getattr(params, name), 2)
+
+        image, shc, ind = features.image, features.shc, features.indication
+        if branch == "full":
+            expected = layer("integrate", layer("img_enrich", image, shc), layer("ind_enrich", ind, shc))
+        elif branch == "no_indication":
+            enriched = layer("img_enrich", image, shc)
+            expected = layer("integrate", enriched, enriched)
+        elif branch == "no_shc":
+            expected = layer("integrate", image, ind)
+        else:
+            expected = layer("integrate", image, image)
+        assert out.branch_taken == branch
+        assert np.array_equal(out.fused, expected)
 
     def test_shc_permutation_invariance(self, rng):
         params = init_params(8, 2, 9)

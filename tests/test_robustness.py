@@ -83,11 +83,61 @@ class TestCliMalformedInput:
         proc = self._attach(paths, index, sequences, tmp_path)
         assert_clean_exit_2(proc, repr(rows[0]["study_id"]))
 
-    def test_index_non_numeric_vector_entry(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, flags, needle",
+        [
+            (b'{"study_id": "b", "vec": [1.0, "x"]}', (), "'vec'"),
+            (b'{"study_id": "b", "vec": [NaN, 1.0]}', (), "'vec'"),
+            (b'{"study_id": "b", "vec": [Infinity, 1.0]}', ("--no-normalize",), "'vec'"),
+            (b'{"study_id": "b", "vec": [-Infinity, 1.0]}', (), "'vec'"),
+            (b'{"study_id": "b\xff", "vec": [1.0, 1.0]}', (), "UTF-8"),
+        ],
+        ids=["non-numeric", "nan", "infinity", "minus-infinity", "invalid-utf8"],
+    )
+    def test_index_non_numeric_vector_entry(self, tmp_path, line, flags, needle):
         emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [1.0, "x"]}\n')
-        proc = run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / "idx.bin"))
-        assert_clean_exit_2(proc, str(emb), "line 2", "'vec'")
+        emb.write_bytes(b'{"study_id": "a", "vec": [1.0, 2.0]}\n' + line + b"\n")
+        proc = run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / "idx.bin"), *flags)
+        assert_clean_exit_2(proc, str(emb), "line 2", needle)
+        assert not (tmp_path / "idx.bin").exists()
+
+    def test_crlf_embeddings_index_like_lf(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        crlf = tmp_path / "emb_crlf.jsonl"
+        crlf.write_bytes(paths["embeddings"].read_bytes().replace(b"\n", b"\r\n"))
+        for emb, out in ((paths["embeddings"], "lf.bin"), (crlf, "crlf.bin")):
+            assert run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / out)).returncode == 0
+        assert (tmp_path / "lf.bin").read_bytes() == (tmp_path / "crlf.bin").read_bytes()
+
+    def test_score_labels_invalid_utf8(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        labels = paths["generated_labels"].read_bytes().split(b"\n")
+        labels[2] = b"\xff" + labels[2]
+        paths["generated_labels"].write_bytes(b"\n".join(labels))
+        proc = run_cli(
+            "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]),
+            "--labels", str(paths["generated_labels"]),
+        )
+        assert_clean_exit_2(proc, str(paths["generated_labels"]), "line 3", "UTF-8")
+
+    def test_run_config_invalid_utf8(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        raw = paths["config"].read_bytes()
+        paths["config"].write_bytes(raw.replace(b'"seed"', b'"s\xffeed"', 1))
+        line = raw[: raw.index(b'"seed"')].count(b"\n") + 1
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, str(paths["config"]), f"line {line}", "UTF-8")
+
+    def test_retrieve_index_id_invalid_utf8(self, tmp_path):
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text('{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [2.0, 1.0]}\n')
+        index = tmp_path / "idx.bin"
+        assert run_cli("index", "--embeddings", str(emb), "--out", str(index)).returncode == 0
+        blob = index.read_bytes()
+        at = blob.index(b"a", 17)  # after the header, the first id's bytes
+        index.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
+        proc = run_cli("retrieve", "--index", str(index), "--query-id", "b")
+        assert_clean_exit_2(proc, str(index), "UTF-8")
 
     @pytest.mark.parametrize(
         "patch, needle",
@@ -111,13 +161,18 @@ class TestCliMalformedInput:
         assert_clean_exit_2(proc, str(paths["corpus"]), "line 3", needle)
 
     @pytest.mark.parametrize(
-        "entities, needle",
-        [(5, "'entities'"), ([5], "'tokens'"), ([{"tokens": "x", "label": "BAD"}], "'BAD'")],
+        "second_id, entities, needle",
+        [
+            pytest.param("st001", 5, "'entities'", id="5-'entities'"),
+            pytest.param("st001", [5], "'tokens'", id="entities1-'tokens'"),
+            pytest.param("st001", [{"tokens": "x", "label": "BAD"}], "'BAD'", id="entities2-'BAD'"),
+            pytest.param("st000", [], "duplicate study_id 'st000'", id="duplicate-id"),
+        ],
     )
-    def test_score_malformed_entities_file(self, tmp_path, entities, needle):
+    def test_score_malformed_entities_file(self, tmp_path, second_id, entities, needle):
         paths = write_pipeline_fixture(tmp_path)
         bad = tmp_path / "entities.jsonl"
-        rows = [{"study_id": "st000", "entities": []}, {"study_id": "st001", "entities": entities}]
+        rows = [{"study_id": "st000", "entities": []}, {"study_id": second_id, "entities": entities}]
         bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
         proc = run_cli(
             "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--entities", str(bad),
