@@ -242,14 +242,13 @@ class FusionGradients:
 # ---------------------------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_A * (x + _GELU_B * x**3)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh form) and its tanh term, which the backward pass reuses."""
+    t = np.tanh(_GELU_A * (x + _GELU_B * x**3))
+    return 0.5 * x * (1.0 + t), t
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    inner = _GELU_A * (x + _GELU_B * x**3)
-    t = np.tanh(inner)
+def _gelu_grad(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     d_inner = _GELU_A * (1.0 + 3.0 * _GELU_B * x * x)
     return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
 
@@ -357,6 +356,7 @@ class _DecoderTape(NamedTuple):
     ln3: _LnTape
     n3: np.ndarray
     ff_pre: np.ndarray
+    ff_tanh: np.ndarray
     ff_act: np.ndarray
 
 
@@ -373,15 +373,15 @@ def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int):
     x2 = x1 + ca
     n3, t_ln3 = _layer_norm_forward(x2, layer.ln3_gain, layer.ln3_bias)
     ff_pre = n3 @ layer.ff1
-    ff_act = _gelu(ff_pre)
+    ff_act, ff_tanh = _gelu(ff_pre)
     out = x2 + ff_act @ layer.ff2
-    return out, _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_act)
+    return out, _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_tanh, ff_act)
 
 
 def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams):
     # feed-forward sublayer
     dff2 = tape.ff_act.T @ dout
-    dpre = (dout @ layer.ff2.T) * _gelu_grad(tape.ff_pre)
+    dpre = (dout @ layer.ff2.T) * _gelu_grad(tape.ff_pre, tape.ff_tanh)
     dff1 = tape.n3.T @ dpre
     dx2_ln, *dln3 = _layer_norm_backward(dpre @ layer.ff1.T, tape.ln3)
     dx2 = dout + dx2_ln

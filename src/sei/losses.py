@@ -4,7 +4,12 @@ Global terms: temperature-scaled softmax contrastive losses over the cosine
 similarity matrix between pooled image and text features, one per direction.
 Local term: each text token attends over its study's image patches to build
 a context vector per candidate study; the token must identify its own study
-among the batch by cosine similarity of token and context.
+among the batch by cosine similarity of token and context (a GLoRIA-style
+token-to-region contrast).  Tokens are taken in row-major (study, position)
+order in blocks of a fixed number of tokens; each block's attention logits
+(B, block, S_i) and contexts (B, block, d) come from batched matmuls against
+every study's patches, so peak memory depends on the block, not on B * S_t.
+The zero-norm errors name the first offending token in row-major order.
 
 Every operation has an analytic-gradient twin so the whole module can be
 checked against central finite differences.
@@ -36,6 +41,9 @@ __all__ = [
 
 DIRECTIONS = ("image_to_text", "text_to_image")
 PROB_FLOOR = 1e-12
+# Tokens per block of the local loss: bounds its (B, block, S_i) and (B, block, d)
+# temporaries, so memory does not grow with B * S_t.
+_TOKEN_BLOCK = 64
 
 
 def _as_float(value, name: str, ndim: int) -> np.ndarray:
@@ -167,55 +175,65 @@ def _local_core(batch: AlignmentBatch, with_grad: bool):
     img = batch.image_locals  # (B, S_i, d)
     txt = batch.text_locals  # (B, S_t, d)
     b, s_t, d = txt.shape
+    tokens = txt.reshape(b * s_t, d)  # row-major: flat token n is (n // S_t, n % S_t)
     tau = batch.temperature
     sqrt_d = math.sqrt(d)
     weight = 1.0 / (b * s_t)
     loss = 0.0
     d_img = np.zeros_like(img) if with_grad else None
-    d_txt = np.zeros_like(txt) if with_grad else None
-    for i in range(b):
-        for t in range(s_t):
-            query = txt[i, t]
-            q_norm = float(np.linalg.norm(query))
-            if q_norm == 0.0:
-                raise ValidationError(f"text_locals token ({i}, {t}) has zero norm")
-            attn_logits = np.einsum("jsd,d->js", img, query) / sqrt_d  # (B, S_i)
-            shifted = attn_logits - attn_logits.max(axis=1, keepdims=True)
-            attn = np.exp(shifted)
-            attn /= attn.sum(axis=1, keepdims=True)
-            contexts = np.einsum("js,jsd->jd", attn, img)  # (B, d)
-            ctx_norms = np.linalg.norm(contexts, axis=1)
-            zero = np.nonzero(ctx_norms == 0.0)[0]
-            if zero.size:
-                raise ValidationError(
-                    f"attention context for study {int(zero[0])} has zero norm "
-                    f"(token ({i}, {t}))"
-                )
-            dots = contexts @ query
-            sims = dots / (q_norm * ctx_norms)
-            logits = sims / tau
-            lse = float(_logsumexp(logits[None, :], axis=1)[0])
-            loss += weight * (lse - float(logits[i]))
-            if not with_grad:
-                continue
-            probs = np.exp(logits - lse)
-            dlogits = weight * probs
-            dlogits[i] -= weight
-            dsims = dlogits / tau
-            # cosine backward: sim_j = (c_j . q) / (|q| |c_j|)
-            scale_j = dsims / (q_norm * ctx_norms)
-            dq = (scale_j[:, None] * contexts).sum(axis=0)
-            dq -= (dsims * sims).sum() * query / (q_norm * q_norm)
-            d_ctx = scale_j[:, None] * query[None, :]
-            d_ctx -= (dsims * sims / (ctx_norms * ctx_norms))[:, None] * contexts
-            # context backward: c_j = attn_j @ img_j with attn_j = softmax(img_j q / sqrt(d))
-            g_attn = np.einsum("jsd,jd->js", img, d_ctx)
-            g_logits = attn * (g_attn - (attn * g_attn).sum(axis=1, keepdims=True))
-            d_img += np.einsum("js,jd->jsd", attn, d_ctx)
-            d_img += np.einsum("js,d->jsd", g_logits, query) / sqrt_d
-            dq += np.einsum("jsd,js->d", img, g_logits) / sqrt_d
-            d_txt[i, t] += dq
-    return loss, d_img, d_txt
+    d_txt = np.zeros_like(tokens) if with_grad else None
+    for lo in range(0, b * s_t, _TOKEN_BLOCK):
+        query = tokens[lo : lo + _TOKEN_BLOCK]  # (n, d)
+        n = query.shape[0]
+        q_norms = np.linalg.norm(query, axis=1)  # (n,)
+        attn_logits = np.matmul(query, img.transpose(0, 2, 1)) / sqrt_d  # (B, n, S_i)
+        attn = np.exp(attn_logits - attn_logits.max(axis=2, keepdims=True))
+        attn /= attn.sum(axis=2, keepdims=True)
+        contexts = np.matmul(attn, img)  # (B, n, d)
+        ctx_norms = np.linalg.norm(contexts, axis=2)  # (B, n)
+        _check_local_norms(q_norms, ctx_norms, lo, s_t)
+        dots = (contexts * query).sum(axis=2)
+        sims = dots / (q_norms * ctx_norms)  # (B, n): study j against token k
+        logits = sims / tau
+        lse = _logsumexp(logits, axis=0)
+        own = np.arange(lo, lo + n) // s_t
+        cols = np.arange(n)
+        loss += weight * float((lse - logits[own, cols]).sum())
+        if not with_grad:
+            continue
+        dlogits = weight * np.exp(logits - lse)
+        dlogits[own, cols] -= weight
+        dsims = dlogits / tau
+        # cosine backward: sim_jk = (c_jk . q_k) / (|q_k| |c_jk|)
+        scale = dsims / (q_norms * ctx_norms)
+        dq = (scale[:, :, None] * contexts).sum(axis=0)
+        dq -= ((dsims * sims).sum(axis=0) / (q_norms * q_norms))[:, None] * query
+        d_ctx = scale[:, :, None] * query
+        d_ctx -= (dsims * sims / (ctx_norms * ctx_norms))[:, :, None] * contexts
+        # context backward: c_jk = attn_jk @ img_j with attn_jk = softmax(img_j q_k / sqrt(d))
+        g_attn = np.matmul(d_ctx, img.transpose(0, 2, 1))  # (B, n, S_i)
+        g_logits = attn * (g_attn - (attn * g_attn).sum(axis=2, keepdims=True))
+        d_img += np.matmul(attn.transpose(0, 2, 1), d_ctx)
+        d_img += np.matmul(g_logits.transpose(0, 2, 1), query) / sqrt_d
+        dq += np.matmul(g_logits, img).sum(axis=0) / sqrt_d
+        d_txt[lo : lo + n] = dq
+    return loss, d_img, None if d_txt is None else d_txt.reshape(txt.shape)
+
+
+def _check_local_norms(q_norms: np.ndarray, ctx_norms: np.ndarray, lo: int, s_t: int) -> None:
+    """Name the first token, in row-major order, with a zero norm or a zero context.
+
+    Within one token the token's own norm is checked before its contexts.
+    """
+    bad = (q_norms == 0.0) | (ctx_norms == 0.0).any(axis=0)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    i, t = divmod(lo + k, s_t)
+    if q_norms[k] == 0.0:
+        raise ValidationError(f"text_locals token ({i}, {t}) has zero norm")
+    j = int(np.argmax(ctx_norms[:, k] == 0.0))
+    raise ValidationError(f"attention context for study {j} has zero norm (token ({i}, {t}))")
 
 
 def local_alignment_loss(batch: AlignmentBatch) -> float:

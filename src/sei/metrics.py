@@ -207,10 +207,23 @@ def micro_f1(
     positions = tuple(range(14)) if subset is None else tuple(subset)
     if any(p < 0 or p >= 14 for p in positions):
         raise ValidationError(f"label subset {positions} out of range")
+    return _micro_f1(_validated_label_rows(zip(pred, gold)), positions)
+
+
+def _validated_label_rows(rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list:
+    """Each (pred, gold) row as validated 14-entry tuples, pred checked first."""
+    return [
+        (
+            _validate_label_vector(p_vec, f"pred row {row}"),
+            _validate_label_vector(g_vec, f"gold row {row}"),
+        )
+        for row, (p_vec, g_vec) in enumerate(rows)
+    ]
+
+
+def _micro_f1(rows: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], positions: Sequence[int]) -> float:
     tp = fp = fn = 0
-    for row, (p_vec, g_vec) in enumerate(zip(pred, gold)):
-        p = _validate_label_vector(p_vec, f"pred row {row}")
-        g = _validate_label_vector(g_vec, f"gold row {row}")
+    for p, g in rows:
         for pos in positions:
             if p[pos] and g[pos]:
                 tp += 1
@@ -301,10 +314,9 @@ def score_settings(
             rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut, beta_sq))
     shared = {}
     if labels is not None:
-        pred = [row[0] for row in labels]
-        gold = [row[1] for row in labels]
-        shared["CX14"] = micro_f1(pred, gold)
-        shared["CX5"] = micro_f1(pred, gold, subset=CX5_INDICES)
+        rows = _validated_label_rows(labels)
+        shared["CX14"] = _micro_f1(rows, tuple(range(14)))
+        shared["CX5"] = _micro_f1(rows, CX5_INDICES)
     if entities is not None:
         shared["RG-F1"] = sum(entity_f1(gen, ref) for gen, ref in entities) / len(entities)
     return {

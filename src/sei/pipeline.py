@@ -173,9 +173,8 @@ class PipelineConfig:
             raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
         for value in self.m_gt:
             if value not in M_GT_CHOICES:
-                raise ValidationError(
-                    f"m_gt must be one of 60, 80, 90, 100, or cpl; got {value}"
-                )
+                *rest, last = map(m_gt_key, M_GT_CHOICES)
+                raise ValidationError(f"m_gt must be one of {', '.join(rest)}, or {last}; got {value}")
 
     def echo(self) -> dict:
         """JSON-able snapshot of the effective configuration for the manifest."""

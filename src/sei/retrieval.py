@@ -128,11 +128,18 @@ def index_from_vectors(
         raise ValidationError("cannot build an index from zero records")
     matrix = np.asarray(vectors, dtype=np.float64)
     if normalize:
-        norms = np.linalg.norm(matrix, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(matrix, axis=1)
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise ValidationError(
                 f"study {ids[int(zero[0])]!r} has a zero-norm embedding; cannot normalize"
+            )
+        overflow = np.nonzero(~np.isfinite(norms))[0]
+        if overflow.size:
+            raise ValidationError(
+                f"study {ids[int(overflow[0])]!r} has an embedding whose norm overflows; "
+                "cannot normalize"
             )
         matrix = matrix / norms[:, None]
     return EmbeddingIndex(dim=matrix.shape[1], ids=tuple(ids), matrix=matrix, normalized=normalize)
@@ -247,12 +254,21 @@ def attach_shc(
 
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
     """Write the binary index format described in the module docstring."""
+    with np.errstate(over="ignore"):
+        matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
+    overflow = np.argwhere(np.isinf(matrix))
+    if overflow.size:
+        row, col = overflow[0]
+        raise ValidationError(
+            f"study {index.ids[row]!r} has embedding value {float(index.matrix[row, col])!r}, "
+            "which does not fit in the index file's float32"
+        )
     parts = [struct.pack("<4sIIIB", _MAGIC, _VERSION, index.n, index.dim, int(index.normalized))]
     for sid in index.ids:
         raw = sid.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
         parts.append(raw)
-    parts.append(np.ascontiguousarray(index.matrix, dtype="<f4").tobytes())
+    parts.append(matrix.tobytes())
     with atomic_write(path, binary=True) as handle:
         handle.writelines(parts)
 

@@ -1,6 +1,7 @@
 """End-to-end CLI and pipeline behavior: artifacts, determinism, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sei import pipeline
 from sei.pipeline import (
     STAGE_ORDER,
     load_config,
@@ -151,6 +153,17 @@ class TestRunPipeline:
         paths = write_pipeline_fixture(tmp_path)
         with pytest.raises(ValidationError, match="m_gt"):
             load_config(paths["config"], {"m_gt": [42]})
+
+    @pytest.mark.parametrize(
+        "choices", [pipeline.M_GT_CHOICES, (60, 75, math.inf)], ids=["declared", "other"]
+    )
+    def test_invalid_m_gt_message_names_every_choice(self, tmp_path, monkeypatch, choices):
+        paths = write_pipeline_fixture(tmp_path)
+        monkeypatch.setattr(pipeline, "M_GT_CHOICES", choices)
+        with pytest.raises(ValidationError) as err:
+            load_config(paths["config"], {"m_gt": [42]})
+        listed = str(err.value).split("one of ")[1].split(";")[0]
+        assert listed.replace(" or ", " ").replace(",", "").split() == [pipeline.m_gt_key(c) for c in choices]
 
     def test_jobs_change_artifacts_not(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)

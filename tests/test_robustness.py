@@ -84,21 +84,29 @@ class TestCliMalformedInput:
         assert_clean_exit_2(proc, repr(rows[0]["study_id"]))
 
     @pytest.mark.parametrize(
-        "line, flags, needle",
+        "line, flags, needles",
         [
-            (b'{"study_id": "b", "vec": [1.0, "x"]}', (), "'vec'"),
-            (b'{"study_id": "b", "vec": [NaN, 1.0]}', (), "'vec'"),
-            (b'{"study_id": "b", "vec": [Infinity, 1.0]}', ("--no-normalize",), "'vec'"),
-            (b'{"study_id": "b", "vec": [-Infinity, 1.0]}', (), "'vec'"),
-            (b'{"study_id": "b\xff", "vec": [1.0, 1.0]}', (), "UTF-8"),
+            (b'{"study_id": "b", "vec": [1.0, "x"]}', (), ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [NaN, 1.0]}', (), ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [Infinity, 1.0]}', ("--no-normalize",), ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [-Infinity, 1.0]}', (), ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b\xff", "vec": [1.0, 1.0]}', (), ("{emb}", "line 2", "UTF-8")),
+            # finite, but the norm overflows float64 / the value overflows float32
+            (b'{"study_id": "b", "vec": [1e300, 1.0]}', (), ("study 'b'", "norm overflows")),
+            (b'{"study_id": "b", "vec": [1e300, 1.0]}', ("--no-normalize",), ("study 'b'", "float32")),
+            (b'{"study_id": "b", "vec": [1e39, 1.0]}', ("--no-normalize",), ("study 'b'", "float32")),
         ],
-        ids=["non-numeric", "nan", "infinity", "minus-infinity", "invalid-utf8"],
+        ids=[
+            "non-numeric", "nan", "infinity", "minus-infinity", "invalid-utf8",
+            "norm-overflow", "float32-overflow", "float32-overflow-small",
+        ],
     )
-    def test_index_non_numeric_vector_entry(self, tmp_path, line, flags, needle):
+    def test_index_non_numeric_vector_entry(self, tmp_path, line, flags, needles):
         emb = tmp_path / "emb.jsonl"
         emb.write_bytes(b'{"study_id": "a", "vec": [1.0, 2.0]}\n' + line + b"\n")
         proc = run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / "idx.bin"), *flags)
-        assert_clean_exit_2(proc, str(emb), "line 2", needle)
+        assert_clean_exit_2(proc, *(needle.format(emb=emb) for needle in needles))
+        assert "Warning" not in proc.stderr
         assert not (tmp_path / "idx.bin").exists()
 
     def test_crlf_embeddings_index_like_lf(self, tmp_path):
