@@ -7,6 +7,25 @@ vector around its k-th best score and sorts only the rows that reach it.
 Both order ties by row insertion order, so results are reproducible bit for
 bit.
 
+``attach_shc`` scores its records in blocks of ``_QUERY_BLOCK`` queries.
+``_scores`` walks the index in slabs of rows that fit in ``_SLAB_BYTES``
+and runs one matrix-vector product per query on each slab while the slab is
+still in cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
+Douze and Jegou, arXiv:1702.08734).  The bits match one product over the
+whole matrix because of the 4-row rule: OpenBLAS sums each row of a
+matrix-vector product by its place in a group of 4 rows, and a product of a
+single row goes to a dot kernel instead.  So every slab starts on a
+multiple of 4 rows, and the last slab ends at row n and takes in any
+remainder of fewer than 4 rows.  ``top_k`` and ``top_k_naive`` answer one
+query, which has nothing to reuse from cache, so they keep one product over
+the whole matrix.
+
+Score bits and BLAS threads: ``attach_shc`` scores are the bits of the
+whole-matrix product run on one BLAS thread, on any BLAS thread count.
+``top_k`` and ``top_k_naive`` equal them when their product runs on one
+thread.  On more, OpenBLAS may split the rows at a point that is not a
+multiple of 4, which moves a few last bits when n is not a multiple of 4.
+
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
 row-major little-endian float32 matrix.
@@ -40,6 +59,8 @@ __all__ = [
 
 _MAGIC = b"SEIX"
 _VERSION = 1
+_SLAB_BYTES = 1 << 20  # index rows scored per pass; stays in L2 while a query block runs over it
+_QUERY_BLOCK = 64  # queries attach_shc scores per pass over the index
 
 
 @dataclass
@@ -145,6 +166,11 @@ def index_from_vectors(
     return EmbeddingIndex(dim=matrix.shape[1], ids=tuple(ids), matrix=matrix, normalized=normalize)
 
 
+def _check_k(k: int) -> None:
+    if k < 0:
+        raise ValidationError(f"k must be >= 0, got {k}")
+
+
 def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
@@ -165,29 +191,40 @@ def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray, query_i
     return RetrievalResult(query_id=query_id, hits=hits)
 
 
-def top_k(
-    index: EmbeddingIndex,
-    query: np.ndarray,
-    k: int,
-    exclude_id: str | None = None,
-) -> RetrievalResult:
-    """Exact top-k by dot product: partial selection, then an exact tie-break.
+def _scores(matrix: np.ndarray, queries: Sequence[np.ndarray]) -> np.ndarray:
+    """Row j is ``matrix @ queries[j]``, with the bits of one product on one BLAS thread.
 
-    Scores come from the same matrix-vector product as the naive scan, so
-    they are bit-identical to it.  ``np.partition`` finds the k-th best
-    score; every row reaching it is kept, so ties at the cut are complete,
-    and only those rows are sorted.  Ties break toward the earlier row;
-    ``exclude_id`` never appears; asking for more hits than candidates
-    returns all of them.
+    Slabs follow the 4-row rule in the module docstring: each is the
+    largest multiple of 4 rows that fits in ``_SLAB_BYTES`` (at least 4),
+    and is read from memory once for all the queries, one matrix-vector
+    product per query.  OpenBLAS gives a slab of at most 1 MiB the same
+    bits on one thread or two, so the result does not depend on the
+    thread count either.
     """
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
-    q = _prepare_query(index, query)
-    skip = index.row_of(exclude_id) if exclude_id is not None else None
-    k = min(k, index.n - (skip is not None))
-    if k == 0:
-        return RetrievalResult(query_id=exclude_id, hits=())
-    scores = index.matrix @ q
+    n, dim = matrix.shape
+    height = max(4, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // 4 * 4)
+    bounds = list(range(0, n, height))
+    if len(bounds) > 1 and n - bounds[-1] < 4:
+        bounds.pop()  # the last slab takes in a remainder of fewer than 4 rows
+    bounds.append(n)
+    out = np.empty((len(queries), n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        slab = matrix[lo:hi]
+        for q, row in zip(queries, out):
+            np.matmul(slab, q, out=row[lo:hi])
+    return out
+
+
+def _select(
+    index: EmbeddingIndex, scores: np.ndarray, k: int, skip: int | None, query_id
+) -> RetrievalResult:
+    """The k best rows of ``scores``, never row ``skip``; needs 1 <= k <= the candidates.
+
+    ``np.partition`` finds the k-th best score; every row reaching it is
+    kept, so ties at the cut are complete, and only those rows are sorted.
+    Ties break toward the earlier row and NaN scores rank last, as in the
+    naive scan's ``lexsort``.
+    """
     neg = -scores  # ascending order of neg is the ranking; NaN sorts last, as in lexsort
     if skip is not None:
         neg[skip] = np.inf
@@ -196,7 +233,31 @@ def top_k(
     if skip is not None:
         rows = rows[rows != skip]
     rows = rows[np.lexsort((rows, neg[rows]))[:k]]
-    return _result(index, rows, scores[rows], exclude_id)
+    return _result(index, rows, scores[rows], query_id)
+
+
+def top_k(
+    index: EmbeddingIndex,
+    query: np.ndarray,
+    k: int,
+    exclude_id: str | None = None,
+) -> RetrievalResult:
+    """Exact top-k by dot product: partial selection, then an exact tie-break.
+
+    Scores come from the same matrix-vector product over the whole matrix
+    as the naive scan, so they are bit-identical to it; a single query has
+    nothing to reuse from cache, so it is not split into slabs.  Selection
+    is ``_select``, shared with ``attach_shc``.  Ties break toward the
+    earlier row; ``exclude_id`` never appears; asking for more hits than
+    candidates returns all of them.
+    """
+    _check_k(k)
+    q = _prepare_query(index, query)
+    skip = index.row_of(exclude_id) if exclude_id is not None else None
+    k = min(k, index.n - (skip is not None))
+    if k == 0:
+        return RetrievalResult(query_id=exclude_id, hits=())
+    return _select(index, index.matrix @ q, k, skip, exclude_id)
 
 
 def top_k_naive(
@@ -206,8 +267,7 @@ def top_k_naive(
     exclude_id: str | None = None,
 ) -> RetrievalResult:
     """Reference implementation: full scan, full sort.  Same contract as top_k."""
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
+    _check_k(k)
     q = _prepare_query(index, query)
     scores = index.matrix @ q
     rows = np.arange(index.n, dtype=np.int64)
@@ -218,6 +278,16 @@ def top_k_naive(
         scores = scores[keep]
     order = np.lexsort((rows, -scores))[:k]
     return _result(index, rows[order], scores[order], exclude_id)
+
+
+def _shc_query(index: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
+    """Check one ``attach_shc`` record in the order ``top_k`` would; return its query."""
+    if rec.embedding is None:
+        raise ValidationError(f"study {rec.study_id!r} has no embedding")
+    if index.row_of(rec.study_id) is None:
+        raise ValidationError(f"study {rec.study_id!r} is not indexed")
+    _check_k(k)
+    return _prepare_query(index, np.asarray(rec.embedding, dtype=np.float64))
 
 
 def attach_shc(
@@ -231,24 +301,44 @@ def attach_shc(
     Every record must be present in the index (its own id is excluded from
     its results).  ``sequences`` maps study_id to a rendered factual
     sequence; when omitted it is computed from the records themselves.
+
+    Records are scored ``_QUERY_BLOCK`` at a time by the slab kernel
+    ``_scores`` and selected by ``_select``, so the hits equal ``top_k``'s
+    on one BLAS thread, bit for bit.  Errors come in record order, as one
+    record at a time would raise them: a block ends at the first record
+    that fails a check, and that record's error is raised once the records
+    before it are finished.
     """
     if sequences is None:
         sequences = {rec.study_id: see_extract(rec).rendered for rec in records}
+    hits = min(k, index.n - 1)
     out = []
-    for rec in records:
-        if rec.embedding is None:
-            raise ValidationError(f"study {rec.study_id!r} has no embedding")
-        if index.row_of(rec.study_id) is None:
-            raise ValidationError(f"study {rec.study_id!r} is not indexed")
-        result = top_k(index, np.asarray(rec.embedding, dtype=np.float64), k, exclude_id=rec.study_id)
-        for sid, _ in result.hits:
-            if sid not in sequences:
-                raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
-        cases = tuple(
-            SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
-            for sid, score in result.hits
-        )
-        out.append((rec, cases))
+    for start in range(0, len(records), _QUERY_BLOCK):
+        block, queries, error = [], [], None
+        for rec in records[start : start + _QUERY_BLOCK]:
+            try:
+                queries.append(_shc_query(index, rec, k))
+            except ValidationError as exc:  # raised below, after the records before it
+                error = exc
+                break
+            block.append(rec)
+        scores = _scores(index.matrix, queries) if hits > 0 else None
+        for j, rec in enumerate(block):
+            found = (
+                _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
+                if hits > 0
+                else ()
+            )
+            for sid, _ in found:
+                if sid not in sequences:
+                    raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
+            cases = tuple(
+                SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
+                for sid, score in found
+            )
+            out.append((rec, cases))
+        if error is not None:
+            raise error
     return out
 
 

@@ -1,17 +1,22 @@
-"""Property tests: top_k against its oracle, fusion weights against the shape table,
-the one-pass scorer against per-setting scoring, and the scoring and SEE invariants."""
+"""Property tests: top_k and attach_shc against their oracle, fusion weights against
+the shape table, the one-pass scorer against per-setting scoring, and the scoring and
+SEE invariants."""
 
 import math
+import tempfile
 from dataclasses import fields
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sei import retrieval
 from sei.corpus import EntityAnnotation, EntityLabel, ReportDocument, StudyRecord
 from sei.fusion import LAYER_NAMES, LAYER_SHAPES, LayerParams, init_params
 from sei.metrics import EvalPair, score_corpus, score_settings, truncate_reference
-from sei.retrieval import index_from_vectors, top_k, top_k_naive
+from sei.retrieval import attach_shc, index_from_vectors, load_index, save_index, top_k, top_k_naive
 from sei.see import see_extract
 
 M_GT_SETTINGS = (60, 80, 90, 100, math.inf)
@@ -46,6 +51,66 @@ def test_top_k_matches_naive_bit_for_bit(case):
     slow = top_k_naive(index, query, k, exclude_id=exclude)
     assert [sid for sid, _ in fast.hits] == [sid for sid, _ in slow.hits]
     assert [float(s).hex() for _, s in fast.hits] == [float(s).hex() for _, s in slow.hits]
+
+
+def hits_hex(hits) -> list[tuple[str, str]]:
+    return [(sid, float(score).hex()) for sid, score in hits]
+
+
+@st.composite
+def shc_case(draw):
+    """An index of at most 63 rows, so its products never split across BLAS threads,
+    with every n % 4 residue; duplicate, quantized and unnormalized rows of very
+    different norms; a permuted subset of its studies as records; and slabs of 4 or
+    8 rows and query blocks of 1-3, so all but the smallest cases cross both."""
+    n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
+    assume(n >= 1)
+    # below 8 columns OpenBLAS sums every row alike, so a misplaced slab edge shows only from 8 on
+    d = draw(st.integers(1, 7) | st.integers(8, 24))
+    normalize = draw(st.booleans())
+    value = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 1.0, width=32)
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
+    scale = st.sampled_from([1.0, 1e-3, 37.5, 1e3])
+    rows = [[v * draw(scale) for v in pool[draw(st.integers(0, len(pool) - 1))]] for _ in range(n)]
+    if normalize:
+        assume(all(any(row) for row in rows))
+    order = draw(st.permutations(range(n)))
+    picked = order[: draw(st.integers(1, n))]
+    # a record's query is its own row, or now and then another row of the index
+    queries = [rows[draw(st.sampled_from([i, draw(st.integers(0, n - 1))]))] for i in picked]
+    k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
+    slab_rows = draw(st.integers(4, 8))  # the kernel rounds this down to 4 or 8
+    block = draw(st.integers(1, 3))
+    reload = draw(st.booleans())
+    return rows, normalize, picked, queries, k, slab_rows, block, reload
+
+
+@settings(max_examples=200, deadline=None)
+@given(shc_case())
+def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
+    rows, normalize, picked, queries, k, slab_rows, block, reload = case
+    d = len(rows[0])
+    ids = [f"r{i}" for i in range(len(rows))]
+    index = index_from_vectors(ids, rows, normalize)
+    if reload:
+        with tempfile.TemporaryDirectory() as tmp:
+            save_index(index, Path(tmp) / "index.bin")
+            index = load_index(Path(tmp) / "index.bin")
+    report = ReportDocument.from_text("r", "lungs clear.")
+    records = [
+        StudyRecord(study_id=ids[i], report=report, entities=(), embedding=tuple(query))
+        for i, query in zip(picked, queries)
+    ]
+    sequences = {sid: f"seq-{sid}" for sid in ids}
+    with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
+        retrieval, "_QUERY_BLOCK", block
+    ):
+        attached = attach_shc(records, index, k, sequences=sequences)
+    assert [rec for rec, _ in attached] == records
+    for rec, cases in attached:
+        want = top_k_naive(index, np.asarray(rec.embedding), k, exclude_id=rec.study_id)
+        assert hits_hex((c.study_id, c.score) for c in cases) == hits_hex(want.hits)
+        assert [c.factual_sequence for c in cases] == [sequences[c.study_id] for c in cases]
 
 
 def test_shape_table_lists_layer_fields_in_order():

@@ -1,8 +1,14 @@
-"""Retrieval engine: construction, oracle equivalence, ties, serialization."""
+"""Retrieval engine: construction, oracle equivalence, ties, BLAS threads, serialization."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sei
 from sei.corpus import ReportDocument, StudyRecord
 from sei.errors import CorpusError, ValidationError
 from sei.retrieval import (
@@ -196,6 +202,57 @@ class TestAttachShc:
         attached = attach_shc(records, index, 1, sequences=sequences)
         for rec, cases in attached:
             assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
+
+
+# Scores 32 records against a 9801 x 256 index with k = n - 1, so every row's
+# score is in the output, and prints a digest of the ids and float.hex scores.
+# With "oracle" it also checks each record against top_k_naive.
+THREAD_PROBE = """
+import hashlib, sys
+import numpy as np
+from sei.corpus import ReportDocument, StudyRecord
+from sei.retrieval import attach_shc, index_from_vectors, top_k_naive
+
+n, d = 9801, 256
+rng = np.random.default_rng(9801)
+vectors = rng.standard_normal((n, d))
+ids = [f"s{i:05d}" for i in range(n)]
+index = index_from_vectors(ids, vectors)
+report = ReportDocument.from_text("s", "lungs clear.")
+records = [
+    StudyRecord(study_id=ids[r], report=report, entities=(), embedding=tuple(vectors[r].tolist()))
+    for r in rng.choice(n, size=32, replace=False)
+]
+digest = hashlib.sha256()
+for rec, cases in attach_shc(records, index, n - 1, sequences=dict.fromkeys(ids, "")):
+    got = [(c.study_id, c.score.hex()) for c in cases]
+    digest.update(repr(got).encode())
+    if sys.argv[1:] == ["oracle"]:
+        want = top_k_naive(index, np.asarray(rec.embedding), n - 1, exclude_id=rec.study_id)
+        assert got == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """attach_shc scores are the one-thread product's bits on any BLAS thread count.
+
+    At n = 9801 (not a multiple of 4) a whole-matrix product on two OpenBLAS
+    threads differs from one thread in a few last bits; the slab kernel does not.
+    """
+
+    def _probe(self, threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, *args], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_one_thread_equals_naive_and_two_threads_equal_one(self):
+        one = self._probe(1, "oracle")
+        assert self._probe(2) == one
 
 
 class TestSerialization:

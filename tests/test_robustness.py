@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import pytest
 
-from sei.corpus import atomic_write, load_corpus, save_corpus
+from sei import retrieval
+from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
 from sei.errors import ValidationError
 from sei.pipeline import load_config, run_pipeline
 from sei.retrieval import attach_shc, build_index
@@ -196,6 +197,50 @@ def test_attach_shc_missing_sequence_names_id(rng):
     index = build_index(records)
     with pytest.raises(ValidationError, match="'s2'"):
         attach_shc(records, index, 2, sequences={"s0": "x", "s1": "y"})
+
+
+def shc_record(study_id, vec):
+    return StudyRecord(
+        study_id=study_id,
+        report=ReportDocument.from_text(study_id, "lungs clear."),
+        entities=(),
+        embedding=tuple(vec),
+    )
+
+
+class TestAttachShcErrorOrder:
+    """With two faults, attach_shc raises the one a record-at-a-time scan meets first,
+    whether both records share a query block or the block holds one record; the
+    messages are the ones the record-at-a-time code raised."""
+
+    # a's best hit is b, which has no sequence; z is not indexed; c's query has zero norm
+    INDEXED = {"a": (1.0, 0.0), "b": (0.9, 0.1), "c": (0.0, 1.0)}
+    QUERIES = {"a": (1.0, 0.0), "b": (0.9, 0.1), "c": (0.0, 0.0), "z": (1.0, 1.0)}
+
+    @pytest.mark.parametrize("block", [None, 1])
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (("a", "z"), "no factual sequence for retrieved study 'b'"),
+            (("z", "a"), "study 'z' is not indexed"),
+            (("a", "c"), "no factual sequence for retrieved study 'b'"),
+            (("c",), "cannot normalize a zero-norm query"),
+        ],
+        ids=[
+            "missing-sequence-then-unindexed",
+            "unindexed-then-missing-sequence",
+            "missing-sequence-then-zero-norm",
+            "zero-norm-alone",
+        ],
+    )
+    def test_first_fault_in_record_order(self, monkeypatch, block, order, message):
+        if block is not None:
+            monkeypatch.setattr(retrieval, "_QUERY_BLOCK", block)
+        index = build_index([shc_record(sid, vec) for sid, vec in self.INDEXED.items()])
+        records = [shc_record(sid, self.QUERIES[sid]) for sid in order]
+        with pytest.raises(ValidationError) as excinfo:
+            attach_shc(records, index, 1, sequences={"a": "x", "c": "z"})
+        assert str(excinfo.value) == message
 
 
 class TestConfigStrictness:
