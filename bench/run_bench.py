@@ -2,8 +2,8 @@
 
 Run from the root of a checkout:
 
-    python3 bench/run_bench.py --side change --out BENCH_8.json
-    python3 bench/run_bench.py --side parent --src OTHER_CHECKOUT/src --out BENCH_8.json
+    python3 bench/run_bench.py --side change --out BENCH_9.json
+    python3 bench/run_bench.py --side parent --src OTHER_CHECKOUT/src --out BENCH_9.json
 
 It writes the n=20,000, d=256, k=5 corpus of
 ``tests/conftest.py::write_pipeline_fixture`` (seed 123) to
@@ -15,6 +15,8 @@ them every artifact, are the same for every ``--src``.  It then times
 ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``;
 ``peak_rss_mb`` is this process's peak, corpus generation included.
+``setting.scoring_threads`` is the size of ``attach_shc``'s scoring pool
+(1 for a ``sei`` that scores on the calling thread only).
 
 ``--src`` picks the ``sei`` package to measure; the corpus generator always
 comes from this checkout's ``tests``.  The result goes into ``--out`` under
@@ -101,6 +103,7 @@ def measure(src: Path, work: Path) -> dict:
         "retrieval.attach_shc.s": attach_s,
         "src_lines": source_lines(src),
         "artifacts_sha256": artifacts,
+        "scoring_threads": retrieval._scoring_threads() if hasattr(retrieval, "_scoring_threads") else 1,
     }
 
 
@@ -118,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(WORK, ignore_errors=True)
     result["setting"] = {
         "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS,
-        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
         "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
     }
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}

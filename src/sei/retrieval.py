@@ -8,9 +8,9 @@ Both order ties by row insertion order, so results are reproducible bit for
 bit.
 
 ``attach_shc`` scores its records in blocks of ``_QUERY_BLOCK`` queries.
-``_scores`` walks the index in slabs of rows that fit in ``_SLAB_BYTES``
-and runs one matrix-vector product per query on each slab while the slab is
-still in cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
+It walks the index in slabs of rows that fit in ``_SLAB_BYTES`` and runs
+one matrix-vector product per query on each slab while the slab is still
+in cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
 Douze and Jegou, arXiv:1702.08734).  The bits match one product over the
 whole matrix because of the 4-row rule: OpenBLAS sums each row of a
 matrix-vector product by its place in a group of 4 rows, and a product of a
@@ -19,6 +19,15 @@ multiple of 4 rows, and the last slab ends at row n and takes in any
 remainder of fewer than 4 rows.  ``top_k`` and ``top_k_naive`` answer one
 query, which has nothing to reuse from cache, so they keep one product over
 the whole matrix.
+
+Scoring threads: ``attach_shc`` scores on a thread pool whose size is
+the number of CPUs the process may run on (``_scoring_threads``); no
+option sets it.  Each thread takes one contiguous run of whole slabs, so
+every product is still a slab on the 4-row grid, and the bits depend on
+neither the pool size nor the BLAS thread count.  The pool scores the
+next block into one of two score buffers while the calling thread
+selects the hits of the block in the other.  Records are checked, and
+their errors raised, in record order, as one record at a time would.
 
 Score bits and BLAS threads: ``attach_shc`` scores are the bits of the
 whole-matrix product run on one BLAS thread, on any BLAS thread count.
@@ -33,6 +42,7 @@ row-major little-endian float32 matrix.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -191,28 +201,44 @@ def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray, query_i
     return RetrievalResult(query_id=query_id, hits=hits)
 
 
-def _scores(matrix: np.ndarray, queries: Sequence[np.ndarray]) -> np.ndarray:
-    """Row j is ``matrix @ queries[j]``, with the bits of one product on one BLAS thread.
+def _scoring_threads() -> int:
+    """Threads that score ``attach_shc``'s blocks: one per CPU this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _slab_runs(matrix: np.ndarray, threads: int) -> list[list[int]]:
+    """Slab bounds over the rows of ``matrix``, cut into at most ``threads`` runs of whole slabs.
 
     Slabs follow the 4-row rule in the module docstring: each is the
     largest multiple of 4 rows that fits in ``_SLAB_BYTES`` (at least 4),
-    and is read from memory once for all the queries, one matrix-vector
-    product per query.  OpenBLAS gives a slab of at most 1 MiB the same
-    bits on one thread or two, so the result does not depend on the
-    thread count either.
+    and the last takes in a remainder of fewer than 4 rows.  Run i is the
+    bounds of its contiguous slabs, so consecutive runs share an edge.
     """
     n, dim = matrix.shape
     height = max(4, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // 4 * 4)
     bounds = list(range(0, n, height))
     if len(bounds) > 1 and n - bounds[-1] < 4:
-        bounds.pop()  # the last slab takes in a remainder of fewer than 4 rows
+        bounds.pop()
     bounds.append(n)
-    out = np.empty((len(queries), n))
+    slabs = len(bounds) - 1
+    parts = min(threads, slabs)
+    return [bounds[slabs * i // parts : slabs * (i + 1) // parts + 1] for i in range(parts)]
+
+
+def _score_run(matrix: np.ndarray, bounds: list[int], queries: np.ndarray, out: np.ndarray) -> None:
+    """``out[j, lo:hi] = matrix[lo:hi] @ queries[j]`` for each slab of the run.
+
+    ``queries`` is a stack of column vectors, shape (m, d, 1), so numpy runs
+    each slab as one matrix-vector product per query: the bits of the
+    whole-matrix product on one BLAS thread.  OpenBLAS gives a slab of at
+    most 1 MiB the same bits on one thread or two, so the result does not
+    depend on the BLAS thread count either.
+    """
     for lo, hi in zip(bounds, bounds[1:]):
-        slab = matrix[lo:hi]
-        for q, row in zip(queries, out):
-            np.matmul(slab, q, out=row[lo:hi])
-    return out
+        np.matmul(matrix[lo:hi], queries, out=out[:, lo:hi, None])
 
 
 def _select(
@@ -302,43 +328,64 @@ def attach_shc(
     its results).  ``sequences`` maps study_id to a rendered factual
     sequence; when omitted it is computed from the records themselves.
 
-    Records are scored ``_QUERY_BLOCK`` at a time by the slab kernel
-    ``_scores`` and selected by ``_select``, so the hits equal ``top_k``'s
-    on one BLAS thread, bit for bit.  Errors come in record order, as one
-    record at a time would raise them: a block ends at the first record
-    that fails a check, and that record's error is raised once the records
-    before it are finished.
+    Records are scored ``_QUERY_BLOCK`` at a time by ``_score_run`` on a
+    pool of ``_scoring_threads()`` threads and selected by ``_select``, so
+    the hits equal ``top_k``'s on one BLAS thread, bit for bit.  The pool
+    scores the next block while this thread selects the current one.
+    Errors come in record order, as one record at a time would raise them:
+    a block ends at the first record that fails a check, and that record's
+    error is raised once the records before it are finished.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing sei does not pay for it
+
     if sequences is None:
         sequences = {rec.study_id: see_extract(rec).rendered for rec in records}
     hits = min(k, index.n - 1)
-    out = []
-    for start in range(0, len(records), _QUERY_BLOCK):
+    runs = _slab_runs(index.matrix, _scoring_threads())
+    buffers = [np.empty((min(_QUERY_BLOCK, len(records)), index.n)) for _ in range(2)]
+
+    def start_block(start: int, buffer: np.ndarray):
+        """Check the block's records up to the first that fails, and queue their scoring."""
         block, queries, error = [], [], None
         for rec in records[start : start + _QUERY_BLOCK]:
             try:
                 queries.append(_shc_query(index, rec, k))
-            except ValidationError as exc:  # raised below, after the records before it
+            except ValidationError as exc:  # raised after the records before it
                 error = exc
                 break
             block.append(rec)
-        scores = _scores(index.matrix, queries) if hits > 0 else None
-        for j, rec in enumerate(block):
-            found = (
-                _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
-                if hits > 0
-                else ()
-            )
-            for sid, _ in found:
-                if sid not in sequences:
-                    raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
-            cases = tuple(
-                SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
-                for sid, score in found
-            )
-            out.append((rec, cases))
-        if error is not None:
-            raise error
+        scores = buffer[: len(queries)]
+        tasks = []
+        if hits > 0 and queries:
+            stacked = np.stack(queries)[:, :, None]
+            tasks = [pool.submit(_score_run, index.matrix, run, stacked, scores) for run in runs]
+        return block, error, scores, tasks
+
+    out = []
+    with ThreadPoolExecutor(max(len(runs), 1)) as pool:
+        upcoming = start_block(0, buffers[0])
+        for number, start in enumerate(range(0, len(records), _QUERY_BLOCK)):
+            block, error, scores, tasks = upcoming
+            if error is None and start + _QUERY_BLOCK < len(records):
+                upcoming = start_block(start + _QUERY_BLOCK, buffers[(number + 1) % 2])
+            for task in tasks:
+                task.result()
+            for j, rec in enumerate(block):
+                found = (
+                    _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
+                    if hits > 0
+                    else ()
+                )
+                for sid, _ in found:
+                    if sid not in sequences:
+                        raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
+                cases = tuple(
+                    SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
+                    for sid, score in found
+                )
+                out.append((rec, cases))
+            if error is not None:
+                raise error
     return out
 
 

@@ -3,6 +3,7 @@ the shape table, the one-pass scorer against per-setting scoring, and the scorin
 SEE invariants."""
 
 import math
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -61,8 +62,9 @@ def hits_hex(hits) -> list[tuple[str, str]]:
 def shc_case(draw):
     """An index of at most 63 rows, so its products never split across BLAS threads,
     with every n % 4 residue; duplicate, quantized and unnormalized rows of very
-    different norms; a permuted subset of its studies as records; and slabs of 4 or
-    8 rows and query blocks of 1-3, so all but the smallest cases cross both."""
+    different norms; a permuted subset of its studies as records; slabs of 4 or 8
+    rows and query blocks of 1-3, so all but the smallest cases cross both; and 1-4
+    scoring threads, often more than there are slabs."""
     n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
     # below 8 columns OpenBLAS sums every row alike, so a misplaced slab edge shows only from 8 on
@@ -81,14 +83,15 @@ def shc_case(draw):
     k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
     slab_rows = draw(st.integers(4, 8))  # the kernel rounds this down to 4 or 8
     block = draw(st.integers(1, 3))
+    threads = draw(st.integers(1, 4))
     reload = draw(st.booleans())
-    return rows, normalize, picked, queries, k, slab_rows, block, reload
+    return rows, normalize, picked, queries, k, slab_rows, block, threads, reload
 
 
 @settings(max_examples=200, deadline=None)
 @given(shc_case())
 def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
-    rows, normalize, picked, queries, k, slab_rows, block, reload = case
+    rows, normalize, picked, queries, k, slab_rows, block, threads, reload = case
     d = len(rows[0])
     ids = [f"r{i}" for i in range(len(rows))]
     index = index_from_vectors(ids, rows, normalize)
@@ -102,10 +105,15 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
         for i, query in zip(picked, queries)
     ]
     sequences = {sid: f"seq-{sid}" for sid in ids}
-    with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
-        retrieval, "_QUERY_BLOCK", block
-    ):
-        attached = attach_shc(records, index, k, sequences=sequences)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a race between blocks would show
+    try:
+        with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
+            retrieval, "_QUERY_BLOCK", block
+        ), mock.patch.object(retrieval, "_scoring_threads", lambda: threads):
+            attached = attach_shc(records, index, k, sequences=sequences)
+    finally:
+        sys.setswitchinterval(interval)
     assert [rec for rec, _ in attached] == records
     for rec, cases in attached:
         want = top_k_naive(index, np.asarray(rec.embedding), k, exclude_id=rec.study_id)

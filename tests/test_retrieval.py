@@ -204,15 +204,18 @@ class TestAttachShc:
             assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
 
 
-# Scores 32 records against a 9801 x 256 index with k = n - 1, so every row's
-# score is in the output, and prints a digest of the ids and float.hex scores.
-# With "oracle" it also checks each record against top_k_naive.
+# Scores 32 records against a 9801 x 256 index (20 slabs) with k = n - 1, so every
+# row's score is in the output, on argv[1] scoring threads, and prints a digest of
+# the ids and float.hex scores.  With "oracle" it also checks each record against
+# top_k_naive.
 THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
+from sei import retrieval
 from sei.corpus import ReportDocument, StudyRecord
 from sei.retrieval import attach_shc, index_from_vectors, top_k_naive
 
+retrieval._scoring_threads = lambda: int(sys.argv[1])
 n, d = 9801, 256
 rng = np.random.default_rng(9801)
 vectors = rng.standard_normal((n, d))
@@ -227,7 +230,7 @@ digest = hashlib.sha256()
 for rec, cases in attach_shc(records, index, n - 1, sequences=dict.fromkeys(ids, "")):
     got = [(c.study_id, c.score.hex()) for c in cases]
     digest.update(repr(got).encode())
-    if sys.argv[1:] == ["oracle"]:
+    if sys.argv[2:] == ["oracle"]:
         want = top_k_naive(index, np.asarray(rec.embedding), n - 1, exclude_id=rec.study_id)
         assert got == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
 print(digest.hexdigest())
@@ -235,24 +238,28 @@ print(digest.hexdigest())
 
 
 class TestBlasThreads:
-    """attach_shc scores are the one-thread product's bits on any BLAS thread count.
+    """attach_shc scores are the one-thread product's bits on any mix of BLAS and
+    scoring threads.
 
     At n = 9801 (not a multiple of 4) a whole-matrix product on two OpenBLAS
-    threads differs from one thread in a few last bits; the slab kernel does not.
+    threads differs from one thread in a few last bits; the slab kernel does not,
+    and two scoring threads each take a run of whole slabs.
     """
 
-    def _probe(self, threads, *args):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    def _probe(self, blas_threads, scoring_threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
         env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parents[1]), env.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-c", THREAD_PROBE, *args], capture_output=True, text=True, env=env, timeout=300
+            [sys.executable, "-c", THREAD_PROBE, str(scoring_threads), *args],
+            capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
     def test_one_thread_equals_naive_and_two_threads_equal_one(self):
-        one = self._probe(1, "oracle")
-        assert self._probe(2) == one
+        one = self._probe(1, 1, "oracle")
+        for blas_threads, scoring_threads in [(1, 2), (2, 1), (2, 2)]:
+            assert self._probe(blas_threads, scoring_threads) == one, (blas_threads, scoring_threads)
 
 
 class TestSerialization:

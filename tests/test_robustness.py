@@ -6,8 +6,10 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sei import retrieval
@@ -211,7 +213,8 @@ def shc_record(study_id, vec):
 class TestAttachShcErrorOrder:
     """With two faults, attach_shc raises the one a record-at-a-time scan meets first,
     whether both records share a query block or the block holds one record; the
-    messages are the ones the record-at-a-time code raised."""
+    messages are the ones the record-at-a-time code raised.  No raise leaves a
+    scoring thread running."""
 
     # a's best hit is b, which has no sequence; z is not indexed; c's query has zero norm
     INDEXED = {"a": (1.0, 0.0), "b": (0.9, 0.1), "c": (0.0, 1.0)}
@@ -238,9 +241,45 @@ class TestAttachShcErrorOrder:
             monkeypatch.setattr(retrieval, "_QUERY_BLOCK", block)
         index = build_index([shc_record(sid, vec) for sid, vec in self.INDEXED.items()])
         records = [shc_record(sid, self.QUERIES[sid]) for sid in order]
+        before = threading.active_count()
         with pytest.raises(ValidationError) as excinfo:
             attach_shc(records, index, 1, sequences={"a": "x", "c": "z"})
         assert str(excinfo.value) == message
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_scoring_error_comes_out_unchanged(self, monkeypatch, failing, threads):
+        """A scoring error in one record's block comes out of attach_shc as is, after
+        the records before it are finished and before any later record is looked at."""
+        vectors = {f"s{i}": (float(i + 1), float(12 - i)) for i in range(12)}
+        index = build_index([shc_record(sid, vec) for sid, vec in vectors.items()])
+        records = [shc_record(f"s{i}", vectors[f"s{i}"]) for i in range(3)]
+        boom = MemoryError("no room for scores")
+        scoring = retrieval._score_run
+
+        def kernel(matrix, bounds, queries, out):
+            if np.allclose(queries[0, :, 0], index.matrix[failing]):
+                raise boom
+            scoring(matrix, bounds, queries, out)
+
+        looked_up = []
+
+        class Sequences(dict):
+            def __contains__(self, sid):
+                looked_up.append(sid)
+                return super().__contains__(sid)
+
+        monkeypatch.setattr(retrieval, "_QUERY_BLOCK", 1)
+        monkeypatch.setattr(retrieval, "_SLAB_BYTES", 4 * 2 * 8)  # three slabs of 4 rows
+        monkeypatch.setattr(retrieval, "_scoring_threads", lambda: threads)
+        monkeypatch.setattr(retrieval, "_score_run", kernel)
+        before = threading.active_count()
+        with pytest.raises(MemoryError) as excinfo:
+            attach_shc(records, index, 1, sequences=Sequences.fromkeys(vectors, ""))
+        assert excinfo.value is boom
+        assert threading.active_count() == before
+        assert len(looked_up) == failing  # the one hit of each record before the failing one
 
 
 class TestConfigStrictness:
