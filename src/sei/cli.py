@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import CorpusFilterConfig, attach_embeddings, load_corpus, load_embeddings
-from .errors import StageError, ToolkitError, ValidationError
+from .errors import StageError, ToolkitError, ValidationError, check_at_least
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig
 from .losses import (
@@ -100,6 +100,7 @@ def _cmd_attach_shc(args) -> int:
 
 
 def _cmd_fuse_demo(args) -> int:
+    check_at_least(0, seed=args.seed)
     fusion = FusionConfig(d=args.d, heads=args.heads, si=args.si, sh=args.sh, sn=args.sn)
     result = fuse_demo_result(fusion, args.seed, not args.no_shc, not args.no_indication)
     print(f"branch: {result['branch']}")
@@ -110,6 +111,7 @@ def _cmd_fuse_demo(args) -> int:
 
 
 def _cmd_align_demo(args) -> int:
+    check_at_least(0, seed=args.seed, b=args.b)
     rng = np.random.default_rng(args.seed)
     batch = AlignmentBatch(
         image_feats=rng.standard_normal((args.b, args.d)),

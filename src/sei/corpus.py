@@ -27,9 +27,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Callable, Iterable, Iterator, Mapping
 
-from .errors import CorpusError, ValidationError
+from .errors import CorpusError, ValidationError, check_at_least
 
 __all__ = [
     "EntityLabel",
@@ -42,6 +42,7 @@ __all__ = [
     "save_corpus",
     "atomic_write",
     "read_jsonl",
+    "read_keyed_jsonl",
     "read_text",
     "dump_jsonl",
     "record_from_json",
@@ -174,8 +175,7 @@ class CorpusFilterConfig:
     junk_patterns: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.min_tokens < 0:
-            raise ValidationError(f"min_tokens must be >= 0, got {self.min_tokens}")
+        check_at_least(0, min_tokens=self.min_tokens)
         if any(not p for p in self.junk_patterns):
             raise ValidationError("junk_patterns must be non-empty strings")
 
@@ -186,6 +186,13 @@ def _number(convert, value, what: str):
         return convert(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{what} must be numeric, got {value!r}") from None
+
+
+def _string(value, what: str) -> str:
+    """``value`` if it is a JSON string; anything else raises ValidationError naming ``what``."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _numbers(convert, values, what: str) -> tuple:
@@ -210,7 +217,7 @@ def record_from_json(obj: dict) -> StudyRecord:
         if key not in obj:
             raise ValidationError(f"missing field {key!r}")
     study_id = str(obj["study_id"])
-    report = ReportDocument.from_text(study_id, str(obj["findings"]))
+    report = ReportDocument.from_text(study_id, _string(obj["findings"], "field 'findings'"))
     entities = []
     raw_entities = obj.get("entities") or []
     if not isinstance(raw_entities, list):
@@ -223,15 +230,15 @@ def record_from_json(obj: dict) -> StudyRecord:
                 raise ValidationError(f"entity missing field {key!r}")
         entities.append(
             EntityAnnotation(
-                tokens=str(ent["tokens"]),
-                label=EntityLabel.parse(str(ent["label"])),
+                tokens=_string(ent["tokens"], "entity field 'tokens'"),
+                label=EntityLabel.parse(_string(ent["label"], "entity field 'label'")),
                 start_ix=_number(int, ent["start_ix"], "entity field 'start_ix'"),
                 end_ix=_number(int, ent["end_ix"], "entity field 'end_ix'"),
             )
         )
     indication = obj.get("indication")
     if indication is not None:
-        indication = str(indication)
+        indication = _string(indication, "field 'indication'")
     labels14 = obj.get("labels14")
     if labels14 is not None:
         labels14 = _numbers(int, labels14, "field 'labels14'")
@@ -311,6 +318,27 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, obj
 
 
+def read_keyed_jsonl(path: str | Path, field: str, convert: Callable) -> dict[str, object]:
+    """Map study_id to ``convert(row[field])`` over a JSONL file that lists each id once.
+
+    A row that is not an object with both fields, repeats an id, or holds a
+    field ``convert`` rejects with ValidationError raises CorpusError naming
+    its line.
+    """
+    out = {}
+    for lineno, row in read_jsonl(path):
+        if not isinstance(row, dict) or "study_id" not in row or field not in row:
+            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and {field!r}")
+        sid = str(row["study_id"])
+        if sid in out:
+            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
+        try:
+            out[sid] = convert(row[field])
+        except ValidationError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+    return out
+
+
 def dump_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line, atomically."""
     with atomic_write(path) as handle:
@@ -340,28 +368,20 @@ def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
     All vectors must share one dimension and hold finite values; duplicates
     are rejected.
     """
-    out: dict[str, tuple[float, ...]] = {}
-    dim: int | None = None
-    for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict) or "study_id" not in obj or "vec" not in obj:
-            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'vec'")
-        sid = str(obj["study_id"])
-        if sid in out:
-            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        try:
-            vec = _numbers(float, obj["vec"], "field 'vec'")
-        except ValidationError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+    dim = None
+
+    def vector(raw) -> tuple[float, ...]:
+        nonlocal dim
+        vec = _numbers(float, raw, "field 'vec'")
         if not all(map(math.isfinite, vec)):
-            raise CorpusError(f"{path}: line {lineno}: field 'vec' holds a NaN or infinite value")
+            raise ValidationError("field 'vec' holds a NaN or infinite value")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:
-            raise CorpusError(
-                f"{path}: line {lineno}: vector of length {len(vec)} but corpus dimension is {dim}"
-            )
-        out[sid] = vec
-    return out
+            raise ValidationError(f"vector of length {len(vec)} but corpus dimension is {dim}")
+        return vec
+
+    return read_keyed_jsonl(path, "vec", vector)
 
 
 def attach_embeddings(

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the bound check that raises one."""
 
 from __future__ import annotations
 
@@ -13,6 +13,13 @@ class ValidationError(ToolkitError):
 
 class CorpusError(ValidationError):
     """Malformed corpus, embeddings, or index file; message names the location."""
+
+
+def check_at_least(low: int, **values: int) -> None:
+    """Raise ValidationError naming the first of ``values`` that is below ``low``."""
+    for name, value in values.items():
+        if value < low:
+            raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 class StageError(ToolkitError):

@@ -27,11 +27,10 @@ import hashlib
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,18 +39,19 @@ from .corpus import (
     CorpusFilterConfig,
     EntityLabel,
     StudyRecord,
+    _string,
     atomic_write,
     attach_embeddings,
     dump_jsonl,
     filter_corpus,
     load_corpus,
     load_embeddings,
-    read_jsonl,
+    read_keyed_jsonl,
     read_text,
     save_corpus,
     tokenize,
 )
-from .errors import CorpusError, StageError, ToolkitError, ValidationError
+from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least
 from .fusion import ROUTES, FeatureSet, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig, normalize_indication
@@ -65,7 +65,6 @@ __all__ = [
     "FusionConfig",
     "load_config",
     "run_pipeline",
-    "parallel_map",
     "fuse_demo_result",
     "parse_m_gt",
     "m_gt_key",
@@ -89,27 +88,19 @@ _ARTIFACTS = {
 STAGE_ORDER = tuple(_ARTIFACTS)
 
 
-def parallel_map(fn: Callable, items: Iterable, jobs: int = 1) -> list:
-    """Order-preserving map, threaded when jobs > 1."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def parse_m_gt(value) -> float:
     """Accept 60/80/90/100 (int or str) or "cpl"/infinity for complete references."""
     if isinstance(value, str) and value.lower() in ("cpl", "inf", "complete"):
         return math.inf
     if value == math.inf:
         return math.inf
+    if isinstance(value, float) and not value.is_integer():
+        raise ValidationError(f"m_gt must be a whole number, got {value!r}")
     try:
         ivalue = int(value)
     except (TypeError, ValueError):
         raise ValidationError(f"invalid m_gt value {value!r}") from None
-    if ivalue < 0:
-        raise ValidationError(f"m_gt must be >= 0, got {value}")
+    check_at_least(0, m_gt=ivalue)
     return float(ivalue)
 
 
@@ -144,13 +135,19 @@ class FusionConfig:
     sh: int = 6
     sn: int = 3
 
+    def __post_init__(self):
+        check_at_least(1, si=self.si)
+        check_at_least(0, sh=self.sh, sn=self.sn)
+
 
 @dataclass
 class PipelineConfig:
     """Effective configuration for one run; flags > file > defaults.
 
     Each field is one key of the config file; a dataclass-typed field is a
-    section whose own fields are its keys.
+    section whose own fields are its keys.  ``tau`` and ``jobs`` are read by
+    no stage, yet still parsed, validated and echoed: their values are part
+    of ``run_manifest.json``, whose bytes a rerun must reproduce.
     """
 
     paths: PathsConfig
@@ -167,10 +164,8 @@ class PipelineConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.k < 0:
-            raise ValidationError(f"k must be >= 0, got {self.k}")
-        if self.jobs < 1:
-            raise ValidationError(f"jobs must be >= 1, got {self.jobs}")
+        check_at_least(0, k=self.k, seed=self.seed)
+        check_at_least(1, jobs=self.jobs)
         for value in self.m_gt:
             if value not in M_GT_CHOICES:
                 *rest, last = map(m_gt_key, M_GT_CHOICES)
@@ -288,16 +283,8 @@ def _dump_json(path: str | Path, obj: dict) -> None:
 
 
 def _read_id_map(path: str | Path, field_name: str) -> dict[str, str]:
-    """Map study_id to ``field_name`` over a JSONL file that lists each id once."""
-    out: dict[str, str] = {}
-    for lineno, row in read_jsonl(path):
-        if not isinstance(row, dict) or "study_id" not in row or field_name not in row:
-            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and {field_name!r}")
-        sid = str(row["study_id"])
-        if sid in out:
-            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        out[sid] = str(row[field_name])
-    return out
+    """Map study_id to the string ``field_name`` over a JSONL file that lists each id once."""
+    return read_keyed_jsonl(path, field_name, lambda value: _string(value, f"field {field_name!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +310,9 @@ def _stage_filter(
     return kept, len(dropped)
 
 
-def _stage_see(records: list[StudyRecord], out: str | Path, jobs: int = 1) -> dict[str, str]:
+def _stage_see(records: list[StudyRecord], out: str | Path) -> dict[str, str]:
     """Write one factual sequence per record; returns them keyed by study_id."""
-    rows = parallel_map(
-        lambda rec: {"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered},
-        records,
-        jobs,
-    )
+    rows = [{"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered} for rec in records]
     dump_jsonl(out, rows)
     return {row["study_id"]: row["factual_sequence"] for row in rows}
 
@@ -454,28 +437,22 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     return out
 
 
+def _entity_set(entities) -> set[tuple[str, str]]:
+    """The (lowercased tokens, label) pairs of one generated-side ``entities`` list."""
+    if not isinstance(entities, list):
+        raise ValidationError("field 'entities' must be a list")
+    out = set()
+    for ent in entities:
+        if not isinstance(ent, dict) or "tokens" not in ent or "label" not in ent:
+            raise ValidationError("entity missing 'tokens' or 'label'")
+        label = EntityLabel.parse(_string(ent["label"], "entity field 'label'"))
+        out.add((_string(ent["tokens"], "entity field 'tokens'").lower(), label.value))
+    return out
+
+
 def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
     """Read generated-side entities: JSONL of {"study_id", "entities": [{"tokens","label"}]}."""
-    out: dict[str, set[tuple[str, str]]] = {}
-    for lineno, row in read_jsonl(path):
-        if not isinstance(row, dict) or "study_id" not in row or "entities" not in row:
-            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and 'entities'")
-        sid = str(row["study_id"])
-        if sid in out:
-            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        if not isinstance(row["entities"], list):
-            raise CorpusError(f"{path}: line {lineno}: field 'entities' must be a list")
-        entries = set()
-        for ent in row["entities"]:
-            if not isinstance(ent, dict) or "tokens" not in ent or "label" not in ent:
-                raise CorpusError(f"{path}: line {lineno}: entity missing 'tokens' or 'label'")
-            try:
-                label = EntityLabel.parse(str(ent["label"]))
-            except ValidationError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-            entries.add((str(ent["tokens"]).lower(), label.value))
-        out[sid] = entries
-    return out
+    return read_keyed_jsonl(path, "entities", _entity_set)
 
 
 def score_from_files(
@@ -579,7 +556,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     done: dict[str, object] = {}
     stages: dict[str, Callable[[], object]] = {
         "filter": lambda: _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0],
-        "see-extract": lambda: _stage_see(done["filter"], art["see-extract"], cfg.jobs),
+        "see-extract": lambda: _stage_see(done["filter"], art["see-extract"]),
         "normalize": lambda: _stage_normalize(done.pop("filter"), art["normalize"], cfg.normalizer),
         "index": lambda: _stage_index(
             done["normalize"], load_embeddings(paths.embeddings), art["index"], cfg.index_normalize

@@ -20,14 +20,12 @@ remainder of fewer than 4 rows.  ``top_k`` and ``top_k_naive`` answer one
 query, which has nothing to reuse from cache, so they keep one product over
 the whole matrix.
 
-Scoring threads: ``attach_shc`` scores on a thread pool whose size is
-the number of CPUs the process may run on (``_scoring_threads``); no
-option sets it.  Each thread takes one contiguous run of whole slabs, so
-every product is still a slab on the 4-row grid, and the bits depend on
-neither the pool size nor the BLAS thread count.  The pool scores the
-next block into one of two score buffers while the calling thread
-selects the hits of the block in the other.  Records are checked, and
-their errors raised, in record order, as one record at a time would.
+Scoring threads: ``attach_shc`` runs its blocks on a pool of one thread
+per CPU the process may run on (``_scoring_threads``; no option sets it).
+Each task checks, scores and selects one whole block, so every product is
+still a slab on the 4-row grid and the bits do not depend on the pool size.
+The calling thread takes the blocks in record order, so errors come as one
+record at a time would raise them.
 
 Score bits and BLAS threads: ``attach_shc`` scores are the bits of the
 whole-matrix product run on one BLAS thread, on any BLAS thread count.
@@ -51,7 +49,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import StudyRecord, atomic_write
-from .errors import CorpusError, ValidationError
+from .errors import CorpusError, ValidationError, check_at_least
 from .see import see_extract
 
 __all__ = [
@@ -176,11 +174,6 @@ def index_from_vectors(
     return EmbeddingIndex(dim=matrix.shape[1], ids=tuple(ids), matrix=matrix, normalized=normalize)
 
 
-def _check_k(k: int) -> None:
-    if k < 0:
-        raise ValidationError(f"k must be >= 0, got {k}")
-
-
 def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 1 or q.shape[0] != index.dim:
@@ -209,13 +202,12 @@ def _scoring_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _slab_runs(matrix: np.ndarray, threads: int) -> list[list[int]]:
-    """Slab bounds over the rows of ``matrix``, cut into at most ``threads`` runs of whole slabs.
+def _slab_bounds(matrix: np.ndarray) -> list[int]:
+    """Slab edges over the rows of ``matrix``, first 0 and last n.
 
     Slabs follow the 4-row rule in the module docstring: each is the
     largest multiple of 4 rows that fits in ``_SLAB_BYTES`` (at least 4),
-    and the last takes in a remainder of fewer than 4 rows.  Run i is the
-    bounds of its contiguous slabs, so consecutive runs share an edge.
+    and the last takes in a remainder of fewer than 4 rows.
     """
     n, dim = matrix.shape
     height = max(4, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // 4 * 4)
@@ -223,13 +215,11 @@ def _slab_runs(matrix: np.ndarray, threads: int) -> list[list[int]]:
     if len(bounds) > 1 and n - bounds[-1] < 4:
         bounds.pop()
     bounds.append(n)
-    slabs = len(bounds) - 1
-    parts = min(threads, slabs)
-    return [bounds[slabs * i // parts : slabs * (i + 1) // parts + 1] for i in range(parts)]
+    return bounds
 
 
 def _score_run(matrix: np.ndarray, bounds: list[int], queries: np.ndarray, out: np.ndarray) -> None:
-    """``out[j, lo:hi] = matrix[lo:hi] @ queries[j]`` for each slab of the run.
+    """``out[j, lo:hi] = matrix[lo:hi] @ queries[j]`` for each slab between ``bounds``.
 
     ``queries`` is a stack of column vectors, shape (m, d, 1), so numpy runs
     each slab as one matrix-vector product per query: the bits of the
@@ -277,7 +267,7 @@ def top_k(
     earlier row; ``exclude_id`` never appears; asking for more hits than
     candidates returns all of them.
     """
-    _check_k(k)
+    check_at_least(0, k=k)
     q = _prepare_query(index, query)
     skip = index.row_of(exclude_id) if exclude_id is not None else None
     k = min(k, index.n - (skip is not None))
@@ -293,7 +283,7 @@ def top_k_naive(
     exclude_id: str | None = None,
 ) -> RetrievalResult:
     """Reference implementation: full scan, full sort.  Same contract as top_k."""
-    _check_k(k)
+    check_at_least(0, k=k)
     q = _prepare_query(index, query)
     scores = index.matrix @ q
     rows = np.arange(index.n, dtype=np.int64)
@@ -312,7 +302,7 @@ def _shc_query(index: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
         raise ValidationError(f"study {rec.study_id!r} has no embedding")
     if index.row_of(rec.study_id) is None:
         raise ValidationError(f"study {rec.study_id!r} is not indexed")
-    _check_k(k)
+    check_at_least(0, k=k)
     return _prepare_query(index, np.asarray(rec.embedding, dtype=np.float64))
 
 
@@ -328,64 +318,63 @@ def attach_shc(
     its results).  ``sequences`` maps study_id to a rendered factual
     sequence; when omitted it is computed from the records themselves.
 
-    Records are scored ``_QUERY_BLOCK`` at a time by ``_score_run`` on a
-    pool of ``_scoring_threads()`` threads and selected by ``_select``, so
-    the hits equal ``top_k``'s on one BLAS thread, bit for bit.  The pool
-    scores the next block while this thread selects the current one.
-    Errors come in record order, as one record at a time would raise them:
-    a block ends at the first record that fails a check, and that record's
-    error is raised once the records before it are finished.
+    Each block of ``_QUERY_BLOCK`` records is one pool task: it checks the
+    records up to the first that fails, scores the rest with ``_score_run``
+    and selects them with ``_select``, so the hits equal ``top_k``'s on one
+    BLAS thread, bit for bit.  This thread takes the blocks in record order
+    and looks up each hit's sequence, so a block's check error comes after
+    its good records and no later record is looked at.  On any raise the
+    blocks not yet started are cancelled.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, so importing sei does not pay for it
+    from queue import SimpleQueue
 
     if sequences is None:
         sequences = {rec.study_id: see_extract(rec).rendered for rec in records}
     hits = min(k, index.n - 1)
-    runs = _slab_runs(index.matrix, _scoring_threads())
-    buffers = [np.empty((min(_QUERY_BLOCK, len(records)), index.n)) for _ in range(2)]
+    bounds = _slab_bounds(index.matrix)
+    starts = range(0, len(records), _QUERY_BLOCK)
+    threads = min(_scoring_threads(), len(starts)) or 1
+    buffers = SimpleQueue()  # filled here: pool threads' malloc arenas would keep their buffers
+    for _ in range(threads):
+        buffers.put(np.empty((min(_QUERY_BLOCK, len(records)), index.n)))
 
-    def start_block(start: int, buffer: np.ndarray):
-        """Check the block's records up to the first that fails, and queue their scoring."""
-        block, queries, error = [], [], None
+    def run_block(start: int):
+        """Check one block's records up to the first that fails; score and select the rest."""
+        queries, error = [], None
         for rec in records[start : start + _QUERY_BLOCK]:
             try:
                 queries.append(_shc_query(index, rec, k))
             except ValidationError as exc:  # raised after the records before it
                 error = exc
                 break
-            block.append(rec)
-        scores = buffer[: len(queries)]
-        tasks = []
-        if hits > 0 and queries:
-            stacked = np.stack(queries)[:, :, None]
-            tasks = [pool.submit(_score_run, index.matrix, run, stacked, scores) for run in runs]
-        return block, error, scores, tasks
+        block = records[start : start + len(queries)]
+        if hits <= 0 or not block:
+            return block, [()] * len(block), error
+        scores = buffers.get()
+        try:
+            _score_run(index.matrix, bounds, np.stack(queries)[:, :, None], scores[: len(block)])
+            found = [
+                _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
+                for j, rec in enumerate(block)
+            ]
+        finally:
+            buffers.put(scores)
+        return block, found, error
 
     out = []
-    with ThreadPoolExecutor(max(len(runs), 1)) as pool:
-        upcoming = start_block(0, buffers[0])
-        for number, start in enumerate(range(0, len(records), _QUERY_BLOCK)):
-            block, error, scores, tasks = upcoming
-            if error is None and start + _QUERY_BLOCK < len(records):
-                upcoming = start_block(start + _QUERY_BLOCK, buffers[(number + 1) % 2])
-            for task in tasks:
-                task.result()
-            for j, rec in enumerate(block):
-                found = (
-                    _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
-                    if hits > 0
-                    else ()
-                )
-                for sid, _ in found:
+    pool = ThreadPoolExecutor(threads)
+    try:
+        for block, found, error in pool.map(run_block, starts):
+            for rec, rec_hits in zip(block, found):
+                for sid, _ in rec_hits:
                     if sid not in sequences:
                         raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
-                cases = tuple(
-                    SimilarCase(study_id=sid, score=score, factual_sequence=sequences[sid])
-                    for sid, score in found
-                )
-                out.append((rec, cases))
+                out.append((rec, tuple(SimilarCase(sid, score, sequences[sid]) for sid, score in rec_hits)))
             if error is not None:
                 raise error
+    finally:
+        pool.shutdown(cancel_futures=True)
     return out
 
 

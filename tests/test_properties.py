@@ -64,7 +64,7 @@ def shc_case(draw):
     with every n % 4 residue; duplicate, quantized and unnormalized rows of very
     different norms; a permuted subset of its studies as records; slabs of 4 or 8
     rows and query blocks of 1-3, so all but the smallest cases cross both; and 1-4
-    scoring threads, often more than there are slabs."""
+    scoring threads, or one more than there are blocks."""
     n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
     # below 8 columns OpenBLAS sums every row alike, so a misplaced slab edge shows only from 8 on
@@ -83,7 +83,8 @@ def shc_case(draw):
     k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
     slab_rows = draw(st.integers(4, 8))  # the kernel rounds this down to 4 or 8
     block = draw(st.integers(1, 3))
-    threads = draw(st.integers(1, 4))
+    blocks = -(-len(picked) // block)
+    threads = draw(st.integers(1, 4) | st.just(blocks + 1))
     reload = draw(st.booleans())
     return rows, normalize, picked, queries, k, slab_rows, block, threads, reload
 

@@ -243,7 +243,7 @@ class TestBlasThreads:
 
     At n = 9801 (not a multiple of 4) a whole-matrix product on two OpenBLAS
     threads differs from one thread in a few last bits; the slab kernel does not,
-    and two scoring threads each take a run of whole slabs.
+    and each scoring thread scores whole query blocks over every slab.
     """
 
     def _probe(self, blas_threads, scoring_threads, *args):

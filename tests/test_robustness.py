@@ -1,18 +1,26 @@
 """Malformed inputs fail by name, config typos fail loudly, writes are atomic."""
 
+import io
 import json
 import os
 import resource
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sei import retrieval
+from sei.cli import main
 from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
 from sei.errors import ValidationError
 from sei.pipeline import load_config, run_pipeline
@@ -159,6 +167,11 @@ class TestCliMalformedInput:
             ({"entity": {"end_ix": "zero"}}, "end_ix"),
             ({"entities": 5}, "entities"),
             ({"entities": [5]}, "entity 5"),
+            ({"findings": None}, "'findings'"),
+            ({"findings": ["lungs", "clear"]}, "'findings'"),
+            ({"indication": 5}, "'indication'"),
+            ({"entity": {"tokens": 5}}, "'tokens'"),
+            ({"entity": {"label": None}}, "'label'"),
         ],
     )
     def test_see_extract_wrong_typed_corpus_field(self, tmp_path, patch, needle):
@@ -177,6 +190,8 @@ class TestCliMalformedInput:
             pytest.param("st001", 5, "'entities'", id="5-'entities'"),
             pytest.param("st001", [5], "'tokens'", id="entities1-'tokens'"),
             pytest.param("st001", [{"tokens": "x", "label": "BAD"}], "'BAD'", id="entities2-'BAD'"),
+            pytest.param("st001", [{"tokens": 5, "label": "OBS-DP"}], "'tokens'", id="tokens-not-a-string"),
+            pytest.param("st001", [{"tokens": "x", "label": 5}], "'label'", id="label-not-a-string"),
             pytest.param("st000", [], "duplicate study_id 'st000'", id="duplicate-id"),
         ],
     )
@@ -189,6 +204,63 @@ class TestCliMalformedInput:
             "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--entities", str(bad),
         )
         assert_clean_exit_2(proc, str(bad), "line 2", needle)
+
+
+    @pytest.mark.parametrize("text", [None, ["lungs", "clear"], 5], ids=["null", "list", "number"])
+    def test_score_generated_text_not_a_string(self, tmp_path, text):
+        paths = write_pipeline_fixture(tmp_path)
+        rows = [json.loads(line) for line in paths["generated"].read_text().splitlines()]
+        rows[1]["text"] = text
+        paths["generated"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "score.json"
+        proc = run_cli("score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--out", str(out))
+        assert_clean_exit_2(proc, str(paths["generated"]), "line 2", "'text'")
+        assert not out.exists()
+
+    def test_attach_sequence_not_a_string(self, tmp_path):
+        paths, index, sequences = self._attach_inputs(tmp_path)
+        rows = [json.loads(line) for line in sequences.read_text().splitlines()]
+        rows[2]["factual_sequence"] = None
+        sequences.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        proc = self._attach(paths, index, sequences, tmp_path)
+        assert_clean_exit_2(proc, str(sequences), "line 3", "'factual_sequence'")
+
+
+class TestNegativeSizes:
+    """A negative seed, size or count exits 2 naming its key or flag, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [({"seed": -1}, "seed"), ({"fusion": {"sh": -1}}, "sh"), ({"m_gt": [60.5]}, "m_gt")],
+        ids=["seed", "fusion-sh", "fractional-m_gt"],
+    )
+    def test_run_rejects_before_any_stage(self, tmp_path, patch, needle):
+        paths = write_pipeline_fixture(tmp_path)
+        raw = json.loads(paths["config"].read_text())
+        for name, value in patch.items():
+            raw[name] = {**raw[name], **value} if isinstance(value, dict) else value
+        paths["config"].write_text(json.dumps(raw))
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, needle)
+        assert proc.stderr.count("error:") == 1
+        assert not paths["out_dir"].exists()
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (("fuse-demo", "--seed", "-1"), "seed"),
+            (("fuse-demo", "--sh", "-1"), "sh"),
+            (("fuse-demo", "--si", "-2"), "si"),
+            (("fuse-demo", "--sn", "-1"), "sn"),
+            (("align-demo", "--seed", "-3"), "seed"),
+            (("align-demo", "--b", "-1"), "b must be"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
+    )
+    def test_demo_flags(self, args, needle):
+        proc = run_cli(*args)
+        assert_clean_exit_2(proc, needle)
+        assert proc.stderr.count("error:") == 1
 
 
 def test_attach_shc_missing_sequence_names_id(rng):
@@ -281,6 +353,28 @@ class TestAttachShcErrorOrder:
         assert threading.active_count() == before
         assert len(looked_up) == failing  # the one hit of each record before the failing one
 
+    def test_error_in_record_0_cancels_the_later_blocks(self, monkeypatch):
+        """A check error in the first block stops the blocks not yet started: the
+        batch is not scored first, and no scoring thread outlives the call."""
+        vectors = {f"s{i}": (float(i + 1), float(200 - i)) for i in range(200)}
+        index = build_index([shc_record(sid, vec) for sid, vec in vectors.items()])
+        records = [shc_record("z", (1.0, 1.0))] + [shc_record(sid, vec) for sid, vec in list(vectors.items())[1:]]
+        scoring = retrieval._score_run
+        calls = []
+
+        def kernel(matrix, bounds, queries, out):
+            calls.append(len(queries))
+            time.sleep(0.001)
+            scoring(matrix, bounds, queries, out)
+
+        monkeypatch.setattr(retrieval, "_QUERY_BLOCK", 1)
+        monkeypatch.setattr(retrieval, "_score_run", kernel)
+        before = threading.active_count()
+        with pytest.raises(ValidationError, match="study 'z' is not indexed"):
+            attach_shc(records, index, 1, sequences=dict.fromkeys(vectors, ""))
+        assert len(calls) < 100
+        assert threading.active_count() == before
+
 
 class TestConfigStrictness:
     @pytest.mark.parametrize(
@@ -300,6 +394,12 @@ class TestConfigStrictness:
             ({"filter": {"junk_patterns": "is subnitted"}}, None, "filter.junk_patterns"),
             ({"filter": []}, None, "filter"),
             ({"m_gt": [[60]]}, None, "m_gt"),
+            ({"m_gt": [60.5]}, None, "m_gt"),
+            ({"seed": -1}, None, "seed"),
+            ({}, {"seed": -2}, "seed"),
+            ({"fusion": {"si": 0}}, None, "si"),
+            ({"fusion": {"sh": -1}}, None, "sh"),
+            ({"fusion": {"sn": -1}}, None, "sn"),
         ],
     )
     def test_typo_or_wrong_type_names_the_key(self, tmp_path, file_patch, overrides, key):
@@ -405,3 +505,96 @@ class TestAtomicWrites:
         assert out.read_bytes() == before
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
+
+
+SCORING_FILES = ("generated", "generated_labels", "generated_entities")
+MUTATIONS = ("delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom")
+# a JSON value of each type; a swap draws one whose type differs from the value it replaces
+JSON_VALUES = (None, 0, 1.5, True, "x", [], {})
+
+
+def _json_paths(row: dict, with_id: bool) -> list[tuple]:
+    """Key paths to the fields of a generated-side JSONL row, nested entity fields included."""
+    paths = [(key,) for key in row if with_id or key != "study_id"]
+    for i, ent in enumerate(row.get("entities", [])):
+        paths += [("entities", i, key) for key in ent]
+    return paths
+
+
+def _mutate_json_line(line: bytes, rows: list[bytes], i: int, mutation: str, data) -> bytes:
+    row = json.loads(line)
+    if mutation in ("delete-field", "swap-type", "nan"):
+        *parents, last = data.draw(st.sampled_from(_json_paths(row, with_id=mutation == "delete-field")))
+        holder = row
+        for key in parents:
+            holder = holder[key]
+        if mutation == "delete-field":
+            del holder[last]
+        elif mutation == "nan":
+            holder[last] = float("nan")
+        else:
+            kind = type(holder[last])
+            holder[last] = data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not kind]))
+        return json.dumps(row).encode()
+    if mutation == "duplicate-id":
+        row["study_id"] = json.loads(rows[data.draw(st.integers(0, i - 1))])["study_id"]
+        return json.dumps(row).encode()
+    return _mutate_bytes(line, mutation, data)
+
+
+def _mutate_csv_line(line: bytes, rows: list[bytes], i: int, mutation: str, data) -> bytes:
+    cells = line.decode().split(",")
+    if mutation == "delete-field":
+        del cells[data.draw(st.integers(0, len(cells) - 1))]
+    elif mutation in ("swap-type", "nan"):
+        col = data.draw(st.integers(1, len(cells) - 1))  # a label column; the id is never retyped
+        cells[col] = "nan" if mutation == "nan" else data.draw(st.sampled_from(["x", "", "0.5", "true", "[]"]))
+    elif mutation == "duplicate-id":
+        cells[0] = rows[data.draw(st.integers(1, i - 1))].decode().split(",")[0]
+    else:
+        return _mutate_bytes(line, mutation, data)
+    return ",".join(cells).encode()
+
+
+def _mutate_bytes(line: bytes, mutation: str, data) -> bytes:
+    if mutation == "truncate":
+        return line[: data.draw(st.integers(1, len(line) - 1))]
+    if mutation == "invalid-utf8":
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + b"\xff" + line[at:]
+    return b"\xef\xbb\xbf" + line  # a BOM, which only the first line gets
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCORING_FILES), st.sampled_from(MUTATIONS), st.data())
+def test_score_names_the_malformed_scoring_file(target, mutation, data):
+    """One malformed line in a generated-side file makes ``sei score`` exit 2 (or 3
+    on IO), naming the file, and the line for JSONL, and leaving no --out file.
+    Every mutation breaks the file's schema, so exit 0 would mean it was read anyway;
+    a study_id is deleted or duplicated but never retyped, as ids are coerced to
+    strings by design."""
+    csv_file = target == "generated_labels"
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_pipeline_fixture(Path(tmp), n=4)
+        rows = paths[target].read_bytes().splitlines()
+        # the label CSV's header is line 1; a duplicate id needs an earlier row to copy
+        first = {"bom": 0, "duplicate-id": 2 if csv_file else 1}.get(mutation, 1 if csv_file else 0)
+        i = 0 if mutation == "bom" else data.draw(st.integers(first, len(rows) - 1))
+        mutate = _mutate_csv_line if csv_file else _mutate_json_line
+        rows[i] = mutate(rows[i], rows, i, mutation, data)
+        paths[target].write_bytes(b"\n".join(rows) + b"\n")
+        out = Path(tmp) / "score.json"
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main([
+                "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]),
+                "--labels", str(paths["generated_labels"]), "--entities", str(paths["generated_entities"]),
+                "--out", str(out),
+            ])
+        message = stderr.getvalue()
+        assert code in (2, 3), (rows[i], message)
+        assert str(paths[target]) in message
+        if not csv_file:
+            assert f"line {i + 1}:" in message, message
+        assert not out.exists()
+        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
