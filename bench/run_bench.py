@@ -2,16 +2,18 @@
 
 Run from the root of a checkout:
 
-    python3 bench/run_bench.py --side change --out BENCH_9.json
-    python3 bench/run_bench.py --side parent --src OTHER_CHECKOUT/src --out BENCH_9.json
+    python3 bench/run_bench.py --side change --out BENCH_11.json
+    python3 bench/run_bench.py --side parent --src OTHER_CHECKOUT/src --out BENCH_11.json
 
 It writes the n=20,000, d=256, k=5 corpus of
 ``tests/conftest.py::write_pipeline_fixture`` (seed 123) to
 ``.bench_build/run_bench`` and times one ``sei run`` over it in this
 process; the directory is fixed, so the manifest's input paths, and with
-them every artifact, are the same for every ``--src``.  It then times
-``retrieval.top_k`` on stored rows of the index that run wrote, and one
-``retrieval.attach_shc`` over every indexed study.  Names follow
+them every artifact, are the same for every ``--src``.  The run's one
+``attach_shc`` call is timed where the pipeline looks it up, as
+perfbench's tracer does, so no ``sei`` API beyond ``cli.main`` is called
+for it.  It then times ``retrieval.top_k`` on stored rows of the index that
+run wrote.  Names follow
 ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``;
 ``peak_rss_mb`` is this process's peak, corpus generation included.
@@ -59,8 +61,7 @@ def measure(src: Path, work: Path) -> dict:
     import numpy as np
     import sei.cli
     from conftest import write_pipeline_fixture
-    from sei import retrieval
-    from sei.corpus import attach_embeddings, load_corpus, load_embeddings
+    from sei import pipeline, retrieval
 
     if Path(sei.cli.__file__).resolve().parents[1] != src.resolve():
         raise SystemExit(f"imported sei from {sei.cli.__file__}, not from {src}")
@@ -69,9 +70,21 @@ def measure(src: Path, work: Path) -> dict:
     config["k"] = K
     paths["config"].write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
 
-    start = time.perf_counter()
-    code = sei.cli.main(["run", "--config", str(paths["config"])])
-    run_s = time.perf_counter() - start
+    attach_shc, attached = pipeline.attach_shc, []
+
+    def timed_attach(records, *args, **kwargs):
+        start = time.perf_counter()
+        result = attach_shc(records, *args, **kwargs)
+        attached.append((len(records), time.perf_counter() - start))
+        return result
+
+    pipeline.attach_shc = timed_attach
+    try:
+        start = time.perf_counter()
+        code = sei.cli.main(["run", "--config", str(paths["config"])])
+        run_s = time.perf_counter() - start
+    finally:
+        pipeline.attach_shc = attach_shc
     if code != 0:
         raise SystemExit(f"sei run exited with {code}")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -86,12 +99,7 @@ def measure(src: Path, work: Path) -> dict:
         retrieval.top_k(index, index.matrix[row], K, exclude_id=index.ids[row])
         calls.append(time.perf_counter() - t0)
 
-    records = attach_embeddings(load_corpus(out / "normalized.jsonl"), load_embeddings(paths["embeddings"]))
-    sequences = {rec.study_id: "" for rec in records}
-    start = time.perf_counter()
-    retrieval.attach_shc(records, index, K, sequences=sequences)
-    attach_s = time.perf_counter() - start
-
+    ((attach_records, attach_s),) = attached
     return {
         "cli.main.s": run_s,
         "throughput_per_s": N / run_s,
@@ -99,7 +107,7 @@ def measure(src: Path, work: Path) -> dict:
         "retrieval.top_k.calls": len(calls),
         "retrieval.top_k.s": sum(calls),
         "retrieval.top_k.p50_ms": 1000.0 * statistics.median(calls),
-        "retrieval.attach_shc.records": len(records),
+        "retrieval.attach_shc.records": attach_records,
         "retrieval.attach_shc.s": attach_s,
         "src_lines": source_lines(src),
         "artifacts_sha256": artifacts,

@@ -32,7 +32,7 @@ from .losses import (
     total_alignment_loss,
 )
 from .metrics import EvalPair, corpus_bleu, entity_f1, micro_f1, rouge_l, score_corpus, truncate_reference
-from .retrieval import EmbeddingIndex, RetrievalResult, attach_shc, build_index, top_k, top_k_naive
+from .retrieval import EmbeddingIndex, RetrievalResult, attach_shc, index_from_vectors, top_k, top_k_naive
 from .see import FactualEntitySequence, FactualSubsequence, see_extract
 
 __all__ = [
@@ -75,7 +75,7 @@ __all__ = [
     "EmbeddingIndex",
     "RetrievalResult",
     "attach_shc",
-    "build_index",
+    "index_from_vectors",
     "top_k",
     "top_k_naive",
     "FactualEntitySequence",

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusFilterConfig, attach_embeddings, load_corpus, load_embeddings
+from .corpus import CorpusFilterConfig, load_corpus, load_embeddings
 from .errors import StageError, ToolkitError, ValidationError, check_at_least
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig
@@ -71,9 +71,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_index(args) -> int:
     embeddings = load_embeddings(args.embeddings)
-    index = index_from_vectors(
-        list(embeddings), list(embeddings.values()), normalize=not args.no_normalize
-    )
+    index = index_from_vectors(embeddings.ids, embeddings.matrix, normalize=not args.no_normalize)
     save_index(index, args.out)
     print(f"indexed {index.n} embeddings of dimension {index.dim}")
     return 0
@@ -91,10 +89,10 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_attach_shc(args) -> int:
-    records = attach_embeddings(load_corpus(args.corpus), load_embeddings(args.embeddings))
+    records, embeddings = load_corpus(args.corpus), load_embeddings(args.embeddings)
     index = load_index(args.index)
     sequences = _read_id_map(args.sequences, "factual_sequence") if args.sequences is not None else None
-    n = _stage_attach(records, index, sequences, args.out, args.k)
+    n = _stage_attach(records, index, embeddings, sequences, args.out, args.k)
     print(f"attached top-{args.k} cases for {n} records")
     return 0
 

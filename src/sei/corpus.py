@@ -12,6 +12,8 @@ Corpus files are JSONL, one study per line:
      "labels14": [0/1 x14]|null}
 
 Embedding files are JSONL with ``{"study_id": str, "vec": [float x d]}``.
+``load_embeddings`` parses them straight into the rows of one float64
+matrix, returned as an unnormalized ``retrieval.EmbeddingIndex``.
 
 Every file the toolkit writes goes through ``atomic_write``, so an
 interrupted write leaves the previous file, never a truncated one.
@@ -24,12 +26,17 @@ import math
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
+
+import numpy as np
 
 from .errors import CorpusError, ValidationError, check_at_least
+
+if TYPE_CHECKING:
+    from .retrieval import EmbeddingIndex
 
 __all__ = [
     "EntityLabel",
@@ -49,7 +56,6 @@ __all__ = [
     "record_to_json",
     "filter_corpus",
     "load_embeddings",
-    "attach_embeddings",
 ]
 
 # A decimal number survives as one token; otherwise . , : ; / split off.
@@ -147,7 +153,6 @@ class StudyRecord:
     report: ReportDocument
     entities: tuple[EntityAnnotation, ...]
     indication: str | None = None
-    embedding: tuple[float, ...] | None = None
     labels14: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -362,36 +367,36 @@ def save_corpus(records: Iterable[StudyRecord], path: str | Path) -> None:
     dump_jsonl(path, map(record_to_json, records))
 
 
-def load_embeddings(path: str | Path) -> dict[str, tuple[float, ...]]:
-    """Read an embeddings JSONL file into an id -> vector map.
+def load_embeddings(path: str | Path) -> EmbeddingIndex:
+    """Read an embeddings JSONL file into an unnormalized ``EmbeddingIndex``.
 
-    All vectors must share one dimension and hold finite values; duplicates
-    are rejected.
+    Row i of its float64 matrix is the file's i-th vector, each value the
+    ``float`` of its JSON number.  All vectors must share one dimension and
+    hold finite values; duplicates are rejected.
     """
-    dim = None
+    from .retrieval import EmbeddingIndex  # retrieval imports this module
 
-    def vector(raw) -> tuple[float, ...]:
-        nonlocal dim
+    matrix = np.empty((0, 0))
+    n = 0
+
+    def row(raw) -> int:
+        nonlocal matrix, n
         vec = _numbers(float, raw, "field 'vec'")
         if not all(map(math.isfinite, vec)):
             raise ValidationError("field 'vec' holds a NaN or infinite value")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise ValidationError(f"vector of length {len(vec)} but corpus dimension is {dim}")
-        return vec
+        if n == 0:
+            matrix = np.empty((1024, len(vec)))
+        elif len(vec) != matrix.shape[1]:
+            raise ValidationError(f"vector of length {len(vec)} but corpus dimension is {matrix.shape[1]}")
+        if n == len(matrix):
+            matrix.resize((2 * n, matrix.shape[1]), refcheck=False)  # no view of it exists yet
+        matrix[n] = vec
+        n += 1
+        return n - 1
 
-    return read_keyed_jsonl(path, "vec", vector)
-
-
-def attach_embeddings(
-    records: Iterable[StudyRecord], embeddings: Mapping[str, tuple[float, ...]]
-) -> list[StudyRecord]:
-    """Return copies of ``records`` with embeddings filled in where available."""
-    return [
-        replace(rec, embedding=embeddings[rec.study_id]) if rec.study_id in embeddings else rec
-        for rec in records
-    ]
+    ids = tuple(read_keyed_jsonl(path, "vec", row))
+    matrix.resize((n, matrix.shape[1]), refcheck=False)
+    return EmbeddingIndex(dim=matrix.shape[1], ids=ids, matrix=matrix, normalized=False)
 
 
 def filter_corpus(

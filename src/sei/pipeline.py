@@ -5,10 +5,10 @@
     filter -> see-extract -> normalize -> index -> attach-shc -> fuse-demo -> score
 
 in order.  Each ``_stage_*`` function takes parsed inputs (records, the
-embeddings map, the sequences map) and an output path, replaces its artifact
-atomically and returns what the next stage consumes.  ``run_pipeline`` parses
-``paths.corpus`` and ``paths.embeddings`` once each and hands the records
-forward; the CLI subcommands parse the files their flags name and call the
+embeddings matrix, the sequences map) and an output path, replaces its
+artifact atomically and returns what the next stage consumes.
+``run_pipeline`` parses ``paths.corpus`` and ``paths.embeddings`` once each
+and hands the records and the matrix forward; the CLI subcommands parse the files their flags name and call the
 same stage functions.  Every artifact is rewritten on each run, so deleting
 an intermediate and rerunning regenerates it; a manifest records input and
 artifact hashes plus the effective configuration.  Runs are deterministic:
@@ -41,7 +41,6 @@ from .corpus import (
     StudyRecord,
     _string,
     atomic_write,
-    attach_embeddings,
     dump_jsonl,
     filter_corpus,
     load_corpus,
@@ -56,7 +55,7 @@ from .fusion import ROUTES, FeatureSet, fuse, fuse_backward, fusion_objective, i
 from .gradcheck import central_difference, relative_error, sample_flat_indices
 from .indications import NormalizerConfig, normalize_indication
 from .metrics import M_GT_CHOICES, EvalPair, score_settings
-from .retrieval import EmbeddingIndex, attach_shc, build_index, load_index, save_index
+from .retrieval import EmbeddingIndex, attach_shc, index_from_vectors, load_index, save_index
 from .see import see_extract
 
 __all__ = [
@@ -329,30 +328,34 @@ def _stage_normalize(
 
 
 def _stage_index(
-    records: list[StudyRecord],
-    embeddings: dict[str, tuple[float, ...]],
-    out: str | Path,
-    normalize: bool,
-) -> list[StudyRecord]:
-    """Index exactly the records, each of which needs an embedding; returns them embedded."""
-    embedded = attach_embeddings(records, embeddings)
-    save_index(build_index(embedded, normalize=normalize), out)
-    return embedded
+    records: list[StudyRecord], embeddings: EmbeddingIndex, out: str | Path, normalize: bool
+) -> EmbeddingIndex:
+    """Index the records' rows of the raw ``embeddings``, which each record needs; returns ``embeddings``."""
+    rows = []
+    for rec in records:
+        row = embeddings.row_of(rec.study_id)
+        if row is None:
+            raise ValidationError(f"study {rec.study_id!r} has no embedding")
+        rows.append(row)
+    ids = [rec.study_id for rec in records]
+    save_index(index_from_vectors(ids, embeddings.matrix[rows], normalize), out)
+    return embeddings
 
 
 def _stage_attach(
     records: list[StudyRecord],
     index: EmbeddingIndex,
+    embeddings: EmbeddingIndex,
     sequences: dict[str, str] | None,
     out: str | Path,
     k: int,
 ) -> int:
-    """Write each embedded record's top-k similar cases; returns the record count.
+    """Write each record's top-k similar cases; returns the record count.
 
-    ``sequences`` maps study_id to factual sequence; without it the
+    A record's query is its row of the raw ``embeddings``.  ``sequences`` maps study_id to factual sequence; without it the
     sequences are extracted from the records.
     """
-    attached = attach_shc(records, index, k, sequences=sequences)
+    attached = attach_shc(records, index, k, embeddings, sequences=sequences)
     rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
     dump_jsonl(out, rows)
     return len(attached)
@@ -457,24 +460,29 @@ def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
 
 def score_from_files(
     reference_records: list[StudyRecord],
-    generated: dict[str, str],
-    generated_labels: dict[str, tuple[int, ...]] | None,
-    generated_entities: dict[str, set[tuple[str, str]]] | None,
+    generated_path: str | Path,
+    labels_path: str | Path | None,
+    entities_path: str | Path | None,
     m_gt_values: tuple[float, ...],
 ) -> dict[str, dict[str, float]]:
-    """Score generated reports against reference records per truncation setting.
+    """Score the generated-side files against reference records per truncation setting.
 
     The reference side supplies gold labels (labels14) and reference entity
     sets; the generated side supplies text plus optional label vectors and
-    entity sets keyed by study_id.
+    entity sets keyed by study_id.  Every file is parsed before any id is
+    matched, and an id missing from a file, or a generated id the reference
+    corpus lacks, raises ValidationError naming that file.
     """
+    generated = read_generated(generated_path)
+    generated_labels = read_label_csv(labels_path) if labels_path else None
+    generated_entities = read_entity_sets(entities_path) if entities_path else None
     by_id = {rec.study_id: rec for rec in reference_records}
     unknown = [sid for sid in generated if sid not in by_id]
     if unknown:
-        raise ValidationError(f"generated study_id {unknown[0]!r} is not in the reference corpus")
+        raise ValidationError(f"{generated_path}: generated study_id {unknown[0]!r} is not in the reference corpus")
     scored = [rec for rec in reference_records if rec.study_id in generated]
     if not scored:
-        raise ValidationError("no generated reports match the reference corpus")
+        raise ValidationError(f"{generated_path}: no generated reports match the reference corpus")
     pairs = [
         EvalPair(
             generated=tuple(tokenize(generated[rec.study_id])),
@@ -487,7 +495,7 @@ def score_from_files(
         labels = []
         for rec in scored:
             if rec.study_id not in generated_labels:
-                raise ValidationError(f"study {rec.study_id!r} has no generated label vector")
+                raise ValidationError(f"{labels_path}: study {rec.study_id!r} has no generated label vector")
             if rec.labels14 is None:
                 raise ValidationError(f"study {rec.study_id!r} has no gold labels14 in the corpus")
             labels.append((generated_labels[rec.study_id], rec.labels14))
@@ -496,7 +504,7 @@ def score_from_files(
         entities = []
         for rec in scored:
             if rec.study_id not in generated_entities:
-                raise ValidationError(f"study {rec.study_id!r} has no generated entity set")
+                raise ValidationError(f"{entities_path}: study {rec.study_id!r} has no generated entity set")
             ref_set = {(e.tokens.lower(), e.label.value) for e in rec.entities}
             entities.append((generated_entities[rec.study_id], ref_set))
     scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=m_gt_values)
@@ -514,13 +522,7 @@ def _stage_score(
     """Score the generated files against the reference records; write to ``out`` if given."""
     if generated is None:
         raise ValidationError("score stage requires paths.generated in the config")
-    scores = score_from_files(
-        records,
-        read_generated(generated),
-        read_label_csv(labels) if labels else None,
-        read_entity_sets(entities) if entities else None,
-        m_gt_values,
-    )
+    scores = score_from_files(records, generated, labels, entities, m_gt_values)
     if out is not None:
         _dump_json(out, scores)
     return scores
@@ -552,7 +554,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     manifest_path = paths.out_dir / "run_manifest.json"
     art = {stage: paths.out_dir / name for stage, name in _ARTIFACTS.items()}
     # Stage results by stage name.  The last stage to read a result pops it,
-    # so the embedded records do not outlive attach-shc.
+    # so the embeddings matrix does not outlive attach-shc.
     done: dict[str, object] = {}
     stages: dict[str, Callable[[], object]] = {
         "filter": lambda: _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0],
@@ -562,7 +564,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             done["normalize"], load_embeddings(paths.embeddings), art["index"], cfg.index_normalize
         ),
         "attach-shc": lambda: _stage_attach(
-            done.pop("index"), load_index(art["index"]), done.pop("see-extract"), art["attach-shc"], cfg.k
+            done["normalize"], load_index(art["index"]), done.pop("index"), done.pop("see-extract"),
+            art["attach-shc"], cfg.k,
         ),
         "fuse-demo": lambda: _stage_fuse_demo(
             done["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed

@@ -7,10 +7,12 @@ vector around its k-th best score and sorts only the rows that reach it.
 Both order ties by row insertion order, so results are reproducible bit for
 bit.
 
-``attach_shc`` scores its records in blocks of ``_QUERY_BLOCK`` queries.
-It walks the index in slabs of rows that fit in ``_SLAB_BYTES`` and runs
-one matrix-vector product per query on each slab while the slab is still
-in cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
+``attach_shc`` queries with each record's own row of the raw embeddings
+matrix that ``corpus.load_embeddings`` returns, normalized here when the
+index is.  It scores its records in blocks of ``_QUERY_BLOCK`` queries.  It
+walks the index in slabs of rows that fit in ``_SLAB_BYTES`` and runs one
+matrix-vector product per query on each slab while the slab is still in
+cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
 Douze and Jegou, arXiv:1702.08734).  The bits match one product over the
 whole matrix because of the 4-row rule: OpenBLAS sums each row of a
 matrix-vector product by its place in a group of 4 rows, and a product of a
@@ -44,7 +46,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -56,7 +58,6 @@ __all__ = [
     "EmbeddingIndex",
     "RetrievalResult",
     "SimilarCase",
-    "build_index",
     "index_from_vectors",
     "top_k",
     "top_k_naive",
@@ -102,6 +103,9 @@ class EmbeddingIndex:
     def n(self) -> int:
         return len(self.ids)
 
+    def __len__(self) -> int:
+        return self.n
+
     def row_of(self, study_id: str) -> int | None:
         return self._row_of.get(study_id)
 
@@ -121,28 +125,6 @@ class SimilarCase:
     study_id: str
     score: float
     factual_sequence: str
-
-
-def build_index(records: Sequence[StudyRecord], normalize: bool = True) -> EmbeddingIndex:
-    """Build an index over exactly the given records.
-
-    Every record must carry an embedding of one shared dimension; rows are
-    L2-normalized iff ``normalize``.
-    """
-    dim: int | None = None
-    for rec in records:
-        if rec.embedding is None:
-            raise ValidationError(f"study {rec.study_id!r} has no embedding")
-        if dim is None:
-            dim = len(rec.embedding)
-        elif len(rec.embedding) != dim:
-            raise ValidationError(
-                f"study {rec.study_id!r} has embedding dimension {len(rec.embedding)} "
-                f"but the index dimension is {dim}"
-            )
-    return index_from_vectors(
-        [rec.study_id for rec in records], [rec.embedding for rec in records], normalize
-    )
 
 
 def index_from_vectors(
@@ -296,26 +278,29 @@ def top_k_naive(
     return _result(index, rows[order], scores[order], exclude_id)
 
 
-def _shc_query(index: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
+def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
     """Check one ``attach_shc`` record in the order ``top_k`` would; return its query."""
-    if rec.embedding is None:
+    row = embeddings.row_of(rec.study_id)
+    if row is None:
         raise ValidationError(f"study {rec.study_id!r} has no embedding")
     if index.row_of(rec.study_id) is None:
         raise ValidationError(f"study {rec.study_id!r} is not indexed")
     check_at_least(0, k=k)
-    return _prepare_query(index, np.asarray(rec.embedding, dtype=np.float64))
+    return _prepare_query(index, embeddings.matrix[row])
 
 
 def attach_shc(
     records: Sequence[StudyRecord],
     index: EmbeddingIndex,
     k: int,
+    embeddings: EmbeddingIndex,
     sequences: Mapping[str, str] | None = None,
 ) -> list[tuple[StudyRecord, tuple[SimilarCase, ...]]]:
     """Pair each record with its top-k similar *other* studies.
 
-    Every record must be present in the index (its own id is excluded from
-    its results).  ``sequences`` maps study_id to a rendered factual
+    Every record must have a row in ``embeddings``, the raw vectors its
+    query comes from, and be present in the index (its own id is excluded
+    from its results).  ``sequences`` maps study_id to a rendered factual
     sequence; when omitted it is computed from the records themselves.
 
     Each block of ``_QUERY_BLOCK`` records is one pool task: it checks the
@@ -344,7 +329,7 @@ def attach_shc(
         queries, error = [], None
         for rec in records[start : start + _QUERY_BLOCK]:
             try:
-                queries.append(_shc_query(index, rec, k))
+                queries.append(_shc_query(index, embeddings, rec, k))
             except ValidationError as exc:  # raised after the records before it
                 error = exc
                 break

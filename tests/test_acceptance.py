@@ -29,7 +29,7 @@ from sei.losses import (
     total_alignment_loss_grad,
 )
 from sei.metrics import EvalPair, corpus_bleu, micro_f1, rouge_l, score_corpus
-from sei.retrieval import build_index, top_k, top_k_naive
+from sei.retrieval import index_from_vectors, top_k, top_k_naive
 from sei.see import SEP, dedupe_overlaps, drop_cross_sentence, see_extract, split_subsequences
 from sei.see import apply_negation_prefix
 
@@ -113,17 +113,13 @@ def test_c2_see_property_suite():
     report_pass("C2", "structural extraction properties (1000 reports)", elapsed)
 
 
-def _embedded_records(rng, n, d, quantize=False):
-    # one shared report document: only ids and embeddings matter here
-    report = ReportDocument.from_text("q", "lungs clear.")
+def _embeddings(rng, n, d, quantize=False):
+    """Raw vectors of studies q00000, q00001, ...: an unnormalized index, as load_embeddings returns."""
     matrix = rng.standard_normal((n, d))
     if quantize:
         matrix = np.round(matrix, 1)  # forces score ties
         matrix[np.linalg.norm(matrix, axis=1) == 0, 0] = 1.0
-    return [
-        StudyRecord(study_id=f"q{i:05d}", report=report, entities=(), embedding=tuple(row))
-        for i, row in enumerate(matrix.tolist())
-    ]
+    return index_from_vectors([f"q{i:05d}" for i in range(n)], matrix, normalize=False)
 
 
 def test_c3_retrieval_oracle_equivalence_and_throughput():
@@ -133,10 +129,10 @@ def test_c3_retrieval_oracle_equivalence_and_throughput():
         n = int(rng.integers(1, 501)) if trial % 4 else int(rng.integers(1000, 5001))
         d = int(rng.integers(1, 257)) if trial % 4 else int(rng.integers(128, 257))
         k = int(rng.integers(0, 21))
-        records = _embedded_records(rng, n, d, quantize=(trial % 5 == 0))
-        index = build_index(records, normalize=bool(rng.random() < 0.7))
-        query = np.asarray(records[int(rng.integers(0, n))].embedding, dtype=np.float64)
-        exclude = records[int(rng.integers(0, n))].study_id if rng.random() < 0.6 else None
+        embeddings = _embeddings(rng, n, d, quantize=(trial % 5 == 0))
+        index = index_from_vectors(embeddings.ids, embeddings.matrix, normalize=bool(rng.random() < 0.7))
+        query = embeddings.matrix[int(rng.integers(0, n))]
+        exclude = embeddings.ids[int(rng.integers(0, n))] if rng.random() < 0.6 else None
         fast = top_k(index, query, k, exclude_id=exclude)
         slow = top_k_naive(index, query, k, exclude_id=exclude)
         assert [h[0] for h in fast.hits] == [h[0] for h in slow.hits]
@@ -147,8 +143,8 @@ def test_c3_retrieval_oracle_equivalence_and_throughput():
     assert equivalence_elapsed < 30.0
 
     # throughput: n=10,000, d=256, 1,000 queries
-    records = _embedded_records(rng, 10_000, 256)
-    index = build_index(records, normalize=True)
+    embeddings = _embeddings(rng, 10_000, 256)
+    index = index_from_vectors(embeddings.ids, embeddings.matrix, normalize=True)
     queries = rng.standard_normal((1000, 256))
     t0 = time.perf_counter()
     for q in queries:

@@ -133,7 +133,7 @@ class TestRunPipeline:
         lines = paths["embeddings"].read_text().splitlines()
         paths["embeddings"].write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
         cfg = load_config(paths["config"])
-        with pytest.raises(StageError, match="stage index"):
+        with pytest.raises(StageError, match="stage index.*has no embedding"):
             run_pipeline(cfg)
         manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
         assert manifest["status"] == "failed"

@@ -126,8 +126,31 @@ class TestEmbeddingsFile:
             '{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [3.0]}\n',
             encoding="utf-8",
         )
-        with pytest.raises(CorpusError, match="dimension"):
+        with pytest.raises(CorpusError, match="dimension") as exc:
             load_embeddings(path)
+        assert "line 2: vector of length 1 but corpus dimension is 2" in str(exc.value)
+
+    def test_rows_keep_each_json_value_bits(self, tmp_path, rng):
+        """Row i, column j of the matrix is float(<JSON value>) to the bit, ids in file
+        order, over more rows than the reader first allocates."""
+        lines = [
+            '{"study_id": "edge", "vec": [-0.0, 5e-324, 1.7976931348623157e308, 3, 0.1]}',
+            '{"vec": [1e-7, -2.5E+3, 123456789012345678901234567890, 2.2250738585072014e-308, 0], "study_id": 7}',
+        ]
+        lines += [
+            json.dumps({"study_id": f"s{i}", "vec": [float(v) for v in rng.standard_normal(5) * 10.0 ** (i % 41 - 20)]})
+            for i in range(1100)
+        ]
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        embeddings = load_embeddings(path)
+        rows = [json.loads(line) for line in lines]
+        assert len(embeddings) == len(lines)
+        assert embeddings.ids == tuple(str(row["study_id"]) for row in rows)
+        assert not embeddings.normalized
+        assert embeddings.matrix.dtype == np.float64
+        for i, row in enumerate(rows):
+            assert [embeddings.matrix[i, j].hex() for j in range(5)] == [float(v).hex() for v in row["vec"]]
 
     def test_duplicate_id(self, tmp_path):
         path = tmp_path / "emb.jsonl"

@@ -101,10 +101,8 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
             save_index(index, Path(tmp) / "index.bin")
             index = load_index(Path(tmp) / "index.bin")
     report = ReportDocument.from_text("r", "lungs clear.")
-    records = [
-        StudyRecord(study_id=ids[i], report=report, entities=(), embedding=tuple(query))
-        for i, query in zip(picked, queries)
-    ]
+    records = [StudyRecord(study_id=ids[i], report=report, entities=()) for i in picked]
+    embeddings = index_from_vectors([ids[i] for i in picked], queries, normalize=False)
     sequences = {sid: f"seq-{sid}" for sid in ids}
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so a race between blocks would show
@@ -112,12 +110,12 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
         with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
             retrieval, "_QUERY_BLOCK", block
         ), mock.patch.object(retrieval, "_scoring_threads", lambda: threads):
-            attached = attach_shc(records, index, k, sequences=sequences)
+            attached = attach_shc(records, index, k, embeddings, sequences=sequences)
     finally:
         sys.setswitchinterval(interval)
     assert [rec for rec, _ in attached] == records
-    for rec, cases in attached:
-        want = top_k_naive(index, np.asarray(rec.embedding), k, exclude_id=rec.study_id)
+    for (rec, cases), query in zip(attached, queries):
+        want = top_k_naive(index, np.asarray(query), k, exclude_id=rec.study_id)
         assert hits_hex((c.study_id, c.score) for c in cases) == hits_hex(want.hits)
         assert [c.factual_sequence for c in cases] == [sequences[c.study_id] for c in cases]
 

@@ -14,7 +14,7 @@ from sei.errors import CorpusError, ValidationError
 from sei.retrieval import (
     EmbeddingIndex,
     attach_shc,
-    build_index,
+    index_from_vectors,
     load_index,
     save_index,
     top_k,
@@ -22,84 +22,70 @@ from sei.retrieval import (
 )
 
 
-def embedded_record(study_id, vec, text="lungs are clear."):
-    return StudyRecord(
-        study_id=study_id,
-        report=ReportDocument.from_text(study_id, text),
-        entities=(),
-        embedding=tuple(float(v) for v in vec),
-    )
+def plain_record(study_id, text="lungs are clear."):
+    return StudyRecord(study_id=study_id, report=ReportDocument.from_text(study_id, text), entities=())
 
 
-def random_records(rng, n, d):
-    return [embedded_record(f"s{i:05d}", rng.standard_normal(d)) for i in range(n)]
+def random_embeddings(rng, n, d):
+    """Raw vectors of studies s00000, s00001, ...: an unnormalized index, as load_embeddings returns."""
+    return index_from_vectors([f"s{i:05d}" for i in range(n)], rng.standard_normal((n, d)), normalize=False)
 
 
-class TestBuildIndex:
+def index_of(embeddings, normalize=True):
+    """The index ``sei index`` builds over ``embeddings``."""
+    return index_from_vectors(embeddings.ids, embeddings.matrix, normalize)
+
+
+def records_of(embeddings):
+    return [plain_record(sid) for sid in embeddings.ids]
+
+
+class TestIndexFromVectors:
     def test_construction(self, rng):
-        index = build_index(random_records(rng, 3, 4), normalize=False)
+        index = index_from_vectors(["a", "b", "c"], rng.standard_normal((3, 4)), normalize=False)
         assert index.n == 3
+        assert len(index) == 3
         assert index.dim == 4
         assert not index.normalized
 
     def test_normalized_rows(self, rng):
-        index = build_index(random_records(rng, 10, 6), normalize=True)
+        index = index_from_vectors([f"s{i}" for i in range(10)], rng.standard_normal((10, 6)), normalize=True)
         norms = np.linalg.norm(index.matrix, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-6)
 
-    def test_missing_embedding_names_study(self, rng):
-        records = random_records(rng, 2, 4)
-        records.append(
-            StudyRecord(
-                study_id="missing",
-                report=ReportDocument.from_text("missing", "ok."),
-                entities=(),
-            )
-        )
-        with pytest.raises(ValidationError, match="missing"):
-            build_index(records)
-
-    def test_dimension_mismatch_names_both(self, rng):
-        records = [embedded_record("a", [1.0, 2.0]), embedded_record("b", [1.0])]
-        with pytest.raises(ValidationError, match="1") as exc:
-            build_index(records)
-        assert "2" in str(exc.value)
-
     def test_duplicate_id(self):
-        records = [embedded_record("a", [1.0, 0.0]), embedded_record("a", [0.0, 1.0])]
         with pytest.raises(ValidationError, match="duplicate"):
-            build_index(records)
+            index_from_vectors(["a", "a"], [[1.0, 0.0], [0.0, 1.0]])
 
     def test_zero_records(self):
         with pytest.raises(ValidationError, match="zero records"):
-            build_index([])
+            index_from_vectors([], [])
 
 
 class TestTopK:
     def test_orthogonal_unit_hit(self):
         vecs = np.eye(4)
-        records = [embedded_record(f"s{i}", vecs[i]) for i in range(4)]
-        index = build_index(records, normalize=True)
+        index = index_from_vectors([f"s{i}" for i in range(4)], vecs, normalize=True)
         result = top_k(index, vecs[2], k=1)
         assert result.hits[0][0] == "s2"
         assert result.hits[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_k_zero(self, rng):
-        index = build_index(random_records(rng, 5, 3))
+        index = index_of(random_embeddings(rng, 5, 3))
         assert top_k(index, rng.standard_normal(3), 0).hits == ()
 
     def test_k_larger_than_candidates(self, rng):
-        index = build_index(random_records(rng, 4, 3))
+        index = index_of(random_embeddings(rng, 4, 3))
         result = top_k(index, rng.standard_normal(3), 10, exclude_id="s00001")
         assert len(result.hits) == 3
 
     def test_dim_mismatch(self, rng):
-        index = build_index(random_records(rng, 4, 3))
+        index = index_of(random_embeddings(rng, 4, 3))
         with pytest.raises(ValidationError, match="dimension"):
             top_k(index, rng.standard_normal(5), 2)
 
     def test_negative_k(self, rng):
-        index = build_index(random_records(rng, 4, 3))
+        index = index_of(random_embeddings(rng, 4, 3))
         with pytest.raises(ValidationError, match=">= 0"):
             top_k(index, rng.standard_normal(3), -1)
 
@@ -109,10 +95,10 @@ class TestTopK:
             d = int(rng.integers(1, 64))
             k = int(rng.integers(0, 21))
             normalize = bool(rng.random() < 0.5)
-            records = random_records(rng, n, d)
-            index = build_index(records, normalize=normalize)
-            query = np.asarray(records[int(rng.integers(0, n))].embedding)
-            exclude = records[int(rng.integers(0, n))].study_id if rng.random() < 0.5 else None
+            embeddings = random_embeddings(rng, n, d)
+            index = index_of(embeddings, normalize=normalize)
+            query = embeddings.matrix[int(rng.integers(0, n))]
+            exclude = embeddings.ids[int(rng.integers(0, n))] if rng.random() < 0.5 else None
             fast = top_k(index, query, k, exclude_id=exclude)
             slow = top_k_naive(index, query, k, exclude_id=exclude)
             assert [h[0] for h in fast.hits] == [h[0] for h in slow.hits]
@@ -120,8 +106,7 @@ class TestTopK:
 
     def test_tie_break_by_insertion_order(self):
         rows = [[1.0, 0.0], [1.0, 0.0], [0.5, 0.1], [1.0, 0.0]]
-        records = [embedded_record(f"s{i}", rows[i]) for i in range(4)]
-        index = build_index(records, normalize=False)
+        index = index_from_vectors([f"s{i}" for i in range(4)], rows, normalize=False)
         result = top_k(index, np.array([1.0, 0.0]), 3)
         assert [h[0] for h in result.hits] == ["s0", "s1", "s3"]
         naive = top_k_naive(index, np.array([1.0, 0.0]), 3)
@@ -131,8 +116,7 @@ class TestTopK:
         # more rows than one block so the bounded merge actually runs
         n = 9000
         d = 8
-        records = random_records(rng, n, d)
-        index = build_index(records)
+        index = index_of(random_embeddings(rng, n, d))
         query = rng.standard_normal(d)
         fast = top_k(index, query, 15)
         slow = top_k_naive(index, query, 15)
@@ -141,20 +125,18 @@ class TestTopK:
     def test_scores_descending_and_bounded(self, rng):
         for _ in range(100):
             n = int(rng.integers(2, 50))
-            records = random_records(rng, n, 5)
-            index = build_index(records, normalize=True)
+            index = index_of(random_embeddings(rng, n, 5), normalize=True)
             result = top_k_naive(index, rng.standard_normal(5), int(rng.integers(1, 10)))
             scores = [h[1] for h in result.hits]
             assert all(a >= b for a, b in zip(scores, scores[1:]))
             assert all(-1 - 1e-6 <= s <= 1 + 1e-6 for s in scores)
 
     def test_exclusion_single_record(self, rng):
-        index = build_index(random_records(rng, 1, 3))
+        index = index_of(random_embeddings(rng, 1, 3))
         assert top_k_naive(index, rng.standard_normal(3), 5, exclude_id="s00000").hits == ()
 
     def test_determinism_across_runs(self, rng):
-        records = random_records(rng, 200, 16)
-        index = build_index(records)
+        index = index_of(random_embeddings(rng, 200, 16))
         query = rng.standard_normal(16)
         first = top_k(index, query, 10)
         second = top_k(index, query, 10)
@@ -163,43 +145,45 @@ class TestTopK:
 
 class TestAttachShc:
     def test_mutual_pair(self):
-        records = [
-            embedded_record("a", [1.0, 0.0], "lungs clear."),
-            embedded_record("b", [0.9, 0.1], "heart normal."),
-        ]
-        index = build_index(records)
-        attached = attach_shc(records, index, k=1)
+        records = [plain_record("a", "lungs clear."), plain_record("b", "heart normal.")]
+        embeddings = index_from_vectors(["a", "b"], [[1.0, 0.0], [0.9, 0.1]], normalize=False)
+        attached = attach_shc(records, index_of(embeddings), 1, embeddings)
         by_id = {rec.study_id: cases for rec, cases in attached}
         assert by_id["a"][0].study_id == "b"
         assert by_id["b"][0].study_id == "a"
         assert by_id["a"][0].factual_sequence == ""
 
     def test_k_zero_gives_empty_case_lists(self, rng):
-        records = random_records(rng, 5, 4)
-        index = build_index(records)
-        attached = attach_shc(records, index, k=0)
+        embeddings = random_embeddings(rng, 5, 4)
+        attached = attach_shc(records_of(embeddings), index_of(embeddings), 0, embeddings)
         assert all(cases == () for _, cases in attached)
 
     def test_never_retrieves_self(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 40))
-            records = random_records(rng, n, 6)
-            index = build_index(records)
+            embeddings = random_embeddings(rng, n, 6)
             k = int(rng.integers(1, n + 2))
-            for rec, cases in attach_shc(records, index, k):
+            for rec, cases in attach_shc(records_of(embeddings), index_of(embeddings), k, embeddings):
                 assert rec.study_id not in [c.study_id for c in cases]
 
+    def test_missing_embedding_names_study(self, rng):
+        embeddings = random_embeddings(rng, 3, 4)
+        index = index_of(embeddings)
+        records = records_of(embeddings) + [plain_record("missing", "ok.")]
+        with pytest.raises(ValidationError, match="study 'missing' has no embedding"):
+            attach_shc(records, index, 1, embeddings)
+
     def test_unindexed_record_rejected(self, rng):
-        records = random_records(rng, 3, 4)
-        index = build_index(records[:2])
+        embeddings = random_embeddings(rng, 3, 4)
+        index = index_from_vectors(embeddings.ids[:2], embeddings.matrix[:2])
         with pytest.raises(ValidationError, match="not indexed"):
-            attach_shc(records, index, 1)
+            attach_shc(records_of(embeddings), index, 1, embeddings)
 
     def test_sequences_mapping_used(self, rng):
-        records = random_records(rng, 3, 4)
-        index = build_index(records)
+        embeddings = random_embeddings(rng, 3, 4)
+        records = records_of(embeddings)
         sequences = {rec.study_id: f"seq-{rec.study_id}" for rec in records}
-        attached = attach_shc(records, index, 1, sequences=sequences)
+        attached = attach_shc(records, index_of(embeddings), 1, embeddings, sequences=sequences)
         for rec, cases in attached:
             assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
 
@@ -221,17 +205,15 @@ rng = np.random.default_rng(9801)
 vectors = rng.standard_normal((n, d))
 ids = [f"s{i:05d}" for i in range(n)]
 index = index_from_vectors(ids, vectors)
+embeddings = index_from_vectors(ids, vectors, normalize=False)
 report = ReportDocument.from_text("s", "lungs clear.")
-records = [
-    StudyRecord(study_id=ids[r], report=report, entities=(), embedding=tuple(vectors[r].tolist()))
-    for r in rng.choice(n, size=32, replace=False)
-]
+records = [StudyRecord(study_id=ids[r], report=report, entities=()) for r in rng.choice(n, size=32, replace=False)]
 digest = hashlib.sha256()
-for rec, cases in attach_shc(records, index, n - 1, sequences=dict.fromkeys(ids, "")):
+for rec, cases in attach_shc(records, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
     got = [(c.study_id, c.score.hex()) for c in cases]
     digest.update(repr(got).encode())
     if sys.argv[2:] == ["oracle"]:
-        want = top_k_naive(index, np.asarray(rec.embedding), n - 1, exclude_id=rec.study_id)
+        want = top_k_naive(index, vectors[ids.index(rec.study_id)], n - 1, exclude_id=rec.study_id)
         assert got == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
 print(digest.hexdigest())
 """
@@ -264,8 +246,7 @@ class TestBlasThreads:
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
-        records = random_records(rng, 20, 7)
-        index = build_index(records)
+        index = index_of(random_embeddings(rng, 20, 7))
         path = tmp_path / "index.bin"
         save_index(index, path)
         loaded = load_index(path)
@@ -280,8 +261,7 @@ class TestSerialization:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_same_results_after_reload(self, tmp_path, rng):
-        records = random_records(rng, 50, 8)
-        index = build_index(records)
+        index = index_of(random_embeddings(rng, 50, 8))
         path = tmp_path / "index.bin"
         save_index(index, path)
         loaded = load_index(path)
@@ -297,8 +277,7 @@ class TestSerialization:
             load_index(path)
 
     def test_truncated(self, tmp_path, rng):
-        records = random_records(rng, 4, 4)
-        index = build_index(records)
+        index = index_of(random_embeddings(rng, 4, 4))
         path = tmp_path / "index.bin"
         save_index(index, path)
         path.write_bytes(path.read_bytes()[:-7])

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import resource
 import signal
@@ -11,7 +12,6 @@ import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,7 @@ from sei.cli import main
 from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
 from sei.errors import ValidationError
 from sei.pipeline import load_config, run_pipeline
-from sei.retrieval import attach_shc, build_index
+from sei.retrieval import attach_shc, index_from_vectors
 
 from conftest import make_record, write_pipeline_fixture
 
@@ -86,6 +86,14 @@ class TestCliMalformedInput:
         sequences.write_text("\n".join(lines) + "\n")
         proc = self._attach(paths, index, sequences, tmp_path)
         assert_clean_exit_2(proc, str(sequences), "line 4")
+
+    def test_attach_study_without_embedding(self, tmp_path):
+        paths, index, sequences = self._attach_inputs(tmp_path)
+        lines = paths["embeddings"].read_text().splitlines()
+        paths["embeddings"].write_text("".join(line + "\n" for line in lines if '"st003"' not in line))
+        proc = self._attach(paths, index, sequences, tmp_path)
+        assert_clean_exit_2(proc, "study 'st003' has no embedding")
+        assert not (tmp_path / "shc.jsonl").exists()
 
     def test_attach_sequences_missing_retrieved_id(self, tmp_path):
         paths, index, sequences = self._attach_inputs(tmp_path)
@@ -264,22 +272,22 @@ class TestNegativeSizes:
 
 
 def test_attach_shc_missing_sequence_names_id(rng):
-    records = [
-        replace(make_record(rng, study_id=f"s{i}"), embedding=tuple(rng.standard_normal(3)))
-        for i in range(3)
-    ]
-    index = build_index(records)
+    records = [make_record(rng, study_id=f"s{i}") for i in range(3)]
+    embeddings = index_from_vectors(["s0", "s1", "s2"], rng.standard_normal((3, 3)), normalize=False)
+    index = index_from_vectors(embeddings.ids, embeddings.matrix)
     with pytest.raises(ValidationError, match="'s2'"):
-        attach_shc(records, index, 2, sequences={"s0": "x", "s1": "y"})
+        attach_shc(records, index, 2, embeddings, sequences={"s0": "x", "s1": "y"})
 
 
-def shc_record(study_id, vec):
-    return StudyRecord(
-        study_id=study_id,
-        report=ReportDocument.from_text(study_id, "lungs clear."),
-        entities=(),
-        embedding=tuple(vec),
-    )
+def shc_record(study_id):
+    return StudyRecord(study_id=study_id, report=ReportDocument.from_text(study_id, "lungs clear."), entities=())
+
+
+def shc_inputs(indexed: dict, queries: dict, order) -> tuple:
+    """The normalized index over ``indexed``, the raw embeddings ``queries`` and the records in ``order``."""
+    index = index_from_vectors(list(indexed), list(indexed.values()))
+    embeddings = index_from_vectors(list(queries), list(queries.values()), normalize=False)
+    return index, embeddings, [shc_record(sid) for sid in order]
 
 
 class TestAttachShcErrorOrder:
@@ -311,11 +319,10 @@ class TestAttachShcErrorOrder:
     def test_first_fault_in_record_order(self, monkeypatch, block, order, message):
         if block is not None:
             monkeypatch.setattr(retrieval, "_QUERY_BLOCK", block)
-        index = build_index([shc_record(sid, vec) for sid, vec in self.INDEXED.items()])
-        records = [shc_record(sid, self.QUERIES[sid]) for sid in order]
+        index, embeddings, records = shc_inputs(self.INDEXED, self.QUERIES, order)
         before = threading.active_count()
         with pytest.raises(ValidationError) as excinfo:
-            attach_shc(records, index, 1, sequences={"a": "x", "c": "z"})
+            attach_shc(records, index, 1, embeddings, sequences={"a": "x", "c": "z"})
         assert str(excinfo.value) == message
         assert threading.active_count() == before
 
@@ -325,8 +332,7 @@ class TestAttachShcErrorOrder:
         """A scoring error in one record's block comes out of attach_shc as is, after
         the records before it are finished and before any later record is looked at."""
         vectors = {f"s{i}": (float(i + 1), float(12 - i)) for i in range(12)}
-        index = build_index([shc_record(sid, vec) for sid, vec in vectors.items()])
-        records = [shc_record(f"s{i}", vectors[f"s{i}"]) for i in range(3)]
+        index, embeddings, records = shc_inputs(vectors, vectors, ["s0", "s1", "s2"])
         boom = MemoryError("no room for scores")
         scoring = retrieval._score_run
 
@@ -348,7 +354,7 @@ class TestAttachShcErrorOrder:
         monkeypatch.setattr(retrieval, "_score_run", kernel)
         before = threading.active_count()
         with pytest.raises(MemoryError) as excinfo:
-            attach_shc(records, index, 1, sequences=Sequences.fromkeys(vectors, ""))
+            attach_shc(records, index, 1, embeddings, sequences=Sequences.fromkeys(vectors, ""))
         assert excinfo.value is boom
         assert threading.active_count() == before
         assert len(looked_up) == failing  # the one hit of each record before the failing one
@@ -357,8 +363,7 @@ class TestAttachShcErrorOrder:
         """A check error in the first block stops the blocks not yet started: the
         batch is not scored first, and no scoring thread outlives the call."""
         vectors = {f"s{i}": (float(i + 1), float(200 - i)) for i in range(200)}
-        index = build_index([shc_record(sid, vec) for sid, vec in vectors.items()])
-        records = [shc_record("z", (1.0, 1.0))] + [shc_record(sid, vec) for sid, vec in list(vectors.items())[1:]]
+        index, embeddings, records = shc_inputs(vectors, {"z": (1.0, 1.0), **vectors}, ["z", *list(vectors)[1:]])
         scoring = retrieval._score_run
         calls = []
 
@@ -371,7 +376,7 @@ class TestAttachShcErrorOrder:
         monkeypatch.setattr(retrieval, "_score_run", kernel)
         before = threading.active_count()
         with pytest.raises(ValidationError, match="study 'z' is not indexed"):
-            attach_shc(records, index, 1, sequences=dict.fromkeys(vectors, ""))
+            attach_shc(records, index, 1, embeddings, sequences=dict.fromkeys(vectors, ""))
         assert len(calls) < 100
         assert threading.active_count() == before
 
@@ -508,7 +513,11 @@ class TestAtomicWrites:
 
 
 SCORING_FILES = ("generated", "generated_labels", "generated_entities")
-MUTATIONS = ("delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom")
+MUTATIONS = (
+    "delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom", "retype-id", "late-bom",
+)
+# mutations that leave the file's schema intact but take a study from it; the error can name no line
+ID_MUTATIONS = ("retype-id", "late-bom")
 # a JSON value of each type; a swap draws one whose type differs from the value it replaces
 JSON_VALUES = (None, 0, 1.5, True, "x", [], {})
 
@@ -539,6 +548,9 @@ def _mutate_json_line(line: bytes, rows: list[bytes], i: int, mutation: str, dat
     if mutation == "duplicate-id":
         row["study_id"] = json.loads(rows[data.draw(st.integers(0, i - 1))])["study_id"]
         return json.dumps(row).encode()
+    if mutation == "retype-id":  # read back as its string, which no other file lists
+        row["study_id"] = data.draw(st.sampled_from([v for v in JSON_VALUES if not isinstance(v, str)]))
+        return json.dumps(row).encode()
     return _mutate_bytes(line, mutation, data)
 
 
@@ -551,6 +563,8 @@ def _mutate_csv_line(line: bytes, rows: list[bytes], i: int, mutation: str, data
         cells[col] = "nan" if mutation == "nan" else data.draw(st.sampled_from(["x", "", "0.5", "true", "[]"]))
     elif mutation == "duplicate-id":
         cells[0] = rows[data.draw(st.integers(1, i - 1))].decode().split(",")[0]
+    elif mutation == "retype-id":
+        cells[0] = data.draw(st.sampled_from(["x", "", "0.5", "true", "[]"]))
     else:
         return _mutate_bytes(line, mutation, data)
     return ",".join(cells).encode()
@@ -562,7 +576,7 @@ def _mutate_bytes(line: bytes, mutation: str, data) -> bytes:
     if mutation == "invalid-utf8":
         at = data.draw(st.integers(0, len(line)))
         return line[:at] + b"\xff" + line[at:]
-    return b"\xef\xbb\xbf" + line  # a BOM, which only the first line gets
+    return b"\xef\xbb\xbf" + line  # a BOM, on line 1 ("bom") or a later line ("late-bom")
 
 
 @settings(max_examples=150, deadline=None)
@@ -570,15 +584,16 @@ def _mutate_bytes(line: bytes, mutation: str, data) -> bytes:
 def test_score_names_the_malformed_scoring_file(target, mutation, data):
     """One malformed line in a generated-side file makes ``sei score`` exit 2 (or 3
     on IO), naming the file, and the line for JSONL, and leaving no --out file.
-    Every mutation breaks the file's schema, so exit 0 would mean it was read anyway;
-    a study_id is deleted or duplicated but never retyped, as ids are coerced to
-    strings by design."""
+    Every mutation but those in ID_MUTATIONS breaks the file's schema, so exit 0
+    would mean it was read anyway.  A retyped study_id, or one a BOM on a later
+    line prefixes, is read as its string by design; the file then lacks a study the
+    other files list, and the exit is 2 naming the file."""
     csv_file = target == "generated_labels"
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_pipeline_fixture(Path(tmp), n=4)
         rows = paths[target].read_bytes().splitlines()
         # the label CSV's header is line 1; a duplicate id needs an earlier row to copy
-        first = {"bom": 0, "duplicate-id": 2 if csv_file else 1}.get(mutation, 1 if csv_file else 0)
+        first = {"bom": 0, "duplicate-id": 2 if csv_file else 1, "late-bom": 1}.get(mutation, 1 if csv_file else 0)
         i = 0 if mutation == "bom" else data.draw(st.integers(first, len(rows) - 1))
         mutate = _mutate_csv_line if csv_file else _mutate_json_line
         rows[i] = mutate(rows[i], rows, i, mutation, data)
@@ -594,7 +609,48 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
         message = stderr.getvalue()
         assert code in (2, 3), (rows[i], message)
         assert str(paths[target]) in message
-        if not csv_file:
+        if mutation in ID_MUTATIONS:
+            assert code == 2, message
+        if not csv_file and mutation != "retype-id":
             assert f"line {i + 1}:" in message, message
+        assert not out.exists()
+        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+
+
+EMBEDDING_MUTATIONS = ("delete-field", "swap-type", "non-finite", "truncate", "duplicate-id", "invalid-utf8", "bom")
+
+
+def _mutate_embedding_line(line: bytes, rows: list[bytes], i: int, mutation: str, data) -> bytes:
+    if mutation not in ("swap-type", "non-finite"):
+        return _mutate_json_line(line, rows, i, mutation, data)
+    row = json.loads(line)
+    at = data.draw(st.integers(0, len(row["vec"]) - 1))
+    if mutation == "non-finite":
+        row["vec"][at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif data.draw(st.booleans()):  # the vector, or one of its values, becomes a non-number
+        row["vec"] = data.draw(st.sampled_from([v for v in JSON_VALUES if not isinstance(v, list)]))
+    else:
+        row["vec"][at] = data.draw(st.sampled_from([None, "x", [], {}]))
+    return json.dumps(row).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(EMBEDDING_MUTATIONS), st.booleans(), st.data())
+def test_index_names_the_malformed_embeddings_line(mutation, normalize, data):
+    """One malformed line in an embeddings file makes ``sei index`` exit 2 (or 3 on
+    IO), naming the file and the line, and leaving no index file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        emb = write_pipeline_fixture(Path(tmp), n=4)["embeddings"]
+        rows = emb.read_bytes().splitlines()
+        i = 0 if mutation == "bom" else data.draw(st.integers(1 if mutation == "duplicate-id" else 0, len(rows) - 1))
+        rows[i] = _mutate_embedding_line(rows[i], rows, i, mutation, data)
+        emb.write_bytes(b"\n".join(rows) + b"\n")
+        out = Path(tmp) / "index.bin"
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["index", "--embeddings", str(emb), "--out", str(out), *([] if normalize else ["--no-normalize"])])
+        message = stderr.getvalue()
+        assert code in (2, 3), (rows[i], message)
+        assert f"{emb}: line {i + 1}:" in message, message
         assert not out.exists()
         assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
