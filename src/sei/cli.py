@@ -33,13 +33,13 @@ from .pipeline import (
     _stage_attach,
     _stage_filter,
     _stage_normalize,
-    _stage_score,
     _stage_see,
     fuse_demo_result,
     load_config,
     m_gt_key,
     parse_m_gt,
     run_pipeline,
+    score_from_files,
 )
 from .retrieval import index_from_vectors, load_index, save_index, top_k
 
@@ -140,7 +140,7 @@ def _cmd_align_demo(args) -> int:
 def _cmd_score(args) -> int:
     m_gt = parse_m_gt(args.mgt)
     records = load_corpus(args.ref)
-    report = _stage_score(records, args.gen, args.labels, args.entities, (m_gt,))[m_gt_key(m_gt)]
+    report = score_from_files(records, args.ref, args.gen, args.labels, args.entities, (m_gt,))[m_gt_key(m_gt)]
     if args.out:
         _dump_json(args.out, report)
     print(json.dumps(report, sort_keys=True, indent=2))

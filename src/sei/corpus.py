@@ -22,7 +22,6 @@ interrupted write leaves the previous file, never a truncated one.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 from contextlib import contextmanager
@@ -214,6 +213,10 @@ def _numbers(convert, values, what: str) -> tuple:
     raise ValidationError(f"{what} must be a list of numbers")
 
 
+# The Python types ``json`` parses a JSON number into; bool, a subclass of int, is left out.
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
 def record_from_json(obj: dict) -> StudyRecord:
     """Build a validated StudyRecord from one parsed corpus JSON object."""
     if not isinstance(obj, dict):
@@ -372,7 +375,8 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
 
     Row i of its float64 matrix is the file's i-th vector, each value the
     ``float`` of its JSON number.  All vectors must share one dimension and
-    hold finite values; duplicates are rejected.
+    hold finite JSON numbers (not ``true``/``false`` or numeric strings, and
+    no integer beyond float range); duplicates are rejected.
     """
     from .retrieval import EmbeddingIndex  # retrieval imports this module
 
@@ -381,16 +385,20 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
 
     def row(raw) -> int:
         nonlocal matrix, n
-        vec = _numbers(float, raw, "field 'vec'")
-        if not all(map(math.isfinite, vec)):
-            raise ValidationError("field 'vec' holds a NaN or infinite value")
+        if not isinstance(raw, list) or not _JSON_NUMBER_TYPES.issuperset(map(type, raw)):
+            raise ValidationError("field 'vec' must be a list of numbers")
         if n == 0:
-            matrix = np.empty((1024, len(vec)))
-        elif len(vec) != matrix.shape[1]:
-            raise ValidationError(f"vector of length {len(vec)} but corpus dimension is {matrix.shape[1]}")
+            matrix = np.empty((1024, len(raw)))
+        elif len(raw) != matrix.shape[1]:
+            raise ValidationError(f"vector of length {len(raw)} but corpus dimension is {matrix.shape[1]}")
         if n == len(matrix):
             matrix.resize((2 * n, matrix.shape[1]), refcheck=False)  # no view of it exists yet
-        matrix[n] = vec
+        try:
+            matrix[n] = raw  # numpy takes each value's float()
+        except OverflowError:
+            raise ValidationError("field 'vec' holds an integer too large for a float") from None
+        if not np.isfinite(matrix[n]).all():
+            raise ValidationError("field 'vec' holds a NaN or infinite value")
         n += 1
         return n - 1
 

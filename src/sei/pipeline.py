@@ -8,11 +8,32 @@ in order.  Each ``_stage_*`` function takes parsed inputs (records, the
 embeddings matrix, the sequences map) and an output path, replaces its
 artifact atomically and returns what the next stage consumes.
 ``run_pipeline`` parses ``paths.corpus`` and ``paths.embeddings`` once each
-and hands the records and the matrix forward; the CLI subcommands parse the files their flags name and call the
-same stage functions.  Every artifact is rewritten on each run, so deleting
-an intermediate and rerunning regenerates it; a manifest records input and
-artifact hashes plus the effective configuration.  Runs are deterministic:
-identical inputs and config reproduce byte-identical artifacts.
+and hands the records and the matrix forward; the CLI subcommands parse the
+files their flags name and call the same stage functions.  Every artifact is
+rewritten on each run, so deleting an intermediate and rerunning regenerates
+it; a manifest records input and artifact hashes plus the effective
+configuration.  Runs are deterministic: identical inputs and config reproduce
+byte-identical artifacts.
+
+Two pieces of ``run_pipeline``'s work depend on nothing the stages before
+them produce, so each runs in a forked child process (``_Forked``) while
+this process works through the stages in between:
+
+* the embeddings parse, started right after the input checks;
+* ``score_from_files`` over the filter stage's kept records, started as soon
+  as the filter stage has written them.
+
+Fork, not spawn: the child starts with the records already in its memory, so
+nothing but the result is pickled, and the embeddings matrix crosses the pipe
+once, read straight into the array the parent keeps.  The stage that needs a
+child's result waits for it there (``index`` for the parse, ``score`` for the
+scores), so a child's error surfaces at that stage, in stage order, as it
+would in-process; a child that dies without a result fails that stage with a
+ChildProcessError (exit 3).  When any stage fails, the children still running
+are killed and reaped before ``run_pipeline`` returns.  A forked child has
+only the thread that forked it, so both forks come before ``attach_shc``
+starts its thread pool, and a program that embeds ``run_pipeline`` should call
+it while no other thread of its own is running.
 
 The configuration is declared once, as dataclasses that mirror the sections
 of the JSON file.  ``load_config`` parses and ``PipelineConfig.echo``
@@ -27,6 +48,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import pickle
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -460,6 +483,7 @@ def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
 
 def score_from_files(
     reference_records: list[StudyRecord],
+    reference_path: str | Path,
     generated_path: str | Path,
     labels_path: str | Path | None,
     entities_path: str | Path | None,
@@ -467,11 +491,12 @@ def score_from_files(
 ) -> dict[str, dict[str, float]]:
     """Score the generated-side files against reference records per truncation setting.
 
-    The reference side supplies gold labels (labels14) and reference entity
-    sets; the generated side supplies text plus optional label vectors and
-    entity sets keyed by study_id.  Every file is parsed before any id is
-    matched, and an id missing from a file, or a generated id the reference
-    corpus lacks, raises ValidationError naming that file.
+    The reference records, read from ``reference_path``, supply gold labels
+    (labels14) and reference entity sets; the generated side supplies text plus
+    optional label vectors and entity sets keyed by study_id.  Every file is
+    parsed before any id is matched, and an id missing from a file, or a
+    generated id the reference corpus lacks, raises ValidationError naming that
+    file.
     """
     generated = read_generated(generated_path)
     generated_labels = read_label_csv(labels_path) if labels_path else None
@@ -497,7 +522,7 @@ def score_from_files(
             if rec.study_id not in generated_labels:
                 raise ValidationError(f"{labels_path}: study {rec.study_id!r} has no generated label vector")
             if rec.labels14 is None:
-                raise ValidationError(f"study {rec.study_id!r} has no gold labels14 in the corpus")
+                raise ValidationError(f"{reference_path}: study {rec.study_id!r} has no gold labels14")
             labels.append((generated_labels[rec.study_id], rec.labels14))
     entities = None
     if generated_entities is not None:
@@ -511,21 +536,85 @@ def score_from_files(
     return {m_gt_key(m): report for m, report in scores.items()}
 
 
-def _stage_score(
-    records: list[StudyRecord],
-    generated: str | Path | None,
-    labels: str | Path | None,
-    entities: str | Path | None,
-    m_gt_values: tuple[float, ...],
-    out: str | Path | None = None,
-) -> dict[str, dict[str, float]]:
-    """Score the generated files against the reference records; write to ``out`` if given."""
-    if generated is None:
-        raise ValidationError("score stage requires paths.generated in the config")
-    scores = score_from_files(records, generated, labels, entities, m_gt_values)
-    if out is not None:
-        _dump_json(out, scores)
-    return scores
+class _Forked:
+    """``fn(*args)`` run in a forked child process; ``result`` waits for it.
+
+    The child pickles what ``fn`` returned, or the exception it raised, with
+    protocol 5 and writes each large buffer (a numpy array's data) out of band
+    down a pipe, so the parent reads it once, straight into the memory the
+    unpickled array keeps.
+    """
+
+    def __init__(self, fn: Callable, *args):
+        import multiprocessing  # here, so importing sei does not pay for it
+
+        self._name = fn.__name__
+        read_fd, write_fd = os.pipe()
+        self._pipe = open(read_fd, "rb")
+        self._process = multiprocessing.get_context("fork").Process(
+            target=_send_result, args=(write_fd, fn, args), daemon=True
+        )
+        try:
+            self._process.start()
+        finally:
+            os.close(write_fd)
+
+    def result(self):
+        """What ``fn`` returned, or raise what it raised; the child is reaped either way.
+
+        A child that exits before it has sent its whole result raises
+        ChildProcessError with its exit code.
+        """
+        try:
+            sent = self._receive()
+            self._process.join()
+            code = self._process.exitcode
+        finally:
+            self.close()
+        if sent is None:
+            raise ChildProcessError(f"{self._name} exited with code {code} in a forked child before sending its result")
+        ok, value = sent
+        if not ok:
+            raise value
+        return value
+
+    def _receive(self) -> tuple[bool, object] | None:
+        """The child's ``(ok, value)``, or None if the pipe closed before all of it came."""
+        try:
+            size, sizes = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError):
+            return None
+        head = self._pipe.read(size)
+        buffers = [bytearray(n) for n in sizes]
+        if len(head) < size or any(self._pipe.readinto(buf) < len(buf) for buf in buffers):
+            return None
+        return pickle.loads(head, buffers=buffers)  # a buffer pickled read-only comes back read-only
+
+    def close(self) -> None:
+        """Kill the child if it still runs, reap it and close the pipe; later calls do nothing."""
+        if self._pipe.closed:
+            return
+        if self._process.exitcode is None:
+            self._process.kill()
+        self._process.join()
+        self._process.close()
+        self._pipe.close()
+
+
+def _send_result(fd: int, fn: Callable, args: tuple) -> None:
+    """The child's side of ``_Forked``: run ``fn(*args)`` and write the outcome to ``fd``."""
+    try:
+        sent = (True, fn(*args))
+    except Exception as exc:
+        sent = (False, exc)
+    buffers = []
+    head = pickle.dumps(sent, protocol=5, buffer_callback=buffers.append)
+    raws = [buf.raw() for buf in buffers]
+    with open(fd, "wb") as pipe:
+        pickle.dump((len(head), [raw.nbytes for raw in raws]), pipe)
+        pipe.write(head)
+        for raw in raws:
+            pipe.write(raw)
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
@@ -536,18 +625,27 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """
     paths = cfg.paths
     paths.out_dir.mkdir(parents=True, exist_ok=True)
-    inputs = {}
-    for name in (f.name for f in fields(PathsConfig) if f.name != "out_dir"):
-        path = getattr(paths, name)
-        if path is not None:
-            if not Path(path).exists():
-                raise ValidationError(f"input file {path} does not exist")
-            inputs[name] = {"path": str(path), "sha256": sha256_file(path)}
+    given = {name: path for name, path in vars(paths).items() if name != "out_dir" and path is not None}
+    for path in given.values():
+        if not Path(path).exists():
+            raise ValidationError(f"input file {path} does not exist")
+    # Work running in forked children, by the stage that waits for its result.
+    children = {"index": _Forked(load_embeddings, paths.embeddings)}
+    try:
+        return _run_stages(cfg, given, children)
+    finally:
+        for child in children.values():
+            child.close()
+
+
+def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str, _Forked]) -> Path:
+    """``run_pipeline`` from the input hashes on; ``children`` gains the scoring child."""
+    paths = cfg.paths
     manifest: dict = {
         "tool": "sei",
         "version": __version__,
         "config": cfg.echo(),
-        "inputs": inputs,
+        "inputs": {name: {"path": str(path), "sha256": sha256_file(path)} for name, path in given.items()},
         "stages": [],
         "status": "ok",
     }
@@ -556,12 +654,27 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     # Stage results by stage name.  The last stage to read a result pops it,
     # so the embeddings matrix does not outlive attach-shc.
     done: dict[str, object] = {}
+
+    def filtered() -> list[StudyRecord]:
+        kept = _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0]
+        if paths.generated is not None:
+            children["score"] = _Forked(
+                score_from_files, kept, paths.corpus, paths.generated, paths.generated_labels,
+                paths.generated_entities, cfg.m_gt,
+            )
+        return kept
+
+    def scored() -> None:
+        if paths.generated is None:
+            raise ValidationError("score stage requires paths.generated in the config")
+        _dump_json(art["score"], children["score"].result())
+
     stages: dict[str, Callable[[], object]] = {
-        "filter": lambda: _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0],
+        "filter": filtered,
         "see-extract": lambda: _stage_see(done["filter"], art["see-extract"]),
         "normalize": lambda: _stage_normalize(done.pop("filter"), art["normalize"], cfg.normalizer),
         "index": lambda: _stage_index(
-            done["normalize"], load_embeddings(paths.embeddings), art["index"], cfg.index_normalize
+            done["normalize"], children["index"].result(), art["index"], cfg.index_normalize
         ),
         "attach-shc": lambda: _stage_attach(
             done["normalize"], load_index(art["index"]), done.pop("index"), done.pop("see-extract"),
@@ -570,10 +683,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         "fuse-demo": lambda: _stage_fuse_demo(
             done["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed
         ),
-        "score": lambda: _stage_score(
-            done["normalize"], paths.generated, paths.generated_labels,
-            paths.generated_entities, cfg.m_gt, art["score"],
-        ),
+        "score": scored,
     }
     for stage in STAGE_ORDER:
         try:

@@ -2,14 +2,18 @@
 
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sei import pipeline
+from sei.cli import main
 from sei.pipeline import (
     STAGE_ORDER,
     load_config,
@@ -40,6 +44,26 @@ def read_artifacts(out_dir: Path) -> dict[str, bytes]:
     return {name: (out_dir / name).read_bytes() for name in ARTIFACT_NAMES} | {
         "run_manifest.json": (out_dir / "run_manifest.json").read_bytes()
     }
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_the_test():
+    """Every run, ok or failed, has reaped the processes it forked by the time it returns."""
+    yield
+    assert multiprocessing.active_children() == []
+
+
+def corrupt_line(path: Path, index: int) -> None:
+    """Cut the last three characters off line ``index`` (0-based), so it is no longer JSON."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[index] = lines[index][:-3]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def failed_manifest(out_dir: Path) -> dict:
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    return manifest
 
 
 class TestRunPipeline:
@@ -178,25 +202,37 @@ class TestParseOnce:
     """One run parses the corpus and the embeddings file once each."""
 
     @pytest.fixture
-    def parse_calls(self, monkeypatch):
+    def parse_calls(self, monkeypatch, tmp_path):
+        """A function giving the parse calls so far, made in this process or a forked child.
+
+        Each call appends its name to a log file, which a child shares with
+        the test process, so a parse in a child is counted too.
+        """
         import sei.pipeline
 
-        calls = {"load_corpus": 0, "load_embeddings": 0}
-        for name in calls:
+        log = tmp_path / "parse_calls.log"
+        names = ("load_corpus", "load_embeddings")
+        for name in names:
             real = getattr(sei.pipeline, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
+                with open(log, "a", encoding="utf-8") as handle:
+                    handle.write(_name + "\n")
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(sei.pipeline, name, counted)
+
+        def calls() -> dict[str, int]:
+            logged = log.read_text(encoding="utf-8").split() if log.exists() else []
+            return {name: logged.count(name) for name in names}
+
         return calls
 
     def test_each_input_parsed_once(self, tmp_path, parse_calls):
         paths = write_pipeline_fixture(tmp_path)
         manifest = json.loads(run_pipeline(load_config(paths["config"])).read_text())
         assert manifest["status"] == "ok"
-        assert parse_calls == {"load_corpus": 1, "load_embeddings": 1}
+        assert parse_calls() == {"load_corpus": 1, "load_embeddings": 1}
 
     def test_malformed_embeddings_still_fail_the_index_stage(self, tmp_path, parse_calls):
         paths = write_pipeline_fixture(tmp_path)
@@ -208,7 +244,98 @@ class TestParseOnce:
         manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
         assert manifest["failed_stage"] == "index"
         assert [s["name"] for s in manifest["stages"]] == ["filter", "see-extract", "normalize"]
-        assert parse_calls == {"load_corpus": 1, "load_embeddings": 1}
+        assert parse_calls() == {"load_corpus": 1, "load_embeddings": 1}
+
+
+class InProcess:
+    """Stand-in for ``pipeline._Forked`` that calls the function here when its result is asked for."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def result(self):
+        return self.fn(*self.args)
+
+    def close(self):
+        pass
+
+
+class TestForkedStages:
+    """The embeddings parse and the scoring run in forked children; errors surface at their stages."""
+
+    def test_artifacts_match_an_in_process_run(self, tmp_path, monkeypatch):
+        paths = write_pipeline_fixture(tmp_path, n=40, d=16)
+        cfg = load_config(paths["config"], {"k": 3})
+        run_pipeline(cfg)
+        forked = read_artifacts(paths["out_dir"])
+        monkeypatch.setattr(pipeline, "_Forked", InProcess)
+        run_pipeline(cfg)
+        assert read_artifacts(paths["out_dir"]) == forked
+
+    def test_forked_parse_matches_the_in_process_parse(self, tmp_path):
+        emb = write_pipeline_fixture(tmp_path, n=40, d=16)["embeddings"]
+        forked = pipeline._Forked(pipeline.load_embeddings, emb).result()
+        here = pipeline.load_embeddings(emb)
+        assert (forked.ids, forked.dim, forked.normalized) == (here.ids, here.dim, here.normalized)
+        assert forked.matrix.dtype == here.matrix.dtype and forked.matrix.tobytes() == here.matrix.tobytes()
+        assert not forked.matrix.flags.writeable
+
+    def test_malformed_corpus_fails_filter_before_malformed_embeddings(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        corrupt_line(paths["corpus"], 2)
+        corrupt_line(paths["embeddings"], 1)
+        with pytest.raises(StageError, match=r"stage filter: .*corpus\.jsonl: line 3:"):
+            run_pipeline(load_config(paths["config"]))
+        manifest = failed_manifest(paths["out_dir"])
+        assert manifest["failed_stage"] == "filter"
+        assert manifest["stages"] == []
+
+    def test_failing_stage_kills_a_child_still_running(self, tmp_path, monkeypatch):
+        paths = write_pipeline_fixture(tmp_path)
+        corrupt_line(paths["corpus"], 2)
+        monkeypatch.setattr(pipeline, "load_embeddings", lambda path: time.sleep(60))
+        start = time.monotonic()
+        with pytest.raises(StageError, match="stage filter"):
+            run_pipeline(load_config(paths["config"]))
+        assert time.monotonic() - start < 30
+
+    @pytest.mark.parametrize("broken", ["generated-line", "reference-labels14"])
+    def test_scoring_error_fails_the_score_stage(self, tmp_path, broken):
+        paths = write_pipeline_fixture(tmp_path)
+        if broken == "generated-line":
+            corrupt_line(paths["generated"], 1)
+            expected = rf"stage score: {paths['generated']}: line 2:"
+        else:
+            rows = [json.loads(line) for line in paths["corpus"].read_text().splitlines()]
+            rows[1]["labels14"] = None
+            paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows))
+            expected = rf"stage score: {paths['corpus']}: study 'st001' has no gold labels14"
+        with pytest.raises(StageError, match=expected):
+            run_pipeline(load_config(paths["config"]))
+        manifest = failed_manifest(paths["out_dir"])
+        assert manifest["failed_stage"] == "score"
+        assert [s["name"] for s in manifest["stages"]] == list(STAGE_ORDER[:-1])  # attach-shc, fuse-demo done
+        assert not (paths["out_dir"] / "scores.json").exists()
+
+    @pytest.mark.parametrize("target, stage", [("load_embeddings", "index"), ("score_from_files", "score")])
+    def test_child_exiting_without_a_result_fails_its_stage_with_exit_3(
+        self, tmp_path, monkeypatch, capsys, target, stage
+    ):
+        test_pid = os.getpid()
+
+        def exit_9(*args):
+            if os.getpid() == test_pid:
+                pytest.fail(f"{target} ran in the test process, not in a forked child")
+            os._exit(9)
+
+        paths = write_pipeline_fixture(tmp_path)
+        monkeypatch.setattr(pipeline, target, exit_9)
+        assert main(["run", "--config", str(paths["config"])]) == 3
+        message = capsys.readouterr().err
+        assert f"error: stage {stage}: exit_9 exited with code 9" in message, message
+        manifest = failed_manifest(paths["out_dir"])
+        assert manifest["failed_stage"] == stage
+        assert [s["name"] for s in manifest["stages"]] == list(STAGE_ORDER[: STAGE_ORDER.index(stage)])
 
 
 class TestCli:

@@ -515,9 +515,13 @@ class TestAtomicWrites:
 SCORING_FILES = ("generated", "generated_labels", "generated_entities")
 MUTATIONS = (
     "delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom", "retype-id", "late-bom",
+    "null-ref-labels14",
 )
 # mutations that leave the file's schema intact but take a study from it; the error can name no line
 ID_MUTATIONS = ("retype-id", "late-bom")
+# mutations of the reference corpus (--ref) instead of the target file: a study's labels14 becomes null,
+# which the corpus schema allows but scoring against a label file does not; the error names --ref
+REF_MUTATIONS = ("null-ref-labels14",)
 # a JSON value of each type; a swap draws one whose type differs from the value it replaces
 JSON_VALUES = (None, 0, 1.5, True, "x", [], {})
 
@@ -587,7 +591,10 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
     Every mutation but those in ID_MUTATIONS breaks the file's schema, so exit 0
     would mean it was read anyway.  A retyped study_id, or one a BOM on a later
     line prefixes, is read as its string by design; the file then lacks a study the
-    other files list, and the exit is 2 naming the file."""
+    other files list, and the exit is 2 naming the file.  A mutation in
+    REF_MUTATIONS changes the reference corpus instead, and the exit is 2 naming it."""
+    if mutation in REF_MUTATIONS:
+        target = "corpus"
     csv_file = target == "generated_labels"
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_pipeline_fixture(Path(tmp), n=4)
@@ -595,8 +602,11 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
         # the label CSV's header is line 1; a duplicate id needs an earlier row to copy
         first = {"bom": 0, "duplicate-id": 2 if csv_file else 1, "late-bom": 1}.get(mutation, 1 if csv_file else 0)
         i = 0 if mutation == "bom" else data.draw(st.integers(first, len(rows) - 1))
-        mutate = _mutate_csv_line if csv_file else _mutate_json_line
-        rows[i] = mutate(rows[i], rows, i, mutation, data)
+        if mutation == "null-ref-labels14":
+            rows[i] = json.dumps(json.loads(rows[i]) | {"labels14": None}).encode()
+        else:
+            mutate = _mutate_csv_line if csv_file else _mutate_json_line
+            rows[i] = mutate(rows[i], rows, i, mutation, data)
         paths[target].write_bytes(b"\n".join(rows) + b"\n")
         out = Path(tmp) / "score.json"
         stderr = io.StringIO()
@@ -609,9 +619,9 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
         message = stderr.getvalue()
         assert code in (2, 3), (rows[i], message)
         assert str(paths[target]) in message
-        if mutation in ID_MUTATIONS:
+        if mutation in ID_MUTATIONS + REF_MUTATIONS:
             assert code == 2, message
-        if not csv_file and mutation != "retype-id":
+        if not csv_file and mutation not in ("retype-id", *REF_MUTATIONS):
             assert f"line {i + 1}:" in message, message
         assert not out.exists()
         assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
@@ -629,8 +639,8 @@ def _mutate_embedding_line(line: bytes, rows: list[bytes], i: int, mutation: str
         row["vec"][at] = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif data.draw(st.booleans()):  # the vector, or one of its values, becomes a non-number
         row["vec"] = data.draw(st.sampled_from([v for v in JSON_VALUES if not isinstance(v, list)]))
-    else:
-        row["vec"][at] = data.draw(st.sampled_from([None, "x", [], {}]))
+    else:  # JSON values float() would take are swapped in too: bools, numeric strings, an int past float range
+        row["vec"][at] = data.draw(st.sampled_from([None, "x", [], {}, True, False, "1.5", " 2 ", 10**400]))
     return json.dumps(row).encode()
 
 
@@ -638,9 +648,12 @@ def _mutate_embedding_line(line: bytes, rows: list[bytes], i: int, mutation: str
 @given(st.sampled_from(EMBEDDING_MUTATIONS), st.booleans(), st.data())
 def test_index_names_the_malformed_embeddings_line(mutation, normalize, data):
     """One malformed line in an embeddings file makes ``sei index`` exit 2 (or 3 on
-    IO), naming the file and the line, and leaving no index file."""
+    IO), naming the file and the line, and leaving no index file.  ``sei run``,
+    which parses the file in a forked child, fails its index stage the same way,
+    with exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
-        emb = write_pipeline_fixture(Path(tmp), n=4)["embeddings"]
+        paths = write_pipeline_fixture(Path(tmp), n=4)
+        emb = paths["embeddings"]
         rows = emb.read_bytes().splitlines()
         i = 0 if mutation == "bom" else data.draw(st.integers(1 if mutation == "duplicate-id" else 0, len(rows) - 1))
         rows[i] = _mutate_embedding_line(rows[i], rows, i, mutation, data)
@@ -654,3 +667,12 @@ def test_index_names_the_malformed_embeddings_line(mutation, normalize, data):
         assert f"{emb}: line {i + 1}:" in message, message
         assert not out.exists()
         assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["run", "--config", str(paths["config"])])
+        message = stderr.getvalue()
+        assert code == 2, (rows[i], message)
+        assert f"stage index: {emb}: line {i + 1}:" in message, message
+        assert not (paths["out_dir"] / "index.bin").exists()
+        assert not [p for p in os.listdir(paths["out_dir"]) if p.endswith(".tmp")]
