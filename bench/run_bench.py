@@ -10,21 +10,22 @@ n=20,000, d=256, k=5 corpus of ``tests/conftest.py::write_pipeline_fixture``
 (seed 123) to ``.bench_build/run_bench`` in a subprocess of its own, so
 generating it sets no measured peak.  The directory is fixed, so the
 manifest's input paths, and with them every artifact, are the same for every
-side.  It then takes ``--runs`` rounds (default 3); each round measures every
-side once, in a fresh process, the order flipped every round.  One
-measurement times one ``sei run`` through ``cli.main``, and the run's one
-``attach_shc`` call where the pipeline looks it up, as perfbench's tracer
-does.  It then times ``retrieval.top_k`` on stored rows of the index that
+side.  It then takes ``RUNS`` rounds; each round measures every side once,
+in a fresh process, the order flipped every round.  One measurement times
+one ``sei run`` through ``cli.main``, and the run's one ``attach_shc`` call
+where the pipeline looks it up, as perfbench's tracer does.  It then times ``retrieval.top_k`` on stored rows of the index that
 run wrote.
 
 Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``.
 ``peak_rss_mb`` is the measuring process's own peak, and
 ``children_peak_rss_mb`` the largest peak of the processes ``sei`` forked
-(``RUSAGE_CHILDREN``; 0 for a ``sei`` that forks none), so memory moved into
-a child stays visible.  ``setting.scoring_threads`` is the size of
-``attach_shc``'s scoring pool (1 for a ``sei`` that scores on the calling
-thread only).
+(``RUSAGE_CHILDREN``; 0 for a ``sei`` that forks none).  A forked child's
+peak counts the pages it shares with the measuring process at the fork (the
+interpreter, numpy, the records it reads), so it is an upper bound on the
+memory the child adds, not that memory itself.  ``setting.scoring_threads``
+is the size of ``attach_shc``'s scoring pool (1 for a ``sei`` that scores on
+the calling thread only).
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of
@@ -56,6 +57,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_build" / "run_bench"
 N, D, K, SEED = 20_000, 256, 5, 123
 TOP_K_CALLS = 2_000
+RUNS = 3  # rounds; each measures every side once
 # metrics summarized over a side's runs
 SUMMARIZED = (
     "cli.main.s", "throughput_per_s", "peak_rss_mb", "children_peak_rss_mb",
@@ -161,7 +163,6 @@ def main(argv: list[str] | None = None) -> int:
         "--side", action="append", metavar="NAME=SRC",
         help="a sei package to measure under NAME, e.g. parent=../parent/src (repeatable; default change=src)",
     )
-    parser.add_argument("--runs", type=int, default=3, help="runs per side, sides alternating (default 3)")
     parser.add_argument("--out", type=Path, help="JSON file to merge the result into")
     # internal: the two steps that run in a fresh interpreter
     parser.add_argument("--generate", action="store_true", help=argparse.SUPPRESS)
@@ -174,8 +175,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.measure:
         print(json.dumps(measure(args.measure, WORK / "config.json")))
         return 0
-    if args.out is None or args.runs < 1:
-        parser.error("--out is required and --runs must be at least 1")
+    if args.out is None:
+        parser.error("--out is required")
     sides = dict(side.split("=", 1) for side in args.side or [f"change={ROOT / 'src'}"])
     sides = {name: Path(src) for name, src in sides.items()}
 
@@ -183,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         in_subprocess("--generate")
         runs: dict[str, list[dict]] = {name: [] for name in sides}
-        for round_no in range(args.runs):
+        for round_no in range(RUNS):
             order = list(sides) if round_no % 2 == 0 else list(reversed(sides))
             for name in order:
                 printed = in_subprocess("--measure", str(sides[name]))  # sei's own line, then the result
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, src in sides.items():
         result = summarize(runs[name], src)
         result["setting"] = {
-            "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": args.runs,
+            "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": RUNS,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
         }

@@ -24,16 +24,19 @@ this process works through the stages in between:
   as the filter stage has written them.
 
 Fork, not spawn: the child starts with the records already in its memory, so
-nothing but the result is pickled, and the embeddings matrix crosses the pipe
-once, read straight into the array the parent keeps.  The stage that needs a
-child's result waits for it there (``index`` for the parse, ``score`` for the
-scores), so a child's error surfaces at that stage, in stage order, as it
-would in-process; a child that dies without a result fails that stage with a
+nothing but the result is pickled.  The stage that needs a child's result
+waits for it there (``index`` for the parse, ``score`` for the scores), so a
+child's error surfaces at that stage, in stage order, as it would
+in-process; a child that dies without a result fails that stage with a
 ChildProcessError (exit 3).  When any stage fails, the children still running
 are killed and reaped before ``run_pipeline`` returns.  A forked child has
 only the thread that forked it, so both forks come before ``attach_shc``
-starts its thread pool, and a program that embeds ``run_pipeline`` should call
-it while no other thread of its own is running.
+starts its thread pool.  Where a fork is not safe or not possible (another
+Python thread is running, this process is daemonic, or the fork fails), the
+work runs in this process at the stage that needs it, with the same result.
+Threads Python does not see, such as OpenBLAS's workers, are not counted:
+OpenBLAS stops them at a fork.  Python 3.12 and later may still warn about
+them at ``os.fork``, with a DeprecationWarning that is hidden by default.
 
 The configuration is declared once, as dataclasses that mirror the sections
 of the JSON file.  ``load_config`` parses and ``PipelineConfig.echo``
@@ -49,7 +52,6 @@ import io
 import json
 import math
 import os
-import pickle
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -539,25 +541,35 @@ def score_from_files(
 class _Forked:
     """``fn(*args)`` run in a forked child process; ``result`` waits for it.
 
-    The child pickles what ``fn`` returned, or the exception it raised, with
-    protocol 5 and writes each large buffer (a numpy array's data) out of band
-    down a pipe, so the parent reads it once, straight into the memory the
-    unpickled array keeps.
+    The child sends what ``fn`` returned, or the exception it raised, down a
+    ``multiprocessing`` pipe.  A fork copies only the thread that calls it, so
+    while another Python thread runs here, in a daemonic process (which may
+    not have children) or when the pipe or the fork fails, no child is made
+    and ``result`` calls ``fn`` in this process instead.
     """
 
     def __init__(self, fn: Callable, *args):
         import multiprocessing  # here, so importing sei does not pay for it
+        import threading
 
         self._name = fn.__name__
-        read_fd, write_fd = os.pipe()
-        self._pipe = open(read_fd, "rb")
-        self._process = multiprocessing.get_context("fork").Process(
-            target=_send_result, args=(write_fd, fn, args), daemon=True
-        )
+        self._process = None
+        self._in_process = (fn, args)  # dropped once a child runs it, so the parent frees ``args``
+        if threading.active_count() > 1 or multiprocessing.current_process().daemon:
+            return
+        context = multiprocessing.get_context("fork")
         try:
-            self._process.start()
+            self._conn, child_conn = context.Pipe(duplex=False)
+        except OSError:
+            return
+        process = context.Process(target=_send_result, args=(child_conn, fn, args), daemon=True)
+        try:
+            process.start()
+            self._process, self._in_process = process, None
+        except OSError:
+            self._conn.close()
         finally:
-            os.close(write_fd)
+            child_conn.close()
 
     def result(self):
         """What ``fn`` returned, or raise what it raised; the child is reaped either way.
@@ -565,10 +577,17 @@ class _Forked:
         A child that exits before it has sent its whole result raises
         ChildProcessError with its exit code.
         """
+        if self._process is None:
+            fn, args = self._in_process
+            return fn(*args)
+        process = self._process
         try:
-            sent = self._receive()
-            self._process.join()
-            code = self._process.exitcode
+            try:
+                sent = self._conn.recv()
+            except (EOFError, OSError):  # nothing sent, or the pipe closed mid-message
+                sent = None
+            process.join()
+            code = process.exitcode
         finally:
             self.close()
         if sent is None:
@@ -578,43 +597,25 @@ class _Forked:
             raise value
         return value
 
-    def _receive(self) -> tuple[bool, object] | None:
-        """The child's ``(ok, value)``, or None if the pipe closed before all of it came."""
-        try:
-            size, sizes = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError):
-            return None
-        head = self._pipe.read(size)
-        buffers = [bytearray(n) for n in sizes]
-        if len(head) < size or any(self._pipe.readinto(buf) < len(buf) for buf in buffers):
-            return None
-        return pickle.loads(head, buffers=buffers)  # a buffer pickled read-only comes back read-only
-
     def close(self) -> None:
         """Kill the child if it still runs, reap it and close the pipe; later calls do nothing."""
-        if self._pipe.closed:
+        process, self._process = self._process, None
+        if process is None:
             return
-        if self._process.exitcode is None:
-            self._process.kill()
-        self._process.join()
-        self._process.close()
-        self._pipe.close()
+        if process.exitcode is None:
+            process.kill()
+        process.join()
+        process.close()
+        self._conn.close()
 
 
-def _send_result(fd: int, fn: Callable, args: tuple) -> None:
-    """The child's side of ``_Forked``: run ``fn(*args)`` and write the outcome to ``fd``."""
+def _send_result(conn, fn: Callable, args: tuple) -> None:
+    """The child's side of ``_Forked``: run ``fn(*args)`` and send ``(ok, value)`` down ``conn``."""
     try:
         sent = (True, fn(*args))
     except Exception as exc:
         sent = (False, exc)
-    buffers = []
-    head = pickle.dumps(sent, protocol=5, buffer_callback=buffers.append)
-    raws = [buf.raw() for buf in buffers]
-    with open(fd, "wb") as pipe:
-        pickle.dump((len(head), [raw.nbytes for raw in raws]), pipe)
-        pipe.write(head)
-        for raw in raws:
-            pipe.write(raw)
+    conn.send(sent)
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:

@@ -99,6 +99,10 @@ class EmbeddingIndex:
                 raise ValidationError("index flagged normalized but rows are not unit length")
         self.matrix.setflags(write=False)
 
+    def __reduce__(self):
+        # unpickle through __init__, so the copy is checked and read-only too
+        return (EmbeddingIndex, (self.dim, self.ids, self.matrix, self.normalized))
+
     @property
     def n(self) -> int:
         return len(self.ids)

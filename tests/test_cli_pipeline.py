@@ -1,11 +1,13 @@
 """End-to-end CLI and pipeline behavior: artifacts, determinism, exit codes."""
 
+import errno
 import json
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -247,29 +249,44 @@ class TestParseOnce:
         assert parse_calls() == {"load_corpus": 1, "load_embeddings": 1}
 
 
-class InProcess:
-    """Stand-in for ``pipeline._Forked`` that calls the function here when its result is asked for."""
-
-    def __init__(self, fn, *args):
-        self.fn, self.args = fn, args
-
-    def result(self):
-        return self.fn(*self.args)
-
-    def close(self):
-        pass
-
-
 class TestForkedStages:
     """The embeddings parse and the scoring run in forked children; errors surface at their stages."""
 
-    def test_artifacts_match_an_in_process_run(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("why", ["thread-running", "fork-fails", "daemonic-process"])
+    def test_artifacts_match_an_in_process_run(self, tmp_path, monkeypatch, why):
+        """Where no child can be forked safely, the work runs in-process, with the same artifacts."""
         paths = write_pipeline_fixture(tmp_path, n=40, d=16)
         cfg = load_config(paths["config"], {"k": 3})
         run_pipeline(cfg)
         forked = read_artifacts(paths["out_dir"])
-        monkeypatch.setattr(pipeline, "_Forked", InProcess)
-        run_pipeline(cfg)
+        forks = []
+
+        def failing_fork():
+            forks.append(os.getpid())
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        if why == "thread-running":
+            monkeypatch.setattr(os, "fork", failing_fork)
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            try:
+                run_pipeline(cfg)
+            finally:
+                stop.set()
+                thread.join()
+            assert forks == []
+        elif why == "fork-fails":
+            monkeypatch.setattr(os, "fork", failing_fork)
+            run_pipeline(cfg)
+            assert len(forks) == 2  # the parse and the scoring each tried once
+        else:
+            pool = multiprocessing.get_context("fork").Pool(1)  # its worker is daemonic: no children allowed
+            try:
+                pool.apply(run_pipeline, (cfg,))
+            finally:
+                pool.close()
+                pool.join()
         assert read_artifacts(paths["out_dir"]) == forked
 
     def test_forked_parse_matches_the_in_process_parse(self, tmp_path):
@@ -278,7 +295,7 @@ class TestForkedStages:
         here = pipeline.load_embeddings(emb)
         assert (forked.ids, forked.dim, forked.normalized) == (here.ids, here.dim, here.normalized)
         assert forked.matrix.dtype == here.matrix.dtype and forked.matrix.tobytes() == here.matrix.tobytes()
-        assert not forked.matrix.flags.writeable
+        assert forked.matrix.flags.writeable == here.matrix.flags.writeable
 
     def test_malformed_corpus_fails_filter_before_malformed_embeddings(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
