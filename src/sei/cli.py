@@ -154,7 +154,7 @@ def _cmd_run(args) -> int:
         "out_dir": args.out_dir,
         "generated": args.generated,
     }
-    cfg = load_config(args.config, {"paths": paths, "k": args.k, "seed": args.seed, "jobs": args.jobs})
+    cfg = load_config(args.config, {"paths": paths, "k": args.k, "seed": args.seed})
     manifest = run_pipeline(cfg)
     print(f"pipeline complete; manifest at {manifest}")
     return 0
@@ -245,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generated")
     p.add_argument("--k", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.set_defaults(handler=_cmd_run)
 
     return parser

@@ -6,14 +6,22 @@ report truncation, and n-gram metrics all agree on what a token is.
 
 Corpus files are JSONL, one study per line:
 
-    {"study_id": str, "findings": str, "indication": str|null,
-     "entities": [{"tokens": str, "label": "ANAT-DP|OBS-DP|OBS-DA|OBS-U",
-                   "start_ix": int, "end_ix": int}],
-     "labels14": [0/1 x14]|null}
+    {"study_id": id, "findings": string, "indication": string|null,
+     "entities": [{"tokens": string, "label": "ANAT-DP|OBS-DP|OBS-DA|OBS-U",
+                   "start_ix": integer, "end_ix": integer}]|null,
+     "labels14": [integer 0/1 x14]|null}
 
-Embedding files are JSONL with ``{"study_id": str, "vec": [float x d]}``.
+Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
 ``load_embeddings`` parses them straight into the rows of one float64
 matrix, returned as an unnormalized ``retrieval.EmbeddingIndex``.
+
+Every reader takes a field's value only if it is of the JSON kind named
+above, by one rule (``_JSON_KINDS``): an integer is a JSON integer, a number
+is an integer or a float, and ``true``/``false`` is neither; a numeric
+string is a string.  An id is a JSON string, or an integer read as its
+decimal string; ``null``, a bool, a fraction, a list or an object is not an
+id.  Every JSONL file keyed by study_id, the corpus included, lists each id
+once, and an error names its file and line.
 
 Every file the toolkit writes goes through ``atomic_write``, so an
 interrupted write leaves the previous file, never a truncated one.
@@ -25,7 +33,7 @@ import json
 import os
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
@@ -120,28 +128,25 @@ class EntityAnnotation:
 
 @dataclass(frozen=True)
 class ReportDocument:
-    """A findings section with its tokenization and sentence boundaries."""
+    """A findings section with its tokenization and sentence boundaries.
+
+    Both are derived from ``text`` when the document is made, so they always
+    agree with it.
+    """
 
     study_id: str
     text: str
-    tokens: tuple[str, ...]
-    sentence_ends: tuple[int, ...]
+    tokens: tuple[str, ...] = field(init=False)
+    sentence_ends: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if list(self.tokens) != tokenize(self.text):
-            raise ValidationError(f"report {self.study_id!r}: tokens do not match its text")
-        expected = tuple(i for i, tok in enumerate(self.tokens) if tok == ".")
-        if self.sentence_ends != expected:
-            raise ValidationError(
-                f"report {self.study_id!r}: sentence_ends {self.sentence_ends} do not "
-                f"mark the '.' tokens {expected}"
-            )
+        tokens = tuple(tokenize(self.text))
+        object.__setattr__(self, "tokens", tokens)  # the dataclass is frozen once made
+        object.__setattr__(self, "sentence_ends", tuple(i for i, tok in enumerate(tokens) if tok == "."))
 
     @classmethod
     def from_text(cls, study_id: str, text: str) -> "ReportDocument":
-        toks = tuple(tokenize(text))
-        ends = tuple(i for i, tok in enumerate(toks) if tok == ".")
-        return cls(study_id=study_id, text=text, tokens=toks, sentence_ends=ends)
+        return cls(study_id, text)
 
 
 @dataclass(frozen=True)
@@ -184,37 +189,54 @@ class CorpusFilterConfig:
             raise ValidationError("junk_patterns must be non-empty strings")
 
 
-def _number(convert, value, what: str):
-    """``convert(value)``; a value it rejects raises ValidationError naming ``what``."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be numeric, got {value!r}") from None
+# The Python types ``json.loads`` gives for each kind of field value, keyed by the
+# type the field is read as ("study_id" for an id), and how an error names the kind.
+# A bool is never a number, and an integer is the only non-string a study_id may be.
+_JSON_KINDS = {
+    str: (frozenset((str,)), "a string"),
+    int: (frozenset((int,)), "an integer"),
+    float: (frozenset((int, float)), "a number"),
+    bool: (frozenset((bool,)), "true or false"),
+    "study_id": (frozenset((str, int)), "a string or an integer"),
+}
 
 
-def _string(value, what: str) -> str:
-    """``value`` if it is a JSON string; anything else raises ValidationError naming ``what``."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{what} must be a string, got {value!r}")
-    return value
+def _json_value(value, kind, what: str):
+    """``value`` if it is a JSON value of ``kind``; anything else raises ValidationError naming ``what``."""
+    types, described = _JSON_KINDS[kind]
+    if type(value) in types:
+        return value
+    raise ValidationError(f"{what} must be {described}, got {value!r}")
 
 
-def _numbers(convert, values, what: str) -> tuple:
-    """The JSON list ``values`` with ``convert`` applied to each item.
-
-    Anything but a list, or an item ``convert`` rejects, raises
-    ValidationError naming ``what``.
-    """
-    if isinstance(values, list):
-        try:
-            return tuple(map(convert, values))
-        except (TypeError, ValueError):
-            pass
-    raise ValidationError(f"{what} must be a list of numbers")
+def _json_list(values, kind, what: str) -> list:
+    """``values`` if it is a JSON list of ``kind`` items; anything else raises ValidationError naming ``what``."""
+    types, described = _JSON_KINDS[kind]
+    if type(values) is not list or not types.issuperset(map(type, values)):
+        raise ValidationError(f"{what} must be a list, each item {described}")
+    return values
 
 
-# The Python types ``json`` parses a JSON number into; bool, a subclass of int, is left out.
-_JSON_NUMBER_TYPES = frozenset((int, float))
+def _study_id(value) -> str:
+    """A JSON study_id as a string: a string as it is, an integer as its decimal string."""
+    return str(_json_value(value, "study_id", "field 'study_id'"))
+
+
+def _entity_tokens_label(ent) -> tuple[str, EntityLabel]:
+    """The ``tokens`` string and the parsed ``label`` of one entity JSON object."""
+    if not isinstance(ent, dict) or "tokens" not in ent or "label" not in ent:
+        raise ValidationError(f"entity {ent!r} is not an object with fields 'tokens' and 'label'")
+    tokens = _json_value(ent["tokens"], str, "entity field 'tokens'")
+    return tokens, EntityLabel.parse(_json_value(ent["label"], str, "entity field 'label'"))
+
+
+def _entity(ent) -> EntityAnnotation:
+    """The EntityAnnotation of one corpus entity JSON object."""
+    tokens, label = _entity_tokens_label(ent)
+    if "start_ix" not in ent or "end_ix" not in ent:
+        raise ValidationError(f"entity {tokens!r} lacks the field 'start_ix' or 'end_ix'")
+    start_ix = _json_value(ent["start_ix"], int, "entity field 'start_ix'")
+    return EntityAnnotation(tokens, label, start_ix, _json_value(ent["end_ix"], int, "entity field 'end_ix'"))
 
 
 def record_from_json(obj: dict) -> StudyRecord:
@@ -224,38 +246,17 @@ def record_from_json(obj: dict) -> StudyRecord:
     for key in ("study_id", "findings"):
         if key not in obj:
             raise ValidationError(f"missing field {key!r}")
-    study_id = str(obj["study_id"])
-    report = ReportDocument.from_text(study_id, _string(obj["findings"], "field 'findings'"))
-    entities = []
-    raw_entities = obj.get("entities") or []
-    if not isinstance(raw_entities, list):
+    study_id = _study_id(obj["study_id"])
+    entities = obj.get("entities")
+    if entities is not None and not isinstance(entities, list):
         raise ValidationError("field 'entities' must be a list")
-    for ent in raw_entities:
-        if not isinstance(ent, dict):
-            raise ValidationError(f"entity {ent!r} is not a JSON object")
-        for key in ("tokens", "label", "start_ix", "end_ix"):
-            if key not in ent:
-                raise ValidationError(f"entity missing field {key!r}")
-        entities.append(
-            EntityAnnotation(
-                tokens=_string(ent["tokens"], "entity field 'tokens'"),
-                label=EntityLabel.parse(_string(ent["label"], "entity field 'label'")),
-                start_ix=_number(int, ent["start_ix"], "entity field 'start_ix'"),
-                end_ix=_number(int, ent["end_ix"], "entity field 'end_ix'"),
-            )
-        )
-    indication = obj.get("indication")
-    if indication is not None:
-        indication = _string(indication, "field 'indication'")
-    labels14 = obj.get("labels14")
-    if labels14 is not None:
-        labels14 = _numbers(int, labels14, "field 'labels14'")
+    indication, labels14 = obj.get("indication"), obj.get("labels14")
     return StudyRecord(
         study_id=study_id,
-        report=report,
-        entities=tuple(entities),
-        indication=indication,
-        labels14=labels14,
+        report=ReportDocument.from_text(study_id, _json_value(obj["findings"], str, "field 'findings'")),
+        entities=tuple(map(_entity, entities or ())),
+        indication=None if indication is None else _json_value(indication, str, "field 'indication'"),
+        labels14=None if labels14 is None else tuple(_json_list(labels14, int, "field 'labels14'")),
     )
 
 
@@ -326,22 +327,25 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, obj
 
 
-def read_keyed_jsonl(path: str | Path, field: str, convert: Callable) -> dict[str, object]:
+def read_keyed_jsonl(path: str | Path, field: str | None, convert: Callable) -> dict[str, object]:
     """Map study_id to ``convert(row[field])`` over a JSONL file that lists each id once.
 
-    A row that is not an object with both fields, repeats an id, or holds a
-    field ``convert`` rejects with ValidationError raises CorpusError naming
-    its line.
+    With ``field`` None it maps each id to ``convert(row)``, the whole row.
+    A study_id is a JSON string, or an integer read as its decimal string.  A
+    row that is not an object with the fields, whose id is of another kind or
+    repeats an earlier one, or that ``convert`` rejects with ValidationError
+    raises CorpusError naming its line.
     """
+    needed = "'study_id'" if field is None else f"'study_id' and {field!r}"
     out = {}
     for lineno, row in read_jsonl(path):
-        if not isinstance(row, dict) or "study_id" not in row or field not in row:
-            raise CorpusError(f"{path}: line {lineno}: expected fields 'study_id' and {field!r}")
-        sid = str(row["study_id"])
-        if sid in out:
-            raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
         try:
-            out[sid] = convert(row[field])
+            if not isinstance(row, dict) or "study_id" not in row or field is not None and field not in row:
+                raise ValidationError(f"expected an object with {needed}")
+            sid = _study_id(row["study_id"])
+            if sid in out:
+                raise ValidationError(f"duplicate study_id {sid!r}")
+            out[sid] = convert(row if field is None else row[field])
         except ValidationError as exc:
             raise CorpusError(f"{path}: line {lineno}: {exc}") from None
     return out
@@ -355,14 +359,8 @@ def dump_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
 
 
 def load_corpus(path: str | Path) -> list[StudyRecord]:
-    """Read a corpus JSONL file; errors name the offending line."""
-    records = []
-    for lineno, obj in read_jsonl(path):
-        try:
-            records.append(record_from_json(obj))
-        except ValidationError as exc:
-            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-    return records
+    """Read a corpus JSONL file; errors, a repeated study_id among them, name the line."""
+    return list(read_keyed_jsonl(path, None, record_from_json).values())
 
 
 def save_corpus(records: Iterable[StudyRecord], path: str | Path) -> None:
@@ -385,8 +383,7 @@ def load_embeddings(path: str | Path) -> EmbeddingIndex:
 
     def row(raw) -> int:
         nonlocal matrix, n
-        if not isinstance(raw, list) or not _JSON_NUMBER_TYPES.issuperset(map(type, raw)):
-            raise ValidationError("field 'vec' must be a list of numbers")
+        _json_list(raw, float, "field 'vec'")
         if n == 0:
             matrix = np.empty((1024, len(raw)))
         elif len(raw) != matrix.shape[1]:

@@ -62,9 +62,9 @@ import numpy as np
 from . import __version__
 from .corpus import (
     CorpusFilterConfig,
-    EntityLabel,
     StudyRecord,
-    _string,
+    _entity_tokens_label,
+    _json_value,
     atomic_write,
     dump_jsonl,
     filter_corpus,
@@ -169,9 +169,11 @@ class PipelineConfig:
     """Effective configuration for one run; flags > file > defaults.
 
     Each field is one key of the config file; a dataclass-typed field is a
-    section whose own fields are its keys.  ``tau`` and ``jobs`` are read by
-    no stage, yet still parsed, validated and echoed: their values are part
-    of ``run_manifest.json``, whose bytes a rerun must reproduce.
+    section whose own fields are its keys.  A scalar key takes the JSON kind
+    ``corpus._JSON_KINDS`` gives its type (a path is a string).  ``tau`` and
+    ``jobs`` are read by no stage, yet still parsed, validated and echoed:
+    their values are part of ``run_manifest.json``, whose bytes a rerun must
+    reproduce.
     """
 
     paths: PathsConfig
@@ -198,16 +200,6 @@ class PipelineConfig:
     def echo(self) -> dict:
         """JSON-able snapshot of the effective configuration for the manifest."""
         return _echo(self)
-
-
-# JSON type each scalar field type accepts; bool is excluded from the numbers.
-_JSON_TYPES = {
-    bool: (bool, "true or false"),
-    int: (int, "an integer"),
-    float: ((int, float), "a number"),
-    str: (str, "a string"),
-    Path: (str, "a path string"),
-}
 
 
 def _parse_config(cls, raw, prefix: str = ""):
@@ -247,10 +239,7 @@ def _convert(tp, value, key: str, metadata):
             raise ValidationError(f"config key {key!r} must be a list, got {value!r}")
         item = metadata.get("parse_item") or (lambda v: _convert(get_args(tp)[0], v, key, {}))
         return get_origin(tp)(item(v) for v in value)
-    accepted, described = _JSON_TYPES[tp]
-    if not isinstance(value, accepted) or (tp is not bool and isinstance(value, bool)):
-        raise ValidationError(f"config key {key!r} must be {described}, got {value!r}")
-    return tp(value)
+    return tp(_json_value(value, str if tp is Path else tp, f"config key {key!r}"))
 
 
 def _echo(value, echo_item=None):
@@ -308,7 +297,7 @@ def _dump_json(path: str | Path, obj: dict) -> None:
 
 def _read_id_map(path: str | Path, field_name: str) -> dict[str, str]:
     """Map study_id to the string ``field_name`` over a JSONL file that lists each id once."""
-    return read_keyed_jsonl(path, field_name, lambda value: _string(value, f"field {field_name!r}"))
+    return read_keyed_jsonl(path, field_name, lambda value: _json_value(value, str, f"field {field_name!r}"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +431,9 @@ def read_generated(path: Path) -> dict[str, str]:
     return _read_id_map(path, "text")
 
 
+_LABEL_CELLS = frozenset(("0", "1"))
+
+
 def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     """Read a label CSV with header study_id,l1..l14."""
     out: dict[str, tuple[int, ...]] = {}
@@ -455,13 +447,9 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
         sid = row[0]
         if sid in out:
             raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        try:
-            vec = tuple(int(v) for v in row[1:])
-        except ValueError:
-            raise CorpusError(f"{path}: line {lineno}: labels must be integers") from None
-        if any(v not in (0, 1) for v in vec):
-            raise CorpusError(f"{path}: line {lineno}: labels must be 0 or 1")
-        out[sid] = vec
+        if not _LABEL_CELLS.issuperset(row[1:]):
+            raise CorpusError(f"{path}: line {lineno}: labels must each be exactly 0 or 1")
+        out[sid] = tuple(map(int, row[1:]))
     return out
 
 
@@ -469,13 +457,7 @@ def _entity_set(entities) -> set[tuple[str, str]]:
     """The (lowercased tokens, label) pairs of one generated-side ``entities`` list."""
     if not isinstance(entities, list):
         raise ValidationError("field 'entities' must be a list")
-    out = set()
-    for ent in entities:
-        if not isinstance(ent, dict) or "tokens" not in ent or "label" not in ent:
-            raise ValidationError("entity missing 'tokens' or 'label'")
-        label = EntityLabel.parse(_string(ent["label"], "entity field 'label'"))
-        out.add((_string(ent["tokens"], "entity field 'tokens'").lower(), label.value))
-    return out
+    return {(tokens.lower(), label.value) for tokens, label in map(_entity_tokens_label, entities)}
 
 
 def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:

@@ -19,9 +19,10 @@ from sei.corpus import (
     save_corpus,
     tokenize,
 )
+from sei.cli import main
 from sei.errors import CorpusError, ValidationError
 
-from conftest import VOCAB, make_record
+from conftest import VOCAB, make_record, write_pipeline_fixture
 
 
 class TestTokenize:
@@ -117,6 +118,89 @@ class TestLoading:
         # a second serialize/parse cycle is field-identical too
         again = [record_from_json(record_to_json(r)) for r in loaded]
         assert again == loaded
+
+
+class TestJsonKinds:
+    """A corpus field takes only its JSON kind: no bool, numeric string or fraction
+    is read as an integer, and no null as an id.  The error names the line."""
+
+    ROW = {
+        "study_id": "s0",
+        "findings": "lungs are clear.",
+        "entities": [{"tokens": "lungs", "label": "OBS-DP", "start_ix": 0, "end_ix": 0}],
+        "labels14": [0] * 14,
+    }
+
+    def _write(self, tmp_path, row):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize(
+        "patch, needle",
+        [
+            ({"labels14": [True, "1", 1.7] + [0] * 11}, "'labels14'"),
+            ({"labels14": [True] + [0] * 13}, "'labels14'"),
+            ({"labels14": ["1"] + [0] * 13}, "'labels14'"),
+            ({"labels14": [1.7] + [0] * 13}, "'labels14'"),
+            ({"labels14": [1.0] + [0] * 13}, "'labels14'"),
+            ({"entity": {"start_ix": "0"}}, "'start_ix'"),
+            ({"entity": {"end_ix": 0.9}}, "'end_ix'"),
+            ({"entity": {"end_ix": False}}, "'end_ix'"),
+            ({"study_id": None}, "'study_id'"),
+            ({"study_id": True}, "'study_id'"),
+            ({"study_id": 7.0}, "'study_id'"),
+            ({"study_id": ["s0"]}, "'study_id'"),
+            ({"entities": False}, "'entities'"),
+            ({"entities": {}}, "'entities'"),
+        ],
+    )
+    def test_wrong_kind_names_line_1(self, tmp_path, patch, needle):
+        row = json.loads(json.dumps(self.ROW))
+        row["entities"][0].update(patch.pop("entity", {}))
+        row.update(patch)
+        path = self._write(tmp_path, row)
+        with pytest.raises(CorpusError, match=needle) as exc:
+            load_corpus(path)
+        assert str(exc.value).startswith(f"{path}: line 1: ")
+
+    def test_integer_id_is_its_decimal_string(self, tmp_path):
+        (record,) = load_corpus(self._write(tmp_path, {**self.ROW, "study_id": 7}))
+        assert record.study_id == "7"
+        assert record_from_json({**self.ROW, "study_id": 7}) == record
+
+
+class TestRepeatedCorpusId:
+    """A corpus that lists a study twice is rejected by name, as every id-keyed file is."""
+
+    def _repeat_st000(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        lines = paths["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+        paths["corpus"].write_text("".join(lines + lines[:1]), encoding="utf-8")
+        return paths, len(lines) + 1
+
+    def test_load_corpus(self, tmp_path):
+        paths, lineno = self._repeat_st000(tmp_path)
+        with pytest.raises(CorpusError, match=f"line {lineno}: duplicate study_id 'st000'"):
+            load_corpus(paths["corpus"])
+
+    def test_score_names_the_ref_file(self, tmp_path, capsys):
+        paths, lineno = self._repeat_st000(tmp_path)
+        out = tmp_path / "score.json"
+        argv = ["score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{paths['corpus']}: line {lineno}: duplicate study_id 'st000'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_fails_at_the_filter_stage(self, tmp_path, capsys):
+        paths, lineno = self._repeat_st000(tmp_path)
+        assert main(["run", "--config", str(paths["config"])]) == 2
+        err = capsys.readouterr().err
+        assert f"stage filter: {paths['corpus']}: line {lineno}: duplicate study_id" in err
+        manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
+        assert manifest["failed_stage"] == "filter"
+        assert manifest["stages"] == []
+        assert not (paths["out_dir"] / "index.bin").exists()
 
 
 class TestEmbeddingsFile:

@@ -147,6 +147,18 @@ class TestCliMalformedInput:
         )
         assert_clean_exit_2(proc, str(paths["generated_labels"]), "line 3", "UTF-8")
 
+    @pytest.mark.parametrize("cell", [" 1", "+1", "01", "1.0", "1 ", "true", "2"])
+    def test_score_label_cell_not_exactly_0_or_1(self, tmp_path, capsys, cell):
+        paths = write_pipeline_fixture(tmp_path)
+        labels = paths["generated_labels"].read_text().splitlines()
+        cells = labels[2].split(",")
+        cells[1] = cell
+        labels[2] = ",".join(cells)
+        paths["generated_labels"].write_text("\n".join(labels) + "\n")
+        argv = ["score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"])]
+        assert main([*argv, "--labels", str(paths["generated_labels"])]) == 2
+        assert f"{paths['generated_labels']}: line 3: labels must each be exactly 0 or 1" in capsys.readouterr().err
+
     def test_run_config_invalid_utf8(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         raw = paths["config"].read_bytes()
@@ -517,7 +529,9 @@ MUTATIONS = (
     "delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom", "retype-id", "late-bom",
     "null-ref-labels14",
 )
-# mutations that leave the file's schema intact but take a study from it; the error can name no line
+# mutations that may leave the file's schema intact but take a study from it: a study_id retyped to an
+# integer is read as its decimal string, and a BOM before a CSV id becomes part of it; the error then names
+# the file but no line.  A study_id retyped to any other JSON kind is rejected naming its line.
 ID_MUTATIONS = ("retype-id", "late-bom")
 # mutations of the reference corpus (--ref) instead of the target file: a study's labels14 becomes null,
 # which the corpus schema allows but scoring against a label file does not; the error names --ref
@@ -527,11 +541,11 @@ JSON_VALUES = (None, 0, 1.5, True, "x", [], {})
 
 
 def _json_paths(row: dict, with_id: bool) -> list[tuple]:
-    """Key paths to the fields of a generated-side JSONL row, nested entity fields included."""
+    """Key paths to the fields of a JSONL row, nested entity fields and labels14 items included."""
     paths = [(key,) for key in row if with_id or key != "study_id"]
-    for i, ent in enumerate(row.get("entities", [])):
+    for i, ent in enumerate(row.get("entities") or []):
         paths += [("entities", i, key) for key in ent]
-    return paths
+    return paths + [("labels14", j) for j in range(len(row.get("labels14") or []))]
 
 
 def _mutate_json_line(line: bytes, rows: list[bytes], i: int, mutation: str, data) -> bytes:
@@ -552,7 +566,7 @@ def _mutate_json_line(line: bytes, rows: list[bytes], i: int, mutation: str, dat
     if mutation == "duplicate-id":
         row["study_id"] = json.loads(rows[data.draw(st.integers(0, i - 1))])["study_id"]
         return json.dumps(row).encode()
-    if mutation == "retype-id":  # read back as its string, which no other file lists
+    if mutation == "retype-id":  # an integer is read as its decimal string, which no other file lists
         row["study_id"] = data.draw(st.sampled_from([v for v in JSON_VALUES if not isinstance(v, str)]))
         return json.dumps(row).encode()
     return _mutate_bytes(line, mutation, data)
@@ -589,10 +603,12 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
     """One malformed line in a generated-side file makes ``sei score`` exit 2 (or 3
     on IO), naming the file, and the line for JSONL, and leaving no --out file.
     Every mutation but those in ID_MUTATIONS breaks the file's schema, so exit 0
-    would mean it was read anyway.  A retyped study_id, or one a BOM on a later
-    line prefixes, is read as its string by design; the file then lacks a study the
-    other files list, and the exit is 2 naming the file.  A mutation in
-    REF_MUTATIONS changes the reference corpus instead, and the exit is 2 naming it."""
+    would mean it was read anyway.  A study_id retyped to an integer is read as its
+    decimal string, and a BOM on a later line of the label CSV becomes part of the
+    id; the file then lacks a study the other files list, and the exit is 2 naming
+    the file.  A study_id retyped to any other JSON kind is rejected naming its
+    line.  A mutation in REF_MUTATIONS changes the reference corpus instead, and
+    the exit is 2 naming it."""
     if mutation in REF_MUTATIONS:
         target = "corpus"
     csv_file = target == "generated_labels"
@@ -623,6 +639,78 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
             assert code == 2, message
         if not csv_file and mutation not in ("retype-id", *REF_MUTATIONS):
             assert f"line {i + 1}:" in message, message
+        if not csv_file and mutation == "retype-id" and type(json.loads(rows[i])["study_id"]) is not int:
+            assert f"{paths[target]}: line {i + 1}:" in message, message
+        assert not out.exists()
+        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+
+
+READER_MUTATIONS = ("delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom")
+# the Python types of the JSON kinds each corpus or --sequences field takes ("labels14[]": one item)
+FIELD_KINDS = {
+    "study_id": (str, int), "findings": (str,), "indication": (str, type(None)),
+    "entities": (list, type(None)), "labels14": (list, type(None)), "labels14[]": (int,),
+    "tokens": (str,), "label": (str,), "start_ix": (int,), "end_ix": (int,), "factual_sequence": (str,),
+}
+# corpus fields a row may leave out
+OPTIONAL_FIELDS = ("indication", "entities", "labels14")
+# a swap draws one of these whose type the field does not take
+SWAP_VALUES = (True, "1", 1.7, None, [], {}, 0)
+
+
+def _mutate_reader_line(line: bytes, rows: list[bytes], i: int, mutation: str, data) -> bytes:
+    if mutation not in ("delete-field", "swap-type"):
+        return _mutate_json_line(line, rows, i, mutation, data)
+    row = json.loads(line)
+    paths = _json_paths(row, with_id=True)
+    if mutation == "delete-field":
+        paths = [path for path in paths if path[-1] not in OPTIONAL_FIELDS]
+    *parents, last = data.draw(st.sampled_from(paths))
+    holder = row
+    for key in parents:
+        holder = holder[key]
+    if mutation == "delete-field":
+        del holder[last]
+    else:
+        kinds = FIELD_KINDS[last if isinstance(last, str) else f"{parents[-1]}[]"]
+        holder[last] = data.draw(st.sampled_from([v for v in SWAP_VALUES if type(v) not in kinds]))
+    return json.dumps(row).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("corpus", "sequences")), st.sampled_from(READER_MUTATIONS), st.data())
+def test_corpus_and_sequences_readers_name_the_malformed_line(target, mutation, data):
+    """One malformed line in a corpus (``sei normalize``) or a ``--sequences`` file
+    (``sei attach-shc``) makes the command exit 2 (or 3 on IO), naming the file and
+    the line, and leaving no --out file.  Every mutation breaks the file's schema:
+    a swap draws a value of a JSON kind the field does not take, and a deletion
+    takes a field no row may leave out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        paths = write_pipeline_fixture(root, n=4)
+        out = root / "out.jsonl"
+        if target == "corpus":
+            path = paths["corpus"]
+            argv = ["normalize", "--corpus", str(path), "--out", str(out)]
+        else:
+            path, index = root / "seq.jsonl", root / "index.bin"
+            with redirect_stdout(io.StringIO()):
+                assert main(["index", "--embeddings", str(paths["embeddings"]), "--out", str(index)]) == 0
+                assert main(["see-extract", "--corpus", str(paths["corpus"]), "--out", str(path)]) == 0
+            argv = [
+                "attach-shc", "--corpus", str(paths["corpus"]), "--embeddings", str(paths["embeddings"]),
+                "--index", str(index), "--k", "2", "--sequences", str(path), "--out", str(out),
+            ]
+        rows = path.read_bytes().splitlines()
+        i = data.draw(st.integers(1 if mutation == "duplicate-id" else 0, len(rows) - 1))
+        rows[i] = _mutate_reader_line(rows[i], rows, i, mutation, data)
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(argv)
+        message = stderr.getvalue()
+        assert code in (2, 3), (rows[i], message)
+        assert f"{path}: line {i + 1}:" in message, message
         assert not out.exists()
         assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
 
