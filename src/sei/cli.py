@@ -12,9 +12,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .corpus import CorpusFilterConfig, load_corpus, load_embeddings
+from .corpus import CorpusFilterConfig, _read_json, load_corpus, load_embeddings
 from .errors import StageError, ToolkitError, ValidationError, check_at_least
-from .gradcheck import central_difference, relative_error, sample_flat_indices
+from .gradcheck import max_fd_error
 from .indications import NormalizerConfig
 from .losses import (
     AlignmentBatch,
@@ -29,7 +29,6 @@ from .pipeline import (
     _dump_json,
     _parse_config,
     _read_id_map,
-    _read_json,
     _stage_attach,
     _stage_filter,
     _stage_normalize,
@@ -122,13 +121,8 @@ def _cmd_align_demo(args) -> int:
     loss_t2i = global_alignment_loss(batch, "text_to_image")
     loss_local = local_alignment_loss(batch)
     total, grads = total_alignment_loss_grad(batch)
-    max_err = 0.0
-    for name in ("image_feats", "text_feats", "image_locals", "text_locals"):
-        array = getattr(batch, name)
-        for flat_index in sample_flat_indices(rng, array.size, 6):
-            numeric = central_difference(lambda: total_alignment_loss(batch), array, flat_index)
-            analytic = float(grads[name].reshape(-1)[flat_index])
-            max_err = max(max_err, relative_error(analytic, numeric))
+    pairs = ((getattr(batch, name), grad) for name, grad in grads.items())
+    max_err, _ = max_fd_error(lambda: total_alignment_loss(batch), pairs, rng, 6)
     print(f"global_image_to_text: {loss_i2t:.6f}")
     print(f"global_text_to_image: {loss_t2i:.6f}")
     print(f"local: {loss_local:.6f}")

@@ -20,8 +20,9 @@ above, by one rule (``_JSON_KINDS``): an integer is a JSON integer, a number
 is an integer or a float, and ``true``/``false`` is neither; a numeric
 string is a string.  An id is a JSON string, or an integer read as its
 decimal string; ``null``, a bool, a fraction, a list or an object is not an
-id.  Every JSONL file keyed by study_id, the corpus included, lists each id
-once, and an error names its file and line.
+id, nor is a string with a lone surrogate (JSON ``"\\ud800"``), which the
+index file's UTF-8 cannot hold.  Every JSONL file keyed by study_id, the
+corpus included, lists each id once, and an error names its file and line.
 
 Every file the toolkit writes goes through ``atomic_write``, so an
 interrupted write leaves the previous file, never a truncated one.
@@ -218,8 +219,11 @@ def _json_list(values, kind, what: str) -> list:
 
 
 def _study_id(value) -> str:
-    """A JSON study_id as a string: a string as it is, an integer as its decimal string."""
-    return str(_json_value(value, "study_id", "field 'study_id'"))
+    """A JSON study_id as a string: a string as it is, an integer as its decimal string; never a lone surrogate."""
+    sid = str(_json_value(value, "study_id", "field 'study_id'"))
+    if not sid.isascii() and any("\ud800" <= ch <= "\udfff" for ch in sid):
+        raise ValidationError(f"field 'study_id' {sid!r} holds a lone surrogate, which UTF-8 cannot encode")
+    return sid
 
 
 def _entity_tokens_label(ent) -> tuple[str, EntityLabel]:
@@ -322,9 +326,30 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:
+                raise _json_error(exc, path, lineno) from None
             yield lineno, obj
+
+
+def _read_json(path: str | Path) -> dict:
+    """Read a JSON object from ``path``; bad UTF-8 or JSON names the file, and the line where known."""
+    try:
+        raw = json.loads(read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise _json_error(exc, path) from None
+    if not isinstance(raw, dict):
+        raise CorpusError(f"{path}: expected a JSON object")
+    return raw
+
+
+def _json_error(exc: ValueError | RecursionError, path: str | Path, lineno: int | None = None) -> CorpusError:
+    """The CorpusError naming ``path``, and the line where known, for what ``json.loads`` raised: a syntax
+    error, an integer literal past Python's digit limit (a ValueError) or nesting past the recursion limit."""
+    if isinstance(exc, json.JSONDecodeError):
+        lineno, reason = lineno or exc.lineno, exc.msg
+    else:
+        reason = "nested too deeply" if isinstance(exc, RecursionError) else "an integer literal has too many digits"
+    return CorpusError(f"{path}: {f'line {lineno}: ' if lineno else ''}invalid JSON ({reason})")
 
 
 def read_keyed_jsonl(path: str | Path, field: str | None, convert: Callable) -> dict[str, object]:

@@ -1,6 +1,9 @@
-"""Exception types shared across the toolkit, and the bound check that raises one."""
+"""Exception types shared across the toolkit, and the checks that raise them:
+``check_at_least`` for sizes and counts, ``as_finite_array`` for array inputs."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -20,6 +23,16 @@ def check_at_least(low: int, **values: int) -> None:
     for name, value in values.items():
         if value < low:
             raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def as_finite_array(value, name: str, ndim: int) -> np.ndarray:
+    """``value`` as a finite float64 array of ``ndim`` dimensions; else a ValidationError naming ``name``."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValidationError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} contains non-finite values")
+    return arr
 
 
 class StageError(ToolkitError):

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_finite_array
 
 __all__ = [
     "LAYER_NAMES",
@@ -121,10 +121,8 @@ class LayerParams:
     def validate(self, d: int) -> None:
         for name, arr in self.arrays().items():
             shape = _shape(name, d)
-            if arr.shape != shape:
+            if as_finite_array(arr, f"layer weight {name}", len(shape)).shape != shape:
                 raise ValidationError(f"layer weight {name} has shape {arr.shape}, expected {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"layer weight {name} contains non-finite values")
 
     @classmethod
     def zeros(cls, d: int) -> "LayerParams":
@@ -150,8 +148,7 @@ class FusionParams:
         return {name: getattr(self, name) for name in LAYER_NAMES}
 
     def validate(self) -> None:
-        if self.d % self.n_heads != 0:
-            raise ValidationError(f"n_heads {self.n_heads} does not divide feature width {self.d}")
+        _check_heads(self.d, self.n_heads)
         for layer in self.layers().values():
             layer.validate(self.d)
 
@@ -165,8 +162,7 @@ def init_params(d: int, n_heads: int, seed: int) -> FusionParams:
     """
     if d <= 0:
         raise ValidationError(f"feature width must be positive, got {d}")
-    if n_heads <= 0 or d % n_heads != 0:
-        raise ValidationError(f"n_heads {n_heads} does not divide feature width {d}")
+    _check_heads(d, n_heads)
     rng = np.random.default_rng(seed)
 
     def init(name: str) -> np.ndarray:
@@ -180,14 +176,15 @@ def init_params(d: int, n_heads: int, seed: int) -> FusionParams:
     return FusionParams(d=d, n_heads=n_heads, seed=seed, **layers)
 
 
+def _check_heads(d: int, n_heads: int) -> None:
+    if n_heads < 1 or d % n_heads != 0:
+        raise ValidationError(f"n_heads {n_heads} does not divide feature width {d}")
+
+
 def _as_feature_matrix(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    arr = as_finite_array(value, name, 2)
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValidationError(f"{name} must be non-empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
     return arr
 
 
@@ -233,8 +230,7 @@ class FusionGradients:
     shc: np.ndarray | None
     indication: np.ndarray | None
 
-    def layers(self) -> dict[str, LayerParams]:
-        return {name: getattr(self, name) for name in LAYER_NAMES}
+    layers = FusionParams.layers
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +415,7 @@ def decoder_layer(
     d = q.shape[1]
     if m.shape[1] != d:
         raise ValidationError(f"memory width {m.shape[1]} does not match query width {d}")
-    if n_heads <= 0 or d % n_heads != 0:
-        raise ValidationError(f"n_heads {n_heads} does not divide feature width {d}")
+    _check_heads(d, n_heads)
     layer.validate(d)
     out, tape = _decoder_forward(q, m, layer, n_heads)
     if return_probs:
@@ -456,6 +451,13 @@ def fuse(features: FeatureSet, params: FusionParams) -> FusionOutput:
     return output
 
 
+def _upstream(upstream, fused: np.ndarray) -> np.ndarray:
+    up = as_finite_array(upstream, "upstream gradient", fused.ndim)
+    if up.shape != fused.shape:
+        raise ValidationError(f"upstream gradient shape {up.shape} does not match output {fused.shape}")
+    return up
+
+
 def fuse_backward(features: FeatureSet, params: FusionParams, upstream) -> FusionGradients:
     """Exact gradients of sum(fused * upstream) for all weights and inputs.
 
@@ -463,13 +465,7 @@ def fuse_backward(features: FeatureSet, params: FusionParams, upstream) -> Fusio
     inputs get None.
     """
     output, tapes = _fuse_forward(features, params)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != output.fused.shape:
-        raise ValidationError(
-            f"upstream gradient shape {up.shape} does not match output {output.fused.shape}"
-        )
-    if not np.all(np.isfinite(up)):
-        raise ValidationError("upstream gradient contains non-finite values")
+    up = _upstream(upstream, output.fused)
     route = ROUTES[output.branch_taken]
     # Gradient by source, created on its first write and summed after that.
     # At most two ever meet, so the sum's order does not change its bits;
@@ -496,9 +492,4 @@ def fuse_backward(features: FeatureSet, params: FusionParams, upstream) -> Fusio
 def fusion_objective(features: FeatureSet, params: FusionParams, upstream) -> float:
     """Scalar probe sum(fused * upstream); the quantity fuse_backward differentiates."""
     output = fuse(features, params)
-    up = np.asarray(upstream, dtype=np.float64)
-    if up.shape != output.fused.shape:
-        raise ValidationError(
-            f"upstream gradient shape {up.shape} does not match output {output.fused.shape}"
-        )
-    return float(np.sum(output.fused * up))
+    return float(np.sum(output.fused * _upstream(upstream, output.fused)))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, as_finite_array
 
 __all__ = [
     "AlignmentBatch",
@@ -46,15 +46,6 @@ PROB_FLOOR = 1e-12
 _TOKEN_BLOCK = 64
 
 
-def _as_float(value, name: str, ndim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim != ndim:
-        raise ValidationError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
-
-
 @dataclass(frozen=True)
 class AlignmentBatch:
     """One alignment batch: pooled features, optional locals, temperature."""
@@ -66,8 +57,8 @@ class AlignmentBatch:
     temperature: float = 0.07
 
     def __post_init__(self):
-        img = _as_float(self.image_feats, "image_feats", 2)
-        txt = _as_float(self.text_feats, "text_feats", 2)
+        img = as_finite_array(self.image_feats, "image_feats", 2)
+        txt = as_finite_array(self.text_feats, "text_feats", 2)
         if img.shape != txt.shape:
             raise ValidationError(
                 f"image_feats shape {img.shape} does not match text_feats shape {txt.shape}"
@@ -81,7 +72,7 @@ class AlignmentBatch:
             value = getattr(self, name)
             if value is None:
                 continue
-            arr = _as_float(value, name, 3)
+            arr = as_finite_array(value, name, 3)
             if arr.shape[0] != img.shape[0] or arr.shape[2] != d:
                 raise ValidationError(
                     f"{name} shape {arr.shape} does not match batch size {img.shape[0]} "
@@ -98,7 +89,7 @@ class AlignmentBatch:
 
 def mean_pool(locals_: np.ndarray) -> np.ndarray:
     """Pool (B, S, d) local features to (B, d) by the mean over positions."""
-    arr = _as_float(locals_, "locals", 3)
+    arr = as_finite_array(locals_, "locals", 3)
     return arr.mean(axis=1)
 
 
@@ -121,29 +112,22 @@ def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
     return np.squeeze(m, axis=axis) + np.log(np.exp(x - m).sum(axis=axis))
 
 
-def _check_direction(direction: str) -> None:
+def _global_core(batch: AlignmentBatch, direction: str):
     if direction not in DIRECTIONS:
         raise ValidationError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-
-
-def _global_core(batch: AlignmentBatch, direction: str):
     u, u_norms = _normalize_rows(batch.image_feats, "image_feats")
     v, v_norms = _normalize_rows(batch.text_feats, "text_feats")
     sims = (u @ v.T) / batch.temperature  # rows: images, cols: texts
+    # One row per anchor (an image, or a text), its matching candidate on the diagonal.
+    rows = sims if direction == "image_to_text" else sims.T
     b = batch.size
     diag = np.arange(b)
-    if direction == "image_to_text":
-        loss = float(np.mean(_logsumexp(sims, axis=1) - sims[diag, diag]))
-        probs = np.exp(sims - _logsumexp(sims, axis=1)[:, None])
-        dsims = probs.copy()
-        dsims[diag, diag] -= 1.0
-    else:
-        loss = float(np.mean(_logsumexp(sims, axis=0) - sims[diag, diag]))
-        probs = np.exp(sims - _logsumexp(sims, axis=0)[None, :])
-        dsims = probs.copy()
-        dsims[diag, diag] -= 1.0
-    dsims /= b
-    return loss, u, v, u_norms, v_norms, dsims
+    lse = _logsumexp(rows, axis=1)
+    loss = float(np.mean(lse - rows[diag, diag]))
+    drows = np.exp(rows - lse[:, None])
+    drows[diag, diag] -= 1.0
+    drows /= b
+    return loss, u, v, u_norms, v_norms, drows if rows is sims else drows.T
 
 
 def global_alignment_loss(batch: AlignmentBatch, direction: str) -> float:
@@ -152,14 +136,11 @@ def global_alignment_loss(batch: AlignmentBatch, direction: str) -> float:
     Rows are L2-normalized before the similarity matrix is formed, so the
     value is invariant to rescaling either feature set.
     """
-    _check_direction(direction)
-    loss, *_ = _global_core(batch, direction)
-    return loss
+    return _global_core(batch, direction)[0]
 
 
 def global_alignment_loss_grad(batch: AlignmentBatch, direction: str):
     """Loss plus gradients w.r.t. image_feats and text_feats."""
-    _check_direction(direction)
     loss, u, v, u_norms, v_norms, dsims = _global_core(batch, direction)
     du = (dsims @ v) / batch.temperature
     dv = (dsims.T @ u) / batch.temperature
@@ -238,8 +219,7 @@ def _check_local_norms(q_norms: np.ndarray, ctx_norms: np.ndarray, lo: int, s_t:
 
 def local_alignment_loss(batch: AlignmentBatch) -> float:
     """Token-level contrastive loss over attention-pooled image contexts."""
-    loss, _, _ = _local_core(batch, with_grad=False)
-    return loss
+    return _local_core(batch, with_grad=False)[0]
 
 
 def local_alignment_loss_grad(batch: AlignmentBatch):
@@ -262,12 +242,7 @@ def total_alignment_loss_grad(batch: AlignmentBatch):
     loss_i2t, g_i2t = global_alignment_loss_grad(batch, "image_to_text")
     loss_t2i, g_t2i = global_alignment_loss_grad(batch, "text_to_image")
     loss_local, g_local = local_alignment_loss_grad(batch)
-    grads = {
-        "image_feats": g_i2t["image_feats"] + g_t2i["image_feats"],
-        "text_feats": g_i2t["text_feats"] + g_t2i["text_feats"],
-        "image_locals": g_local["image_locals"],
-        "text_locals": g_local["text_locals"],
-    }
+    grads = {name: g_i2t[name] + g_t2i[name] for name in g_i2t} | g_local
     return loss_i2t + loss_t2i + loss_local, grads
 
 
@@ -279,7 +254,7 @@ class TokenPrediction:
     reference: tuple[int, ...]
 
     def __post_init__(self):
-        arr = _as_float(self.probs, "probs", 2)
+        arr = as_finite_array(self.probs, "probs", 2)
         object.__setattr__(self, "probs", arr)
         ref = tuple(int(t) for t in self.reference)
         if len(ref) != arr.shape[0]:
@@ -325,11 +300,10 @@ def nll_loss_grad(preds: list[TokenPrediction], validate: bool = True):
     grads = []
     inv_b = 1.0 / len(preds)
     for pred in preds:
-        g = np.zeros_like(pred.probs)
-        rows = np.arange(len(pred.reference))
-        cols = list(pred.reference)
+        rows, cols = np.arange(len(pred.reference)), np.asarray(pred.reference, dtype=np.intp)
         picked = pred.probs[rows, cols]
         live = picked > PROB_FLOOR
-        g[rows[live], np.asarray(cols)[live]] = -inv_b / picked[live]
+        g = np.zeros_like(pred.probs)
+        g[rows[live], cols[live]] = -inv_b / picked[live]
         grads.append(g)
     return loss, grads

@@ -65,6 +65,7 @@ from .corpus import (
     StudyRecord,
     _entity_tokens_label,
     _json_value,
+    _read_json,
     atomic_write,
     dump_jsonl,
     filter_corpus,
@@ -77,7 +78,7 @@ from .corpus import (
 )
 from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least
 from .fusion import ROUTES, FeatureSet, fuse, fuse_backward, fusion_objective, init_params
-from .gradcheck import central_difference, relative_error, sample_flat_indices
+from .gradcheck import max_fd_error
 from .indications import NormalizerConfig, normalize_indication
 from .metrics import M_GT_CHOICES, EvalPair, score_settings
 from .retrieval import EmbeddingIndex, attach_shc, index_from_vectors, load_index, save_index
@@ -255,25 +256,18 @@ def _echo(value, echo_item=None):
 
 
 def _merge(raw: dict, overrides: dict) -> dict:
-    """``raw`` with ``overrides`` laid over it, section by section; None means unset."""
+    """``raw`` with ``overrides`` laid over it, section by section; None means unset.
+
+    A section the file gives as a non-object stays, for the parser to reject by name.
+    """
     merged = dict(raw)
     for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(merged.get(key, {}), dict):
-            value = _merge(merged.get(key, {}), value)
+        if isinstance(value, dict):
+            section = merged.get(key, {})
+            value = _merge(section, value) if isinstance(section, dict) else section
         if value is not None:
             merged[key] = value
     return merged
-
-
-def _read_json(path: str | Path) -> dict:
-    """Read a JSON object from ``path``; bad JSON names the line."""
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from None
-    if not isinstance(raw, dict):
-        raise CorpusError(f"{path}: expected a JSON object")
-    return raw
 
 
 def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
@@ -392,19 +386,13 @@ def fuse_demo_result(fusion: FusionConfig, seed: int, with_shc: bool, with_indic
     )
     output = fuse(features, params)
     upstream = rng.standard_normal(output.fused.shape)
-    grads = fuse_backward(features, params, upstream)
-    max_err = 0.0
-    checked = 0
-    for layer_name, _, _ in ROUTES[output.branch_taken]:
-        grad_layer = grads.layers()[layer_name]
-        for array_name, array in params.layers()[layer_name].arrays().items():
-            for flat_index in sample_flat_indices(rng, array.size, 1):
-                numeric = central_difference(
-                    lambda: fusion_objective(features, params, upstream), array, flat_index
-                )
-                analytic = float(grad_layer.arrays()[array_name].reshape(-1)[flat_index])
-                max_err = max(max_err, relative_error(analytic, numeric))
-                checked += 1
+    grads = fuse_backward(features, params, upstream).layers()
+    pairs = (
+        (array, grads[layer].arrays()[name])
+        for layer, _, _ in ROUTES[output.branch_taken]
+        for name, array in params.layers()[layer].arrays().items()
+    )
+    max_err, checked = max_fd_error(lambda: fusion_objective(features, params, upstream), pairs, rng, 1)
     checksum = hashlib.sha256(np.ascontiguousarray(output.fused).tobytes()).hexdigest()
     return {
         "branch": output.branch_taken,

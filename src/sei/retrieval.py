@@ -51,7 +51,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import StudyRecord, atomic_write
-from .errors import CorpusError, ValidationError, check_at_least
+from .errors import CorpusError, ValidationError, as_finite_array, check_at_least
 from .see import see_extract
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _MAGIC = b"SEIX"
+_HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
 _SLAB_BYTES = 1 << 20  # index rows scored per pass; stays in L2 while a query block runs over it
 _QUERY_BLOCK = 64  # queries attach_shc scores per pass over the index
@@ -378,7 +379,7 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
             f"study {index.ids[row]!r} has embedding value {float(index.matrix[row, col])!r}, "
             "which does not fit in the index file's float32"
         )
-    parts = [struct.pack("<4sIIIB", _MAGIC, _VERSION, index.n, index.dim, int(index.normalized))]
+    parts = [struct.pack(_HEADER, _MAGIC, _VERSION, index.n, index.dim, int(index.normalized))]
     for sid in index.ids:
         raw = sid.encode("utf-8")
         parts.append(struct.pack("<I", len(raw)))
@@ -389,35 +390,34 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    """Read an index written by save_index; the matrix loads as float64."""
+    """Read an index written by save_index; the matrix loads as float64.
+
+    Every error, a NaN or infinite value or a repeated id among them, is a CorpusError starting with ``path``.
+    """
     blob = Path(path).read_bytes()
-    header_size = struct.calcsize("<4sIIIB")
-    if len(blob) < header_size:
-        raise CorpusError(f"{path}: index file truncated")
-    magic, version, n, dim, normalized = struct.unpack_from("<4sIIIB", blob, 0)
-    if magic != _MAGIC:
-        raise CorpusError(f"{path}: bad magic {magic!r}, expected {_MAGIC!r}")
-    if version != _VERSION:
-        raise CorpusError(f"{path}: unsupported index version {version}")
-    offset = header_size
-    ids = []
-    for _ in range(n):
-        if offset + 4 > len(blob):
-            raise CorpusError(f"{path}: index file truncated in id table")
-        (length,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        if offset + length > len(blob):
-            raise CorpusError(f"{path}: index file truncated in id table")
-        try:
-            ids.append(blob[offset : offset + length].decode("utf-8"))
-        except UnicodeDecodeError:
-            raise CorpusError(f"{path}: id {len(ids) + 1} in the id table is not valid UTF-8") from None
-        offset += length
-    expected = n * dim * 4
-    if len(blob) - offset != expected:
-        raise CorpusError(
-            f"{path}: matrix payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    matrix = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=offset)
-    matrix = matrix.reshape(n, dim).astype(np.float64)
-    return EmbeddingIndex(dim=dim, ids=tuple(ids), matrix=matrix, normalized=bool(normalized))
+    ids: list[str] = []
+    try:
+        magic, version, n, dim, normalized = struct.unpack_from(_HEADER, blob, 0)
+        if magic != _MAGIC:
+            raise ValidationError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+        if version != _VERSION:
+            raise ValidationError(f"unsupported index version {version}")
+        offset = struct.calcsize(_HEADER)
+        for _ in range(n):
+            (length,) = struct.unpack_from("<I", blob, offset)
+            offset += 4 + length
+            if offset > len(blob):
+                raise ValidationError("index file truncated in id table")
+            ids.append(blob[offset - length : offset].decode("utf-8"))
+        if len(blob) - offset != n * dim * 4:
+            raise ValidationError(f"matrix payload is {len(blob) - offset} bytes, expected {n * dim * 4}")
+        matrix = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
+        with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens; it is rejected here
+            matrix = as_finite_array(matrix, "index matrix", 2)
+        return EmbeddingIndex(dim=dim, ids=tuple(ids), matrix=matrix, normalized=bool(normalized))
+    except struct.error:
+        raise CorpusError(f"{path}: index file truncated") from None
+    except UnicodeDecodeError:
+        raise CorpusError(f"{path}: id {len(ids) + 1} in the id table is not valid UTF-8") from None
+    except ValidationError as exc:
+        raise CorpusError(f"{path}: {exc}") from None

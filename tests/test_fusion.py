@@ -324,3 +324,30 @@ class TestFuseBackward:
         features = FeatureSet(image=rng.standard_normal((3, 4)))
         with pytest.raises(ValidationError, match="upstream"):
             fuse_backward(features, params, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_upstream_fails_objective_and_backward_alike(self, rng, bad):
+        params = init_params(4, 2, 3)
+        features = FeatureSet(image=rng.standard_normal((3, 4)))
+        upstream = np.full((3, 4), bad)
+        for fn in (fusion_objective, fuse_backward):
+            with pytest.raises(ValidationError, match="upstream gradient contains non-finite values"):
+                fn(features, params, upstream)
+
+
+class TestHeadCount:
+    """``init_params``, ``FusionParams.validate`` and ``decoder_layer`` share one head check."""
+
+    @pytest.mark.parametrize("heads", [0, -2, 3])
+    def test_every_entry_point_rejects_a_bad_head_count(self, rng, heads):
+        params = init_params(8, 2, 0)
+        bad = FusionParams(8, heads, 0, params.img_enrich, params.ind_enrich, params.integrate)
+        x = rng.standard_normal((2, 8))
+        for call in (
+            lambda: init_params(8, heads, 0),
+            bad.validate,
+            lambda: fuse(FeatureSet(image=x), bad),
+            lambda: decoder_layer(x, x, params.integrate, heads),
+        ):
+            with pytest.raises(ValidationError, match=f"n_heads {heads} does not divide feature width 8"):
+                call()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sei.errors import ValidationError
+from sei.gradcheck import max_fd_error
 from sei.losses import (
     AlignmentBatch,
     TokenPrediction,
@@ -173,6 +174,20 @@ class TestOracleAndProperties:
         with pytest.raises(ValidationError, match="direction"):
             global_alignment_loss(random_batch(rng), "sideways")
 
+    def test_bad_direction_rejected_by_the_gradient_too(self, rng):
+        with pytest.raises(ValidationError, match="direction must be one of"):
+            global_alignment_loss_grad(random_batch(rng), "sideways")
+
+    @pytest.mark.parametrize("b", [1, 3, 10])
+    def test_text_to_image_is_image_to_text_with_the_sides_swapped(self, rng, b):
+        batch = random_batch(rng, b=b, tau=0.3)
+        swapped = AlignmentBatch(image_feats=batch.text_feats, text_feats=batch.image_feats, temperature=0.3)
+        loss, grads = global_alignment_loss_grad(batch, "text_to_image")
+        loss_swapped, grads_swapped = global_alignment_loss_grad(swapped, "image_to_text")
+        assert math.isclose(loss, loss_swapped, rel_tol=1e-12)
+        assert np.allclose(grads["image_feats"], grads_swapped["text_feats"], rtol=1e-10, atol=1e-14)
+        assert np.allclose(grads["text_feats"], grads_swapped["image_feats"], rtol=1e-10, atol=1e-14)
+
     def test_locals_required(self, rng):
         batch = AlignmentBatch(
             image_feats=rng.standard_normal((2, 4)), text_feats=rng.standard_normal((2, 4))
@@ -233,6 +248,13 @@ class TestNll:
             probs[t, r] = 1.0
         assert nll_loss([TokenPrediction(probs=probs, reference=refs)]) == 0.0
 
+    def test_empty_reference_has_zero_loss_and_gradient(self):
+        preds = [TokenPrediction(probs=np.zeros((0, 4)), reference=()), TokenPrediction(np.eye(2), (0, 1))]
+        loss, grads = nll_loss_grad(preds)
+        assert loss == nll_loss(preds) == 0.0
+        assert grads[0].shape == (0, 4)
+        assert np.array_equal(grads[1], -0.5 * np.eye(2))
+
     def test_uniform_closed_form(self):
         probs = np.full((3, 4), 0.25)
         loss = nll_loss([TokenPrediction(probs=probs, reference=(0, 1, 2))])
@@ -281,3 +303,29 @@ class TestNll:
                 numeric = central_diff(lambda: nll_loss([pred], validate=False), pred.probs, flat)
                 worst = max(worst, rel_err(float(grads[0].reshape(-1)[flat]), numeric))
             assert worst < 1e-4
+
+
+class TestMaxFdError:
+    """The CLI demos' gradient probe, checked on the alignment loss it probes."""
+
+    def test_true_gradient_passes_and_every_sampled_entry_counts(self, rng):
+        batch = random_batch(rng, tau=0.5)
+        before = {name: getattr(batch, name).copy() for name in ("image_feats", "text_feats")}
+        _, grads = total_alignment_loss_grad(batch)
+        pairs = [(getattr(batch, name), grads[name]) for name in before]
+        err, checked = max_fd_error(lambda: total_alignment_loss(batch), pairs, np.random.default_rng(0), 4)
+        assert err < 1e-5
+        assert checked == 8
+        for name, array in before.items():
+            assert np.array_equal(getattr(batch, name), array)  # every perturbed entry is restored
+
+    def test_small_array_checks_every_entry(self, rng):
+        x = rng.standard_normal(3)
+        err, checked = max_fd_error(lambda: float(np.sum(x * x)), [(x, 2 * x)], np.random.default_rng(0), 6)
+        assert checked == 3
+        assert err < 1e-8
+
+    def test_wrong_gradient_is_flagged(self, rng):
+        x = rng.standard_normal(5)
+        err, _ = max_fd_error(lambda: float(np.sum(x * x)), [(x, 3 * x)], np.random.default_rng(0), 5)
+        assert err > 0.3

@@ -6,6 +6,7 @@ import math
 import os
 import resource
 import signal
+import struct
 import subprocess
 import sys
 import tempfile
@@ -16,13 +17,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sei import retrieval
 from sei.cli import main
 from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
-from sei.errors import ValidationError
+from sei.errors import CorpusError, ValidationError
 from sei.pipeline import load_config, run_pipeline
 from sei.retrieval import attach_shc, index_from_vectors
 
@@ -244,6 +245,116 @@ class TestCliMalformedInput:
         sequences.write_text("".join(json.dumps(row) + "\n" for row in rows))
         proc = self._attach(paths, index, sequences, tmp_path)
         assert_clean_exit_2(proc, str(sequences), "line 3", "'factual_sequence'")
+
+
+# JSON that json.loads rejects with something other than a JSONDecodeError:
+# an integer literal past Python's 4,300-digit limit, and arrays nested past the recursion limit
+BIG_INT = "7" * 5_000
+DEEP = "[" * 100_000
+JSON_LIMITS = pytest.mark.parametrize(
+    "literal, reason", [(BIG_INT, "too many digits"), (DEEP, "nested too deeply")], ids=["big-int", "deep"]
+)
+
+
+class TestJsonLimits:
+    """Every reader turns what ``json.loads`` raises into exit 2 naming the file, and the line for JSONL."""
+
+    @JSON_LIMITS
+    def test_corpus_line(self, tmp_path, literal, reason):
+        paths = write_pipeline_fixture(tmp_path)
+        rows = paths["corpus"].read_text().splitlines()
+        rows[1] = rows[1].replace('"labels14": [', f'"labels14": [{literal}, ', 1)
+        paths["corpus"].write_text("\n".join(rows) + "\n")
+        out = tmp_path / "norm.jsonl"
+        proc = run_cli("normalize", "--corpus", str(paths["corpus"]), "--out", str(out))
+        assert_clean_exit_2(proc, f"{paths['corpus']}: line 2: invalid JSON", reason)
+        assert not out.exists()
+
+    @JSON_LIMITS
+    def test_run_config(self, tmp_path, literal, reason):
+        paths = write_pipeline_fixture(tmp_path)
+        paths["config"].write_text(paths["config"].read_text().replace('"seed": 7', f'"seed": {literal}', 1))
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, f"{paths['config']}: invalid JSON", reason)
+
+    def test_run_with_a_nested_embeddings_line_fails_the_index_stage(self, tmp_path):
+        """The embeddings parse runs in a forked child; its error still reaches the stage and the manifest."""
+        paths = write_pipeline_fixture(tmp_path)
+        rows = paths["embeddings"].read_text().splitlines()
+        rows[2] = DEEP
+        paths["embeddings"].write_text("\n".join(rows) + "\n")
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, f"stage index: {paths['embeddings']}: line 3: invalid JSON (nested too deeply)")
+        manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "index")
+
+
+class TestLoneSurrogateId:
+    """A study_id holding a lone surrogate cannot go into the index file's UTF-8 id table."""
+
+    def _with_surrogate_id(self, path: Path, line: int) -> None:
+        rows = path.read_text().splitlines()
+        row = json.loads(rows[line - 1])
+        row["study_id"] = "st\ud800"
+        rows[line - 1] = json.dumps(row)  # ensure_ascii writes the surrogate as the escape \ud800
+        path.write_text("\n".join(rows) + "\n")
+
+    def test_index(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        self._with_surrogate_id(paths["embeddings"], 3)
+        out = tmp_path / "index.bin"
+        proc = run_cli("index", "--embeddings", str(paths["embeddings"]), "--out", str(out))
+        assert_clean_exit_2(proc, f"{paths['embeddings']}: line 3: field 'study_id'", "lone surrogate")
+        assert not out.exists()
+
+    def test_run(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        self._with_surrogate_id(paths["embeddings"], 3)
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, f"stage index: {paths['embeddings']}: line 3:", "lone surrogate")
+        manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
+        assert manifest["failed_stage"] == "index"
+
+    def test_corpus(self, tmp_path):
+        paths = write_pipeline_fixture(tmp_path)
+        self._with_surrogate_id(paths["corpus"], 2)
+        proc = run_cli("normalize", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "norm.jsonl"))
+        assert_clean_exit_2(proc, f"{paths['corpus']}: line 2: field 'study_id'", "lone surrogate")
+
+
+class TestLoadIndexNamesTheFile:
+    """Each check ``load_index`` makes of a well-formed file's content names the file too."""
+
+    def _index(self, tmp_path, vectors: str, *flags) -> tuple[Path, bytes]:
+        emb = tmp_path / "emb.jsonl"
+        emb.write_text("".join(
+            f'{{"study_id": "{sid}", "vec": {vec}}}\n' for sid, vec in zip("abc", vectors.split(";"))
+        ))
+        index = tmp_path / "idx.bin"
+        assert run_cli("index", "--embeddings", str(emb), "--out", str(index), *flags).returncode == 0
+        return index, index.read_bytes()
+
+    def _retrieve(self, index: Path):
+        return run_cli("retrieve", "--index", str(index), "--query-id", "a", "--k", "2")
+
+    def test_rows_no_longer_unit_length(self, tmp_path):
+        index, blob = self._index(tmp_path, "[1.0, 0.0];[0.0, 1.0];[0.6, 0.8]")
+        last = struct.unpack_from("<f", blob, len(blob) - 4)[0]
+        index.write_bytes(blob[:-4] + struct.pack("<f", 2 * last))
+        assert_clean_exit_2(self._retrieve(index), f"{index}: index flagged normalized but rows are not unit length")
+
+    def test_repeated_id(self, tmp_path):
+        index, blob = self._index(tmp_path, "[1.0, 0.0];[0.0, 1.0];[0.6, 0.8]")
+        index.write_bytes(blob.replace(b"\x01\x00\x00\x00b", b"\x01\x00\x00\x00a", 1))
+        assert_clean_exit_2(self._retrieve(index), f"{index}: duplicate study_id 'a' in index")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_in_an_unnormalized_index(self, tmp_path, bad):
+        index, blob = self._index(tmp_path, "[1.0, 2.0];[3.0, 4.0];[5.0, 6.0]", "--no-normalize")
+        index.write_bytes(blob[:-8] + struct.pack("<f", bad) + blob[-4:])
+        proc = self._retrieve(index)
+        assert_clean_exit_2(proc, f"{index}: index matrix contains non-finite values")
+        assert proc.stdout == ""
 
 
 class TestNegativeSizes:
@@ -764,3 +875,104 @@ def test_index_names_the_malformed_embeddings_line(mutation, normalize, data):
         assert f"stage index: {emb}: line {i + 1}:" in message, message
         assert not (paths["out_dir"] / "index.bin").exists()
         assert not [p for p in os.listdir(paths["out_dir"]) if p.endswith(".tmp")]
+
+
+CONFIG_MUTATIONS = ("delete-key", "swap-type", "nan", "truncate", "big-int", "deep-nesting", "invalid-utf8", "bom")
+
+
+def _config_paths(value, prefix=()) -> list[tuple]:
+    """Key paths to every value of a parsed config, sections and list items included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    paths = []
+    for key, item in items:
+        paths += [prefix + (key,)] + _config_paths(item, prefix + (key,))
+    return paths
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CONFIG_MUTATIONS), st.data())
+def test_run_names_the_malformed_config(mutation, data):
+    """One mutation of the config makes ``sei run --config`` exit 0, 2 or 3, never
+    with a traceback; on exit 2 or 3 stderr names the config file or the dotted key
+    of the mutated value (its list, for a list item; for a deleted section, a key
+    the section required).  A mutation may leave a valid config: a deleted key
+    with a default, a truncation of the final newline."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_pipeline_fixture(Path(tmp), n=4)
+        config = paths["config"]
+        raw = json.loads(config.read_text())
+        key = ""
+        if mutation in ("delete-key", "swap-type", "nan", "big-int", "deep-nesting"):
+            *parents, last = path = data.draw(st.sampled_from(_config_paths(raw)))
+            key = ".".join(part for part in path if isinstance(part, str))
+            holder = raw
+            for part in parents:
+                holder = holder[part]
+            if mutation == "delete-key":
+                del holder[last]
+            elif mutation == "swap-type":
+                holder[last] = data.draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(holder[last])]))
+            else:
+                holder[last] = math.nan if mutation == "nan" else "@"
+            literal = {"big-int": BIG_INT, "deep-nesting": "[" * data.draw(st.sampled_from([3, 100_000]))}
+            text = json.dumps(raw, indent=2).replace('"@"', literal.get(mutation, '"@"'))
+            config.write_bytes(text.encode())
+        else:
+            blob = config.read_bytes()
+            if mutation == "truncate":
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+            elif mutation == "invalid-utf8":
+                at = data.draw(st.integers(0, len(blob)))
+                blob = blob[:at] + b"\xff" + blob[at:]
+            else:
+                blob = b"\xef\xbb\xbf" + blob
+            config.write_bytes(blob)
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["run", "--config", str(config)])
+        message = stderr.getvalue()
+        assert code in (0, 2, 3), message
+        assert "Traceback" not in message
+        if code:
+            # the key itself: quoted, or as the subject of a sentence; a deleted section names a key it required
+            needles = [str(config)] + ([f"'{key}'", f" {key} ", f"'{key}."] if key else [])
+            assert any(needle in message for needle in needles), (mutation, key, message)
+
+
+@st.composite
+def small_indexes(draw):
+    """A small EmbeddingIndex as ``index_from_vectors`` builds it: 1-3 distinct ids, d of 1-3."""
+    ids = draw(st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+                        min_size=1, max_size=3, unique=True))
+    d = draw(st.integers(1, 3))
+    value = st.floats(-4.0, 4.0, allow_nan=False, width=32)
+    vectors = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=len(ids), max_size=len(ids)))
+    normalize = draw(st.booleans())
+    if normalize:
+        assume(all(any(vec) for vec in vectors))
+    return index_from_vectors(ids, vectors, normalize=normalize)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_indexes())
+def test_load_index_survives_every_truncation_and_bit_flip(index):
+    """Every truncation point and every single-bit flip of a file ``save_index``
+    wrote either loads as an index with a finite matrix, or raises a CorpusError
+    that starts with the path."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.bin"
+        retrieval.save_index(index, path)
+        blob = path.read_bytes()
+        damaged = [blob[:end] for end in range(len(blob))]
+        damaged += [
+            blob[:at] + bytes([blob[at] ^ (1 << bit)]) + blob[at + 1 :] for at in range(len(blob)) for bit in range(8)
+        ]
+        for data in damaged:
+            path.write_bytes(data)
+            try:
+                loaded = retrieval.load_index(path)
+            except CorpusError as exc:
+                assert str(exc).startswith(f"{path}: "), (data, exc)
+            else:
+                assert loaded.matrix.shape == (loaded.n, loaded.dim)
+                assert np.isfinite(loaded.matrix).all(), data
