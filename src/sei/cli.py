@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .losses import (
 from .metrics import M_GT_CHOICES
 from .pipeline import (
     FusionConfig,
+    PipelineConfig,
     _dump_json,
     _parse_config,
     _read_id_map,
@@ -46,10 +48,7 @@ M_GT_FLAG_CHOICES = tuple(map(m_gt_key, M_GT_CHOICES))
 
 
 def _cmd_filter(args) -> int:
-    if args.filter_config:
-        rules = _parse_config(CorpusFilterConfig, _read_json(args.filter_config))
-    else:
-        rules = CorpusFilterConfig(min_tokens=args.min_tokens, junk_patterns=tuple(args.junk))
+    rules = _parse_config(CorpusFilterConfig, _read_json(args.filter_config) if args.filter_config else {})
     kept, dropped = _stage_filter(load_corpus(args.corpus), args.out, rules, args.dropped)
     print(f"kept {len(kept)} of {len(kept) + dropped} records ({dropped} dropped)")
     return 0
@@ -98,7 +97,7 @@ def _cmd_attach_shc(args) -> int:
 
 def _cmd_fuse_demo(args) -> int:
     check_at_least(0, seed=args.seed)
-    fusion = FusionConfig(d=args.d, heads=args.heads, si=args.si, sh=args.sh, sn=args.sn)
+    fusion = FusionConfig(**{f.name: getattr(args, f.name) for f in fields(FusionConfig)})
     result = fuse_demo_result(fusion, args.seed, not args.no_shc, not args.no_indication)
     print(f"branch: {result['branch']}")
     print(f"checksum: sha256:{result['checksum']}")
@@ -142,14 +141,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    paths = {
-        "corpus": args.corpus,
-        "embeddings": args.embeddings,
-        "out_dir": args.out_dir,
-        "generated": args.generated,
-    }
-    cfg = load_config(args.config, {"paths": paths, "k": args.k, "seed": args.seed})
-    manifest = run_pipeline(cfg)
+    manifest = run_pipeline(load_config(args.config))
     print(f"pipeline complete; manifest at {manifest}")
     return 0
 
@@ -166,11 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--dropped", help="optional JSONL of dropped ids and reasons")
-    p.add_argument("--min-tokens", type=int, default=3)
-    p.add_argument("--junk", action="append", default=[], help="junk substring (repeatable)")
-    p.add_argument(
-        "--filter-config", help="JSON file with min_tokens and junk_patterns (overrides flags)"
-    )
+    p.add_argument("--filter-config", help="JSON file with min_tokens and junk_patterns")
     p.set_defaults(handler=_cmd_filter)
 
     p = sub.add_parser("see-extract", help="emit factual entity sequences")
@@ -199,18 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--index", required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=PipelineConfig.k)
     p.add_argument("--out", required=True)
     p.add_argument("--sequences", help="precomputed factual sequences JSONL")
     p.set_defaults(handler=_cmd_attach_shc)
 
     p = sub.add_parser("fuse-demo", help="run the fusion network on seeded features")
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--si", type=int, default=4)
-    p.add_argument("--sh", type=int, default=6)
-    p.add_argument("--sn", type=int, default=3)
+    for f in fields(FusionConfig):
+        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed)
     p.add_argument("--no-indication", action="store_true")
     p.add_argument("--no-shc", action="store_true")
     p.set_defaults(handler=_cmd_fuse_demo)
@@ -219,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, default=4)
     p.add_argument("--d", type=int, default=8)
     p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--tau", type=float, default=0.07)
+    p.add_argument("--tau", type=float, default=AlignmentBatch.temperature)
     p.set_defaults(handler=_cmd_align_demo)
 
     p = sub.add_parser("score", help="score generated reports against a reference corpus")
@@ -227,18 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--labels", help="generated-side label CSV (study_id,l1..l14)")
     p.add_argument("--entities", help="generated-side entities JSONL")
-    p.add_argument("--mgt", choices=M_GT_FLAG_CHOICES, default="cpl")
+    p.add_argument("--mgt", choices=M_GT_FLAG_CHOICES, default=m_gt_key(*PipelineConfig.m_gt))
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_score)
 
     p = sub.add_parser("run", help="run the full pipeline from a config file")
-    p.add_argument("--config")
-    p.add_argument("--corpus")
-    p.add_argument("--embeddings")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--generated")
-    p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--config", required=True)
     p.set_defaults(handler=_cmd_run)
 
     return parser

@@ -38,10 +38,11 @@ Threads Python does not see, such as OpenBLAS's workers, are not counted:
 OpenBLAS stops them at a fork.  Python 3.12 and later may still warn about
 them at ``os.fork``, with a DeprecationWarning that is hidden by default.
 
-The configuration is declared once, as dataclasses that mirror the sections
-of the JSON file.  ``load_config`` parses and ``PipelineConfig.echo``
-renders it from their fields, so an unknown key or a value of the wrong JSON
-type fails by name.
+A run is configured by one JSON file and nothing else.  Its keys are
+declared once, as dataclasses that mirror the file's sections, each with its
+default and its checks.  ``load_config`` parses and ``PipelineConfig.echo``
+renders the file from their fields, so a bad key or value fails by name
+before any stage runs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
@@ -77,9 +79,10 @@ from .corpus import (
     tokenize,
 )
 from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least
-from .fusion import ROUTES, FeatureSet, fuse, fuse_backward, fusion_objective, init_params
+from .fusion import ROUTES, FeatureSet, _check_heads, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import max_fd_error
 from .indications import NormalizerConfig, normalize_indication
+from .losses import AlignmentBatch
 from .metrics import M_GT_CHOICES, EvalPair, score_settings
 from .retrieval import EmbeddingIndex, attach_shc, index_from_vectors, load_index, save_index
 from .see import see_extract
@@ -163,15 +166,18 @@ class FusionConfig:
     def __post_init__(self):
         check_at_least(1, si=self.si)
         check_at_least(0, sh=self.sh, sn=self.sn)
+        check_at_least(1, d=self.d)
+        _check_heads(self.d, self.heads)
 
 
 @dataclass
 class PipelineConfig:
-    """Effective configuration for one run; flags > file > defaults.
+    """Configuration for one run: the JSON file ``load_config`` reads, and nothing else.
 
-    Each field is one key of the config file; a dataclass-typed field is a
-    section whose own fields are its keys.  A scalar key takes the JSON kind
-    ``corpus._JSON_KINDS`` gives its type (a path is a string).  ``tau`` and
+    Each field is one key of the file; a dataclass-typed field is a section
+    whose own fields are its keys.  A scalar key takes the JSON kind
+    ``corpus._JSON_KINDS`` gives its type (a path is a string, a float is
+    finite), and each section checks its values as it is built.  ``tau`` and
     ``jobs`` are read by no stage, yet still parsed, validated and echoed:
     their values are part of ``run_manifest.json``, whose bytes a rerun must
     reproduce.
@@ -185,7 +191,7 @@ class PipelineConfig:
     filter: CorpusFilterConfig = field(default_factory=CorpusFilterConfig)
     normalizer: NormalizerConfig = field(default_factory=NormalizerConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    tau: float = 0.07
+    tau: float = AlignmentBatch.temperature
     seed: int = 7
     index_normalize: bool = True
     jobs: int = 1
@@ -240,7 +246,11 @@ def _convert(tp, value, key: str, metadata):
             raise ValidationError(f"config key {key!r} must be a list, got {value!r}")
         item = metadata.get("parse_item") or (lambda v: _convert(get_args(tp)[0], v, key, {}))
         return get_origin(tp)(item(v) for v in value)
-    return tp(_json_value(value, str if tp is Path else tp, f"config key {key!r}"))
+    value = _json_value(value, str if tp is Path else tp, f"config key {key!r}")
+    # not NaN, ±Infinity or an integer past float range
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"config key {key!r} must be a finite number, got {value!r}")
+    return tp(value)
 
 
 def _echo(value, echo_item=None):
@@ -255,29 +265,9 @@ def _echo(value, echo_item=None):
     return value
 
 
-def _merge(raw: dict, overrides: dict) -> dict:
-    """``raw`` with ``overrides`` laid over it, section by section; None means unset.
-
-    A section the file gives as a non-object stays, for the parser to reject by name.
-    """
-    merged = dict(raw)
-    for key, value in overrides.items():
-        if isinstance(value, dict):
-            section = merged.get(key, {})
-            value = _merge(section, value) if isinstance(section, dict) else section
-        if value is not None:
-            merged[key] = value
-    return merged
-
-
-def load_config(path: str | Path | None, overrides: dict | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from an optional JSON file plus override values.
-
-    ``overrides`` has the file's shape, e.g. ``{"k": 0, "paths": {"corpus":
-    ...}}``; None values leave the file's value in place.
-    """
-    raw = _read_json(path) if path is not None else {}
-    return _parse_config(PipelineConfig, _merge(raw, overrides or {}))
+def load_config(path: str | Path) -> PipelineConfig:
+    """Build the PipelineConfig the JSON file at ``path`` declares; every key is checked as it is read."""
+    return _parse_config(PipelineConfig, _read_json(path))
 
 
 def sha256_file(path: Path) -> str:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,7 +106,7 @@ class TestRunPipeline:
 
     def test_k_zero_takes_no_shc_branch(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        cfg = load_config(paths["config"], {"k": 0})
+        cfg = replace(load_config(paths["config"]), k=0)
         run_pipeline(cfg)
         fusion = json.loads((paths["out_dir"] / "fusion.json").read_text())
         assert fusion["branch"] == "no_shc"
@@ -178,7 +179,7 @@ class TestRunPipeline:
     def test_invalid_m_gt_rejected(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         with pytest.raises(ValidationError, match="m_gt"):
-            load_config(paths["config"], {"m_gt": [42]})
+            replace(load_config(paths["config"]), m_gt=(42.0,))
 
     @pytest.mark.parametrize(
         "choices", [pipeline.M_GT_CHOICES, (60, 75, math.inf)], ids=["declared", "other"]
@@ -187,15 +188,15 @@ class TestRunPipeline:
         paths = write_pipeline_fixture(tmp_path)
         monkeypatch.setattr(pipeline, "M_GT_CHOICES", choices)
         with pytest.raises(ValidationError) as err:
-            load_config(paths["config"], {"m_gt": [42]})
+            replace(load_config(paths["config"]), m_gt=(42.0,))
         listed = str(err.value).split("one of ")[1].split(";")[0]
         assert listed.replace(" or ", " ").replace(",", "").split() == [pipeline.m_gt_key(c) for c in choices]
 
     def test_jobs_change_artifacts_not(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        run_pipeline(load_config(paths["config"], {"jobs": 1}))
+        run_pipeline(replace(load_config(paths["config"]), jobs=1))
         first = {name: (paths["out_dir"] / name).read_bytes() for name in ARTIFACT_NAMES}
-        run_pipeline(load_config(paths["config"], {"jobs": 3}))
+        run_pipeline(replace(load_config(paths["config"]), jobs=3))
         second = {name: (paths["out_dir"] / name).read_bytes() for name in ARTIFACT_NAMES}
         assert first == second
 
@@ -256,7 +257,7 @@ class TestForkedStages:
     def test_artifacts_match_an_in_process_run(self, tmp_path, monkeypatch, why):
         """Where no child can be forked safely, the work runs in-process, with the same artifacts."""
         paths = write_pipeline_fixture(tmp_path, n=40, d=16)
-        cfg = load_config(paths["config"], {"k": 3})
+        cfg = replace(load_config(paths["config"]), k=3)
         run_pipeline(cfg)
         forked = read_artifacts(paths["out_dir"])
         forks = []
@@ -442,6 +443,8 @@ class TestCli:
         paths = write_pipeline_fixture(tmp_path)
         out = tmp_path / "kept.jsonl"
         dropped = tmp_path / "dropped.jsonl"
+        rules = tmp_path / "filter.json"
+        rules.write_text(json.dumps({"junk_patterns": ["is subnitted"]}))
         proc = run_cli(
             "filter",
             "--corpus",
@@ -450,8 +453,8 @@ class TestCli:
             str(out),
             "--dropped",
             str(dropped),
-            "--junk",
-            "is subnitted",
+            "--filter-config",
+            str(rules),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists() and dropped.exists()

@@ -362,8 +362,15 @@ class TestNegativeSizes:
 
     @pytest.mark.parametrize(
         "patch, needle",
-        [({"seed": -1}, "seed"), ({"fusion": {"sh": -1}}, "sh"), ({"m_gt": [60.5]}, "m_gt")],
-        ids=["seed", "fusion-sh", "fractional-m_gt"],
+        [
+            ({"seed": -1}, "seed"),
+            ({"fusion": {"sh": -1}}, "sh"),
+            ({"m_gt": [60.5]}, "m_gt"),
+            ({"tau": math.nan}, "config key 'tau' must be a finite number"),
+            ({"fusion": {"heads": 3}}, "n_heads 3 does not divide feature width 8"),
+            ({"fusion": {"d": 0}}, "d must be >= 1, got 0"),
+        ],
+        ids=["seed", "fusion-sh", "fractional-m_gt", "tau-nan", "fusion-heads", "fusion-d"],
     )
     def test_run_rejects_before_any_stage(self, tmp_path, patch, needle):
         paths = write_pipeline_fixture(tmp_path)
@@ -383,6 +390,8 @@ class TestNegativeSizes:
             (("fuse-demo", "--sh", "-1"), "sh"),
             (("fuse-demo", "--si", "-2"), "si"),
             (("fuse-demo", "--sn", "-1"), "sn"),
+            (("fuse-demo", "--heads", "3"), "n_heads 3 does not divide feature width 8"),
+            (("fuse-demo", "--d", "0"), "d must be >= 1, got 0"),
             (("align-demo", "--seed", "-3"), "seed"),
             (("align-demo", "--b", "-1"), "b must be"),
         ],
@@ -506,31 +515,32 @@ class TestAttachShcErrorOrder:
 
 class TestConfigStrictness:
     @pytest.mark.parametrize(
-        "file_patch, overrides, key",
+        "file_patch, key",
         [
-            ({"kk": 1}, None, "kk"),
-            ({"paths": {"corpos": "x"}}, None, "paths.corpos"),
-            ({"filter": {"min_token": 3}}, None, "filter.min_token"),
-            ({"normalizer": {"male_term": ["m"]}}, None, "normalizer.male_term"),
-            ({"fusion": {"dd": 8}}, None, "fusion.dd"),
-            ({}, {"seeed": 3}, "seeed"),
-            ({}, {"paths": {"outdir": "x"}}, "paths.outdir"),
-            ({"index_normalize": "false"}, None, "index_normalize"),
-            ({"k": "1"}, None, "k"),
-            ({"k": True}, None, "k"),
-            ({"tau": "0.07"}, None, "tau"),
-            ({"filter": {"junk_patterns": "is subnitted"}}, None, "filter.junk_patterns"),
-            ({"filter": []}, None, "filter"),
-            ({"m_gt": [[60]]}, None, "m_gt"),
-            ({"m_gt": [60.5]}, None, "m_gt"),
-            ({"seed": -1}, None, "seed"),
-            ({}, {"seed": -2}, "seed"),
-            ({"fusion": {"si": 0}}, None, "si"),
-            ({"fusion": {"sh": -1}}, None, "sh"),
-            ({"fusion": {"sn": -1}}, None, "sn"),
+            ({"kk": 1}, "kk"),
+            ({"paths": {"corpos": "x"}}, "paths.corpos"),
+            ({"filter": {"min_token": 3}}, "filter.min_token"),
+            ({"normalizer": {"male_term": ["m"]}}, "normalizer.male_term"),
+            ({"fusion": {"dd": 8}}, "fusion.dd"),
+            ({"index_normalize": "false"}, "index_normalize"),
+            ({"k": "1"}, "k"),
+            ({"k": True}, "k"),
+            ({"tau": "0.07"}, "tau"),
+            ({"tau": math.nan}, "tau"),
+            ({"tau": math.inf}, "tau"),
+            ({"tau": -math.inf}, "tau"),
+            ({"tau": 10**400}, "tau"),
+            ({"filter": {"junk_patterns": "is subnitted"}}, "filter.junk_patterns"),
+            ({"filter": []}, "filter"),
+            ({"m_gt": [[60]]}, "m_gt"),
+            ({"m_gt": [60.5]}, "m_gt"),
+            ({"seed": -1}, "seed"),
+            ({"fusion": {"si": 0}}, "si"),
+            ({"fusion": {"sh": -1}}, "sh"),
+            ({"fusion": {"sn": -1}}, "sn"),
         ],
     )
-    def test_typo_or_wrong_type_names_the_key(self, tmp_path, file_patch, overrides, key):
+    def test_typo_or_wrong_type_names_the_key(self, tmp_path, file_patch, key):
         paths = write_pipeline_fixture(tmp_path)
         raw = json.loads(paths["config"].read_text())
         for name, value in file_patch.items():
@@ -540,7 +550,7 @@ class TestConfigStrictness:
                 raw[name] = value
         paths["config"].write_text(json.dumps(raw))
         with pytest.raises(ValidationError) as exc:
-            load_config(paths["config"], overrides)
+            load_config(paths["config"])
         assert key in str(exc.value)
 
     def test_every_declared_key_round_trips_through_echo(self, tmp_path):
@@ -890,16 +900,29 @@ def _config_paths(value, prefix=()) -> list[tuple]:
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(CONFIG_MUTATIONS), st.data())
-def test_run_names_the_malformed_config(mutation, data):
-    """One mutation of the config makes ``sei run --config`` exit 0, 2 or 3, never
-    with a traceback; on exit 2 or 3 stderr names the config file or the dotted key
-    of the mutated value (its list, for a list item; for a deleted section, a key
-    the section required).  A mutation may leave a valid config: a deleted key
-    with a default, a truncation of the final newline."""
+@given(st.sampled_from(("run", "filter")), st.sampled_from(CONFIG_MUTATIONS), st.data())
+def test_run_names_the_malformed_config(target, mutation, data):
+    """One mutation of the config of ``sei run --config``, or of the rules file of
+    ``sei filter --filter-config``, makes the command exit 0, 2 or 3, never with a
+    traceback; on exit 2 or 3 stderr names the file or the dotted key of the
+    mutated value (its list, for a list item; for a deleted section, a key the
+    section required), and no --out, --dropped or .tmp file is left.  A mutation
+    may leave a valid file: a deleted key with a default, a truncation of the
+    final newline."""
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_pipeline_fixture(Path(tmp), n=4)
-        config = paths["config"]
+        root = Path(tmp)
+        paths = write_pipeline_fixture(root, n=4)
+        out, dropped = root / "kept.jsonl", root / "dropped.jsonl"
+        if target == "run":
+            config = paths["config"]
+            argv = ["run", "--config", str(config)]
+        else:
+            config = root / "filter.json"
+            config.write_text(json.dumps(json.loads(paths["config"].read_text())["filter"], indent=2) + "\n")
+            argv = [
+                "filter", "--corpus", str(paths["corpus"]), "--out", str(out), "--dropped", str(dropped),
+                "--filter-config", str(config),
+            ]
         raw = json.loads(config.read_text())
         key = ""
         if mutation in ("delete-key", "swap-type", "nan", "big-int", "deep-nesting"):
@@ -929,7 +952,7 @@ def test_run_names_the_malformed_config(mutation, data):
             config.write_bytes(blob)
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main(["run", "--config", str(config)])
+            code = main(argv)
         message = stderr.getvalue()
         assert code in (0, 2, 3), message
         assert "Traceback" not in message
@@ -937,6 +960,8 @@ def test_run_names_the_malformed_config(mutation, data):
             # the key itself: quoted, or as the subject of a sentence; a deleted section names a key it required
             needles = [str(config)] + ([f"'{key}'", f" {key} ", f"'{key}."] if key else [])
             assert any(needle in message for needle in needles), (mutation, key, message)
+            assert not out.exists() and not dropped.exists()
+        assert not list(root.rglob("*.tmp"))
 
 
 @st.composite
