@@ -1,19 +1,39 @@
-"""Pipeline orchestration: configuration, stage functions, run manifests.
+"""Pipeline orchestration: configuration, the stage table, run manifests.
 
-``run_pipeline`` executes the stages
+The seven stages are declared once, in ``STAGES``, in the order they run:
 
     filter -> see-extract -> normalize -> index -> attach-shc -> fuse-demo -> score
 
-in order.  Each ``_stage_*`` function takes parsed inputs (records, the
-embeddings matrix, the sequences map) and an output path, replaces its
-artifact atomically and returns what the next stage consumes.
-``run_pipeline`` parses ``paths.corpus`` and ``paths.embeddings`` once each
-and hands the records and the matrix forward; the CLI subcommands parse the
-files their flags name and call the same stage functions.  Every artifact is
-rewritten on each run, so deleting an intermediate and rerunning regenerates
-it; a manifest records input and artifact hashes plus the effective
-configuration.  Runs are deterministic: identical inputs and config reproduce
-byte-identical artifacts.
+Each entry names the stage's artifact under ``paths.out_dir``, what the
+stage takes and its function.  A stage function ``fn(cfg, out, *taken)``
+replaces its artifact at ``out`` atomically and returns the stage's result.
+A stage takes earlier stages' results by stage name, and work on the input
+files by three more names: ``"corpus"`` (``paths.corpus`` parsed),
+``"embeddings"`` (``paths.embeddings`` parsed) and ``"scores"`` (the
+``paths.generated*`` files scored against the filter stage's result).  The
+index stage's result is ``index.bin`` read back with ``load_index``, so
+attach-shc scores against the float32 values the file holds.
+
+The table runs two ways, and both write the same bytes:
+
+* ``run_pipeline`` runs every stage and hands each result forward in memory,
+  dropping it after the last stage that takes it.  It parses
+  ``paths.corpus`` and ``paths.embeddings`` once each, and writes
+  ``run_manifest.json``: the input and artifact hashes plus the effective
+  configuration.  Every artifact is rewritten on each run, so deleting an
+  intermediate and rerunning regenerates it.
+* ``run_stage`` runs one stage and reads each earlier result back from its
+  artifact: ``filtered.jsonl`` and ``normalized.jsonl`` with
+  ``load_corpus``, ``sequences.jsonl`` with ``_read_id_map`` and
+  ``index.bin`` with ``load_index``.  It parses ``paths.embeddings`` and the
+  generated-side files in this process.  A missing earlier artifact raises
+  the OSError of opening it, which names its path.  Once its inputs are
+  read, and before its artifact is replaced, ``run_stage`` deletes
+  ``run_manifest.json``: a manifest vouches for the bytes of one
+  ``run_pipeline``, and a stage run alone changes them.
+
+Runs are deterministic: identical inputs and config reproduce byte-identical
+artifacts.
 
 Two pieces of ``run_pipeline``'s work depend on nothing the stages before
 them produce, so each runs in a forked child process (``_Forked``) while
@@ -55,6 +75,7 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -101,20 +122,10 @@ __all__ = [
     "read_entity_sets",
     "score_from_files",
     "sha256_file",
+    "run_stage",
+    "STAGES",
     "STAGE_ORDER",
 ]
-
-_ARTIFACTS = {
-    "filter": "filtered.jsonl",
-    "see-extract": "sequences.jsonl",
-    "normalize": "normalized.jsonl",
-    "index": "index.bin",
-    "attach-shc": "shc.jsonl",
-    "fuse-demo": "fusion.json",
-    "score": "scores.json",
-}
-STAGE_ORDER = tuple(_ARTIFACTS)
-
 
 def parse_m_gt(value) -> float:
     """Accept 60/80/90/100 (int or str) or "cpl"/infinity for complete references."""
@@ -214,7 +225,8 @@ def _parse_config(cls, raw, prefix: str = ""):
 
     A missing key takes the field's default; an unknown key, a missing
     required key or a value of the wrong JSON type raises ValidationError
-    naming the dotted key.
+    naming the dotted key, and a value the section's own checks reject one
+    naming the section.
     """
     if not isinstance(raw, dict):
         raise ValidationError(f"config section {prefix.rstrip('.')!r} must be a JSON object")
@@ -231,7 +243,12 @@ def _parse_config(cls, raw, prefix: str = ""):
             kwargs[name] = _parse_config(hints[name], {}, prefix + name + ".")
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ValidationError(f"config is missing required key {prefix + name!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        if not prefix:
+            raise
+        raise ValidationError(f"config section {prefix.rstrip('.')!r}: {exc}") from None
 
 
 def _convert(tp, value, key: str, metadata):
@@ -284,81 +301,6 @@ def _read_id_map(path: str | Path, field_name: str) -> dict[str, str]:
     return read_keyed_jsonl(path, field_name, lambda value: _json_value(value, str, f"field {field_name!r}"))
 
 
-# ---------------------------------------------------------------------------
-# Stage implementations (parsed inputs in, one artifact out, what the next
-# stage consumes returned)
-# ---------------------------------------------------------------------------
-
-
-def _stage_filter(
-    records: list[StudyRecord],
-    out: str | Path,
-    rules: CorpusFilterConfig,
-    dropped_out: str | Path | None = None,
-) -> tuple[list[StudyRecord], int]:
-    """Write the records ``rules`` keep, and optionally the dropped ids with reasons.
-
-    Returns the kept records and the dropped count.
-    """
-    kept, dropped = filter_corpus(records, rules)
-    save_corpus(kept, out)
-    if dropped_out is not None:
-        dump_jsonl(dropped_out, ({"study_id": rec.study_id, "reason": why} for rec, why in dropped))
-    return kept, len(dropped)
-
-
-def _stage_see(records: list[StudyRecord], out: str | Path) -> dict[str, str]:
-    """Write one factual sequence per record; returns them keyed by study_id."""
-    rows = [{"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered} for rec in records]
-    dump_jsonl(out, rows)
-    return {row["study_id"]: row["factual_sequence"] for row in rows}
-
-
-def _stage_normalize(
-    records: list[StudyRecord], out: str | Path, normalizer: NormalizerConfig
-) -> list[StudyRecord]:
-    """Write the records with normalized indications; returns them."""
-    normalized = [
-        replace(rec, indication=normalize_indication(rec.indication, normalizer)) for rec in records
-    ]
-    save_corpus(normalized, out)
-    return normalized
-
-
-def _stage_index(
-    records: list[StudyRecord], embeddings: EmbeddingIndex, out: str | Path, normalize: bool
-) -> EmbeddingIndex:
-    """Index the records' rows of the raw ``embeddings``, which each record needs; returns ``embeddings``."""
-    rows = []
-    for rec in records:
-        row = embeddings.row_of(rec.study_id)
-        if row is None:
-            raise ValidationError(f"study {rec.study_id!r} has no embedding")
-        rows.append(row)
-    ids = [rec.study_id for rec in records]
-    save_index(index_from_vectors(ids, embeddings.matrix[rows], normalize), out)
-    return embeddings
-
-
-def _stage_attach(
-    records: list[StudyRecord],
-    index: EmbeddingIndex,
-    embeddings: EmbeddingIndex,
-    sequences: dict[str, str] | None,
-    out: str | Path,
-    k: int,
-) -> int:
-    """Write each record's top-k similar cases; returns the record count.
-
-    A record's query is its row of the raw ``embeddings``.  ``sequences`` maps study_id to factual sequence; without it the
-    sequences are extracted from the records.
-    """
-    attached = attach_shc(records, index, k, embeddings, sequences=sequences)
-    rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
-    dump_jsonl(out, rows)
-    return len(attached)
-
-
 def fuse_demo_result(fusion: FusionConfig, seed: int, with_shc: bool, with_indication: bool) -> dict:
     """Run the fusion network on seeded random features and spot-check gradients.
 
@@ -394,14 +336,6 @@ def fuse_demo_result(fusion: FusionConfig, seed: int, with_shc: bool, with_indic
         "n_heads": fusion.heads,
         "seed": seed,
     }
-
-
-def _stage_fuse_demo(
-    records: list[StudyRecord], out: str | Path, fusion: FusionConfig, k: int, seed: int
-) -> None:
-    """Run the fusion demo on the branch the records and k select."""
-    has_indication = any(rec.indication for rec in records) and fusion.sn > 0
-    _dump_json(out, fuse_demo_result(fusion, seed, with_shc=k > 0, with_indication=has_indication))
 
 
 def read_generated(path: Path) -> dict[str, str]:
@@ -450,6 +384,7 @@ def score_from_files(
     labels_path: str | Path | None,
     entities_path: str | Path | None,
     m_gt_values: tuple[float, ...],
+    why_dropped: Callable[[str], str | None] | None = None,
 ) -> dict[str, dict[str, float]]:
     """Score the generated-side files against reference records per truncation setting.
 
@@ -458,7 +393,9 @@ def score_from_files(
     optional label vectors and entity sets keyed by study_id.  Every file is
     parsed before any id is matched, and an id missing from a file, or a
     generated id the reference corpus lacks, raises ValidationError naming that
-    file.
+    file.  ``why_dropped(study_id)`` gives the reason the corpus filter dropped
+    a study, or None; a generated id it names a reason for is rejected as
+    dropped by the filter, with that reason.
     """
     generated = read_generated(generated_path)
     generated_labels = read_label_csv(labels_path) if labels_path else None
@@ -466,6 +403,11 @@ def score_from_files(
     by_id = {rec.study_id: rec for rec in reference_records}
     unknown = [sid for sid in generated if sid not in by_id]
     if unknown:
+        why = why_dropped(unknown[0]) if why_dropped else None
+        if why is not None:
+            raise ValidationError(
+                f"{generated_path}: generated study_id {unknown[0]!r} was dropped by the corpus filter ({why})"
+            )
         raise ValidationError(f"{generated_path}: generated study_id {unknown[0]!r} is not in the reference corpus")
     scored = [rec for rec in reference_records if rec.study_id in generated]
     if not scored:
@@ -496,6 +438,158 @@ def score_from_files(
             entities.append((generated_entities[rec.study_id], ref_set))
     scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=m_gt_values)
     return {m_gt_key(m): report for m, report in scores.items()}
+
+
+# ---------------------------------------------------------------------------
+# The stages: fn(cfg, out, *taken) writes one artifact and returns the result
+# later stages take
+# ---------------------------------------------------------------------------
+
+
+def _stage_filter(
+    cfg: PipelineConfig, out: Path, records: list[StudyRecord], dropped: str | Path | None = None
+) -> list[StudyRecord]:
+    """Write the records ``cfg.filter`` keeps, and to ``dropped``, if given, the dropped ids with reasons."""
+    kept, dropped_records = filter_corpus(records, cfg.filter)
+    save_corpus(kept, out)
+    if dropped is not None:
+        dump_jsonl(dropped, ({"study_id": rec.study_id, "reason": why} for rec, why in dropped_records))
+    return kept
+
+
+def _stage_see(cfg: PipelineConfig, out: Path, records: list[StudyRecord]) -> dict[str, str]:
+    """Write one factual sequence per record; returns them keyed by study_id."""
+    rows = [{"study_id": rec.study_id, "factual_sequence": see_extract(rec).rendered} for rec in records]
+    dump_jsonl(out, rows)
+    return {row["study_id"]: row["factual_sequence"] for row in rows}
+
+
+def _stage_normalize(cfg: PipelineConfig, out: Path, records: list[StudyRecord]) -> list[StudyRecord]:
+    """Write the records with normalized indications; returns them."""
+    normalized = [
+        replace(rec, indication=normalize_indication(rec.indication, cfg.normalizer)) for rec in records
+    ]
+    save_corpus(normalized, out)
+    return normalized
+
+
+def _stage_index(
+    cfg: PipelineConfig, out: Path, records: list[StudyRecord], embeddings: EmbeddingIndex
+) -> EmbeddingIndex:
+    """Index the records' rows of the raw ``embeddings``, which each record needs; returns the index as saved."""
+    rows = []
+    for rec in records:
+        row = embeddings.row_of(rec.study_id)
+        if row is None:
+            raise ValidationError(f"study {rec.study_id!r} has no embedding")
+        rows.append(row)
+    ids = [rec.study_id for rec in records]
+    save_index(index_from_vectors(ids, embeddings.matrix[rows], cfg.index_normalize), out)
+    return load_index(out)
+
+
+def _stage_attach(
+    cfg: PipelineConfig,
+    out: Path,
+    records: list[StudyRecord],
+    index: EmbeddingIndex,
+    embeddings: EmbeddingIndex,
+    sequences: dict[str, str],
+) -> int:
+    """Write each record's top-k similar cases; returns the record count.
+
+    A record's query is its row of the raw ``embeddings``; ``sequences`` maps
+    study_id to factual sequence.
+    """
+    attached = attach_shc(records, index, cfg.k, embeddings, sequences=sequences)
+    rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
+    dump_jsonl(out, rows)
+    return len(attached)
+
+
+def _stage_fuse_demo(cfg: PipelineConfig, out: Path, records: list[StudyRecord]) -> None:
+    """Run the fusion demo on the branch the records and k select."""
+    has_indication = any(rec.indication for rec in records) and cfg.fusion.sn > 0
+    _dump_json(out, fuse_demo_result(cfg.fusion, cfg.seed, with_shc=cfg.k > 0, with_indication=has_indication))
+
+
+def _stage_score(cfg: PipelineConfig, out: Path, scores: dict) -> None:
+    """Write the scores, one report per m_gt setting."""
+    _dump_json(out, scores)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One row of the stage table: its artifact, what it takes, its function.
+
+    ``read`` reads the stage's result back from its artifact, for a later
+    stage that ``run_stage`` runs alone; a stage whose result no stage takes
+    has none.
+    """
+
+    artifact: str
+    takes: tuple[str, ...]
+    fn: Callable[..., object]
+    read: Callable[[Path], object] | None = None
+
+
+# The readers are looked up when called, so a reader patched on this module is the one a stage uses.
+STAGES = {
+    "filter": Stage("filtered.jsonl", ("corpus",), _stage_filter, lambda path: load_corpus(path)),
+    "see-extract": Stage(
+        "sequences.jsonl", ("filter",), _stage_see, lambda path: _read_id_map(path, "factual_sequence")
+    ),
+    "normalize": Stage("normalized.jsonl", ("filter",), _stage_normalize, lambda path: load_corpus(path)),
+    "index": Stage("index.bin", ("normalize", "embeddings"), _stage_index, lambda path: load_index(path)),
+    "attach-shc": Stage("shc.jsonl", ("normalize", "index", "embeddings", "see-extract"), _stage_attach),
+    "fuse-demo": Stage("fusion.json", ("normalize",), _stage_fuse_demo),
+    "score": Stage("scores.json", ("scores",), _stage_score),
+}
+STAGE_ORDER = tuple(STAGES)
+
+
+def _filter_reason(cfg: PipelineConfig, study_id: str) -> str | None:
+    """Why the corpus filter drops ``study_id`` from ``paths.corpus``; None if it keeps it or the corpus lacks it."""
+    dropped = filter_corpus(load_corpus(cfg.paths.corpus), cfg.filter)[1]
+    return next((why for rec, why in dropped if rec.study_id == study_id), None)
+
+
+def _score_args(cfg: PipelineConfig, kept: list[StudyRecord], reference_path: Path) -> tuple:
+    """``score_from_files``'s arguments for the filter stage's ``kept`` records, read from ``reference_path``."""
+    paths = cfg.paths
+    return (
+        kept, reference_path, paths.generated, paths.generated_labels, paths.generated_entities, cfg.m_gt,
+        partial(_filter_reason, cfg),
+    )
+
+
+def _taker(cfg: PipelineConfig, done: dict, children: dict[str, _Forked]) -> Callable[[str], object]:
+    """``take(name)``: what a stage takes by ``name``, from ``done``, ``children`` or the files.
+
+    A result in ``done`` is handed over as it is; a forked child's result is
+    moved into ``done`` first.  Anything else is read from the files: the
+    input files for ``"corpus"``, ``"embeddings"`` and ``"scores"``, and a
+    stage's artifact for its result.
+    """
+    paths = cfg.paths
+
+    def take(name: str):
+        if name in children:
+            done[name] = children.pop(name).result()
+        if name in done:
+            return done[name]
+        if name == "corpus":
+            return load_corpus(paths.corpus)
+        if name == "embeddings":
+            return load_embeddings(paths.embeddings)
+        if name == "scores":
+            if paths.generated is None:
+                raise ValidationError("score stage requires paths.generated in the config")
+            filtered = paths.out_dir / STAGES["filter"].artifact
+            return score_from_files(*_score_args(cfg, take("filter"), filtered))
+        return STAGES[name].read(paths.out_dir / STAGES[name].artifact)
+
+    return take
 
 
 class _Forked:
@@ -590,8 +684,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     for path in given.values():
         if not Path(path).exists():
             raise ValidationError(f"input file {path} does not exist")
-    # Work running in forked children, by the stage that waits for its result.
-    children = {"index": _Forked(load_embeddings, paths.embeddings)}
+    # Work running in forked children, by the name the stages take its result by.
+    children = {"embeddings": _Forked(load_embeddings, paths.embeddings)}
     try:
         return _run_stages(cfg, given, children)
     finally:
@@ -611,51 +705,41 @@ def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str,
         "status": "ok",
     }
     manifest_path = paths.out_dir / "run_manifest.json"
-    art = {stage: paths.out_dir / name for stage, name in _ARTIFACTS.items()}
-    # Stage results by stage name.  The last stage to read a result pops it,
-    # so the embeddings matrix does not outlive attach-shc.
+    # Results by the name stages take them by.  Each is dropped after the last
+    # stage that takes it, so the embeddings matrix does not outlive attach-shc.
     done: dict[str, object] = {}
-
-    def filtered() -> list[StudyRecord]:
-        kept = _stage_filter(load_corpus(paths.corpus), art["filter"], cfg.filter)[0]
-        if paths.generated is not None:
-            children["score"] = _Forked(
-                score_from_files, kept, paths.corpus, paths.generated, paths.generated_labels,
-                paths.generated_entities, cfg.m_gt,
-            )
-        return kept
-
-    def scored() -> None:
-        if paths.generated is None:
-            raise ValidationError("score stage requires paths.generated in the config")
-        _dump_json(art["score"], children["score"].result())
-
-    stages: dict[str, Callable[[], object]] = {
-        "filter": filtered,
-        "see-extract": lambda: _stage_see(done["filter"], art["see-extract"]),
-        "normalize": lambda: _stage_normalize(done.pop("filter"), art["normalize"], cfg.normalizer),
-        "index": lambda: _stage_index(
-            done["normalize"], children["index"].result(), art["index"], cfg.index_normalize
-        ),
-        "attach-shc": lambda: _stage_attach(
-            done["normalize"], load_index(art["index"]), done.pop("index"), done.pop("see-extract"),
-            art["attach-shc"], cfg.k,
-        ),
-        "fuse-demo": lambda: _stage_fuse_demo(
-            done["normalize"], art["fuse-demo"], cfg.fusion, cfg.k, cfg.seed
-        ),
-        "score": scored,
-    }
+    take = _taker(cfg, done, children)
+    last_taker = {name: stage for stage in STAGE_ORDER for name in STAGES[stage].takes}
     for stage in STAGE_ORDER:
+        spec = STAGES[stage]
+        out = paths.out_dir / spec.artifact
         try:
-            done[stage] = stages[stage]()
+            done[stage] = spec.fn(cfg, out, *map(take, spec.takes))
+            if stage == "filter" and paths.generated is not None:
+                children["scores"] = _Forked(score_from_files, *_score_args(cfg, done[stage], paths.corpus))
         except (ToolkitError, OSError) as exc:
             manifest["status"] = "failed"
             manifest["failed_stage"] = stage
             _dump_json(manifest_path, manifest)
             raise StageError(stage, exc) from exc
-        manifest["stages"].append(
-            {"name": stage, "artifacts": [{"path": art[stage].name, "sha256": sha256_file(art[stage])}]}
-        )
+        for name in spec.takes:
+            if last_taker[name] == stage:
+                done.pop(name, None)
+        manifest["stages"].append({"name": stage, "artifacts": [{"path": out.name, "sha256": sha256_file(out)}]})
     _dump_json(manifest_path, manifest)
     return manifest_path
+
+
+def run_stage(cfg: PipelineConfig, stage: str, **options) -> Path:
+    """Run ``stage`` alone, reading what it takes back from the files; returns its artifact's path.
+
+    ``options`` go to the stage function as keyword arguments.  The manifest
+    of an earlier run is deleted before the artifact is replaced.
+    """
+    spec = STAGES[stage]
+    out_dir = cfg.paths.out_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    taken = list(map(_taker(cfg, {}, {}), spec.takes))
+    (out_dir / "run_manifest.json").unlink(missing_ok=True)
+    spec.fn(cfg, out_dir / spec.artifact, *taken, **options)
+    return out_dir / spec.artifact

@@ -229,6 +229,26 @@ def write_pipeline_fixture(root: Path, n: int = 10, d: int = 8, seed: int = 123)
     return paths
 
 
+def patch_config(config: Path, **patch) -> Path:
+    """Merge ``patch`` into the config file at ``config``: a dict into its section, any other value as the key's."""
+    raw = json.loads(config.read_text(encoding="utf-8"))
+    for name, value in patch.items():
+        raw[name] = {**raw[name], **value} if isinstance(value, dict) and isinstance(raw.get(name), dict) else value
+    config.write_text(json.dumps(raw, indent=2) + "\n", encoding="utf-8")
+    return config
+
+
+def write_study_fixture(root: Path, embeddings: bytes, ids: str = "ab", **patch) -> dict:
+    """A fixture whose corpus lists one plain study per character of ``ids`` and whose
+    embeddings file holds ``embeddings``; ``patch`` goes into its config."""
+    paths = write_pipeline_fixture(root, n=1)
+    rows = [{"study_id": sid, "findings": "lungs are clear."} for sid in ids]
+    paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    paths["embeddings"].write_bytes(embeddings)
+    patch_config(paths["config"], **patch)
+    return paths
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)

@@ -24,7 +24,7 @@ from sei.pipeline import (
 )
 from sei.errors import StageError, ValidationError
 
-from conftest import write_pipeline_fixture
+from conftest import patch_config, write_pipeline_fixture
 
 ARTIFACT_NAMES = (
     "filtered.jsonl",
@@ -393,87 +393,98 @@ class TestCli:
 
     def test_see_extract_cli_schema(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        out = tmp_path / "sequences.jsonl"
-        proc = run_cli("see-extract", "--corpus", str(paths["corpus"]), "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        for stage in ("filter", "see-extract"):
+            proc = run_cli(stage, "--config", str(paths["config"]))
+            assert proc.returncode == 0, proc.stderr
+        out = paths["out_dir"] / "sequences.jsonl"
+        assert proc.stdout == f"wrote {out}\n"
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert all(set(row) == {"study_id", "factual_sequence"} for row in rows)
 
     def test_score_cli_matches_library(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         assert run_cli("run", "--config", str(paths["config"])).returncode == 0
-        out = tmp_path / "one_score.json"
-        proc = run_cli(
-            "score",
-            "--gen",
-            str(paths["generated"]),
-            "--ref",
-            str(paths["out_dir"] / "normalized.jsonl"),
-            "--labels",
-            str(paths["generated_labels"]),
-            "--entities",
-            str(paths["generated_entities"]),
-            "--mgt",
-            "60",
-            "--out",
-            str(out),
-        )
+        out = paths["out_dir"] / "scores.json"
+        pipeline_scores = json.loads(out.read_text())
+        out.unlink()
+        patch_config(paths["config"], m_gt=[60])
+        proc = run_cli("score", "--config", str(paths["config"]))
         assert proc.returncode == 0, proc.stderr
-        standalone = json.loads(out.read_text())
-        pipeline_scores = json.loads((paths["out_dir"] / "scores.json").read_text())
-        assert standalone == pipeline_scores["60"]
+        assert json.loads(out.read_text()) == {"60": pipeline_scores["60"]}
 
     def test_validation_error_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(
+        paths = write_pipeline_fixture(tmp_path)
+        paths["corpus"].write_text(
             '{"study_id": "a", "findings": "x.", "entities": '
             '[{"tokens": "x", "label": "OBS-XX", "start_ix": 0, "end_ix": 0}]}\n'
         )
-        proc = run_cli("see-extract", "--corpus", str(bad), "--out", str(tmp_path / "o.jsonl"))
+        proc = run_cli("filter", "--config", str(paths["config"]))
         assert proc.returncode == 2
         assert "OBS-XX" in proc.stderr
 
     def test_io_error_exit_3(self, tmp_path):
-        proc = run_cli(
-            "see-extract", "--corpus", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o")
-        )
+        paths = write_pipeline_fixture(tmp_path)
+        paths["corpus"].unlink()
+        proc = run_cli("filter", "--config", str(paths["config"]))
         assert proc.returncode == 3
+        assert str(paths["corpus"]) in proc.stderr
+
+    @pytest.mark.parametrize(
+        "stage, missing",
+        [
+            ("see-extract", "filtered.jsonl"),
+            ("normalize", "filtered.jsonl"),
+            ("index", "normalized.jsonl"),
+            ("attach-shc", "index.bin"),
+            ("attach-shc", "sequences.jsonl"),
+            ("fuse-demo", "normalized.jsonl"),
+            ("score", "filtered.jsonl"),
+        ],
+    )
+    def test_missing_earlier_artifact_exits_3_naming_it(self, tmp_path, capsys, stage, missing):
+        paths = write_pipeline_fixture(tmp_path)
+        assert main(["run", "--config", str(paths["config"])]) == 0
+        before = read_artifacts(paths["out_dir"])
+        (paths["out_dir"] / missing).unlink()
+        capsys.readouterr()
+        assert main([stage, "--config", str(paths["config"])]) == 3
+        assert str(paths["out_dir"] / missing) in capsys.readouterr().err
+        # nothing was replaced: the stage's own artifact and the manifest are intact
+        after = {path.name: path.read_bytes() for path in paths["out_dir"].iterdir()}
+        assert after == {name: data for name, data in before.items() if name != missing}
 
     def test_filter_cli(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        out = tmp_path / "kept.jsonl"
+        patch_config(paths["config"], filter={"junk_patterns": ["effusion opacity"]})
         dropped = tmp_path / "dropped.jsonl"
-        rules = tmp_path / "filter.json"
-        rules.write_text(json.dumps({"junk_patterns": ["is subnitted"]}))
-        proc = run_cli(
-            "filter",
-            "--corpus",
-            str(paths["corpus"]),
-            "--out",
-            str(out),
-            "--dropped",
-            str(dropped),
-            "--filter-config",
-            str(rules),
-        )
+        proc = run_cli("filter", "--config", str(paths["config"]), "--dropped", str(dropped))
         assert proc.returncode == 0, proc.stderr
-        assert out.exists() and dropped.exists()
+        kept = [json.loads(line)["study_id"] for line in (paths["out_dir"] / "filtered.jsonl").read_text().splitlines()]
+        rows = [json.loads(line) for line in dropped.read_text().splitlines()]
+        assert rows and all(row["reason"] == "junk:effusion opacity" for row in rows)
+        assert sorted(kept + [row["study_id"] for row in rows]) == [f"st{i:03d}" for i in range(10)]
 
     def test_normalize_cli(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        out = tmp_path / "normalized.jsonl"
-        proc = run_cli("normalize", "--corpus", str(paths["corpus"]), "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
-        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        for stage in ("filter", "normalize"):
+            proc = run_cli(stage, "--config", str(paths["config"]))
+            assert proc.returncode == 0, proc.stderr
+        rows = [json.loads(line) for line in (paths["out_dir"] / "normalized.jsonl").read_text().splitlines()]
         by_id = {row["study_id"]: row["indication"] for row in rows}
         assert by_id["st000"] == "62 woman with cough fever"
 
-    def test_fuse_demo_branches(self):
-        proc = run_cli("fuse-demo", "--d", "8", "--heads", "2", "--seed", "7")
-        assert proc.returncode == 0, proc.stderr
-        assert "branch: full" in proc.stdout
-        proc = run_cli("fuse-demo", "--no-shc", "--no-indication")
-        assert "branch: image_only" in proc.stdout
+    @pytest.mark.parametrize(
+        "patch, branch", [({}, "full"), ({"k": 0, "fusion": {"sn": 0}}, "image_only")], ids=["full", "image-only"]
+    )
+    def test_fuse_demo_branches(self, tmp_path, patch, branch):
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], **patch)
+        for stage in ("filter", "normalize", "fuse-demo"):
+            proc = run_cli(stage, "--config", str(paths["config"]))
+            assert proc.returncode == 0, proc.stderr
+        fusion = json.loads((paths["out_dir"] / "fusion.json").read_text())
+        assert fusion["branch"] == branch
+        assert fusion["max_fd_rel_error"] < 1e-4
 
     def test_align_demo(self):
         proc = run_cli("align-demo", "--b", "4", "--d", "8", "--seed", "3")
@@ -492,11 +503,11 @@ class TestCli:
 
     def test_index_cli_roundtrip(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        out = tmp_path / "idx.bin"
-        proc = run_cli("index", "--embeddings", str(paths["embeddings"]), "--out", str(out))
-        assert proc.returncode == 0, proc.stderr
+        for stage in ("filter", "normalize", "index"):
+            proc = run_cli(stage, "--config", str(paths["config"]))
+            assert proc.returncode == 0, proc.stderr
         from sei.retrieval import load_index
 
-        index = load_index(out)
+        index = load_index(paths["out_dir"] / "index.bin")
         assert index.n == 10
         assert index.normalized

@@ -185,12 +185,17 @@ class TestRepeatedCorpusId:
             load_corpus(paths["corpus"])
 
     def test_score_names_the_ref_file(self, tmp_path, capsys):
-        paths, lineno = self._repeat_st000(tmp_path)
-        out = tmp_path / "score.json"
-        argv = ["score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--out", str(out)]
-        assert main(argv) == 2
-        assert f"{paths['corpus']}: line {lineno}: duplicate study_id 'st000'" in capsys.readouterr().err
-        assert not out.exists()
+        """The score stage alone reads its reference corpus back from filtered.jsonl, and names it."""
+        paths = write_pipeline_fixture(tmp_path)
+        assert main(["run", "--config", str(paths["config"])]) == 0
+        filtered, scores = paths["out_dir"] / "filtered.jsonl", paths["out_dir"] / "scores.json"
+        lines = filtered.read_text(encoding="utf-8").splitlines(keepends=True)
+        filtered.write_text("".join(lines + lines[:1]), encoding="utf-8")
+        before = scores.read_bytes()
+        capsys.readouterr()
+        assert main(["score", "--config", str(paths["config"])]) == 2
+        assert f"{filtered}: line {len(lines) + 1}: duplicate study_id 'st000'" in capsys.readouterr().err
+        assert scores.read_bytes() == before
 
     def test_run_fails_at_the_filter_stage(self, tmp_path, capsys):
         paths, lineno = self._repeat_st000(tmp_path)

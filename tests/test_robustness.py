@@ -24,16 +24,23 @@ from sei import retrieval
 from sei.cli import main
 from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
 from sei.errors import CorpusError, ValidationError
-from sei.pipeline import load_config, run_pipeline
+from sei.pipeline import STAGE_ORDER, STAGES, load_config, run_pipeline
 from sei.retrieval import attach_shc, index_from_vectors
 
-from conftest import make_record, write_pipeline_fixture
+from conftest import make_record, patch_config, write_pipeline_fixture, write_study_fixture
 
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "sei", *args], capture_output=True, text=True, **kwargs
     )
+
+
+def run_stages(config: Path, *stages: str) -> None:
+    """Run each of ``stages`` from ``config`` in this process; each must succeed."""
+    for stage in stages:
+        with redirect_stdout(io.StringIO()):
+            assert main([stage, "--config", str(config)]) == 0, stage
 
 
 def assert_clean_exit_2(proc, *needles):
@@ -46,106 +53,99 @@ def assert_clean_exit_2(proc, *needles):
 class TestCliMalformedInput:
     def test_filter_config_bad_json(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        bad = tmp_path / "filter.json"
-        bad.write_text('{"min_tokens": 3,\n "junk_patterns": [}\n')
-        proc = run_cli(
-            "filter", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "kept.jsonl"),
-            "--filter-config", str(bad),
-        )
-        assert_clean_exit_2(proc, str(bad), "line 2")
+        text = paths["config"].read_text()
+        line = text[: text.index('"junk_patterns"')].count("\n") + 1
+        paths["config"].write_text(text.replace('"junk_patterns": [', '"junk_patterns": [}', 1))
+        proc = run_cli("filter", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, str(paths["config"]), f"line {line}")
+        assert not paths["out_dir"].exists()
 
     def test_filter_config_unknown_key(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        bad = tmp_path / "filter.json"
-        bad.write_text('{"min_token": 3}\n')
-        proc = run_cli(
-            "filter", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "kept.jsonl"),
-            "--filter-config", str(bad),
-        )
-        assert_clean_exit_2(proc, "min_token")
+        patch_config(paths["config"], filter={"min_token": 3})
+        proc = run_cli("filter", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, "filter.min_token")
 
     def _attach_inputs(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        index = tmp_path / "idx.bin"
-        sequences = tmp_path / "seq.jsonl"
-        assert run_cli("index", "--embeddings", str(paths["embeddings"]), "--out", str(index)).returncode == 0
-        proc = run_cli("see-extract", "--corpus", str(paths["corpus"]), "--out", str(sequences))
-        assert proc.returncode == 0, proc.stderr
-        return paths, index, sequences
+        patch_config(paths["config"], k=2)
+        run_stages(paths["config"], *STAGE_ORDER)
+        return paths, paths["out_dir"] / "sequences.jsonl"
 
-    def _attach(self, paths, index, sequences, tmp_path):
-        return run_cli(
-            "attach-shc", "--corpus", str(paths["corpus"]), "--embeddings", str(paths["embeddings"]),
-            "--index", str(index), "--k", "2", "--sequences", str(sequences),
-            "--out", str(tmp_path / "shc.jsonl"),
-        )
+    def _attach(self, paths):
+        """``sei attach-shc``, which must leave the run's shc.jsonl as it was and no .tmp file."""
+        shc = paths["out_dir"] / "shc.jsonl"
+        before = shc.read_bytes()
+        proc = run_cli("attach-shc", "--config", str(paths["config"]))
+        assert shc.read_bytes() == before
+        assert not [p for p in os.listdir(paths["out_dir"]) if p.endswith(".tmp")]
+        return proc
 
     def test_attach_sequences_bad_jsonl_line(self, tmp_path):
-        paths, index, sequences = self._attach_inputs(tmp_path)
+        paths, sequences = self._attach_inputs(tmp_path)
         lines = sequences.read_text().splitlines()
         lines[3] = lines[3][:-5]
         sequences.write_text("\n".join(lines) + "\n")
-        proc = self._attach(paths, index, sequences, tmp_path)
+        proc = self._attach(paths)
         assert_clean_exit_2(proc, str(sequences), "line 4")
 
     def test_attach_study_without_embedding(self, tmp_path):
-        paths, index, sequences = self._attach_inputs(tmp_path)
+        paths, sequences = self._attach_inputs(tmp_path)
         lines = paths["embeddings"].read_text().splitlines()
         paths["embeddings"].write_text("".join(line + "\n" for line in lines if '"st003"' not in line))
-        proc = self._attach(paths, index, sequences, tmp_path)
+        proc = self._attach(paths)
         assert_clean_exit_2(proc, "study 'st003' has no embedding")
-        assert not (tmp_path / "shc.jsonl").exists()
 
     def test_attach_sequences_missing_retrieved_id(self, tmp_path):
-        paths, index, sequences = self._attach_inputs(tmp_path)
+        paths, sequences = self._attach_inputs(tmp_path)
         rows = [json.loads(line) for line in sequences.read_text().splitlines()]
         sequences.write_text("".join(json.dumps(row) + "\n" for row in rows[1:]))
-        proc = self._attach(paths, index, sequences, tmp_path)
+        proc = self._attach(paths)
         assert_clean_exit_2(proc, repr(rows[0]["study_id"]))
 
     @pytest.mark.parametrize(
-        "line, flags, needles",
+        "line, normalize, needles",
         [
-            (b'{"study_id": "b", "vec": [1.0, "x"]}', (), ("{emb}", "line 2", "'vec'")),
-            (b'{"study_id": "b", "vec": [NaN, 1.0]}', (), ("{emb}", "line 2", "'vec'")),
-            (b'{"study_id": "b", "vec": [Infinity, 1.0]}', ("--no-normalize",), ("{emb}", "line 2", "'vec'")),
-            (b'{"study_id": "b", "vec": [-Infinity, 1.0]}', (), ("{emb}", "line 2", "'vec'")),
-            (b'{"study_id": "b\xff", "vec": [1.0, 1.0]}', (), ("{emb}", "line 2", "UTF-8")),
+            (b'{"study_id": "b", "vec": [1.0, "x"]}', True, ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [NaN, 1.0]}', True, ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [Infinity, 1.0]}', False, ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b", "vec": [-Infinity, 1.0]}', True, ("{emb}", "line 2", "'vec'")),
+            (b'{"study_id": "b\xff", "vec": [1.0, 1.0]}', True, ("{emb}", "line 2", "UTF-8")),
             # finite, but the norm overflows float64 / the value overflows float32
-            (b'{"study_id": "b", "vec": [1e300, 1.0]}', (), ("study 'b'", "norm overflows")),
-            (b'{"study_id": "b", "vec": [1e300, 1.0]}', ("--no-normalize",), ("study 'b'", "float32")),
-            (b'{"study_id": "b", "vec": [1e39, 1.0]}', ("--no-normalize",), ("study 'b'", "float32")),
+            (b'{"study_id": "b", "vec": [1e300, 1.0]}', True, ("study 'b'", "norm overflows")),
+            (b'{"study_id": "b", "vec": [1e300, 1.0]}', False, ("study 'b'", "float32")),
+            (b'{"study_id": "b", "vec": [1e39, 1.0]}', False, ("study 'b'", "float32")),
         ],
         ids=[
             "non-numeric", "nan", "infinity", "minus-infinity", "invalid-utf8",
             "norm-overflow", "float32-overflow", "float32-overflow-small",
         ],
     )
-    def test_index_non_numeric_vector_entry(self, tmp_path, line, flags, needles):
-        emb = tmp_path / "emb.jsonl"
-        emb.write_bytes(b'{"study_id": "a", "vec": [1.0, 2.0]}\n' + line + b"\n")
-        proc = run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / "idx.bin"), *flags)
-        assert_clean_exit_2(proc, *(needle.format(emb=emb) for needle in needles))
+    def test_index_non_numeric_vector_entry(self, tmp_path, line, normalize, needles):
+        paths = write_study_fixture(
+            tmp_path, b'{"study_id": "a", "vec": [1.0, 2.0]}\n' + line + b"\n", index_normalize=normalize
+        )
+        run_stages(paths["config"], "filter", "normalize")
+        proc = run_cli("index", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, *(needle.format(emb=paths["embeddings"]) for needle in needles))
         assert "Warning" not in proc.stderr
-        assert not (tmp_path / "idx.bin").exists()
+        assert not (paths["out_dir"] / "index.bin").exists()
 
     def test_crlf_embeddings_index_like_lf(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
-        crlf = tmp_path / "emb_crlf.jsonl"
-        crlf.write_bytes(paths["embeddings"].read_bytes().replace(b"\n", b"\r\n"))
-        for emb, out in ((paths["embeddings"], "lf.bin"), (crlf, "crlf.bin")):
-            assert run_cli("index", "--embeddings", str(emb), "--out", str(tmp_path / out)).returncode == 0
-        assert (tmp_path / "lf.bin").read_bytes() == (tmp_path / "crlf.bin").read_bytes()
+        run_stages(paths["config"], "filter", "normalize", "index")
+        lf = (paths["out_dir"] / "index.bin").read_bytes()
+        paths["embeddings"].write_bytes(paths["embeddings"].read_bytes().replace(b"\n", b"\r\n"))
+        assert run_cli("index", "--config", str(paths["config"])).returncode == 0
+        assert (paths["out_dir"] / "index.bin").read_bytes() == lf
 
     def test_score_labels_invalid_utf8(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
+        run_stages(paths["config"], "filter")
         labels = paths["generated_labels"].read_bytes().split(b"\n")
         labels[2] = b"\xff" + labels[2]
         paths["generated_labels"].write_bytes(b"\n".join(labels))
-        proc = run_cli(
-            "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]),
-            "--labels", str(paths["generated_labels"]),
-        )
+        proc = run_cli("score", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, str(paths["generated_labels"]), "line 3", "UTF-8")
 
     @pytest.mark.parametrize("cell", [" 1", "+1", "01", "1.0", "1 ", "true", "2"])
@@ -156,8 +156,8 @@ class TestCliMalformedInput:
         cells[1] = cell
         labels[2] = ",".join(cells)
         paths["generated_labels"].write_text("\n".join(labels) + "\n")
-        argv = ["score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"])]
-        assert main([*argv, "--labels", str(paths["generated_labels"])]) == 2
+        run_stages(paths["config"], "filter")
+        assert main(["score", "--config", str(paths["config"])]) == 2
         assert f"{paths['generated_labels']}: line 3: labels must each be exactly 0 or 1" in capsys.readouterr().err
 
     def test_run_config_invalid_utf8(self, tmp_path):
@@ -169,10 +169,11 @@ class TestCliMalformedInput:
         assert_clean_exit_2(proc, str(paths["config"]), f"line {line}", "UTF-8")
 
     def test_retrieve_index_id_invalid_utf8(self, tmp_path):
-        emb = tmp_path / "emb.jsonl"
-        emb.write_text('{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [2.0, 1.0]}\n')
-        index = tmp_path / "idx.bin"
-        assert run_cli("index", "--embeddings", str(emb), "--out", str(index)).returncode == 0
+        paths = write_study_fixture(
+            tmp_path, b'{"study_id": "a", "vec": [1.0, 2.0]}\n{"study_id": "b", "vec": [2.0, 1.0]}\n'
+        )
+        run_stages(paths["config"], "filter", "normalize", "index")
+        index = paths["out_dir"] / "index.bin"
         blob = index.read_bytes()
         at = blob.index(b"a", 17)  # after the header, the first id's bytes
         index.write_bytes(blob[:at] + b"\xff" + blob[at + 1 :])
@@ -197,13 +198,16 @@ class TestCliMalformedInput:
     )
     def test_see_extract_wrong_typed_corpus_field(self, tmp_path, patch, needle):
         paths = write_pipeline_fixture(tmp_path)
-        rows = [json.loads(line) for line in paths["corpus"].read_text().splitlines()]
+        run_stages(paths["config"], "filter")
+        filtered = paths["out_dir"] / "filtered.jsonl"
+        rows = [json.loads(line) for line in filtered.read_text().splitlines()]
         patch = dict(patch)
         rows[2]["entities"][0].update(patch.pop("entity", {}))
         rows[2].update(patch)
-        paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows))
-        proc = run_cli("see-extract", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "seq.jsonl"))
-        assert_clean_exit_2(proc, str(paths["corpus"]), "line 3", needle)
+        filtered.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        proc = run_cli("see-extract", "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, str(filtered), "line 3", needle)
+        assert not (paths["out_dir"] / "sequences.jsonl").exists()
 
     @pytest.mark.parametrize(
         "second_id, entities, needle",
@@ -218,12 +222,11 @@ class TestCliMalformedInput:
     )
     def test_score_malformed_entities_file(self, tmp_path, second_id, entities, needle):
         paths = write_pipeline_fixture(tmp_path)
-        bad = tmp_path / "entities.jsonl"
+        run_stages(paths["config"], "filter")
+        bad = paths["generated_entities"]
         rows = [{"study_id": "st000", "entities": []}, {"study_id": second_id, "entities": entities}]
         bad.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        proc = run_cli(
-            "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--entities", str(bad),
-        )
+        proc = run_cli("score", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, str(bad), "line 2", needle)
 
 
@@ -233,17 +236,17 @@ class TestCliMalformedInput:
         rows = [json.loads(line) for line in paths["generated"].read_text().splitlines()]
         rows[1]["text"] = text
         paths["generated"].write_text("".join(json.dumps(row) + "\n" for row in rows))
-        out = tmp_path / "score.json"
-        proc = run_cli("score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]), "--out", str(out))
+        run_stages(paths["config"], "filter")
+        proc = run_cli("score", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, str(paths["generated"]), "line 2", "'text'")
-        assert not out.exists()
+        assert not (paths["out_dir"] / "scores.json").exists()
 
     def test_attach_sequence_not_a_string(self, tmp_path):
-        paths, index, sequences = self._attach_inputs(tmp_path)
+        paths, sequences = self._attach_inputs(tmp_path)
         rows = [json.loads(line) for line in sequences.read_text().splitlines()]
         rows[2]["factual_sequence"] = None
         sequences.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        proc = self._attach(paths, index, sequences, tmp_path)
+        proc = self._attach(paths)
         assert_clean_exit_2(proc, str(sequences), "line 3", "'factual_sequence'")
 
 
@@ -265,10 +268,9 @@ class TestJsonLimits:
         rows = paths["corpus"].read_text().splitlines()
         rows[1] = rows[1].replace('"labels14": [', f'"labels14": [{literal}, ', 1)
         paths["corpus"].write_text("\n".join(rows) + "\n")
-        out = tmp_path / "norm.jsonl"
-        proc = run_cli("normalize", "--corpus", str(paths["corpus"]), "--out", str(out))
+        proc = run_cli("filter", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, f"{paths['corpus']}: line 2: invalid JSON", reason)
-        assert not out.exists()
+        assert not (paths["out_dir"] / "filtered.jsonl").exists()
 
     @JSON_LIMITS
     def test_run_config(self, tmp_path, literal, reason):
@@ -301,11 +303,11 @@ class TestLoneSurrogateId:
 
     def test_index(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
+        run_stages(paths["config"], "filter", "normalize")
         self._with_surrogate_id(paths["embeddings"], 3)
-        out = tmp_path / "index.bin"
-        proc = run_cli("index", "--embeddings", str(paths["embeddings"]), "--out", str(out))
+        proc = run_cli("index", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, f"{paths['embeddings']}: line 3: field 'study_id'", "lone surrogate")
-        assert not out.exists()
+        assert not (paths["out_dir"] / "index.bin").exists()
 
     def test_run(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
@@ -318,20 +320,18 @@ class TestLoneSurrogateId:
     def test_corpus(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         self._with_surrogate_id(paths["corpus"], 2)
-        proc = run_cli("normalize", "--corpus", str(paths["corpus"]), "--out", str(tmp_path / "norm.jsonl"))
+        proc = run_cli("filter", "--config", str(paths["config"]))
         assert_clean_exit_2(proc, f"{paths['corpus']}: line 2: field 'study_id'", "lone surrogate")
 
 
 class TestLoadIndexNamesTheFile:
     """Each check ``load_index`` makes of a well-formed file's content names the file too."""
 
-    def _index(self, tmp_path, vectors: str, *flags) -> tuple[Path, bytes]:
-        emb = tmp_path / "emb.jsonl"
-        emb.write_text("".join(
-            f'{{"study_id": "{sid}", "vec": {vec}}}\n' for sid, vec in zip("abc", vectors.split(";"))
-        ))
-        index = tmp_path / "idx.bin"
-        assert run_cli("index", "--embeddings", str(emb), "--out", str(index), *flags).returncode == 0
+    def _index(self, tmp_path, vectors: str, normalize: bool = True) -> tuple[Path, bytes]:
+        emb = "".join(f'{{"study_id": "{sid}", "vec": {vec}}}\n' for sid, vec in zip("abc", vectors.split(";")))
+        paths = write_study_fixture(tmp_path, emb.encode(), ids="abc", index_normalize=normalize)
+        run_stages(paths["config"], "filter", "normalize", "index")
+        index = paths["out_dir"] / "index.bin"
         return index, index.read_bytes()
 
     def _retrieve(self, index: Path):
@@ -350,7 +350,7 @@ class TestLoadIndexNamesTheFile:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_value_in_an_unnormalized_index(self, tmp_path, bad):
-        index, blob = self._index(tmp_path, "[1.0, 2.0];[3.0, 4.0];[5.0, 6.0]", "--no-normalize")
+        index, blob = self._index(tmp_path, "[1.0, 2.0];[3.0, 4.0];[5.0, 6.0]", normalize=False)
         index.write_bytes(blob[:-8] + struct.pack("<f", bad) + blob[-4:])
         proc = self._retrieve(index)
         assert_clean_exit_2(proc, f"{index}: index matrix contains non-finite values")
@@ -360,38 +360,33 @@ class TestLoadIndexNamesTheFile:
 class TestNegativeSizes:
     """A negative seed, size or count exits 2 naming its key or flag, never with a traceback."""
 
-    @pytest.mark.parametrize(
-        "patch, needle",
-        [
-            ({"seed": -1}, "seed"),
-            ({"fusion": {"sh": -1}}, "sh"),
-            ({"m_gt": [60.5]}, "m_gt"),
-            ({"tau": math.nan}, "config key 'tau' must be a finite number"),
-            ({"fusion": {"heads": 3}}, "n_heads 3 does not divide feature width 8"),
-            ({"fusion": {"d": 0}}, "d must be >= 1, got 0"),
-        ],
-        ids=["seed", "fusion-sh", "fractional-m_gt", "tau-nan", "fusion-heads", "fusion-d"],
-    )
-    def test_run_rejects_before_any_stage(self, tmp_path, patch, needle):
+    # (config patch, what stderr must hold); a value a section's own checks reject is named with the section
+    CONFIG_ROWS = [
+        ({"seed": -1}, ("seed",)),
+        ({"fusion": {"sh": -1}}, ("sh", "config section 'fusion': ")),
+        ({"m_gt": [60.5]}, ("m_gt",)),
+        ({"tau": math.nan}, ("config key 'tau' must be a finite number",)),
+        ({"fusion": {"heads": 3}}, ("n_heads 3 does not divide feature width 8", "config section 'fusion': ")),
+        ({"fusion": {"d": 0}}, ("d must be >= 1, got 0", "config section 'fusion': ")),
+        ({"fusion": {"si": -2}}, ("si", "config section 'fusion': ")),
+        ({"fusion": {"sn": -1}}, ("sn", "config section 'fusion': ")),
+    ]
+    CONFIG_IDS = ["seed", "fusion-sh", "fractional-m_gt", "tau-nan", "fusion-heads", "fusion-d", "fusion-si", "fusion-sn"]
+
+    @pytest.mark.parametrize("patch, needles", CONFIG_ROWS, ids=CONFIG_IDS)
+    @pytest.mark.parametrize("command", ["run", "fuse-demo"])
+    def test_run_rejects_before_any_stage(self, tmp_path, command, patch, needles):
+        """``sei run`` and the fuse-demo stage alone reject the value before anything is written."""
         paths = write_pipeline_fixture(tmp_path)
-        raw = json.loads(paths["config"].read_text())
-        for name, value in patch.items():
-            raw[name] = {**raw[name], **value} if isinstance(value, dict) else value
-        paths["config"].write_text(json.dumps(raw))
-        proc = run_cli("run", "--config", str(paths["config"]))
-        assert_clean_exit_2(proc, needle)
+        patch_config(paths["config"], **patch)
+        proc = run_cli(command, "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, *needles)
         assert proc.stderr.count("error:") == 1
         assert not paths["out_dir"].exists()
 
     @pytest.mark.parametrize(
         "args, needle",
         [
-            (("fuse-demo", "--seed", "-1"), "seed"),
-            (("fuse-demo", "--sh", "-1"), "sh"),
-            (("fuse-demo", "--si", "-2"), "si"),
-            (("fuse-demo", "--sn", "-1"), "sn"),
-            (("fuse-demo", "--heads", "3"), "n_heads 3 does not divide feature width 8"),
-            (("fuse-demo", "--d", "0"), "d must be >= 1, got 0"),
             (("align-demo", "--seed", "-3"), "seed"),
             (("align-demo", "--b", "-1"), "b must be"),
         ],
@@ -627,9 +622,9 @@ class TestAtomicWrites:
     def test_write_failing_at_os_level_keeps_previous(self, tmp_path):
         """A write that hits the file-size limit (as on a full disk) exits 3, old artifact intact."""
         paths = write_pipeline_fixture(tmp_path)
-        out = tmp_path / "normalized.jsonl"
-        args = ("normalize", "--corpus", str(paths["corpus"]), "--out", str(out))
-        assert run_cli(*args).returncode == 0
+        assert run_cli("run", "--config", str(paths["config"])).returncode == 0
+        out = paths["out_dir"] / "normalized.jsonl"
+        args = ("normalize", "--config", str(paths["config"]))
         before = out.read_bytes()
         limit = len(before) // 4
 
@@ -641,7 +636,7 @@ class TestAtomicWrites:
         proc = run_cli(*args, preexec_fn=limit_file_size)
         assert proc.returncode == 3, proc.stderr
         assert out.read_bytes() == before
-        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 
@@ -654,8 +649,9 @@ MUTATIONS = (
 # integer is read as its decimal string, and a BOM before a CSV id becomes part of it; the error then names
 # the file but no line.  A study_id retyped to any other JSON kind is rejected naming its line.
 ID_MUTATIONS = ("retype-id", "late-bom")
-# mutations of the reference corpus (--ref) instead of the target file: a study's labels14 becomes null,
-# which the corpus schema allows but scoring against a label file does not; the error names --ref
+# mutations of the reference corpus (the filter stage's filtered.jsonl) instead of the target file: a study's
+# labels14 becomes null, which the corpus schema allows but scoring against a label file does not; the error
+# names filtered.jsonl
 REF_MUTATIONS = ("null-ref-labels14",)
 # a JSON value of each type; a swap draws one whose type differs from the value it replaces
 JSON_VALUES = (None, 0, 1.5, True, "x", [], {})
@@ -721,21 +717,23 @@ def _mutate_bytes(line: bytes, mutation: str, data) -> bytes:
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(SCORING_FILES), st.sampled_from(MUTATIONS), st.data())
 def test_score_names_the_malformed_scoring_file(target, mutation, data):
-    """One malformed line in a generated-side file makes ``sei score`` exit 2 (or 3
-    on IO), naming the file, and the line for JSONL, and leaving no --out file.
-    Every mutation but those in ID_MUTATIONS breaks the file's schema, so exit 0
-    would mean it was read anyway.  A study_id retyped to an integer is read as its
-    decimal string, and a BOM on a later line of the label CSV becomes part of the
-    id; the file then lacks a study the other files list, and the exit is 2 naming
-    the file.  A study_id retyped to any other JSON kind is rejected naming its
-    line.  A mutation in REF_MUTATIONS changes the reference corpus instead, and
-    the exit is 2 naming it."""
-    if mutation in REF_MUTATIONS:
-        target = "corpus"
-    csv_file = target == "generated_labels"
+    """One malformed line in a generated-side file makes ``sei score --config`` exit 2
+    (or 3 on IO), naming the file, and the line for JSONL, and leaving the previous
+    scores.json as it was and no .tmp file.  Every mutation but those in
+    ID_MUTATIONS breaks the file's schema, so exit 0 would mean it was read anyway.
+    A study_id retyped to an integer is read as its decimal string, and a BOM on a
+    later line of the label CSV becomes part of the id; the file then lacks a study
+    the other files list, and the exit is 2 naming the file.  A study_id retyped to
+    any other JSON kind is rejected naming its line.  A mutation in REF_MUTATIONS
+    changes the reference corpus instead, and the exit is 2 naming it."""
+    csv_file = target == "generated_labels" and mutation not in REF_MUTATIONS
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_pipeline_fixture(Path(tmp), n=4)
-        rows = paths[target].read_bytes().splitlines()
+        run_stages(paths["config"], "filter", "score")
+        scores = paths["out_dir"] / "scores.json"
+        before = scores.read_bytes()
+        path = paths["out_dir"] / "filtered.jsonl" if mutation in REF_MUTATIONS else paths[target]
+        rows = path.read_bytes().splitlines()
         # the label CSV's header is line 1; a duplicate id needs an earlier row to copy
         first = {"bom": 0, "duplicate-id": 2 if csv_file else 1, "late-bom": 1}.get(mutation, 1 if csv_file else 0)
         i = 0 if mutation == "bom" else data.draw(st.integers(first, len(rows) - 1))
@@ -744,26 +742,21 @@ def test_score_names_the_malformed_scoring_file(target, mutation, data):
         else:
             mutate = _mutate_csv_line if csv_file else _mutate_json_line
             rows[i] = mutate(rows[i], rows, i, mutation, data)
-        paths[target].write_bytes(b"\n".join(rows) + b"\n")
-        out = Path(tmp) / "score.json"
+        path.write_bytes(b"\n".join(rows) + b"\n")
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main([
-                "score", "--gen", str(paths["generated"]), "--ref", str(paths["corpus"]),
-                "--labels", str(paths["generated_labels"]), "--entities", str(paths["generated_entities"]),
-                "--out", str(out),
-            ])
+            code = main(["score", "--config", str(paths["config"])])
         message = stderr.getvalue()
         assert code in (2, 3), (rows[i], message)
-        assert str(paths[target]) in message
+        assert str(path) in message
         if mutation in ID_MUTATIONS + REF_MUTATIONS:
             assert code == 2, message
         if not csv_file and mutation not in ("retype-id", *REF_MUTATIONS):
             assert f"line {i + 1}:" in message, message
         if not csv_file and mutation == "retype-id" and type(json.loads(rows[i])["study_id"]) is not int:
-            assert f"{paths[target]}: line {i + 1}:" in message, message
-        assert not out.exists()
-        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+            assert f"{path}: line {i + 1}:" in message, message
+        assert scores.read_bytes() == before
+        assert not list(Path(tmp).rglob("*.tmp"))
 
 
 READER_MUTATIONS = ("delete-field", "swap-type", "nan", "truncate", "duplicate-id", "invalid-utf8", "bom")
@@ -798,42 +791,45 @@ def _mutate_reader_line(line: bytes, rows: list[bytes], i: int, mutation: str, d
     return json.dumps(row).encode()
 
 
+# reader target -> (the file mutated, the stage that reads it): the corpus, and the filter and
+# see-extract stages' artifacts as the stages after them read them back
+READER_TARGETS = {
+    "corpus": (None, "filter"),
+    "filtered": ("filtered.jsonl", "normalize"),
+    "sequences": ("sequences.jsonl", "attach-shc"),
+}
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(("corpus", "sequences")), st.sampled_from(READER_MUTATIONS), st.data())
+@given(st.sampled_from(sorted(READER_TARGETS)), st.sampled_from(READER_MUTATIONS), st.data())
 def test_corpus_and_sequences_readers_name_the_malformed_line(target, mutation, data):
-    """One malformed line in a corpus (``sei normalize``) or a ``--sequences`` file
-    (``sei attach-shc``) makes the command exit 2 (or 3 on IO), naming the file and
-    the line, and leaving no --out file.  Every mutation breaks the file's schema:
-    a swap draws a value of a JSON kind the field does not take, and a deletion
-    takes a field no row may leave out."""
+    """One malformed line in the corpus (``sei filter``), or in the filtered.jsonl
+    (``sei normalize``) or sequences.jsonl (``sei attach-shc``) a stage reads back,
+    makes the stage exit 2 (or 3 on IO), naming the file and the line, and leaving
+    its previous artifact as it was and no .tmp file.  Every mutation breaks the
+    file's schema: a swap draws a value of a JSON kind the field does not take, and
+    a deletion takes a field no row may leave out."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = write_pipeline_fixture(root, n=4)
-        out = root / "out.jsonl"
-        if target == "corpus":
-            path = paths["corpus"]
-            argv = ["normalize", "--corpus", str(path), "--out", str(out)]
-        else:
-            path, index = root / "seq.jsonl", root / "index.bin"
-            with redirect_stdout(io.StringIO()):
-                assert main(["index", "--embeddings", str(paths["embeddings"]), "--out", str(index)]) == 0
-                assert main(["see-extract", "--corpus", str(paths["corpus"]), "--out", str(path)]) == 0
-            argv = [
-                "attach-shc", "--corpus", str(paths["corpus"]), "--embeddings", str(paths["embeddings"]),
-                "--index", str(index), "--k", "2", "--sequences", str(path), "--out", str(out),
-            ]
+        patch_config(paths["config"], k=2)
+        artifact, stage = READER_TARGETS[target]
+        run_stages(paths["config"], *STAGE_ORDER[: STAGE_ORDER.index(stage) + 1])
+        path = paths["corpus"] if artifact is None else paths["out_dir"] / artifact
+        out = paths["out_dir"] / STAGES[stage].artifact
+        before = out.read_bytes()
         rows = path.read_bytes().splitlines()
         i = data.draw(st.integers(1 if mutation == "duplicate-id" else 0, len(rows) - 1))
         rows[i] = _mutate_reader_line(rows[i], rows, i, mutation, data)
         path.write_bytes(b"\n".join(rows) + b"\n")
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main(argv)
+            code = main([stage, "--config", str(paths["config"])])
         message = stderr.getvalue()
         assert code in (2, 3), (rows[i], message)
         assert f"{path}: line {i + 1}:" in message, message
-        assert not out.exists()
-        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
+        assert out.read_bytes() == before
+        assert not list(root.rglob("*.tmp"))
 
 
 EMBEDDING_MUTATIONS = ("delete-field", "swap-type", "non-finite", "truncate", "duplicate-id", "invalid-utf8", "bom")
@@ -856,35 +852,37 @@ def _mutate_embedding_line(line: bytes, rows: list[bytes], i: int, mutation: str
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(EMBEDDING_MUTATIONS), st.booleans(), st.data())
 def test_index_names_the_malformed_embeddings_line(mutation, normalize, data):
-    """One malformed line in an embeddings file makes ``sei index`` exit 2 (or 3 on
-    IO), naming the file and the line, and leaving no index file.  ``sei run``,
-    which parses the file in a forked child, fails its index stage the same way,
-    with exit 2."""
+    """One malformed line in an embeddings file makes ``sei run``, which parses the
+    file in a forked child, fail its index stage with exit 2, naming the file and
+    the line, and leaving no index file.  ``sei index --config`` then exits 2 (or 3
+    on IO) the same way, taking its ids from the normalized.jsonl the failed run
+    wrote."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_pipeline_fixture(Path(tmp), n=4)
+        patch_config(paths["config"], index_normalize=normalize)
         emb = paths["embeddings"]
         rows = emb.read_bytes().splitlines()
         i = 0 if mutation == "bom" else data.draw(st.integers(1 if mutation == "duplicate-id" else 0, len(rows) - 1))
         rows[i] = _mutate_embedding_line(rows[i], rows, i, mutation, data)
         emb.write_bytes(b"\n".join(rows) + b"\n")
-        out = Path(tmp) / "index.bin"
-        stderr = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-            code = main(["index", "--embeddings", str(emb), "--out", str(out), *([] if normalize else ["--no-normalize"])])
-        message = stderr.getvalue()
-        assert code in (2, 3), (rows[i], message)
-        assert f"{emb}: line {i + 1}:" in message, message
-        assert not out.exists()
-        assert not [p for p in os.listdir(tmp) if p.endswith(".tmp")]
-
+        out = paths["out_dir"] / "index.bin"
         stderr = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
             code = main(["run", "--config", str(paths["config"])])
         message = stderr.getvalue()
         assert code == 2, (rows[i], message)
         assert f"stage index: {emb}: line {i + 1}:" in message, message
-        assert not (paths["out_dir"] / "index.bin").exists()
+        assert not out.exists()
         assert not [p for p in os.listdir(paths["out_dir"]) if p.endswith(".tmp")]
+
+        stderr = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+            code = main(["index", "--config", str(paths["config"])])
+        message = stderr.getvalue()
+        assert code in (2, 3), (rows[i], message)
+        assert f"{emb}: line {i + 1}:" in message, message
+        assert not out.exists()
+        assert not list(Path(tmp).rglob("*.tmp"))
 
 
 CONFIG_MUTATIONS = ("delete-key", "swap-type", "nan", "truncate", "big-int", "deep-nesting", "invalid-utf8", "bom")
@@ -902,27 +900,18 @@ def _config_paths(value, prefix=()) -> list[tuple]:
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(("run", "filter")), st.sampled_from(CONFIG_MUTATIONS), st.data())
 def test_run_names_the_malformed_config(target, mutation, data):
-    """One mutation of the config of ``sei run --config``, or of the rules file of
-    ``sei filter --filter-config``, makes the command exit 0, 2 or 3, never with a
-    traceback; on exit 2 or 3 stderr names the file or the dotted key of the
-    mutated value (its list, for a list item; for a deleted section, a key the
-    section required), and no --out, --dropped or .tmp file is left.  A mutation
-    may leave a valid file: a deleted key with a default, a truncation of the
-    final newline."""
+    """One mutation of the config of ``sei run --config`` or ``sei filter --config``
+    makes the command exit 0, 2 or 3, never with a traceback; on exit 2 or 3 stderr
+    names the file or the dotted key of the mutated value (its list, for a list
+    item; for a deleted section, a key the section required), no .tmp file is left,
+    and ``sei filter`` leaves no filtered.jsonl or --dropped file.  A mutation may
+    leave a valid file: a deleted key with a default, a truncation of the final
+    newline."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = write_pipeline_fixture(root, n=4)
-        out, dropped = root / "kept.jsonl", root / "dropped.jsonl"
-        if target == "run":
-            config = paths["config"]
-            argv = ["run", "--config", str(config)]
-        else:
-            config = root / "filter.json"
-            config.write_text(json.dumps(json.loads(paths["config"].read_text())["filter"], indent=2) + "\n")
-            argv = [
-                "filter", "--corpus", str(paths["corpus"]), "--out", str(out), "--dropped", str(dropped),
-                "--filter-config", str(config),
-            ]
+        config, out, dropped = paths["config"], paths["out_dir"] / "filtered.jsonl", root / "dropped.jsonl"
+        argv = [target, "--config", str(config), *(["--dropped", str(dropped)] if target == "filter" else [])]
         raw = json.loads(config.read_text())
         key = ""
         if mutation in ("delete-key", "swap-type", "nan", "big-int", "deep-nesting"):
@@ -960,7 +949,8 @@ def test_run_names_the_malformed_config(target, mutation, data):
             # the key itself: quoted, or as the subject of a sentence; a deleted section names a key it required
             needles = [str(config)] + ([f"'{key}'", f" {key} ", f"'{key}."] if key else [])
             assert any(needle in message for needle in needles), (mutation, key, message)
-            assert not out.exists() and not dropped.exists()
+            if target == "filter":
+                assert not out.exists() and not dropped.exists()
         assert not list(root.rglob("*.tmp"))
 
 
