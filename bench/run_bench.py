@@ -13,8 +13,13 @@ manifest's input paths, and with them every artifact, are the same for every
 side.  It then takes ``RUNS`` rounds; each round measures every side once,
 in a fresh process, the order flipped every round.  One measurement times
 one ``sei run`` through ``cli.main``, and the run's one ``attach_shc`` call
-where the pipeline looks it up, as perfbench's tracer does.  It then times ``retrieval.top_k`` on stored rows of the index that
-run wrote.
+where the pipeline looks it up, as perfbench's tracer does.  It then times
+``retrieval.load_index`` of the ``index.bin`` that run wrote and
+``retrieval.top_k`` on stored rows of that index.  After each measurement a
+second fresh process imports the same ``sei``, loads that ``index.bin`` and
+nothing else, and reports its ``VmHWM`` (``/proc/self/status``) as
+``load_index_peak_rss_mb``: a new program image starts that mark afresh,
+where ``ru_maxrss`` would start at the peak of the process that started it.
 
 Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``.
@@ -62,6 +67,7 @@ RUNS = 3  # rounds; each measures every side once
 SUMMARIZED = (
     "cli.main.s", "throughput_per_s", "peak_rss_mb", "children_peak_rss_mb",
     "retrieval.attach_shc.s", "retrieval.top_k.s", "retrieval.top_k.p50_ms",
+    "retrieval.load_index.s", "load_index_peak_rss_mb",
 )
 
 
@@ -112,7 +118,9 @@ def measure(src: Path, config_path: Path) -> dict:
     out = json.loads(config_path.read_text(encoding="utf-8"))["paths"]["out_dir"]
     artifacts = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(Path(out).iterdir())}
 
+    start = time.perf_counter()
     index = retrieval.load_index(Path(out) / "index.bin")
+    load_s = time.perf_counter() - start
     rows = np.random.default_rng(SEED).choice(index.n, size=TOP_K_CALLS, replace=False)
     calls = []
     for row in rows:
@@ -131,9 +139,21 @@ def measure(src: Path, config_path: Path) -> dict:
         "retrieval.top_k.p50_ms": 1000.0 * statistics.median(calls),
         "retrieval.attach_shc.records": attach_records,
         "retrieval.attach_shc.s": attach_s,
+        "retrieval.load_index.s": load_s,
         "artifacts_sha256": artifacts,
         "scoring_threads": retrieval._scoring_threads() if hasattr(retrieval, "_scoring_threads") else 1,
     }
+
+
+def load_peak(src: Path, config_path: Path) -> float:
+    """The ``VmHWM`` in MB of this process after it loads the run's ``index.bin`` with the ``sei`` under ``src``."""
+    sys.path[:0] = [str(src)]
+    from sei import retrieval
+
+    out = json.loads(config_path.read_text(encoding="utf-8"))["paths"]["out_dir"]
+    retrieval.load_index(Path(out) / "index.bin")
+    with open("/proc/self/status", encoding="ascii") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
 
 
 def in_subprocess(*args: str) -> str:
@@ -164,9 +184,10 @@ def main(argv: list[str] | None = None) -> int:
         help="a sei package to measure under NAME, e.g. parent=../parent/src (repeatable; default change=src)",
     )
     parser.add_argument("--out", type=Path, help="JSON file to merge the result into")
-    # internal: the two steps that run in a fresh interpreter
+    # internal: the steps that run in a fresh interpreter
     parser.add_argument("--generate", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--measure", type=Path, metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--load-peak", type=Path, metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.generate:
@@ -174,6 +195,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.measure:
         print(json.dumps(measure(args.measure, WORK / "config.json")))
+        return 0
+    if args.load_peak:
+        print(load_peak(args.load_peak, WORK / "config.json"))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -189,6 +213,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in order:
                 printed = in_subprocess("--measure", str(sides[name]))  # sei's own line, then the result
                 runs[name].append(json.loads(printed.splitlines()[-1]))
+                runs[name][-1]["load_index_peak_rss_mb"] = float(in_subprocess("--load-peak", str(sides[name])))
                 print(f"round {round_no + 1} {name}: {runs[name][-1]['throughput_per_s']:.1f} studies/s", flush=True)
     finally:
         shutil.rmtree(WORK, ignore_errors=True)

@@ -82,7 +82,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__
+from . import __version__, retrieval
 from .corpus import (
     CorpusFilterConfig,
     StudyRecord,
@@ -288,7 +288,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """The hex sha256 of the file at ``path``, read ``retrieval._SLAB_BYTES`` bytes at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(retrieval._SLAB_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _dump_json(path: str | Path, obj: dict) -> None:

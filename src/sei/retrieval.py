@@ -37,7 +37,15 @@ multiple of 4, which moves a few last bits when n is not a multiple of 4.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
-row-major little-endian float32 matrix.
+row-major little-endian float32 matrix.  Reads and writes stream the
+matrix one slab of rows at a time (``_slab_bounds`` in groups of 1 row)
+through one reused float32 buffer: ``load_index`` widens each slab into the
+preallocated float64 matrix and checks it is finite, and ``save_index``
+narrows, overflow-checks and writes each slab.  The unit-norm check and the
+norms ``index_from_vectors`` divides by run one slab at a time too; a row's
+norm does not depend on which slab holds it, so every bit is that of one
+pass over the whole matrix.  Loading or saving an index holds the float64
+matrix plus one slab at most.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -69,13 +77,17 @@ __all__ = [
 _MAGIC = b"SEIX"
 _HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
-_SLAB_BYTES = 1 << 20  # index rows scored per pass; stays in L2 while a query block runs over it
+_SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass; stays in L2
 _QUERY_BLOCK = 64  # queries attach_shc scores per pass over the index
 
 
 @dataclass
 class EmbeddingIndex:
-    """Immutable id-addressed dense-vector store."""
+    """Immutable id-addressed dense-vector store.
+
+    A normalized index checks that its rows are unit length one slab at a
+    time, so the check holds one slab of temporaries next to the matrix.
+    """
 
     dim: int
     ids: tuple[str, ...]
@@ -94,10 +106,8 @@ class EmbeddingIndex:
             if sid in self._row_of:
                 raise ValidationError(f"duplicate study_id {sid!r} in index")
             self._row_of[sid] = row
-        if self.normalized:
-            norms = np.linalg.norm(self.matrix, axis=1)
-            if not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValidationError("index flagged normalized but rows are not unit length")
+        if self.normalized and not all(np.allclose(norms, 1.0, atol=1e-6) for norms in _row_norms(self.matrix)):
+            raise ValidationError("index flagged normalized but rows are not unit length")
         self.matrix.setflags(write=False)
 
     def __reduce__(self):
@@ -145,7 +155,7 @@ def index_from_vectors(
     matrix = np.asarray(vectors, dtype=np.float64)
     if normalize:
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(matrix, axis=1)
+            norms = np.concatenate(list(_row_norms(matrix)))
         zero = np.nonzero(norms == 0.0)[0]
         if zero.size:
             raise ValidationError(
@@ -189,20 +199,29 @@ def _scoring_threads() -> int:
         return os.cpu_count() or 1
 
 
-def _slab_bounds(matrix: np.ndarray) -> list[int]:
+def _slab_bounds(matrix: np.ndarray, group: int = 4) -> list[int]:
     """Slab edges over the rows of ``matrix``, first 0 and last n.
 
-    Slabs follow the 4-row rule in the module docstring: each is the
-    largest multiple of 4 rows that fits in ``_SLAB_BYTES`` (at least 4),
-    and the last takes in a remainder of fewer than 4 rows.
+    Each slab is the largest multiple of ``group`` rows that fits in
+    ``_SLAB_BYTES`` (at least ``group``), and the last takes in a remainder
+    of fewer than ``group`` rows.  Scoring slabs keep the 4-row rule in the
+    module docstring; a pass that treats each row on its own (norms, file
+    IO) takes groups of 1.
     """
     n, dim = matrix.shape
-    height = max(4, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // 4 * 4)
+    height = max(group, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // group * group)
     bounds = list(range(0, n, height))
-    if len(bounds) > 1 and n - bounds[-1] < 4:
+    if len(bounds) > 1 and n - bounds[-1] < group:
         bounds.pop()
     bounds.append(n)
     return bounds
+
+
+def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
+    """The L2 norms of ``matrix``'s rows, one array per slab of rows, in row order."""
+    bounds = _slab_bounds(matrix, 1)
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield np.linalg.norm(matrix[lo:hi], axis=1)
 
 
 def _score_run(matrix: np.ndarray, bounds: list[int], queries: np.ndarray, out: np.ndarray) -> None:
@@ -368,56 +387,83 @@ def attach_shc(
     return out
 
 
+def _float32_slabs(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Each slab of ``matrix``'s rows as its first row and a float32 array of its shape.
+
+    Every array is a view of one buffer, so a pass over the slabs holds one
+    slab of float32 at a time.
+    """
+    bounds = _slab_bounds(matrix, 1)
+    dim = matrix.shape[1]
+    buffer = np.empty(max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0) * dim, dtype="<f4")
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield lo, buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
+
+
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
-    """Write the binary index format described in the module docstring."""
-    with np.errstate(over="ignore"):
-        matrix = np.ascontiguousarray(index.matrix, dtype="<f4")
-    overflow = np.argwhere(np.isinf(matrix))
-    if overflow.size:
-        row, col = overflow[0]
-        raise ValidationError(
-            f"study {index.ids[row]!r} has embedding value {float(index.matrix[row, col])!r}, "
-            "which does not fit in the index file's float32"
-        )
-    parts = [struct.pack(_HEADER, _MAGIC, _VERSION, index.n, index.dim, int(index.normalized))]
-    for sid in index.ids:
-        raw = sid.encode("utf-8")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    parts.append(matrix.tobytes())
+    """Write the binary index format described in the module docstring.
+
+    The matrix is narrowed to float32, checked and written one slab at a
+    time; a value float32 cannot hold raises naming its study and value, and
+    ``path`` then keeps its old content.
+    """
     with atomic_write(path, binary=True) as handle:
-        handle.writelines(parts)
+        handle.write(struct.pack(_HEADER, _MAGIC, _VERSION, index.n, index.dim, int(index.normalized)))
+        for sid in index.ids:
+            raw = sid.encode("utf-8")
+            handle.write(struct.pack("<I", len(raw)) + raw)
+        for lo, slab in _float32_slabs(index.matrix):
+            with np.errstate(over="ignore"):
+                np.copyto(slab, index.matrix[lo : lo + len(slab)], casting="unsafe")
+            overflow = np.argwhere(np.isinf(slab))
+            if overflow.size:
+                row, col = overflow[0]
+                raise ValidationError(
+                    f"study {index.ids[lo + row]!r} has embedding value {float(index.matrix[lo + row, col])!r}, "
+                    "which does not fit in the index file's float32"
+                )
+            handle.write(slab)
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
     """Read an index written by save_index; the matrix loads as float64.
 
-    Every error, a NaN or infinite value or a repeated id among them, is a CorpusError starting with ``path``.
+    The header and id table are read first, each id's length checked
+    against the file size; then the float32 payload is read one slab at a
+    time into one reused buffer, widened into the preallocated matrix and
+    checked finite.  Every error, a NaN or infinite value or a repeated id
+    among them, is a CorpusError starting with ``path``.
     """
-    blob = Path(path).read_bytes()
     ids: list[str] = []
-    try:
-        magic, version, n, dim, normalized = struct.unpack_from(_HEADER, blob, 0)
-        if magic != _MAGIC:
-            raise ValidationError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        if version != _VERSION:
-            raise ValidationError(f"unsupported index version {version}")
-        offset = struct.calcsize(_HEADER)
-        for _ in range(n):
-            (length,) = struct.unpack_from("<I", blob, offset)
-            offset += 4 + length
-            if offset > len(blob):
-                raise ValidationError("index file truncated in id table")
-            ids.append(blob[offset - length : offset].decode("utf-8"))
-        if len(blob) - offset != n * dim * 4:
-            raise ValidationError(f"matrix payload is {len(blob) - offset} bytes, expected {n * dim * 4}")
-        matrix = np.frombuffer(blob, dtype="<f4", count=n * dim, offset=offset).reshape(n, dim)
-        with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens; it is rejected here
-            matrix = as_finite_array(matrix, "index matrix", 2)
-        return EmbeddingIndex(dim=dim, ids=tuple(ids), matrix=matrix, normalized=bool(normalized))
-    except struct.error:
-        raise CorpusError(f"{path}: index file truncated") from None
-    except UnicodeDecodeError:
-        raise CorpusError(f"{path}: id {len(ids) + 1} in the id table is not valid UTF-8") from None
-    except ValidationError as exc:
-        raise CorpusError(f"{path}: {exc}") from None
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        try:
+            offset = struct.calcsize(_HEADER)
+            magic, version, n, dim, normalized = struct.unpack(_HEADER, handle.read(offset))
+            if magic != _MAGIC:
+                raise ValidationError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+            if version != _VERSION:
+                raise ValidationError(f"unsupported index version {version}")
+            for _ in range(n):
+                (length,) = struct.unpack("<I", handle.read(4))
+                offset += 4 + length
+                if offset > size:
+                    raise ValidationError("index file truncated in id table")
+                ids.append(handle.read(length).decode("utf-8"))
+            if size - offset != n * dim * 4:
+                raise ValidationError(f"matrix payload is {size - offset} bytes, expected {n * dim * 4}")
+            matrix = np.empty((n, dim))
+            for lo, slab in _float32_slabs(matrix):
+                if handle.readinto(slab) != slab.nbytes:
+                    raise ValidationError("index file truncated")
+                rows = matrix[lo : lo + len(slab)]
+                with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens; it is rejected here
+                    np.copyto(rows, slab)
+                as_finite_array(rows, "index matrix", 2)
+            return EmbeddingIndex(dim=dim, ids=tuple(ids), matrix=matrix, normalized=bool(normalized))
+        except struct.error:
+            raise CorpusError(f"{path}: index file truncated") from None
+        except UnicodeDecodeError:
+            raise CorpusError(f"{path}: id {len(ids) + 1} in the id table is not valid UTF-8") from None
+        except ValidationError as exc:
+            raise CorpusError(f"{path}: {exc}") from None

@@ -1,6 +1,7 @@
 """End-to-end CLI and pipeline behavior: artifacts, determinism, exit codes."""
 
 import errno
+import hashlib
 import json
 import math
 import multiprocessing
@@ -511,3 +512,28 @@ class TestCli:
         index = load_index(paths["out_dir"] / "index.bin")
         assert index.n == 10
         assert index.normalized
+
+
+@pytest.mark.parametrize("size", [0, 1, 63, 64, 65])
+def test_sha256_file_hashes_in_chunks(tmp_path, monkeypatch, size):
+    """Around a 64-byte chunk, the digest is that of the whole file and no read is larger than a chunk."""
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(range(size)))
+    want = hashlib.sha256(path.read_bytes()).hexdigest()
+    sha256, reads = hashlib.sha256, []
+
+    class Counted:
+        def __init__(self):
+            self.digest = sha256()
+
+        def update(self, chunk):
+            reads.append(len(chunk))
+            self.digest.update(chunk)
+
+        def hexdigest(self):
+            return self.digest.hexdigest()
+
+    monkeypatch.setattr(pipeline.retrieval, "_SLAB_BYTES", 64)
+    monkeypatch.setattr(hashlib, "sha256", Counted)
+    assert pipeline.sha256_file(path) == want
+    assert reads == [64] * (size // 64) + [size % 64] * (size % 64 > 0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sei
+from sei import retrieval
 from sei.corpus import ReportDocument, StudyRecord
 from sei.errors import CorpusError, ValidationError
 from sei.retrieval import (
@@ -283,3 +284,107 @@ class TestSerialization:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(CorpusError, match="truncated|payload"):
             load_index(path)
+
+
+class TestSlabEdges:
+    """save_index, load_index and the row norms work one slab of rows at a time;
+    where the slab edges fall changes no bit and no error."""
+
+    D = 3
+    H = 4  # slab height: _SLAB_BYTES below holds 4 float64 rows of D values
+
+    @pytest.fixture(autouse=True)
+    def slabs_of_h_rows(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "_SLAB_BYTES", self.H * self.D * 8)
+
+    @pytest.mark.parametrize("n", [1, H - 1, H, H + 1, 3 * H + 2])
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_round_trip_is_bit_identical(self, tmp_path, rng, n, normalize):
+        index = index_of(random_embeddings(rng, n, self.D), normalize)
+        assert retrieval._slab_bounds(index.matrix, 1) == [*range(0, n, self.H), n]
+        path, again = tmp_path / "index.bin", tmp_path / "again.bin"
+        save_index(index, path)
+        loaded = load_index(path)
+        payload = np.frombuffer(path.read_bytes()[-n * self.D * 4 :], dtype="<f4").reshape(n, self.D)
+        assert loaded.matrix.tobytes() == payload.astype(np.float64).tobytes()
+        assert loaded.matrix.tobytes() == index.matrix.astype(np.float32).astype(np.float64).tobytes()
+        save_index(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n", [1, H + 1, 3 * H + 2])
+    def test_normalized_rows_keep_the_bits_of_one_pass(self, rng, n):
+        vectors = rng.standard_normal((n, self.D)) * rng.uniform(1e-3, 1e3, (n, 1))
+        want = vectors / np.linalg.norm(vectors, axis=1)[:, None]
+        assert index_from_vectors([f"s{i}" for i in range(n)], vectors).matrix.tobytes() == want.tobytes()
+
+    def _saved(self, tmp_path, rng, normalize):
+        """A file of 3h + 2 rows, so its last slab is h + 2 rows, and its bytes."""
+        path = tmp_path / "index.bin"
+        save_index(index_of(random_embeddings(rng, 3 * self.H + 2, self.D), normalize), path)
+        return path, path.read_bytes()
+
+    def test_nan_in_the_last_slab_comes_before_a_repeated_id(self, tmp_path, rng):
+        path, blob = self._saved(tmp_path, rng, normalize=False)
+        blob = blob.replace(b"s00001", b"s00000", 1)
+        path.write_bytes(blob[:-4] + np.float32(np.nan).tobytes())
+        with pytest.raises(CorpusError) as excinfo:
+            load_index(path)
+        assert str(excinfo.value) == f"{path}: index matrix contains non-finite values"
+        path.write_bytes(blob)
+        with pytest.raises(CorpusError, match="duplicate study_id 's00000'"):
+            load_index(path)
+
+    def test_non_unit_row_in_the_last_slab(self, tmp_path, rng):
+        path, blob = self._saved(tmp_path, rng, normalize=True)
+        last = np.frombuffer(blob[-4:], dtype="<f4")
+        path.write_bytes(blob[:-4] + (2 * last).tobytes())
+        with pytest.raises(CorpusError) as excinfo:
+            load_index(path)
+        assert str(excinfo.value) == f"{path}: index flagged normalized but rows are not unit length"
+
+    def test_overflow_in_the_last_slab_names_its_row_and_keeps_the_file(self, tmp_path, rng):
+        path, blob = self._saved(tmp_path, rng, normalize=False)
+        n = 3 * self.H + 2
+        matrix = rng.standard_normal((n, self.D))
+        matrix[n - 2, 1] = 1e39
+        ids = tuple(f"s{i:05d}" for i in range(n))
+        with pytest.raises(ValidationError) as excinfo:
+            save_index(EmbeddingIndex(dim=self.D, ids=ids, matrix=matrix, normalized=False), path)
+        assert str(excinfo.value) == (
+            f"study 's{n - 2:05d}' has embedding value 1e+39, which does not fit in the index file's float32"
+        )
+        assert path.read_bytes() == blob
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.bin"]
+
+
+LOAD_PEAK_PROBE = """
+import sys
+from sei.retrieval import load_index
+
+def hwm_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+before = hwm_kib()
+index = load_index(sys.argv[1])
+print(hwm_kib() - before, index.matrix.nbytes)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_load_index_peak_is_the_matrix_plus_a_slab(tmp_path):
+    """Loading a 16,384 x 256 index grows the peak RSS of a fresh process by
+    less than its float64 matrix plus 8 MiB (reading the whole file at once took
+    about 2.5 times the matrix)."""
+    rng = np.random.default_rng(16384)
+    ids = [f"s{i:05d}" for i in range(16384)]
+    path = tmp_path / "index.bin"
+    save_index(index_from_vectors(ids, rng.standard_normal((16384, 256))), path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOAD_PEAK_PROBE, str(path)], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    grew_kib, matrix_bytes = map(int, proc.stdout.split())
+    assert grew_kib * 1024 < matrix_bytes + (8 << 20), (grew_kib, matrix_bytes)

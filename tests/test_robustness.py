@@ -14,6 +14,7 @@ import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -974,6 +975,20 @@ def test_load_index_survives_every_truncation_and_bit_flip(index):
     """Every truncation point and every single-bit flip of a file ``save_index``
     wrote either loads as an index with a finite matrix, or raises a CorpusError
     that starts with the path."""
+    _survives_every_truncation_and_bit_flip(index)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_indexes())
+def test_load_index_survives_every_truncation_and_bit_flip_in_one_row_slabs(index):
+    """The same with slabs of one row, so a 2- or 3-row index is read, written
+    and norm-checked over several slabs."""
+    with mock.patch.object(retrieval, "_SLAB_BYTES", 1):
+        assert len(retrieval._slab_bounds(index.matrix, 1)) == index.n + 1
+        _survives_every_truncation_and_bit_flip(index)
+
+
+def _survives_every_truncation_and_bit_flip(index):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "index.bin"
         retrieval.save_index(index, path)
