@@ -1,84 +1,21 @@
 """Deterministic toolkit for chest X-ray reporting pipelines.
 
-Covers the gradient-free and mathematical machinery around report
-generation: factual entity sequence extraction from entity-annotated
-reports, indication normalization, exact similar-case retrieval over dense
-embeddings, a cross-modal fusion network with verified gradients, alignment
-and NLL objectives, and an NLG/clinical-efficacy evaluation harness.
+Importing ``sei`` loads no submodule; each public name is imported from the
+module that defines it:
+
+* ``sei.corpus``: study records, the tokenizer, corpus JSONL reading and
+  writing, the corpus filter and ``atomic_write``;
+* ``sei.see``: structural entity extraction into factual entity sequences;
+* ``sei.indications``: indication normalization;
+* ``sei.retrieval``: the embeddings reader, the embedding index and its
+  file format, exact top-k retrieval and similar-case attachment;
+* ``sei.fusion``: the cross-modal fusion network and its backward pass;
+* ``sei.losses``: the alignment and NLL objectives with their gradients;
+* ``sei.metrics``: BLEU, ROUGE-L, label micro-F1 and entity F1;
+* ``sei.pipeline``: the run configuration, the stage table and manifests;
+* ``sei.cli``: the ``sei`` command;
+* ``sei.errors``: the error types and shared value checks;
+* ``sei.gradcheck``: the finite-difference gradient probe.
 """
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    CorpusFilterConfig,
-    EntityAnnotation,
-    EntityLabel,
-    ReportDocument,
-    StudyRecord,
-    filter_corpus,
-    load_corpus,
-    save_corpus,
-    tokenize,
-)
-from .errors import CorpusError, StageError, ToolkitError, ValidationError
-from .fusion import FeatureSet, FusionOutput, FusionParams, decoder_layer, fuse, fuse_backward, init_params
-from .indications import NormalizerConfig, normalize_indication
-from .losses import (
-    AlignmentBatch,
-    TokenPrediction,
-    global_alignment_loss,
-    local_alignment_loss,
-    nll_loss,
-    total_alignment_loss,
-)
-from .metrics import EvalPair, corpus_bleu, entity_f1, micro_f1, rouge_l, score_corpus, truncate_reference
-from .retrieval import EmbeddingIndex, RetrievalResult, attach_shc, index_from_vectors, top_k, top_k_naive
-from .see import FactualEntitySequence, FactualSubsequence, see_extract
-
-__all__ = [
-    "__version__",
-    "CorpusFilterConfig",
-    "EntityAnnotation",
-    "EntityLabel",
-    "ReportDocument",
-    "StudyRecord",
-    "filter_corpus",
-    "load_corpus",
-    "save_corpus",
-    "tokenize",
-    "CorpusError",
-    "StageError",
-    "ToolkitError",
-    "ValidationError",
-    "FeatureSet",
-    "FusionOutput",
-    "FusionParams",
-    "decoder_layer",
-    "fuse",
-    "fuse_backward",
-    "init_params",
-    "NormalizerConfig",
-    "normalize_indication",
-    "AlignmentBatch",
-    "TokenPrediction",
-    "global_alignment_loss",
-    "local_alignment_loss",
-    "nll_loss",
-    "total_alignment_loss",
-    "EvalPair",
-    "corpus_bleu",
-    "entity_f1",
-    "micro_f1",
-    "rouge_l",
-    "score_corpus",
-    "truncate_reference",
-    "EmbeddingIndex",
-    "RetrievalResult",
-    "attach_shc",
-    "index_from_vectors",
-    "top_k",
-    "top_k_naive",
-    "FactualEntitySequence",
-    "FactualSubsequence",
-    "see_extract",
-]

@@ -18,8 +18,9 @@ and their reasons.  That file is the only place drop reasons show: they are
 not written into ``paths.out_dir``, which holds a run's artifacts and
 manifest and nothing else.
 
-``fuse-demo`` has no flag form: a config's ``k`` (0 or not) and
-``fusion.sn`` (0 or not) already reach all four fusion branches.
+``fuse-demo`` has no flag form: a config reaches all four fusion branches,
+with similar cases iff ``k`` and ``fusion.sh`` are above 0, and indications
+iff ``fusion.sn`` is and some record has one.
 ``retrieve`` and ``align-demo`` are not stages and keep their flags:
 ``retrieve`` queries an index already built, and ``align-demo`` evaluates
 the alignment losses at sizes no config section declares.

@@ -11,10 +11,6 @@ Corpus files are JSONL, one study per line:
                    "start_ix": integer, "end_ix": integer}]|null,
      "labels14": [integer 0/1 x14]|null}
 
-Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
-``load_embeddings`` parses them straight into the rows of one float64
-matrix, returned as an unnormalized ``retrieval.EmbeddingIndex``.
-
 Every reader takes a field's value only if it is of the JSON kind named
 above, by one rule (``_JSON_KINDS``): an integer is a JSON integer, a number
 is an integer or a float, and ``true``/``false`` is neither; a numeric
@@ -37,14 +33,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator
-
-import numpy as np
+from typing import IO, Callable, Iterable, Iterator
 
 from .errors import CorpusError, ValidationError, check_at_least
-
-if TYPE_CHECKING:
-    from .retrieval import EmbeddingIndex
 
 __all__ = [
     "EntityLabel",
@@ -63,7 +54,6 @@ __all__ = [
     "record_from_json",
     "record_to_json",
     "filter_corpus",
-    "load_embeddings",
 ]
 
 # A decimal number survives as one token; otherwise . , : ; / split off.
@@ -391,42 +381,6 @@ def load_corpus(path: str | Path) -> list[StudyRecord]:
 def save_corpus(records: Iterable[StudyRecord], path: str | Path) -> None:
     """Write records as corpus JSONL (deterministic key order)."""
     dump_jsonl(path, map(record_to_json, records))
-
-
-def load_embeddings(path: str | Path) -> EmbeddingIndex:
-    """Read an embeddings JSONL file into an unnormalized ``EmbeddingIndex``.
-
-    Row i of its float64 matrix is the file's i-th vector, each value the
-    ``float`` of its JSON number.  All vectors must share one dimension and
-    hold finite JSON numbers (not ``true``/``false`` or numeric strings, and
-    no integer beyond float range); duplicates are rejected.
-    """
-    from .retrieval import EmbeddingIndex  # retrieval imports this module
-
-    matrix = np.empty((0, 0))
-    n = 0
-
-    def row(raw) -> int:
-        nonlocal matrix, n
-        _json_list(raw, float, "field 'vec'")
-        if n == 0:
-            matrix = np.empty((1024, len(raw)))
-        elif len(raw) != matrix.shape[1]:
-            raise ValidationError(f"vector of length {len(raw)} but corpus dimension is {matrix.shape[1]}")
-        if n == len(matrix):
-            matrix.resize((2 * n, matrix.shape[1]), refcheck=False)  # no view of it exists yet
-        try:
-            matrix[n] = raw  # numpy takes each value's float()
-        except OverflowError:
-            raise ValidationError("field 'vec' holds an integer too large for a float") from None
-        if not np.isfinite(matrix[n]).all():
-            raise ValidationError("field 'vec' holds a NaN or infinite value")
-        n += 1
-        return n - 1
-
-    ids = tuple(read_keyed_jsonl(path, "vec", row))
-    matrix.resize((n, matrix.shape[1]), refcheck=False)
-    return EmbeddingIndex(dim=matrix.shape[1], ids=ids, matrix=matrix, normalized=False)
 
 
 def filter_corpus(

@@ -93,7 +93,6 @@ from .corpus import (
     dump_jsonl,
     filter_corpus,
     load_corpus,
-    load_embeddings,
     read_keyed_jsonl,
     read_text,
     save_corpus,
@@ -105,7 +104,7 @@ from .gradcheck import max_fd_error
 from .indications import NormalizerConfig, normalize_indication
 from .losses import AlignmentBatch
 from .metrics import M_GT_CHOICES, EvalPair, score_settings
-from .retrieval import EmbeddingIndex, attach_shc, index_from_vectors, load_index, save_index
+from .retrieval import EmbeddingIndex, attach_shc, index_from_vectors, load_embeddings, load_index, save_index
 from .see import see_extract
 
 __all__ = [
@@ -210,6 +209,8 @@ class PipelineConfig:
     def __post_init__(self):
         check_at_least(0, k=self.k, seed=self.seed)
         check_at_least(1, jobs=self.jobs)
+        if not self.m_gt:
+            raise ValidationError("m_gt must list at least one setting")
         for value in self.m_gt:
             if value not in M_GT_CHOICES:
                 *rest, last = map(m_gt_key, M_GT_CHOICES)
@@ -513,9 +514,10 @@ def _stage_attach(
 
 
 def _stage_fuse_demo(cfg: PipelineConfig, out: Path, records: list[StudyRecord]) -> None:
-    """Run the fusion demo on the branch the records and k select."""
+    """Run the fusion demo on the branch the records, k and the fusion sizes select."""
     has_indication = any(rec.indication for rec in records) and cfg.fusion.sn > 0
-    _dump_json(out, fuse_demo_result(cfg.fusion, cfg.seed, with_shc=cfg.k > 0, with_indication=has_indication))
+    with_shc = cfg.k > 0 and cfg.fusion.sh > 0
+    _dump_json(out, fuse_demo_result(cfg.fusion, cfg.seed, with_shc=with_shc, with_indication=has_indication))
 
 
 def _stage_score(cfg: PipelineConfig, out: Path, scores: dict) -> None:
@@ -608,7 +610,7 @@ class _Forked:
     """
 
     def __init__(self, fn: Callable, *args):
-        import multiprocessing  # here, so importing sei does not pay for it
+        import multiprocessing  # here, so importing this module does not pay for it
         import threading
 
         self._name = fn.__name__
@@ -680,10 +682,14 @@ def _send_result(conn, fn: Callable, args: tuple) -> None:
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Run all stages; returns the manifest path.
 
-    On a stage failure the manifest is still written, flagged failed with
-    the completed stages listed, and a StageError is raised.
+    A config without ``paths.generated`` or with a missing input file raises
+    ValidationError before any stage runs.  On a stage failure the manifest
+    is still written, flagged failed with the completed stages listed, and a
+    StageError is raised.
     """
     paths = cfg.paths
+    if paths.generated is None:
+        raise ValidationError("score stage requires paths.generated in the config")
     paths.out_dir.mkdir(parents=True, exist_ok=True)
     given = {name: path for name, path in vars(paths).items() if name != "out_dir" and path is not None}
     for path in given.values():
@@ -720,7 +726,7 @@ def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str,
         out = paths.out_dir / spec.artifact
         try:
             done[stage] = spec.fn(cfg, out, *map(take, spec.takes))
-            if stage == "filter" and paths.generated is not None:
+            if stage == "filter":
                 children["scores"] = _Forked(score_from_files, *_score_args(cfg, done[stage], paths.corpus))
         except (ToolkitError, OSError) as exc:
             manifest["status"] = "failed"

@@ -7,9 +7,13 @@ vector around its k-th best score and sorts only the rows that reach it.
 Both order ties by row insertion order, so results are reproducible bit for
 bit.
 
+Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
+``load_embeddings`` parses them straight into the rows of one float64
+matrix, returned as an unnormalized ``EmbeddingIndex``.
+
 ``attach_shc`` queries with each record's own row of the raw embeddings
-matrix that ``corpus.load_embeddings`` returns, normalized here when the
-index is.  It scores its records in blocks of ``_QUERY_BLOCK`` queries.  It
+matrix that ``load_embeddings`` returns, normalized here when the index
+is.  It scores its records in blocks of ``_QUERY_BLOCK`` queries.  It
 walks the index in slabs of rows that fit in ``_SLAB_BYTES`` and runs one
 matrix-vector product per query on each slab while the slab is still in
 cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
@@ -58,15 +62,15 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import StudyRecord, atomic_write
+from .corpus import StudyRecord, _json_list, atomic_write, read_keyed_jsonl
 from .errors import CorpusError, ValidationError, as_finite_array, check_at_least
-from .see import see_extract
 
 __all__ = [
     "EmbeddingIndex",
     "RetrievalResult",
     "SimilarCase",
     "index_from_vectors",
+    "load_embeddings",
     "top_k",
     "top_k_naive",
     "attach_shc",
@@ -169,6 +173,40 @@ def index_from_vectors(
             )
         matrix = matrix / norms[:, None]
     return EmbeddingIndex(dim=matrix.shape[1], ids=tuple(ids), matrix=matrix, normalized=normalize)
+
+
+def load_embeddings(path: str | Path) -> EmbeddingIndex:
+    """Read an embeddings JSONL file into an unnormalized ``EmbeddingIndex``.
+
+    Row i of its float64 matrix is the file's i-th vector, each value the
+    ``float`` of its JSON number.  All vectors must share one dimension and
+    hold finite JSON numbers (not ``true``/``false`` or numeric strings, and
+    no integer beyond float range); duplicates are rejected.
+    """
+    matrix = np.empty((0, 0))
+    n = 0
+
+    def row(raw) -> int:
+        nonlocal matrix, n
+        _json_list(raw, float, "field 'vec'")
+        if n == 0:
+            matrix = np.empty((1024, len(raw)))
+        elif len(raw) != matrix.shape[1]:
+            raise ValidationError(f"vector of length {len(raw)} but corpus dimension is {matrix.shape[1]}")
+        if n == len(matrix):
+            matrix.resize((2 * n, matrix.shape[1]), refcheck=False)  # no view of it exists yet
+        try:
+            matrix[n] = raw  # numpy takes each value's float()
+        except OverflowError:
+            raise ValidationError("field 'vec' holds an integer too large for a float") from None
+        if not np.isfinite(matrix[n]).all():
+            raise ValidationError("field 'vec' holds a NaN or infinite value")
+        n += 1
+        return n - 1
+
+    ids = tuple(read_keyed_jsonl(path, "vec", row))
+    matrix.resize((n, matrix.shape[1]), refcheck=False)
+    return EmbeddingIndex(dim=matrix.shape[1], ids=ids, matrix=matrix, normalized=False)
 
 
 def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
@@ -318,14 +356,14 @@ def attach_shc(
     index: EmbeddingIndex,
     k: int,
     embeddings: EmbeddingIndex,
-    sequences: Mapping[str, str] | None = None,
+    sequences: Mapping[str, str],
 ) -> list[tuple[StudyRecord, tuple[SimilarCase, ...]]]:
     """Pair each record with its top-k similar *other* studies.
 
     Every record must have a row in ``embeddings``, the raw vectors its
     query comes from, and be present in the index (its own id is excluded
     from its results).  ``sequences`` maps study_id to a rendered factual
-    sequence; when omitted it is computed from the records themselves.
+    sequence.
 
     Each block of ``_QUERY_BLOCK`` records is one pool task: it checks the
     records up to the first that fails, scores the rest with ``_score_run``
@@ -335,11 +373,9 @@ def attach_shc(
     its good records and no later record is looked at.  On any raise the
     blocks not yet started are cancelled.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing sei does not pay for it
+    from concurrent.futures import ThreadPoolExecutor  # here, so importing this module does not pay for it
     from queue import SimpleQueue
 
-    if sequences is None:
-        sequences = {rec.study_id: see_extract(rec).rendered for rec in records}
     hits = min(k, index.n - 1)
     bounds = _slab_bounds(index.matrix)
     starts = range(0, len(records), _QUERY_BLOCK)

@@ -174,8 +174,9 @@ class TestRunPipeline:
         del raw["paths"]["generated"]
         paths["config"].write_text(json.dumps(raw))
         cfg = load_config(paths["config"])
-        with pytest.raises(StageError, match="generated"):
+        with pytest.raises(ValidationError, match="paths.generated"):
             run_pipeline(cfg)
+        assert not paths["out_dir"].exists()
 
     def test_invalid_m_gt_rejected(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)

@@ -13,7 +13,6 @@ from sei.corpus import (
     StudyRecord,
     filter_corpus,
     load_corpus,
-    load_embeddings,
     record_from_json,
     record_to_json,
     save_corpus,
@@ -21,6 +20,7 @@ from sei.corpus import (
 )
 from sei.cli import main
 from sei.errors import CorpusError, ValidationError
+from sei.retrieval import load_embeddings
 
 from conftest import VOCAB, make_record, write_pipeline_fixture
 

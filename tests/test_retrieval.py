@@ -21,6 +21,7 @@ from sei.retrieval import (
     top_k,
     top_k_naive,
 )
+from sei.see import see_extract
 
 
 def plain_record(study_id, text="lungs are clear."):
@@ -39,6 +40,11 @@ def index_of(embeddings, normalize=True):
 
 def records_of(embeddings):
     return [plain_record(sid) for sid in embeddings.ids]
+
+
+def sequences_of(records):
+    """The factual sequence of each record, keyed by study_id, as the see-extract stage writes them."""
+    return {rec.study_id: see_extract(rec).rendered for rec in records}
 
 
 class TestIndexFromVectors:
@@ -148,7 +154,7 @@ class TestAttachShc:
     def test_mutual_pair(self):
         records = [plain_record("a", "lungs clear."), plain_record("b", "heart normal.")]
         embeddings = index_from_vectors(["a", "b"], [[1.0, 0.0], [0.9, 0.1]], normalize=False)
-        attached = attach_shc(records, index_of(embeddings), 1, embeddings)
+        attached = attach_shc(records, index_of(embeddings), 1, embeddings, sequences_of(records))
         by_id = {rec.study_id: cases for rec, cases in attached}
         assert by_id["a"][0].study_id == "b"
         assert by_id["b"][0].study_id == "a"
@@ -156,7 +162,8 @@ class TestAttachShc:
 
     def test_k_zero_gives_empty_case_lists(self, rng):
         embeddings = random_embeddings(rng, 5, 4)
-        attached = attach_shc(records_of(embeddings), index_of(embeddings), 0, embeddings)
+        records = records_of(embeddings)
+        attached = attach_shc(records, index_of(embeddings), 0, embeddings, sequences_of(records))
         assert all(cases == () for _, cases in attached)
 
     def test_never_retrieves_self(self, rng):
@@ -164,7 +171,8 @@ class TestAttachShc:
             n = int(rng.integers(2, 40))
             embeddings = random_embeddings(rng, n, 6)
             k = int(rng.integers(1, n + 2))
-            for rec, cases in attach_shc(records_of(embeddings), index_of(embeddings), k, embeddings):
+            records = records_of(embeddings)
+            for rec, cases in attach_shc(records, index_of(embeddings), k, embeddings, sequences_of(records)):
                 assert rec.study_id not in [c.study_id for c in cases]
 
     def test_missing_embedding_names_study(self, rng):
@@ -172,13 +180,14 @@ class TestAttachShc:
         index = index_of(embeddings)
         records = records_of(embeddings) + [plain_record("missing", "ok.")]
         with pytest.raises(ValidationError, match="study 'missing' has no embedding"):
-            attach_shc(records, index, 1, embeddings)
+            attach_shc(records, index, 1, embeddings, sequences_of(records))
 
     def test_unindexed_record_rejected(self, rng):
         embeddings = random_embeddings(rng, 3, 4)
         index = index_from_vectors(embeddings.ids[:2], embeddings.matrix[:2])
+        records = records_of(embeddings)
         with pytest.raises(ValidationError, match="not indexed"):
-            attach_shc(records_of(embeddings), index, 1, embeddings)
+            attach_shc(records, index, 1, embeddings, sequences_of(records))
 
     def test_sequences_mapping_used(self, rng):
         embeddings = random_embeddings(rng, 3, 4)

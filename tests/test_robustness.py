@@ -371,8 +371,12 @@ class TestNegativeSizes:
         ({"fusion": {"d": 0}}, ("d must be >= 1, got 0", "config section 'fusion': ")),
         ({"fusion": {"si": -2}}, ("si", "config section 'fusion': ")),
         ({"fusion": {"sn": -1}}, ("sn", "config section 'fusion': ")),
+        ({"m_gt": []}, ("m_gt",)),
     ]
-    CONFIG_IDS = ["seed", "fusion-sh", "fractional-m_gt", "tau-nan", "fusion-heads", "fusion-d", "fusion-si", "fusion-sn"]
+    CONFIG_IDS = [
+        "seed", "fusion-sh", "fractional-m_gt", "tau-nan", "fusion-heads", "fusion-d", "fusion-si", "fusion-sn",
+        "empty-m_gt",
+    ]
 
     @pytest.mark.parametrize("patch, needles", CONFIG_ROWS, ids=CONFIG_IDS)
     @pytest.mark.parametrize("command", ["run", "fuse-demo"])
@@ -397,6 +401,21 @@ class TestNegativeSizes:
         proc = run_cli(*args)
         assert_clean_exit_2(proc, needle)
         assert proc.stderr.count("error:") == 1
+
+
+def test_run_without_generated_reports_writes_nothing(tmp_path):
+    """``sei run`` rejects a config without ``paths.generated``, which its score stage reads, before any
+    stage; every stage but score still runs alone without it."""
+    paths = write_pipeline_fixture(tmp_path)
+    raw = json.loads(paths["config"].read_text())
+    for name in ("generated", "generated_labels", "generated_entities"):
+        del raw["paths"][name]
+    paths["config"].write_text(json.dumps(raw))
+    proc = run_cli("run", "--config", str(paths["config"]))
+    assert_clean_exit_2(proc, "paths.generated")
+    assert proc.stderr.count("error:") == 1
+    assert not paths["out_dir"].exists()
+    run_stages(paths["config"], *(stage for stage in STAGE_ORDER if stage != "score"))
 
 
 def test_attach_shc_missing_sequence_names_id(rng):

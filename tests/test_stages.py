@@ -55,16 +55,17 @@ def drop_studies(paths: dict, dropped: set[int]) -> None:
     k=st.sampled_from([0, 1, 3]),
     m_gt=st.lists(st.sampled_from(M_GT_VALUES), min_size=1, unique=True),
     sn=st.sampled_from([0, 3]),
+    sh=st.sampled_from([0, 6]),
     fixture_seed=st.integers(0, 2**16),
 )
-def test_stages_in_order_write_the_runs_artifacts(dropped, k, m_gt, sn, fixture_seed):
+def test_stages_in_order_write_the_runs_artifacts(dropped, k, m_gt, sn, sh, fixture_seed):
     """For each drawn config, the stage subcommands run in ``STAGE_ORDER`` write
     ``sei run``'s seven artifacts byte for byte, and no manifest."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         paths = write_pipeline_fixture(root, n=8, seed=fixture_seed)
         drop_studies(paths, dropped)
-        patch_config(paths["config"], k=k, m_gt=m_gt, fusion={"sn": sn})
+        patch_config(paths["config"], k=k, m_gt=m_gt, fusion={"sn": sn, "sh": sh})
         staged = root / "staged.json"
         staged.write_text(paths["config"].read_text())
         patch_config(staged, paths={"out_dir": str(root / "staged")})
@@ -75,6 +76,18 @@ def test_stages_in_order_write_the_runs_artifacts(dropped, k, m_gt, sn, fixture_
         assert sorted(p.name for p in (root / "staged").iterdir()) == sorted(spec.artifact for spec in STAGES.values())
         filtered = (paths["out_dir"] / "filtered.jsonl").read_text().splitlines()
         assert len(filtered) == 8 - len(dropped)
+
+
+def test_no_similar_case_rows_is_the_k_zero_branch(tmp_path):
+    """``fusion.sh`` 0 with k 1 writes the ``fusion.json`` of k 0: no similar cases go into the fusion demo."""
+    written = {}
+    for k in (0, 1):
+        paths = write_pipeline_fixture(tmp_path / f"k{k}", n=30)
+        patch_config(paths["config"], k=k, fusion={"sh": 0})
+        assert sei("run", "--config", str(paths["config"])) == 0
+        written[k] = (paths["out_dir"] / "fusion.json").read_bytes()
+    assert written[1] == written[0]
+    assert json.loads(written[1])["branch"] == "no_shc"
 
 
 def test_a_stage_alone_deletes_the_runs_manifest(tmp_path):
