@@ -1,4 +1,4 @@
-"""Time whole ``sei run``s and the retrieval layer on a seeded corpus, sides alternating; write a BENCH file.
+"""Time whole ``sei run``s, the retrieval layer and fusion on seeded inputs, sides alternating; write a BENCH file.
 
 Run from the root of a checkout:
 
@@ -20,6 +20,12 @@ second fresh process imports the same ``sei``, loads that ``index.bin`` and
 nothing else, and reports its ``VmHWM`` (``/proc/self/status``) as
 ``load_index_peak_rss_mb``: a new program image starts that mark afresh,
 where ``ru_maxrss`` would start at the peak of the process that started it.
+A third fresh process runs fusion on the 16 studies of one ``train-step``
+step (``perfbench/inputs.py::train_step_arrays`` at ``perfbench``'s
+``TrainStep.SHAPES``, seed 1, step 0): ``fuse`` then ``fuse_backward`` per
+study, ``FUSION_REPS`` times.  It reports the median time of one pass as
+``fusion.step_s`` and the sha256 of every fused output and gradient, in
+study order, as ``fusion_sha256``.
 
 Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``.
@@ -30,7 +36,9 @@ peak counts the pages it shares with the measuring process at the fork (the
 interpreter, numpy, the records it reads), so it is an upper bound on the
 memory the child adds, not that memory itself.  ``setting.scoring_threads``
 is the size of ``attach_shc``'s scoring pool (1 for a ``sei`` that scores on
-the calling thread only).
+the calling thread only), and ``setting.fusion_helper`` says whether fusion
+runs a helper thread at the ``train-step`` shapes (false for a ``sei``
+without one).
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of
@@ -63,11 +71,13 @@ WORK = ROOT / ".bench_build" / "run_bench"
 N, D, K, SEED = 20_000, 256, 5, 123
 TOP_K_CALLS = 2_000
 RUNS = 3  # rounds; each measures every side once
+FUSION_REPS = 5  # passes over one step's studies in each fusion measurement
+FUSION_SHAPES = {"B": 16, "S_i": 49, "S_t": 64, "d": 256, "heads": 8, "S_h": 100, "S_n": 20, "M": 16, "V": 2000}
 # metrics summarized over a side's runs
 SUMMARIZED = (
     "cli.main.s", "throughput_per_s", "peak_rss_mb", "children_peak_rss_mb",
     "retrieval.attach_shc.s", "retrieval.top_k.s", "retrieval.top_k.p50_ms",
-    "retrieval.load_index.s", "load_index_peak_rss_mb",
+    "retrieval.load_index.s", "load_index_peak_rss_mb", "fusion.step_s",
 )
 
 
@@ -141,8 +151,47 @@ def measure(src: Path, config_path: Path) -> dict:
         "retrieval.attach_shc.s": attach_s,
         "retrieval.load_index.s": load_s,
         "artifacts_sha256": artifacts,
-        "scoring_threads": retrieval._scoring_threads() if hasattr(retrieval, "_scoring_threads") else 1,
+        "scoring_threads": usable_cpus(retrieval),
     }
+
+
+def usable_cpus(retrieval) -> int:
+    """The CPUs ``attach_shc`` scores on, for a ``sei`` from before or after ``sei.threads``."""
+    try:
+        from sei import threads
+    except ImportError:
+        return retrieval._scoring_threads() if hasattr(retrieval, "_scoring_threads") else 1
+    return threads.usable_cpus()
+
+
+def measure_fusion(src: Path) -> dict:
+    """``fuse`` then ``fuse_backward`` on one ``train-step`` step's studies with the ``sei`` under ``src``."""
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    from inputs import train_step_arrays
+    from sei import fusion
+
+    shapes = FUSION_SHAPES
+    raw = train_step_arrays(1, 0, shapes)
+    params = fusion.init_params(shapes["d"], shapes["heads"], 1)
+    studies = [
+        (fusion.FeatureSet(image=s["image"], shc=s["shc"], indication=s["indication"]), s["upstream"])
+        for s in raw["studies"]
+    ]
+    times, digest = [], hashlib.sha256()
+    for rep in range(FUSION_REPS):
+        start = time.perf_counter()
+        results = [(fusion.fuse(f, params), fusion.fuse_backward(f, params, up)) for f, up in studies]
+        times.append(time.perf_counter() - start)
+        if rep == 0:
+            for out, grads in results:
+                arrays = [out.fused, grads.image, grads.shc, grads.indication]
+                arrays += [a for layer in grads.layers().values() for a in layer.arrays().values()]
+                for array in arrays:
+                    digest.update(b"-" if array is None else array.tobytes())
+        del results
+    first = studies[0][0]
+    helper = hasattr(fusion, "_helper") and fusion._helper(params.d, first.image, first.shc, first.indication)._thread is not None
+    return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest(), "fusion_helper": helper}
 
 
 def load_peak(src: Path, config_path: Path) -> float:
@@ -166,14 +215,18 @@ def in_subprocess(*args: str) -> str:
 
 def summarize(runs: list[dict], src: Path) -> dict:
     first = runs[0]
+    per_side = ("artifacts_sha256", "scoring_threads", "fusion_sha256", "fusion_helper")
     return {
-        "runs": [{k: v for k, v in run.items() if k not in ("artifacts_sha256", "scoring_threads")} for run in runs],
+        "runs": [{k: v for k, v in run.items() if k not in per_side} for run in runs],
         "median": {name: statistics.median(run[name] for run in runs) for name in SUMMARIZED},
         "spread": {name: max(run[name] for run in runs) - min(run[name] for run in runs) for name in SUMMARIZED},
         "artifacts_sha256": first["artifacts_sha256"],
         "artifacts_same_every_run": all(run["artifacts_sha256"] == first["artifacts_sha256"] for run in runs),
+        "fusion_sha256": first["fusion_sha256"],
+        "fusion_same_every_run": all(run["fusion_sha256"] == first["fusion_sha256"] for run in runs),
         "src_lines": source_lines(src),
         "scoring_threads": first["scoring_threads"],
+        "fusion_helper": first["fusion_helper"],
     }
 
 
@@ -188,6 +241,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--generate", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--measure", type=Path, metavar="SRC", help=argparse.SUPPRESS)
     parser.add_argument("--load-peak", type=Path, metavar="SRC", help=argparse.SUPPRESS)
+    parser.add_argument("--fusion", type=Path, metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.generate:
@@ -198,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.load_peak:
         print(load_peak(args.load_peak, WORK / "config.json"))
+        return 0
+    if args.fusion:
+        print(json.dumps(measure_fusion(args.fusion)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -214,6 +271,7 @@ def main(argv: list[str] | None = None) -> int:
                 printed = in_subprocess("--measure", str(sides[name]))  # sei's own line, then the result
                 runs[name].append(json.loads(printed.splitlines()[-1]))
                 runs[name][-1]["load_index_peak_rss_mb"] = float(in_subprocess("--load-peak", str(sides[name])))
+                runs[name][-1].update(json.loads(in_subprocess("--fusion", str(sides[name]))))
                 print(f"round {round_no + 1} {name}: {runs[name][-1]['throughput_per_s']:.1f} studies/s", flush=True)
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
@@ -224,6 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         result["setting"] = {
             "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": RUNS,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
+            "fusion_helper": result.pop("fusion_helper"),
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
         }
         bench[name] = result
@@ -232,6 +291,10 @@ def main(argv: list[str] | None = None) -> int:
     kept = [side for side in bench if isinstance(bench[side], dict) and "artifacts_sha256" in bench[side]]
     hashes = {json.dumps(bench[s]["artifacts_sha256"], sort_keys=True) for s in kept}
     bench["artifacts_identical"] = len(hashes) == 1 and all(bench[s].get("artifacts_same_every_run", True) for s in kept)
+    fused = [side for side in kept if "fusion_sha256" in bench[side]]
+    bench["fusion_identical"] = len({bench[s]["fusion_sha256"] for s in fused}) == 1 and all(
+        bench[s]["fusion_same_every_run"] for s in fused
+    )
     if "parent" in bench and "change" in bench:
         bench["src_lines_net"] = bench["change"]["src_lines"] - bench["parent"]["src_lines"]
     args.out.write_text(json.dumps(bench, indent=2, sort_keys=True) + "\n", encoding="utf-8")

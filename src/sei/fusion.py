@@ -22,6 +22,42 @@ using multi-head scaled dot-product attention (scale 1/sqrt(d/heads)) and a
 GELU feed-forward block.  No positional encodings are applied to memory, so
 the output is invariant to memory row order.  ``fuse_backward`` returns
 analytic gradients of sum(fused * upstream) for every parameter and input.
+
+Threads: ``fuse``, ``fuse_backward``, ``fusion_objective`` and
+``decoder_layer`` each open one ``threads.Helper`` and join it before they
+return, so no thread outlives a call (and ``sei run`` may still fork).  In
+each layer's forward pass the helper runs the cross-attention K/V
+projections and the tanh term of the top half of the GELU rows; in the
+backward pass it runs each sublayer's weight-gradient matmuls as one task
+(the FFN pair, the four cross-attention ones, the four self-attention ones),
+off the chain of input gradients.  No bit can move: the helper makes the
+same numpy calls on the same operands as the calling thread would, and GELU
+is element-wise, so a row split changes nothing.  Three rules keep it a gain:
+
+1. The caller allocates every array the helper writes (``out=``): arrays the
+   helper allocated would come from a second malloc arena and raise the
+   peak RSS.
+2. ``Helper.result`` takes back a task the helper has not started and runs
+   it on the caller, so a late or descheduled helper never stalls a call.
+3. Small networks run inline, through the same code: below
+   ``_HELPER_MIN_WORK`` of d * d * rows (rows: all input rows of a call), or
+   on a process that may run on one CPU, the helper has no thread.  The
+   crossover, ``fuse`` then ``fuse_backward`` of one ``full``-branch study
+   with 49 + 100 + 20 rows unless given (best of 3 x 15, 2-CPU Xeon, BLAS on
+   one thread):
+
+   ====  =====  ============  =========  =========
+   d     rows   d * d * rows  inline ms  helper ms
+   ====  =====  ============  =========  =========
+   8     13     832           3.1        3.8
+   32    169    0.17 M        10.5       11.2
+   128   35     0.57 M        12.6       12.1
+   64    169    0.69 M        16.4       16.4
+   256   13     0.85 M        44.9       41.5
+   96    169    1.56 M        23.3       21.2
+   128   169    2.77 M        42.0       33.8
+   256   169    11.1 M        120.5      80.6
+   ====  =====  ============  =========  =========
 """
 
 from __future__ import annotations
@@ -32,6 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import threads
 from .errors import ValidationError, as_finite_array
 
 __all__ = [
@@ -88,6 +125,9 @@ ROUTES = {
 _LN_EPS = 1e-5
 _GELU_A = math.sqrt(2.0 / math.pi)
 _GELU_B = 0.044715
+# Below this d * d * rows (rows: all input rows of a call) a call runs its
+# helper tasks on the calling thread; see "Threads" in the module docstring.
+_HELPER_MIN_WORK = 1 << 20
 
 
 @dataclass
@@ -238,9 +278,31 @@ class FusionGradients:
 # ---------------------------------------------------------------------------
 
 
-def _gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU (tanh form) and its tanh term, which the backward pass reuses."""
-    t = np.tanh(_GELU_A * (x + _GELU_B * x**3))
+def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
+    """The tanh term of GELU (tanh form) of ``x``, written into ``t`` with no temporary.
+
+    Each step is the same ufunc on the same operands as
+    ``tanh(A * (x + B * x**3))``, so the bits are equal; a product's operand
+    order does not change its bits.
+    """
+    np.power(x, 3, out=t)
+    t *= _GELU_B
+    t += x
+    t *= _GELU_A
+    np.tanh(t, out=t)
+
+
+def _gelu(x: np.ndarray, helper: threads.Helper) -> tuple[np.ndarray, np.ndarray]:
+    """GELU (tanh form) and its tanh term, which the backward pass reuses.
+
+    The helper writes the tanh term of the top half of the rows, this thread
+    the rest; GELU is element-wise, so the split moves no bit.
+    """
+    t = np.empty_like(x)
+    top = x.shape[0] // 2
+    task = helper.submit(_gelu_tanh, x[:top], t[:top])
+    _gelu_tanh(x[top:], t[top:])
+    helper.result(task)
     return 0.5 * x * (1.0 + t), t
 
 
@@ -309,10 +371,26 @@ class _AttnTape(NamedTuple):
     n_heads: int
 
 
-def _attention_forward(x_q, memory, wq, wk, wv, wo, n_heads):
+def _matmuls(products) -> None:
+    """``np.matmul(a, b, out=out)`` for each ``(a, b, out)``: the same product as ``a @ b``.
+
+    Every ``out`` comes from the caller, so a helper running this allocates
+    nothing: arrays it allocated would come from its own malloc arena and
+    raise the peak RSS.
+    """
+    for a, b, out in products:
+        np.matmul(a, b, out=out)
+
+
+def _submit_products(helper: threads.Helper, pairs) -> tuple[threads.Task, list[np.ndarray]]:
+    """Submit ``a @ b`` for each ``(a, b)`` as one helper task into arrays allocated here."""
+    outs = [np.empty((a.shape[0], b.shape[1])) for a, b in pairs]
+    return helper.submit(_matmuls, [(a, b, out) for (a, b), out in zip(pairs, outs)]), outs
+
+
+def _attention_forward(x_q, memory, k, v, wq, wk, wv, wo, n_heads):
+    """Multi-head attention of ``x_q`` over ``memory``; ``k`` and ``v`` are ``memory @ wk`` and ``memory @ wv``."""
     q = x_q @ wq
-    k = memory @ wk
-    v = memory @ wv
     qh = _split_heads(q, n_heads)
     kh = _split_heads(k, n_heads)
     vh = _split_heads(v, n_heads)
@@ -324,8 +402,8 @@ def _attention_forward(x_q, memory, wq, wk, wv, wo, n_heads):
     return out, _AttnTape(x_q, memory, wq, wk, wv, wo, qh, kh, vh, probs, merged_ctx, scale, n_heads)
 
 
-def _attention_backward(dout: np.ndarray, tape: _AttnTape):
-    dwo = tape.merged_ctx.T @ dout
+def _attention_backward(dout: np.ndarray, tape: _AttnTape, helper: threads.Helper):
+    """Input gradients, plus one helper task and the arrays it fills: the grads of wq, wk, wv, wo."""
     dctx = _split_heads(dout @ tape.wo.T, tape.n_heads)
     dprobs = np.matmul(dctx, tape.vh.transpose(0, 2, 1))
     dvh = np.matmul(tape.probs.transpose(0, 2, 1), dctx)
@@ -336,12 +414,13 @@ def _attention_backward(dout: np.ndarray, tape: _AttnTape):
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
-    dwq = tape.x_q.T @ dq
-    dwk = tape.memory.T @ dk
-    dwv = tape.memory.T @ dv
+    weights = _submit_products(
+        helper,
+        ((tape.x_q.T, dq), (tape.memory.T, dk), (tape.memory.T, dv), (tape.merged_ctx.T, dout)),
+    )
     dx_q = dq @ tape.wq.T
     dmemory = dk @ tape.wk.T + dv @ tape.wv.T
-    return dx_q, dmemory, dwq, dwk, dwv, dwo
+    return dx_q, dmemory, weights
 
 
 class _DecoderTape(NamedTuple):
@@ -356,46 +435,61 @@ class _DecoderTape(NamedTuple):
     ff_act: np.ndarray
 
 
-def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int):
+def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int, helper: threads.Helper):
+    kv_task, kv = _submit_products(helper, ((memory, layer.cross_k), (memory, layer.cross_v)))
     n1, t_ln1 = _layer_norm_forward(queries, layer.ln1_gain, layer.ln1_bias)
     sa, t_sa = _attention_forward(
-        n1, n1, layer.self_q, layer.self_k, layer.self_v, layer.self_o, n_heads
+        n1, n1, n1 @ layer.self_k, n1 @ layer.self_v,
+        layer.self_q, layer.self_k, layer.self_v, layer.self_o, n_heads,
     )
     x1 = queries + sa
     n2, t_ln2 = _layer_norm_forward(x1, layer.ln2_gain, layer.ln2_bias)
+    helper.result(kv_task)
     ca, t_ca = _attention_forward(
-        n2, memory, layer.cross_q, layer.cross_k, layer.cross_v, layer.cross_o, n_heads
+        n2, memory, *kv, layer.cross_q, layer.cross_k, layer.cross_v, layer.cross_o, n_heads
     )
     x2 = x1 + ca
     n3, t_ln3 = _layer_norm_forward(x2, layer.ln3_gain, layer.ln3_bias)
     ff_pre = n3 @ layer.ff1
-    ff_act, ff_tanh = _gelu(ff_pre)
+    ff_act, ff_tanh = _gelu(ff_pre, helper)
     out = x2 + ff_act @ layer.ff2
     return out, _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_tanh, ff_act)
 
 
-def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams):
+def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams, helper: threads.Helper):
+    """Input gradients, the layer's weight gradients, and the helper tasks that fill them.
+
+    Each sublayer's weight-gradient matmuls are one helper task, off the
+    chain of input gradients this thread follows (Griewank and Walther,
+    *Evaluating Derivatives*, 2008); the weight arrays hold their values
+    once every returned task's result is taken.
+    """
     # feed-forward sublayer
-    dff2 = tape.ff_act.T @ dout
     dpre = (dout @ layer.ff2.T) * _gelu_grad(tape.ff_pre, tape.ff_tanh)
-    dff1 = tape.n3.T @ dpre
+    ffn_task, (dff1, dff2) = _submit_products(helper, ((tape.n3.T, dpre), (tape.ff_act.T, dout)))
     dx2_ln, *dln3 = _layer_norm_backward(dpre @ layer.ff1.T, tape.ln3)
     dx2 = dout + dx2_ln
     # cross-attention sublayer
-    dn2, dmemory, *dcross = _attention_backward(dx2, tape.cross_attn)
+    dn2, dmemory, (cross_task, dcross) = _attention_backward(dx2, tape.cross_attn, helper)
     dx1_ln, *dln2 = _layer_norm_backward(dn2, tape.ln2)
     dx1 = dx2 + dx1_ln
     # self-attention sublayer: queries and memory are the same normed input
-    dn1_q, dn1_m, *dself = _attention_backward(dx1, tape.self_attn)
+    dn1_q, dn1_m, (self_task, dself) = _attention_backward(dx1, tape.self_attn, helper)
     dx0_ln, *dln1 = _layer_norm_backward(dn1_q + dn1_m, tape.ln1)
     # LayerParams field order: self q/k/v/o, cross q/k/v/o, ff1, ff2, ln1..ln3 gain/bias
     grads = LayerParams(*dself, *dcross, dff1, dff2, *dln1, *dln2, *dln3)
-    return dx1 + dx0_ln, dmemory, grads
+    return dx1 + dx0_ln, dmemory, grads, (ffn_task, cross_task, self_task)
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
+
+
+def _helper(d: int, *inputs: np.ndarray | None) -> threads.Helper:
+    """A helper with a thread when a second CPU is there and d * d * (rows of ``inputs``) pays for one."""
+    rows = sum(x.shape[0] for x in inputs if x is not None)
+    return threads.Helper(threaded=d * d * rows >= _HELPER_MIN_WORK and threads.usable_cpus() > 1)
 
 
 def decoder_layer(
@@ -417,13 +511,14 @@ def decoder_layer(
         raise ValidationError(f"memory width {m.shape[1]} does not match query width {d}")
     _check_heads(d, n_heads)
     layer.validate(d)
-    out, tape = _decoder_forward(q, m, layer, n_heads)
+    with _helper(d, q, m) as helper:
+        out, tape = _decoder_forward(q, m, layer, n_heads, helper)
     if return_probs:
         return out, {"self": tape.self_attn.probs, "cross": tape.cross_attn.probs}
     return out
 
 
-def _fuse_forward(features: FeatureSet, params: FusionParams):
+def _fuse_forward(features: FeatureSet, params: FusionParams, helper: threads.Helper):
     params.validate()
     image = features.image
     if image.shape[1] != params.d:
@@ -440,14 +535,15 @@ def _fuse_forward(features: FeatureSet, params: FusionParams):
     tapes: dict[str, _DecoderTape] = {}
     for layer, queries, memory in route:
         values[layer], tapes[layer] = _decoder_forward(
-            values[queries], values[memory], getattr(params, layer), params.n_heads
+            values[queries], values[memory], getattr(params, layer), params.n_heads, helper
         )
     return FusionOutput(fused=values[route[-1][0]], branch_taken=branch), tapes
 
 
 def fuse(features: FeatureSet, params: FusionParams) -> FusionOutput:
     """Fusion forward pass; the branch taken depends on which inputs exist."""
-    output, _ = _fuse_forward(features, params)
+    with _helper(params.d, features.image, features.shc, features.indication) as helper:
+        output, _ = _fuse_forward(features, params, helper)
     return output
 
 
@@ -464,20 +560,27 @@ def fuse_backward(features: FeatureSet, params: FusionParams, upstream) -> Fusio
     Weights of layers the taken branch never touches get exact zeros; absent
     inputs get None.
     """
-    output, tapes = _fuse_forward(features, params)
-    up = _upstream(upstream, output.fused)
-    route = ROUTES[output.branch_taken]
-    # Gradient by source, created on its first write and summed after that.
-    # At most two ever meet, so the sum's order does not change its bits;
-    # starting from zeros would, since 0.0 + -0.0 is 0.0.
-    grads = {route[-1][0]: up}
-    layer_grads: dict[str, LayerParams] = {}
-    for layer, queries, memory in reversed(route):
-        dq, dm, layer_grads[layer] = _decoder_backward(
-            grads.pop(layer), tapes[layer], getattr(params, layer)
-        )
-        for src, grad in ((queries, dq), (memory, dm)):
-            grads[src] = grads[src] + grad if src in grads else grad
+    with _helper(params.d, features.image, features.shc, features.indication) as helper:
+        output, tapes = _fuse_forward(features, params, helper)
+        up = _upstream(upstream, output.fused)
+        route = ROUTES[output.branch_taken]
+        # Gradient by source, created on its first write and summed after that.
+        # At most two ever meet, so the sum's order does not change its bits;
+        # starting from zeros would, since 0.0 + -0.0 is 0.0.
+        grads = {route[-1][0]: up}
+        layer_grads: dict[str, LayerParams] = {}
+        weight_tasks = []
+        for layer, queries, memory in reversed(route):
+            dq, dm, layer_grads[layer], tasks = _decoder_backward(
+                grads.pop(layer), tapes[layer], getattr(params, layer), helper
+            )
+            weight_tasks.extend(tasks)
+            for src, grad in ((queries, dq), (memory, dm)):
+                grads[src] = grads[src] + grad if src in grads else grad
+        # Newest first: the helper works from the oldest end of its queue, so
+        # this thread takes back what is left instead of waiting on it.
+        for task in reversed(weight_tasks):
+            helper.result(task)
     for name in LAYER_NAMES:
         if name not in layer_grads:
             layer_grads[name] = LayerParams.zeros(params.d)

@@ -683,18 +683,18 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     """Run all stages; returns the manifest path.
 
     A config without ``paths.generated`` or with a missing input file raises
-    ValidationError before any stage runs.  On a stage failure the manifest
-    is still written, flagged failed with the completed stages listed, and a
-    StageError is raised.
+    ValidationError before any stage runs or ``paths.out_dir`` is made.  On a
+    stage failure the manifest is still written, flagged failed with the
+    completed stages listed, and a StageError is raised.
     """
     paths = cfg.paths
     if paths.generated is None:
         raise ValidationError("score stage requires paths.generated in the config")
-    paths.out_dir.mkdir(parents=True, exist_ok=True)
     given = {name: path for name, path in vars(paths).items() if name != "out_dir" and path is not None}
     for path in given.values():
         if not Path(path).exists():
             raise ValidationError(f"input file {path} does not exist")
+    paths.out_dir.mkdir(parents=True, exist_ok=True)
     # Work running in forked children, by the name the stages take its result by.
     children = {"embeddings": _Forked(load_embeddings, paths.embeddings)}
     try:

@@ -27,7 +27,7 @@ query, which has nothing to reuse from cache, so they keep one product over
 the whole matrix.
 
 Scoring threads: ``attach_shc`` runs its blocks on a pool of one thread
-per CPU the process may run on (``_scoring_threads``; no option sets it).
+per CPU the process may run on (``threads.usable_cpus``; no option sets it).
 Each task checks, scores and selects one whole block, so every product is
 still a slab on the 4-row grid and the bits do not depend on the pool size.
 The calling thread takes the blocks in record order, so errors come as one
@@ -62,6 +62,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import threads
 from .corpus import StudyRecord, _json_list, atomic_write, read_keyed_jsonl
 from .errors import CorpusError, ValidationError, as_finite_array, check_at_least
 
@@ -229,14 +230,6 @@ def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray, query_i
     return RetrievalResult(query_id=query_id, hits=hits)
 
 
-def _scoring_threads() -> int:
-    """Threads that score ``attach_shc``'s blocks: one per CPU this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _slab_bounds(matrix: np.ndarray, group: int = 4) -> list[int]:
     """Slab edges over the rows of ``matrix``, first 0 and last n.
 
@@ -379,9 +372,9 @@ def attach_shc(
     hits = min(k, index.n - 1)
     bounds = _slab_bounds(index.matrix)
     starts = range(0, len(records), _QUERY_BLOCK)
-    threads = min(_scoring_threads(), len(starts)) or 1
+    workers = min(threads.usable_cpus(), len(starts)) or 1
     buffers = SimpleQueue()  # filled here: pool threads' malloc arenas would keep their buffers
-    for _ in range(threads):
+    for _ in range(workers):
         buffers.put(np.empty((min(_QUERY_BLOCK, len(records)), index.n)))
 
     def run_block(start: int):
@@ -408,7 +401,7 @@ def attach_shc(
         return block, found, error
 
     out = []
-    pool = ThreadPoolExecutor(threads)
+    pool = ThreadPoolExecutor(workers)
     try:
         for block, found, error in pool.map(run_block, starts):
             for rec, rec_hits in zip(block, found):

@@ -19,8 +19,8 @@ SRC = Path(sei.__file__).parent
     "statement, loaded",
     [
         ("import sei", {"sei"}),
-        ("import sei.retrieval", {"sei", "sei.errors", "sei.corpus", "sei.retrieval"}),
-        ("import sei.fusion, sei.losses", {"sei", "sei.errors", "sei.fusion", "sei.losses"}),
+        ("import sei.retrieval", {"sei", "sei.errors", "sei.corpus", "sei.retrieval", "sei.threads"}),
+        ("import sei.fusion, sei.losses", {"sei", "sei.errors", "sei.fusion", "sei.losses", "sei.threads"}),
     ],
 )
 def test_fresh_import_loads_only_what_it_uses(statement, loaded):

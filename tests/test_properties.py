@@ -109,7 +109,7 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
     try:
         with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
             retrieval, "_QUERY_BLOCK", block
-        ), mock.patch.object(retrieval, "_scoring_threads", lambda: threads):
+        ), mock.patch("sei.threads.usable_cpus", lambda: threads):
             attached = attach_shc(records, index, k, embeddings, sequences=sequences)
     finally:
         sys.setswitchinterval(interval)

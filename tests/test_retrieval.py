@@ -205,11 +205,11 @@ class TestAttachShc:
 THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
-from sei import retrieval
+from sei import threads
 from sei.corpus import ReportDocument, StudyRecord
 from sei.retrieval import attach_shc, index_from_vectors, top_k_naive
 
-retrieval._scoring_threads = lambda: int(sys.argv[1])
+threads.usable_cpus = lambda: int(sys.argv[1])
 n, d = 9801, 256
 rng = np.random.default_rng(9801)
 vectors = rng.standard_normal((n, d))

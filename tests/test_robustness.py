@@ -418,6 +418,17 @@ def test_run_without_generated_reports_writes_nothing(tmp_path):
     run_stages(paths["config"], *(stage for stage in STAGE_ORDER if stage != "score"))
 
 
+@pytest.mark.parametrize("missing", ["corpus", "embeddings", "generated"])
+def test_run_with_a_missing_input_makes_no_out_dir(tmp_path, missing):
+    """``sei run`` checks that every input file exists before it makes ``paths.out_dir``."""
+    paths = write_pipeline_fixture(tmp_path)
+    paths[missing].unlink()
+    proc = run_cli("run", "--config", str(paths["config"]))
+    assert_clean_exit_2(proc, f"input file {paths[missing]} does not exist")
+    assert proc.stderr.count("error:") == 1
+    assert not paths["out_dir"].exists()
+
+
 def test_attach_shc_missing_sequence_names_id(rng):
     records = [make_record(rng, study_id=f"s{i}") for i in range(3)]
     embeddings = index_from_vectors(["s0", "s1", "s2"], rng.standard_normal((3, 3)), normalize=False)
@@ -497,7 +508,7 @@ class TestAttachShcErrorOrder:
 
         monkeypatch.setattr(retrieval, "_QUERY_BLOCK", 1)
         monkeypatch.setattr(retrieval, "_SLAB_BYTES", 4 * 2 * 8)  # three slabs of 4 rows
-        monkeypatch.setattr(retrieval, "_scoring_threads", lambda: threads)
+        monkeypatch.setattr("sei.threads.usable_cpus", lambda: threads)
         monkeypatch.setattr(retrieval, "_score_run", kernel)
         before = threading.active_count()
         with pytest.raises(MemoryError) as excinfo:
