@@ -190,7 +190,11 @@ def measure_fusion(src: Path) -> dict:
                     digest.update(b"-" if array is None else array.tobytes())
         del results
     first = studies[0][0]
-    helper = hasattr(fusion, "_helper") and fusion._helper(params.d, first.image, first.shc, first.indication)._thread is not None
+    helper = False  # a sei without fusion._helper has no helper thread
+    if hasattr(fusion, "_helper"):
+        made = fusion._helper(params.d, first.image, first.shc, first.indication)
+        # a sei from before Helper.threaded tells by its _thread
+        helper = made.threaded if hasattr(made, "threaded") else made._thread is not None
     return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest(), "fusion_helper": helper}
 
 

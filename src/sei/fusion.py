@@ -24,15 +24,16 @@ the output is invariant to memory row order.  ``fuse_backward`` returns
 analytic gradients of sum(fused * upstream) for every parameter and input.
 
 Threads: ``fuse``, ``fuse_backward``, ``fusion_objective`` and
-``decoder_layer`` each open one ``threads.Helper`` and join it before they
-return, so no thread outlives a call (and ``sei run`` may still fork).  In
-each layer's forward pass the helper runs the cross-attention K/V
-projections and the tanh term of the top half of the GELU rows; in the
-backward pass it runs each sublayer's weight-gradient matmuls as one task
-(the FFN pair, the four cross-attention ones, the four self-attention ones),
-off the chain of input gradients.  No bit can move: the helper makes the
-same numpy calls on the same operands as the calling thread would, and GELU
-is element-wise, so a row split changes nothing.  Three rules keep it a gain:
+``decoder_layer`` each open one ``threads.Helper``, a one-worker thread pool,
+and shut it down before they return, so no thread outlives a call (and
+``sei run`` may still fork).  In each layer's forward pass the helper runs
+the cross-attention K/V projections and the tanh term of the top half of
+the GELU rows; in the backward pass it runs each sublayer's weight-gradient
+matmuls as one task (the FFN pair, the four cross-attention ones, the four
+self-attention ones), off the chain of input gradients.  No bit can move:
+the helper makes the same numpy calls on the same operands as the calling
+thread would, and GELU is element-wise, so a row split changes nothing.
+Three rules keep it a gain:
 
 1. The caller allocates every array the helper writes (``out=``): arrays the
    helper allocated would come from a second malloc arena and raise the
@@ -382,7 +383,7 @@ def _matmuls(products) -> None:
         np.matmul(a, b, out=out)
 
 
-def _submit_products(helper: threads.Helper, pairs) -> tuple[threads.Task, list[np.ndarray]]:
+def _submit_products(helper: threads.Helper, pairs) -> tuple[list, list[np.ndarray]]:
     """Submit ``a @ b`` for each ``(a, b)`` as one helper task into arrays allocated here."""
     outs = [np.empty((a.shape[0], b.shape[1])) for a, b in pairs]
     return helper.submit(_matmuls, [(a, b, out) for (a, b), out in zip(pairs, outs)]), outs

@@ -21,7 +21,11 @@ The table runs two ways, and both write the same bytes:
   ``paths.corpus`` and ``paths.embeddings`` once each, and writes
   ``run_manifest.json``: the input and artifact hashes plus the effective
   configuration.  Every artifact is rewritten on each run, so deleting an
-  intermediate and rerunning regenerates it.
+  intermediate and rerunning regenerates it.  Before the first stage, the
+  manifest is replaced by one with status ``running``; on any exception,
+  KeyboardInterrupt and MemoryError included, by one with status
+  ``failed`` that names ``failed_stage``.  So a manifest reads ``ok`` only
+  over the artifacts of the run that wrote it.
 * ``run_stage`` runs one stage and reads each earlier result back from its
   artifact: ``filtered.jsonl`` and ``normalized.jsonl`` with
   ``load_corpus``, ``sequences.jsonl`` with ``_read_id_map`` and
@@ -32,8 +36,16 @@ The table runs two ways, and both write the same bytes:
   ``run_manifest.json``: a manifest vouches for the bytes of one
   ``run_pipeline``, and a stage run alone changes them.
 
-Runs are deterministic: identical inputs and config reproduce byte-identical
-artifacts.
+Runs are deterministic (C8): identical inputs and config reproduce
+byte-identical artifacts on one machine.  Across machines, five artifacts
+keep their bytes: ``filtered.jsonl``, ``sequences.jsonl``,
+``normalized.jsonl``, ``index.bin`` and ``scores.json``.  Two follow the
+numeric environment: ``fusion.json`` changes with numpy's SIMD dispatch
+(``np.power`` and ``np.exp`` change bits with it) and with OpenBLAS's
+kernel, and ``shc.jsonl`` with OpenBLAS's kernel (its scores are BLAS
+products).  ``run_manifest.json`` hashes them, so it follows both.
+``tests/test_portable_bytes.py`` pins this under
+``NPY_DISABLE_CPU_FEATURES`` and ``OPENBLAS_CORETYPE``.
 
 Two pieces of ``run_pipeline``'s work depend on nothing the stages before
 them produce, so each runs in a forked child process (``_Forked``) while
@@ -685,7 +697,8 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     A config without ``paths.generated`` or with a missing input file raises
     ValidationError before any stage runs or ``paths.out_dir`` is made.  On a
     stage failure the manifest is still written, flagged failed with the
-    completed stages listed, and a StageError is raised.
+    completed stages listed, and a StageError is raised; any other exception
+    flags it failed the same way and propagates as it is.
     """
     paths = cfg.paths
     if paths.generated is None:
@@ -713,30 +726,37 @@ def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str,
         "config": cfg.echo(),
         "inputs": {name: {"path": str(path), "sha256": sha256_file(path)} for name, path in given.items()},
         "stages": [],
-        "status": "ok",
+        "status": "running",
     }
     manifest_path = paths.out_dir / "run_manifest.json"
+    # Replaced before any artifact is, so an earlier run's manifest never
+    # vouches for artifacts this run has begun to replace.
+    _dump_json(manifest_path, manifest)
     # Results by the name stages take them by.  Each is dropped after the last
     # stage that takes it, so the embeddings matrix does not outlive attach-shc.
     done: dict[str, object] = {}
     take = _taker(cfg, done, children)
     last_taker = {name: stage for stage in STAGE_ORDER for name in STAGES[stage].takes}
-    for stage in STAGE_ORDER:
-        spec = STAGES[stage]
-        out = paths.out_dir / spec.artifact
-        try:
-            done[stage] = spec.fn(cfg, out, *map(take, spec.takes))
-            if stage == "filter":
-                children["scores"] = _Forked(score_from_files, *_score_args(cfg, done[stage], paths.corpus))
-        except (ToolkitError, OSError) as exc:
-            manifest["status"] = "failed"
-            manifest["failed_stage"] = stage
-            _dump_json(manifest_path, manifest)
-            raise StageError(stage, exc) from exc
-        for name in spec.takes:
-            if last_taker[name] == stage:
-                done.pop(name, None)
-        manifest["stages"].append({"name": stage, "artifacts": [{"path": out.name, "sha256": sha256_file(out)}]})
+    try:
+        for stage in STAGE_ORDER:
+            spec = STAGES[stage]
+            out = paths.out_dir / spec.artifact
+            try:
+                done[stage] = spec.fn(cfg, out, *map(take, spec.takes))
+                if stage == "filter":
+                    children["scores"] = _Forked(score_from_files, *_score_args(cfg, done[stage], paths.corpus))
+            except (ToolkitError, OSError) as exc:
+                raise StageError(stage, exc) from exc
+            for name in spec.takes:
+                if last_taker[name] == stage:
+                    done.pop(name, None)
+            manifest["stages"].append({"name": stage, "artifacts": [{"path": out.name, "sha256": sha256_file(out)}]})
+    except BaseException:  # KeyboardInterrupt and MemoryError too
+        manifest["status"] = "failed"
+        manifest["failed_stage"] = stage
+        _dump_json(manifest_path, manifest)
+        raise
+    manifest["status"] = "ok"
     _dump_json(manifest_path, manifest)
     return manifest_path
 

@@ -152,10 +152,9 @@ def test_helper_error_reaches_the_caller_unchanged():
     with threads.Helper(threaded=True) as helper:
         task = helper.submit(fail)
         assert started.wait(timeout=60)  # the helper, not the caller, runs it
-        assert task.running.acquire(timeout=60)
-        task.running.release()
-        with pytest.raises(FloatingPointError) as excinfo:
-            helper.result(task)
+    # Leaving the block joins the helper, so the task has finished before its result is asked for.
+    with pytest.raises(FloatingPointError) as excinfo:
+        helper.result(task)
     assert excinfo.value is boom
     assert str(excinfo.value) == "overflow in a helper task"
     assert helper.taken_back == 0
@@ -236,4 +235,4 @@ def test_a_thread_that_cannot_start_leaves_the_call_inline(monkeypatch):
 def test_crossover(monkeypatch, d, rows, cpus, threaded):
     """Small networks, and any network on a process that may use one CPU, run inline."""
     monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
-    assert (fusion._helper(d, np.empty((rows, d)))._thread is not None) is threaded
+    assert fusion._helper(d, np.empty((rows, d))).threaded is threaded

@@ -25,11 +25,25 @@ SRC = Path(sei.__file__).parent
 )
 def test_fresh_import_loads_only_what_it_uses(statement, loaded):
     probe = f"import json, sys\n{statement}\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'sei')))"
+    assert set(fresh_json(probe)) == loaded
+
+
+def test_thread_and_process_pools_load_only_when_used():
+    """``concurrent.futures`` and ``multiprocessing`` are imported where a pool or a fork is made, not at import."""
+    probe = (
+        "import json, sys\nimport sei.cli, sei.fusion, sei.losses, sei.retrieval\n"
+        "print(json.dumps(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)))"
+    )
+    assert fresh_json(probe) == []
+
+
+def fresh_json(probe: str):
+    """What ``probe`` prints as JSON, run in a fresh interpreter that imports this ``sei``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(json.loads(proc.stdout)) == loaded
+    return json.loads(proc.stdout)
 
 
 def sei_imports(tree: ast.Module) -> list[tuple[ast.stmt, set[str]]]:

@@ -13,6 +13,7 @@ import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sei import retrieval
+from sei import pipeline, retrieval
 from sei.cli import main
 from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
 from sei.errors import CorpusError, ValidationError
@@ -669,6 +670,35 @@ class TestAtomicWrites:
         assert out.read_bytes() == before
         assert not list(tmp_path.rglob("*.tmp"))
 
+
+@pytest.mark.parametrize("cut", [KeyboardInterrupt, MemoryError])
+def test_a_rerun_cut_short_leaves_no_ok_manifest(tmp_path, monkeypatch, cut):
+    """A seed-99 rerun cut after it replaced ``fusion.json`` leaves a failed manifest, not the seed-7 ``ok`` one."""
+    paths = write_pipeline_fixture(tmp_path)
+    manifest_path = run_pipeline(load_config(paths["config"]))
+    assert json.loads(manifest_path.read_text())["status"] == "ok"
+    patch_config(paths["config"], seed=99)
+    seen = []
+
+    def filter_stage(cfg, out, *taken):
+        seen.append(json.loads(manifest_path.read_text()))
+        return STAGES["filter"].fn(cfg, out, *taken)
+
+    def cut_fuse_demo(cfg, out, *taken):
+        STAGES["fuse-demo"].fn(cfg, out, *taken)
+        raise cut()
+
+    stages = dict(STAGES)
+    stages["filter"] = replace(STAGES["filter"], fn=filter_stage)
+    stages["fuse-demo"] = replace(STAGES["fuse-demo"], fn=cut_fuse_demo)
+    monkeypatch.setattr(pipeline, "STAGES", stages)
+    with pytest.raises(cut):
+        run_pipeline(load_config(paths["config"]))
+    (running,) = seen
+    assert (running["status"], running["stages"], running["config"]["seed"]) == ("running", [], 99)
+    manifest = json.loads(manifest_path.read_text())
+    assert (manifest["status"], manifest["failed_stage"], manifest["config"]["seed"]) == ("failed", "fuse-demo", 99)
+    assert "fusion.json" not in {a["path"] for stage in manifest["stages"] for a in stage["artifacts"]}
 
 
 SCORING_FILES = ("generated", "generated_labels", "generated_entities")
