@@ -35,10 +35,12 @@ Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 peak counts the pages it shares with the measuring process at the fork (the
 interpreter, numpy, the records it reads), so it is an upper bound on the
 memory the child adds, not that memory itself.  ``setting.scoring_threads``
-is the size of ``attach_shc``'s scoring pool (1 for a ``sei`` that scores on
-the calling thread only), and ``setting.fusion_helper`` says whether fusion
-runs a helper thread at the ``train-step`` shapes (false for a ``sei``
-without one).
+is the size of ``attach_shc``'s scoring pool (``threads.usable_cpus``), and
+``setting.fusion_helper`` says whether fusion runs a helper thread at the
+``train-step`` shapes.  ``setting.numeric_env`` names what decides the bits of
+``fusion.json`` and ``shc.jsonl`` (see ``sei.pipeline``, C8): numpy's
+version, the dispatch target of the float64 ``power`` and ``exp`` loops,
+OpenBLAS's configuration string and ``OPENBLAS_CORETYPE``, if set.
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of
@@ -101,7 +103,7 @@ def measure(src: Path, config_path: Path) -> dict:
     sys.path[:0] = [str(src)]
     import numpy as np
     import sei.cli
-    from sei import pipeline, retrieval
+    from sei import pipeline, retrieval, threads
 
     if Path(sei.cli.__file__).resolve().parents[1] != src.resolve():
         raise SystemExit(f"imported sei from {sei.cli.__file__}, not from {src}")
@@ -151,17 +153,23 @@ def measure(src: Path, config_path: Path) -> dict:
         "retrieval.attach_shc.s": attach_s,
         "retrieval.load_index.s": load_s,
         "artifacts_sha256": artifacts,
-        "scoring_threads": usable_cpus(retrieval),
+        "scoring_threads": threads.usable_cpus(),
     }
 
 
-def usable_cpus(retrieval) -> int:
-    """The CPUs ``attach_shc`` scores on, for a ``sei`` from before or after ``sei.threads``."""
-    try:
-        from sei import threads
-    except ImportError:
-        return retrieval._scoring_threads() if hasattr(retrieval, "_scoring_threads") else 1
-    return threads.usable_cpus()
+def numeric_environment() -> dict:
+    """numpy's version and float64 ``power``/``exp`` dispatch targets, OpenBLAS's configuration and core type."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_targets_info__ as targets
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "power_ddd": targets["power"]["ddd"]["current"],
+        "exp_dd": targets["exp"]["dd"]["current"],
+        "openblas_configuration": blas.get("openblas configuration"),
+        "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
+    }
 
 
 def measure_fusion(src: Path) -> dict:
@@ -190,11 +198,7 @@ def measure_fusion(src: Path) -> dict:
                     digest.update(b"-" if array is None else array.tobytes())
         del results
     first = studies[0][0]
-    helper = False  # a sei without fusion._helper has no helper thread
-    if hasattr(fusion, "_helper"):
-        made = fusion._helper(params.d, first.image, first.shc, first.indication)
-        # a sei from before Helper.threaded tells by its _thread
-        helper = made.threaded if hasattr(made, "threaded") else made._thread is not None
+    helper = fusion._helper(params.d, first.image, first.shc, first.indication).threaded
     return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest(), "fusion_helper": helper}
 
 
@@ -288,6 +292,7 @@ def main(argv: list[str] | None = None) -> int:
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
             "fusion_helper": result.pop("fusion_helper"),
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
+            "numeric_env": numeric_environment(),
         }
         bench[name] = result
         for metric, value in result["median"].items():

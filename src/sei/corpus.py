@@ -279,7 +279,10 @@ def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
 
     The data is flushed to disk before ``os.replace`` swaps it in.  If the
     body raises, the temporary file is removed and ``path`` keeps its old
-    content.
+    content.  A process killed without unwinding (SIGKILL, or SIGTERM, which
+    Python does not catch) can leave ``.<name>.<pid>.tmp`` behind.  Such a
+    file is inert: no reader opens it and no manifest lists it.  Nothing
+    sweeps it, since a sweep could remove a file another process is writing.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

@@ -9,8 +9,9 @@ stage takes and its function.  A stage function ``fn(cfg, out, *taken)``
 replaces its artifact at ``out`` atomically and returns the stage's result.
 A stage takes earlier stages' results by stage name, and work on the input
 files by three more names: ``"corpus"`` (``paths.corpus`` parsed),
-``"embeddings"`` (``paths.embeddings`` parsed) and ``"scores"`` (the
-``paths.generated*`` files scored against the filter stage's result).  The
+``"embeddings"`` (``paths.embeddings`` parsed) and ``"scores"``
+(``score_from_files(cfg, records, path)``: the ``paths.generated*`` files
+scored against the filter stage's records, read from ``path``).  The
 index stage's result is ``index.bin`` read back with ``load_index``, so
 attach-shc scores against the float32 values the file holds.
 
@@ -25,7 +26,10 @@ The table runs two ways, and both write the same bytes:
   manifest is replaced by one with status ``running``; on any exception,
   KeyboardInterrupt and MemoryError included, by one with status
   ``failed`` that names ``failed_stage``.  So a manifest reads ``ok`` only
-  over the artifacts of the run that wrote it.
+  over the artifacts of the run that wrote it.  A run killed without
+  unwinding can leave ``atomic_write``'s ``.<name>.<pid>.tmp`` files in
+  ``paths.out_dir``; they are inert, the manifest never lists them, and no
+  run sweeps them.
 * ``run_stage`` runs one stage and reads each earlier result back from its
   artifact: ``filtered.jsonl`` and ``normalized.jsonl`` with
   ``load_corpus``, ``sequences.jsonl`` with ``_read_id_map`` and
@@ -52,8 +56,8 @@ them produce, so each runs in a forked child process (``_Forked``) while
 this process works through the stages in between:
 
 * the embeddings parse, started right after the input checks;
-* ``score_from_files`` over the filter stage's kept records, started as soon
-  as the filter stage has written them.
+* ``score_from_files(cfg, kept, paths.corpus)`` over the filter stage's kept
+  records, started as soon as the filter stage has written them.
 
 Fork, not spawn: the child starts with the records already in its memory, so
 nothing but the result is pickled.  The stage that needs a child's result
@@ -87,7 +91,6 @@ import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
-from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -396,32 +399,30 @@ def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
 
 
 def score_from_files(
-    reference_records: list[StudyRecord],
-    reference_path: str | Path,
-    generated_path: str | Path,
-    labels_path: str | Path | None,
-    entities_path: str | Path | None,
-    m_gt_values: tuple[float, ...],
-    why_dropped: Callable[[str], str | None] | None = None,
+    cfg: PipelineConfig, reference_records: list[StudyRecord], reference_path: str | Path
 ) -> dict[str, dict[str, float]]:
-    """Score the generated-side files against reference records per truncation setting.
+    """Score the ``paths.generated*`` files of ``cfg`` against reference records, per ``cfg.m_gt`` setting.
 
     The reference records, read from ``reference_path``, supply gold labels
     (labels14) and reference entity sets; the generated side supplies text plus
-    optional label vectors and entity sets keyed by study_id.  Every file is
-    parsed before any id is matched, and an id missing from a file, or a
-    generated id the reference corpus lacks, raises ValidationError naming that
-    file.  ``why_dropped(study_id)`` gives the reason the corpus filter dropped
-    a study, or None; a generated id it names a reason for is rejected as
-    dropped by the filter, with that reason.
+    optional label vectors and entity sets keyed by study_id.  A config without
+    ``paths.generated`` raises ValidationError.  Every file is parsed before any
+    id is matched, and an id missing from a file, or a generated id the
+    reference records lack, raises ValidationError naming that file, and the
+    filter's reason if ``cfg.filter`` drops that id from ``paths.corpus``.
     """
+    paths = cfg.paths
+    generated_path, labels_path, entities_path = paths.generated, paths.generated_labels, paths.generated_entities
+    if generated_path is None:
+        raise ValidationError("score stage requires paths.generated in the config")
     generated = read_generated(generated_path)
     generated_labels = read_label_csv(labels_path) if labels_path else None
     generated_entities = read_entity_sets(entities_path) if entities_path else None
     by_id = {rec.study_id: rec for rec in reference_records}
     unknown = [sid for sid in generated if sid not in by_id]
     if unknown:
-        why = why_dropped(unknown[0]) if why_dropped else None
+        dropped = filter_corpus(load_corpus(paths.corpus), cfg.filter)[1]
+        why = next((why for rec, why in dropped if rec.study_id == unknown[0]), None)
         if why is not None:
             raise ValidationError(
                 f"{generated_path}: generated study_id {unknown[0]!r} was dropped by the corpus filter ({why})"
@@ -454,7 +455,7 @@ def score_from_files(
                 raise ValidationError(f"{entities_path}: study {rec.study_id!r} has no generated entity set")
             ref_set = {(e.tokens.lower(), e.label.value) for e in rec.entities}
             entities.append((generated_entities[rec.study_id], ref_set))
-    scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=m_gt_values)
+    scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=cfg.m_gt)
     return {m_gt_key(m): report for m, report in scores.items()}
 
 
@@ -567,21 +568,6 @@ STAGES = {
 STAGE_ORDER = tuple(STAGES)
 
 
-def _filter_reason(cfg: PipelineConfig, study_id: str) -> str | None:
-    """Why the corpus filter drops ``study_id`` from ``paths.corpus``; None if it keeps it or the corpus lacks it."""
-    dropped = filter_corpus(load_corpus(cfg.paths.corpus), cfg.filter)[1]
-    return next((why for rec, why in dropped if rec.study_id == study_id), None)
-
-
-def _score_args(cfg: PipelineConfig, kept: list[StudyRecord], reference_path: Path) -> tuple:
-    """``score_from_files``'s arguments for the filter stage's ``kept`` records, read from ``reference_path``."""
-    paths = cfg.paths
-    return (
-        kept, reference_path, paths.generated, paths.generated_labels, paths.generated_entities, cfg.m_gt,
-        partial(_filter_reason, cfg),
-    )
-
-
 def _taker(cfg: PipelineConfig, done: dict, children: dict[str, _Forked]) -> Callable[[str], object]:
     """``take(name)``: what a stage takes by ``name``, from ``done``, ``children`` or the files.
 
@@ -602,10 +588,7 @@ def _taker(cfg: PipelineConfig, done: dict, children: dict[str, _Forked]) -> Cal
         if name == "embeddings":
             return load_embeddings(paths.embeddings)
         if name == "scores":
-            if paths.generated is None:
-                raise ValidationError("score stage requires paths.generated in the config")
-            filtered = paths.out_dir / STAGES["filter"].artifact
-            return score_from_files(*_score_args(cfg, take("filter"), filtered))
+            return score_from_files(cfg, take("filter"), paths.out_dir / STAGES["filter"].artifact)
         return STAGES[name].read(paths.out_dir / STAGES[name].artifact)
 
     return take
@@ -744,7 +727,7 @@ def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str,
             try:
                 done[stage] = spec.fn(cfg, out, *map(take, spec.takes))
                 if stage == "filter":
-                    children["scores"] = _Forked(score_from_files, *_score_args(cfg, done[stage], paths.corpus))
+                    children["scores"] = _Forked(score_from_files, cfg, done[stage], paths.corpus)
             except (ToolkitError, OSError) as exc:
                 raise StageError(stage, exc) from exc
             for name in spec.takes:

@@ -1,4 +1,8 @@
-"""Which artifact bytes survive a change of numpy's SIMD dispatch or OpenBLAS's kernel (see ``sei.pipeline``, C8)."""
+"""Which artifact bytes survive a change of numpy's SIMD dispatch or OpenBLAS's kernel (see ``sei.pipeline``, C8).
+
+``shc.jsonl`` is not among them, so each environment checks it against
+``top_k_naive`` on that run's ``index.bin`` instead, scores by ``float.hex``.
+"""
 
 import json
 import os
@@ -21,18 +25,33 @@ SWITCHES = {
 RUN = """
 import hashlib, json, sys
 from pathlib import Path
-from conftest import write_pipeline_fixture
+from conftest import patch_config, write_pipeline_fixture
 from sei.pipeline import load_config, run_pipeline
+from sei.retrieval import load_embeddings, load_index, top_k_naive
 paths = write_pipeline_fixture(Path(sys.argv[1]), n=300, d=64)
+patch_config(paths["config"], k=5)
 run_pipeline(load_config(paths["config"]))
-print(json.dumps({p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths["out_dir"].iterdir()}))
+index, embeddings = load_index(paths["out_dir"] / "index.bin"), load_embeddings(paths["embeddings"])
+rows = [json.loads(line) for line in (paths["out_dir"] / "shc.jsonl").read_text().splitlines()]
+wrong = []
+for row in rows:
+    sid = row["study_id"]
+    want = top_k_naive(index, embeddings.matrix[embeddings.row_of(sid)], 5, exclude_id=sid).hits
+    if [(c["study_id"], float.hex(c["score"])) for c in row["cases"]] != [(i, float.hex(s)) for i, s in want]:
+        wrong.append(sid)
+hashes = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths["out_dir"].iterdir()}
+print(json.dumps({"hashes": hashes, "shc_rows": len(rows), "shc_wrong": wrong}))
 """
 
 
-def artifact_hashes(root: Path, switch: dict[str, str]) -> dict[str, str]:
-    """The sha256 of each artifact of a ``sei run`` over the n=300, d=64 fixture, in a child with ``switch`` set."""
+def run_in(root: Path, switch: dict[str, str]) -> dict:
+    """A ``sei run`` over the n=300, d=64 fixture at k=5 in a child with ``switch`` set and BLAS on one thread.
+
+    Returns the sha256 of each artifact (``hashes``), the number of
+    ``shc.jsonl`` rows and the ids of those that differ from ``top_k_naive``.
+    """
     env = {name: value for name, value in os.environ.items() if name not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
-    env.update(switch)
+    env.update(switch, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parent.parent), str(Path(__file__).parent)])
     proc = subprocess.run(
         [sys.executable, "-c", RUN, str(root)], capture_output=True, text=True, env=env, timeout=300
@@ -43,8 +62,10 @@ def artifact_hashes(root: Path, switch: dict[str, str]) -> dict[str, str]:
 
 @pytest.mark.skipif(not __cpu_features__.get("X86_V4"), reason="the CPU lacks AVX-512, so neither switch changes a kernel")
 def test_portable_artifacts_keep_their_bytes_under_each_switch(tmp_path):
-    default = artifact_hashes(tmp_path / "default", {})
+    """The five portable artifacts match the default run's bytes, and shc.jsonl matches ``top_k_naive``, in every child."""
+    runs = {name: run_in(tmp_path / name, switch) for name, switch in {"default": {}, **SWITCHES}.items()}
+    default = runs["default"]["hashes"]
     assert set(PORTABLE) < set(default)
-    for name, switch in SWITCHES.items():
-        hashes = artifact_hashes(tmp_path / name, switch)
-        assert {a: hashes[a] for a in PORTABLE} == {a: default[a] for a in PORTABLE}, name
+    for name, run in runs.items():
+        assert run["shc_rows"] > 0 and run["shc_wrong"] == [], name
+        assert {a: run["hashes"][a] for a in PORTABLE} == {a: default[a] for a in PORTABLE}, name

@@ -406,7 +406,7 @@ class TestNegativeSizes:
 
 def test_run_without_generated_reports_writes_nothing(tmp_path):
     """``sei run`` rejects a config without ``paths.generated``, which its score stage reads, before any
-    stage; every stage but score still runs alone without it."""
+    stage; every stage but score still runs alone without it, and score alone exits 2 writing nothing."""
     paths = write_pipeline_fixture(tmp_path)
     raw = json.loads(paths["config"].read_text())
     for name in ("generated", "generated_labels", "generated_entities"):
@@ -417,6 +417,10 @@ def test_run_without_generated_reports_writes_nothing(tmp_path):
     assert proc.stderr.count("error:") == 1
     assert not paths["out_dir"].exists()
     run_stages(paths["config"], *(stage for stage in STAGE_ORDER if stage != "score"))
+    proc = run_cli("score", "--config", str(paths["config"]))
+    assert_clean_exit_2(proc, "score stage requires paths.generated in the config")
+    assert proc.stderr.count("error:") == 1
+    assert not (paths["out_dir"] / "scores.json").exists()
 
 
 @pytest.mark.parametrize("missing", ["corpus", "embeddings", "generated"])
@@ -699,6 +703,59 @@ def test_a_rerun_cut_short_leaves_no_ok_manifest(tmp_path, monkeypatch, cut):
     manifest = json.loads(manifest_path.read_text())
     assert (manifest["status"], manifest["failed_stage"], manifest["config"]["seed"]) == ("failed", "fuse-demo", 99)
     assert "fusion.json" not in {a["path"] for stage in manifest["stages"] for a in stage["artifacts"]}
+
+
+# When a signal reaches the rerun: the given delay after it replaces the given file.  Replacing the
+# manifest starts the stages, and fusion.json is the artifact seed 99 changes.
+SIGNAL_POINTS = [("run_manifest.json", 0.0), ("run_manifest.json", 0.1), ("fusion.json", 0.0), ("fusion.json", 0.25)]
+
+
+@pytest.mark.parametrize("anchor, delay", SIGNAL_POINTS, ids=str)
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM, signal.SIGKILL], ids=lambda s: s.name)
+def test_a_signalled_rerun_leaves_no_ok_manifest_that_lies(tmp_path, sig, anchor, delay):
+    """``sei run`` at seed 99 over a seed-7 run, signalled ``delay`` s after it replaces ``anchor``.
+
+    The manifest it leaves reads ``ok`` only if every sha256 in it matches its
+    file.  Besides the artifacts and the manifest, ``paths.out_dir`` holds at
+    most ``atomic_write``'s temporary files of the killed process, and those
+    only where the signal stops it without unwinding.
+    """
+    paths = write_pipeline_fixture(tmp_path, n=300)
+    manifest_path = run_pipeline(load_config(paths["config"]))
+    patch_config(paths["config"], seed=99)
+    anchor_path = paths["out_dir"] / anchor
+    seed_7_inode = anchor_path.stat().st_ino  # os.replace gives the path a new inode
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sei", "run", "--config", str(paths["config"])],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while anchor_path.stat().st_ino == seed_7_inode:
+            assert proc.poll() is None and time.monotonic() < deadline, f"the rerun never replaced {anchor}"
+            time.sleep(0.001)
+        time.sleep(delay)
+        proc.send_signal(sig)
+        proc.wait(timeout=60)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)  # the forked children too
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["config"]["seed"] == 99
+    if manifest["status"] == "ok":
+        listed = [*manifest["inputs"].values(), *(a for stage in manifest["stages"] for a in stage["artifacts"])]
+        for entry in listed:
+            path = paths["out_dir"] / entry["path"]  # an input's path is absolute
+            assert pipeline.sha256_file(path) == entry["sha256"], entry["path"]
+    else:
+        assert manifest["status"] in ("running", "failed")
+    names = {spec.artifact for spec in STAGES.values()} | {"run_manifest.json"}
+    left = set(os.listdir(paths["out_dir"])) - names
+    temporary = {f".{name}.{proc.pid}.tmp" for name in names}
+    assert left <= (temporary if sig != signal.SIGINT else set()), left
 
 
 SCORING_FILES = ("generated", "generated_labels", "generated_entities")
