@@ -15,17 +15,23 @@ in a fresh process, the order flipped every round.  One measurement times
 one ``sei run`` through ``cli.main``, and the run's one ``attach_shc`` call
 where the pipeline looks it up, as perfbench's tracer does.  It then times
 ``retrieval.load_index`` of the ``index.bin`` that run wrote and
-``retrieval.top_k`` on stored rows of that index.  After each measurement a
-second fresh process imports the same ``sei``, loads that ``index.bin`` and
-nothing else, and reports its ``VmHWM`` (``/proc/self/status``) as
-``load_index_peak_rss_mb``: a new program image starts that mark afresh,
-where ``ru_maxrss`` would start at the peak of the process that started it.
-A third fresh process runs fusion on the 16 studies of one ``train-step``
-step (``perfbench/inputs.py::train_step_arrays`` at ``perfbench``'s
-``TrainStep.SHAPES``, seed 1, step 0): ``fuse`` then ``fuse_backward`` per
-study, ``FUSION_REPS`` times.  It reports the median time of one pass as
-``fusion.step_s`` and the sha256 of every fused output and gradient, in
-study order, as ``fusion_sha256``.
+``retrieval.top_k`` on stored rows of that index.  Around the ``sei run``
+alone it reads the CPU seconds (``ru_utime + ru_stime``) of the measuring
+process (``cpu_s``) and of the children ``sei`` forked and reaped
+(``children_cpu_s``), the involuntary context switches of each (``nivcsw``,
+``children_nivcsw``) and the machine's steal ticks (``steal_ticks``, the 8th
+value of the ``cpu`` line of ``/proc/stat``, which counts every process on
+the machine); ``cpu_s_per_study`` is both CPU sums over the n studies.
+After each measurement a second fresh process imports the same ``sei``,
+loads that ``index.bin`` and nothing else, and reports its ``VmHWM``
+(``/proc/self/status``) as ``load_index_peak_rss_mb``: a new program image
+starts that mark afresh, where ``ru_maxrss`` would start at the peak of the
+process that started it.  A third fresh process runs fusion on the 16
+studies of one ``train-step`` step (``perfbench/inputs.py::train_step_arrays``
+at ``perfbench/worker.py``'s ``TrainStep.SHAPES``, seed 1, step 0): ``fuse``
+then ``fuse_backward`` per study, ``FUSION_REPS`` times.  It reports the
+median time of one pass as ``fusion.step_s`` and the sha256 of every fused
+output and gradient, in study order, as ``fusion_sha256``.
 
 Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``.
@@ -74,10 +80,10 @@ N, D, K, SEED = 20_000, 256, 5, 123
 TOP_K_CALLS = 2_000
 RUNS = 3  # rounds; each measures every side once
 FUSION_REPS = 5  # passes over one step's studies in each fusion measurement
-FUSION_SHAPES = {"B": 16, "S_i": 49, "S_t": 64, "d": 256, "heads": 8, "S_h": 100, "S_n": 20, "M": 16, "V": 2000}
 # metrics summarized over a side's runs
 SUMMARIZED = (
-    "cli.main.s", "throughput_per_s", "peak_rss_mb", "children_peak_rss_mb",
+    "cli.main.s", "throughput_per_s", "cpu_s_per_study", "cpu_s", "children_cpu_s",
+    "nivcsw", "children_nivcsw", "steal_ticks", "peak_rss_mb", "children_peak_rss_mb",
     "retrieval.attach_shc.s", "retrieval.top_k.s", "retrieval.top_k.p50_ms",
     "retrieval.load_index.s", "load_index_peak_rss_mb", "fusion.step_s",
 )
@@ -96,6 +102,24 @@ def generate(work: Path) -> None:
     config = json.loads(paths["config"].read_text(encoding="utf-8"))
     config["k"] = K
     paths["config"].write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+
+
+def steal_ticks() -> int:
+    """The machine's steal ticks so far: the 8th value of the ``cpu`` line of ``/proc/stat``."""
+    with open("/proc/stat", encoding="ascii") as stat:
+        return int(stat.readline().split()[8])
+
+
+def usage() -> dict:
+    """CPU seconds and involuntary context switches so far, of this process and of its reaped children."""
+    own, children = resource.getrusage(resource.RUSAGE_SELF), resource.getrusage(resource.RUSAGE_CHILDREN)
+    return {
+        "cpu_s": own.ru_utime + own.ru_stime,
+        "children_cpu_s": children.ru_utime + children.ru_stime,
+        "nivcsw": own.ru_nivcsw,
+        "children_nivcsw": children.ru_nivcsw,
+        "steal_ticks": steal_ticks(),
+    }
 
 
 def measure(src: Path, config_path: Path) -> dict:
@@ -118,9 +142,11 @@ def measure(src: Path, config_path: Path) -> dict:
 
     pipeline.attach_shc = timed_attach
     try:
+        before = usage()
         start = time.perf_counter()
         code = sei.cli.main(["run", "--config", str(config_path)])
         run_s = time.perf_counter() - start
+        spent = {name: value - before[name] for name, value in usage().items()}
     finally:
         pipeline.attach_shc = attach_shc
     if code != 0:
@@ -144,6 +170,8 @@ def measure(src: Path, config_path: Path) -> dict:
     return {
         "cli.main.s": run_s,
         "throughput_per_s": N / run_s,
+        "cpu_s_per_study": (spent["cpu_s"] + spent["children_cpu_s"]) / N,
+        **spent,
         "peak_rss_mb": peak_mb,
         "children_peak_rss_mb": children_mb,
         "retrieval.top_k.calls": len(calls),
@@ -177,8 +205,9 @@ def measure_fusion(src: Path) -> dict:
     sys.path[:0] = [str(src), str(ROOT / "perfbench")]
     from inputs import train_step_arrays
     from sei import fusion
+    from worker import TrainStep
 
-    shapes = FUSION_SHAPES
+    shapes = TrainStep.SHAPES
     raw = train_step_arrays(1, 0, shapes)
     params = fusion.init_params(shapes["d"], shapes["heads"], 1)
     studies = [
@@ -280,7 +309,12 @@ def main(argv: list[str] | None = None) -> int:
                 runs[name].append(json.loads(printed.splitlines()[-1]))
                 runs[name][-1]["load_index_peak_rss_mb"] = float(in_subprocess("--load-peak", str(sides[name])))
                 runs[name][-1].update(json.loads(in_subprocess("--fusion", str(sides[name]))))
-                print(f"round {round_no + 1} {name}: {runs[name][-1]['throughput_per_s']:.1f} studies/s", flush=True)
+                run = runs[name][-1]
+                print(
+                    f"round {round_no + 1} {name}: {run['throughput_per_s']:.1f} studies/s, "
+                    f"{1000 * run['cpu_s_per_study']:.3f} CPU ms/study",
+                    flush=True,
+                )
     finally:
         shutil.rmtree(WORK, ignore_errors=True)
 

@@ -5,12 +5,11 @@ untouched, so corpora can be scored both against concise excerpts and
 against complete reference reports.  BLEU is corpus-level and unsmoothed;
 ROUGE-L is a per-pair LCS F-measure (beta = 1.2) averaged over pairs.
 
-``score_settings`` serves every truncation setting from one pass over the
-pairs: each generated side is counted once, each distinct truncated
-reference length is clipped once, and one LCS row gives ROUGE-L at every
-reference prefix.  ``score_corpus``, ``corpus_bleu`` and ``rouge_l`` go
-through the same per-pair helpers and final formulas, so each metric has
-one implementation.
+One pass over the pairs, ``_one_pass``, serves every BLEU and ROUGE-L
+score: ``score_settings`` and ``score_corpus`` run it at each truncation
+setting, and ``corpus_bleu`` and ``rouge_l`` at the complete reference, so
+each metric has one implementation.  So does entity identity, lowercased
+text plus label string, in ``_entity_key``.
 """
 
 from __future__ import annotations
@@ -76,7 +75,7 @@ def truncate_reference(tokens: Sequence[str], m_gt: float) -> tuple[str, ...]:
     toks = tuple(tokens)
     if m_gt == math.inf:
         return toks
-    if m_gt < 0 or m_gt != int(m_gt):
+    if not m_gt >= 0 or m_gt != int(m_gt):  # NaN fails the first test
         raise ValidationError(f"m_gt must be a non-negative integer or infinity, got {m_gt}")
     return toks[: int(m_gt)]
 
@@ -115,33 +114,13 @@ class _BleuTally:
             self.totals[order] += max(0, gen_len - order)
 
     def bleu(self, n: int) -> float:
-        """BLEU-n from the first ``n`` orders of the sums."""
-        if self.gen_len == 0:
-            return 0.0
+        """BLEU-n from the first ``n`` orders of the sums; 0 if an order has no match (clipped <= total)."""
         clipped, totals = self.clipped[:n], self.totals[:n]
-        if any(t == 0 for t in totals) or any(c == 0 for c in clipped):
+        if not all(clipped):
             return 0.0
         log_precision = sum(math.log(c / t) for c, t in zip(clipped, totals)) / n
         brevity = 1.0 if self.gen_len > self.ref_len else math.exp(1.0 - self.ref_len / self.gen_len)
         return brevity * math.exp(log_precision)
-
-
-def corpus_bleu(pairs: Sequence[EvalPair], n: int) -> float:
-    """Corpus-level BLEU-n: clipped precision geometric mean times brevity penalty.
-
-    Uniform weights 1/n and no smoothing, so any empty n-gram precision
-    zeroes the score.  An empty generated corpus scores 0.
-    """
-    if not pairs:
-        raise ValidationError("corpus_bleu requires at least one pair")
-    if n < 1:
-        raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    tally = _BleuTally(n)
-    for pair in pairs:
-        gen_counts = _ngram_counts(pair.generated, n)
-        ref_counts = _ngram_counts(pair.reference, n)
-        tally.add(_clipped_counts(gen_counts, ref_counts, n), len(pair.generated), len(pair.reference))
-    return tally.bleu(n)
 
 
 def _lcs_prefix_lengths(a: Sequence[str], b: Sequence[str]) -> list[int]:
@@ -159,28 +138,57 @@ def _lcs_prefix_lengths(a: Sequence[str], b: Sequence[str]) -> list[int]:
     return prev
 
 
-def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
-    return _lcs_prefix_lengths(a, b)[-1]
-
-
 def _rouge_f(lcs: int, gen_len: int, ref_len: int, beta_sq: float) -> float:
-    """One pair's LCS F-measure; an empty side or no common token scores 0."""
-    if not ref_len or not gen_len or lcs == 0:
+    """One pair's LCS F-measure; no common token, and so an empty side, scores 0."""
+    if lcs == 0:
         return 0.0
-    precision = lcs / gen_len
-    recall = lcs / ref_len
+    precision, recall = lcs / gen_len, lcs / ref_len
     return (1 + beta_sq) * recall * precision / (recall + beta_sq * precision)
+
+
+def _one_pass(
+    pairs: Sequence[EvalPair], settings: Sequence[float], max_n: int, beta_sq: float
+) -> dict[float, tuple[_BleuTally, list[float]]]:
+    """Per truncation setting, the BLEU sums up to ``max_n`` and each pair's ROUGE-L F-measure.
+
+    Each pair's generated n-grams are counted once and clipped against each
+    distinct truncated reference length, and one LCS row over the reference
+    gives ROUGE-L at every prefix length.
+    """
+    tallies = {m_gt: _BleuTally(max_n) for m_gt in settings}
+    rouge: dict[float, list[float]] = {m_gt: [] for m_gt in settings}
+    for pair in pairs:
+        gen, ref = pair.generated, pair.reference
+        gen_counts = _ngram_counts(gen, max_n)
+        lcs = _lcs_prefix_lengths(gen, ref)
+        clipped_at: dict[int, list[int]] = {}
+        for m_gt in settings:
+            cut = len(ref) if m_gt == math.inf else min(int(m_gt), len(ref))
+            if cut not in clipped_at:
+                clipped_at[cut] = _clipped_counts(gen_counts, _ngram_counts(ref[:cut], max_n), max_n)
+            tallies[m_gt].add(clipped_at[cut], len(gen), cut)
+            rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut, beta_sq))
+    return {m_gt: (tallies[m_gt], rouge[m_gt]) for m_gt in settings}
+
+
+def corpus_bleu(pairs: Sequence[EvalPair], n: int) -> float:
+    """Corpus-level BLEU-n: clipped precision geometric mean times brevity penalty.
+
+    Uniform weights 1/n and no smoothing, so any empty n-gram precision
+    zeroes the score.  An empty generated corpus scores 0.
+    """
+    if not pairs:
+        raise ValidationError("corpus_bleu requires at least one pair")
+    if n < 1:
+        raise ValidationError(f"n-gram order must be >= 1, got {n}")
+    return _one_pass(pairs, (math.inf,), n, ROUGE_BETA * ROUGE_BETA)[math.inf][0].bleu(n)
 
 
 def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     """Mean per-pair LCS F-measure; a pair with an empty reference scores 0."""
     if not pairs:
         raise ValidationError("rouge_l requires at least one pair")
-    beta_sq = beta * beta
-    scores = [
-        _rouge_f(_lcs_len(pair.generated, pair.reference), len(pair.generated), len(pair.reference), beta_sq)
-        for pair in pairs
-    ]
+    _, scores = _one_pass(pairs, (math.inf,), 1, beta * beta)[math.inf]
     return sum(scores) / len(scores)
 
 
@@ -236,9 +244,9 @@ def _micro_f1(rows: Sequence[tuple[tuple[int, ...], tuple[int, ...]]], positions
 
 
 def _entity_key(entry) -> tuple[str, str]:
+    """What makes two entities one: lowercased text and label string (an EntityLabel or its value)."""
     text, label = entry
-    label_str = getattr(label, "value", label)
-    return (str(text).lower(), str(label_str))
+    return str(text).lower(), str(getattr(label, "value", label))
 
 
 def entity_f1(gen_entities: Iterable, ref_entities: Iterable) -> float:
@@ -251,10 +259,8 @@ def entity_f1(gen_entities: Iterable, ref_entities: Iterable) -> float:
     ref = {_entity_key(e) for e in ref_entities}
     if not gen and not ref:
         return 1.0
-    if not gen or not ref:
-        return 0.0
     tp = len(gen & ref)
-    if tp == 0:
+    if tp == 0:  # also when exactly one side is empty
         return 0.0
     precision = tp / len(gen)
     recall = tp / len(ref)
@@ -282,12 +288,10 @@ def score_settings(
     entities: Sequence[tuple[Iterable, Iterable]] | None = None,
     m_gt_values: Sequence[float] = (math.inf,),
 ) -> dict[float, dict[str, float]]:
-    """``score_corpus`` at every setting in ``m_gt_values``, in one pass over the pairs.
+    """``score_corpus`` at every setting in ``m_gt_values``, from one ``_one_pass`` over the pairs.
 
-    Each pair's generated n-grams are counted once and clipped against each
-    distinct truncated reference length, and one LCS row over the reference
-    gives ROUGE-L at every prefix length.  The label and entity scores do
-    not depend on truncation, so they are computed once and shared.
+    The label and entity scores do not depend on truncation, so they are
+    computed once and shared.
     """
     if not pairs:
         raise ValidationError("score_corpus requires at least one pair")
@@ -298,20 +302,7 @@ def score_settings(
     settings = tuple(dict.fromkeys(m_gt_values))
     for m_gt in settings:
         truncate_reference((), m_gt)  # rejects an invalid setting before any work
-    beta_sq = ROUGE_BETA * ROUGE_BETA
-    tallies = {m_gt: _BleuTally(4) for m_gt in settings}
-    rouge = {m_gt: [] for m_gt in settings}
-    for pair in pairs:
-        gen, ref = pair.generated, pair.reference
-        gen_counts = _ngram_counts(gen, 4)
-        lcs = _lcs_prefix_lengths(gen, ref)
-        clipped_at: dict[int, list[int]] = {}
-        for m_gt in settings:
-            cut = len(ref) if m_gt == math.inf else min(int(m_gt), len(ref))
-            if cut not in clipped_at:
-                clipped_at[cut] = _clipped_counts(gen_counts, _ngram_counts(ref[:cut], 4), 4)
-            tallies[m_gt].add(clipped_at[cut], len(gen), cut)
-            rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut, beta_sq))
+    passes = _one_pass(pairs, settings, 4, ROUGE_BETA * ROUGE_BETA)
     shared = {}
     if labels is not None:
         rows = _validated_label_rows(labels)
@@ -320,11 +311,6 @@ def score_settings(
     if entities is not None:
         shared["RG-F1"] = sum(entity_f1(gen, ref) for gen, ref in entities) / len(entities)
     return {
-        m_gt: {
-            "BL-2": tallies[m_gt].bleu(2),
-            "BL-4": tallies[m_gt].bleu(4),
-            "R_L": sum(rouge[m_gt]) / len(rouge[m_gt]),
-            **shared,
-        }
-        for m_gt in settings
+        m_gt: {"BL-2": tally.bleu(2), "BL-4": tally.bleu(4), "R_L": sum(rouge) / len(rouge), **shared}
+        for m_gt, (tally, rouge) in passes.items()
     }

@@ -24,9 +24,10 @@ The table runs two ways, and both write the same bytes:
   configuration.  Every artifact is rewritten on each run, so deleting an
   intermediate and rerunning regenerates it.  Before the first stage, the
   manifest is replaced by one with status ``running``; on any exception,
-  KeyboardInterrupt and MemoryError included, by one with status
-  ``failed`` that names ``failed_stage``.  So a manifest reads ``ok`` only
-  over the artifacts of the run that wrote it.  A run killed without
+  KeyboardInterrupt and MemoryError included, by one with status ``failed``
+  that names ``failed_stage`` and the ``cause``: a StageError's text, or
+  else the exception's type name and message.  So a manifest reads ``ok``
+  only over the artifacts of the run that wrote it.  A run killed without
   unwinding can leave ``atomic_write``'s ``.<name>.<pid>.tmp`` files in
   ``paths.out_dir``; they are inert, the manifest never lists them, and no
   run sweeps them.
@@ -100,6 +101,7 @@ import numpy as np
 from . import __version__, retrieval
 from .corpus import (
     CorpusFilterConfig,
+    EntityLabel,
     StudyRecord,
     _entity_tokens_label,
     _json_value,
@@ -386,14 +388,14 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     return out
 
 
-def _entity_set(entities) -> set[tuple[str, str]]:
-    """The (lowercased tokens, label) pairs of one generated-side ``entities`` list."""
+def _entity_set(entities) -> set[tuple[str, EntityLabel]]:
+    """The validated (tokens, label) pairs of one generated-side ``entities`` list."""
     if not isinstance(entities, list):
         raise ValidationError("field 'entities' must be a list")
-    return {(tokens.lower(), label.value) for tokens, label in map(_entity_tokens_label, entities)}
+    return set(map(_entity_tokens_label, entities))
 
 
-def read_entity_sets(path: Path) -> dict[str, set[tuple[str, str]]]:
+def read_entity_sets(path: Path) -> dict[str, set[tuple[str, EntityLabel]]]:
     """Read generated-side entities: JSONL of {"study_id", "entities": [{"tokens","label"}]}."""
     return read_keyed_jsonl(path, "entities", _entity_set)
 
@@ -453,8 +455,7 @@ def score_from_files(
         for rec in scored:
             if rec.study_id not in generated_entities:
                 raise ValidationError(f"{entities_path}: study {rec.study_id!r} has no generated entity set")
-            ref_set = {(e.tokens.lower(), e.label.value) for e in rec.entities}
-            entities.append((generated_entities[rec.study_id], ref_set))
+            entities.append((generated_entities[rec.study_id], [(e.tokens, e.label) for e in rec.entities]))
     scores = score_settings(pairs, labels=labels, entities=entities, m_gt_values=cfg.m_gt)
     return {m_gt_key(m): report for m, report in scores.items()}
 
@@ -734,9 +735,11 @@ def _run_stages(cfg: PipelineConfig, given: dict[str, Path], children: dict[str,
                 if last_taker[name] == stage:
                     done.pop(name, None)
             manifest["stages"].append({"name": stage, "artifacts": [{"path": out.name, "sha256": sha256_file(out)}]})
-    except BaseException:  # KeyboardInterrupt and MemoryError too
+    except BaseException as exc:  # KeyboardInterrupt and MemoryError too
         manifest["status"] = "failed"
         manifest["failed_stage"] = stage
+        named = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        manifest["cause"] = str(exc) if isinstance(exc, StageError) else named  # StageError: as the CLI prints it
         _dump_json(manifest_path, manifest)
         raise
     manifest["status"] = "ok"

@@ -6,6 +6,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -167,6 +168,24 @@ class TestRunPipeline:
         assert manifest["status"] == "failed"
         assert manifest["failed_stage"] == "index"
         assert [s["name"] for s in manifest["stages"]] == ["filter", "see-extract", "normalize"]
+
+    @pytest.mark.parametrize(
+        "exc, cause",
+        [(KeyboardInterrupt(), "KeyboardInterrupt"), (MemoryError("no room"), "MemoryError: no room")],
+        ids=["KeyboardInterrupt", "MemoryError"],
+    )
+    def test_other_exception_names_its_type_as_the_cause(self, tmp_path, monkeypatch, exc, cause):
+        paths = write_pipeline_fixture(tmp_path)
+
+        def fail(*args):
+            raise exc
+
+        stages = {**pipeline.STAGES, "normalize": replace(pipeline.STAGES["normalize"], fn=fail)}
+        monkeypatch.setattr(pipeline, "STAGES", stages)
+        with pytest.raises(type(exc)):
+            run_pipeline(load_config(paths["config"]))
+        manifest = failed_manifest(paths["out_dir"])
+        assert (manifest["failed_stage"], manifest["cause"]) == ("normalize", cause)
 
     def test_missing_generated_path_rejected(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
@@ -330,12 +349,20 @@ class TestForkedStages:
             rows[1]["labels14"] = None
             paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in rows))
             expected = rf"stage score: {paths['corpus']}: study 'st001' has no gold labels14"
-        with pytest.raises(StageError, match=expected):
+        with pytest.raises(StageError, match=expected) as caught:
             run_pipeline(load_config(paths["config"]))
         manifest = failed_manifest(paths["out_dir"])
         assert manifest["failed_stage"] == "score"
         assert [s["name"] for s in manifest["stages"]] == list(STAGE_ORDER[:-1])  # attach-shc, fuse-demo done
         assert not (paths["out_dir"] / "scores.json").exists()
+        if broken == "reference-labels14":
+            # the cause is the text the CLI prints after "error: ", and a second failing run writes the same bytes
+            assert manifest["cause"] == str(caught.value)
+            assert manifest["cause"] == f"stage score: {paths['corpus']}: study 'st001' has no gold labels14"
+            first = (paths["out_dir"] / "run_manifest.json").read_bytes()
+            with pytest.raises(StageError, match=expected):
+                run_pipeline(load_config(paths["config"]))
+            assert (paths["out_dir"] / "run_manifest.json").read_bytes() == first
 
     @pytest.mark.parametrize("target, stage", [("load_embeddings", "index"), ("score_from_files", "score")])
     def test_child_exiting_without_a_result_fails_its_stage_with_exit_3(
@@ -413,6 +440,68 @@ class TestCli:
         proc = run_cli("score", "--config", str(paths["config"]))
         assert proc.returncode == 0, proc.stderr
         assert json.loads(out.read_text()) == {"60": pipeline_scores["60"]}
+
+    def test_scores_json_holds_hand_values(self, tmp_path):
+        """``sei filter`` then ``sei score`` on two studies worked out by hand (a third is filtered out)."""
+        paths = write_pipeline_fixture(tmp_path, n=1)
+        corpus = [
+            {"study_id": "a", "findings": "The heart is normal.", "labels14": [0] * 14, "entities": [
+                {"tokens": "heart", "label": "ANAT-DP", "start_ix": 1, "end_ix": 1},
+                {"tokens": "normal", "label": "OBS-DA", "start_ix": 3, "end_ix": 3},
+            ]},
+            {"study_id": "b", "findings": "No effusion.", "labels14": [0] * 14, "entities": [
+                {"tokens": "effusion", "label": "OBS-DA", "start_ix": 1, "end_ix": 1},
+            ]},
+            {"study_id": "c", "findings": "Clear.", "labels14": [0] * 14},  # 2 tokens: dropped
+        ]
+        # gold: a has Cardiomegaly (1) and Edema (4); b has Pleural Effusion (9).
+        # predicted: a has Cardiomegaly and No Finding (13); b has Pleural Effusion and Edema.
+        corpus[0]["labels14"][1] = corpus[0]["labels14"][4] = corpus[1]["labels14"][9] = 1
+        pred = {"a": [0] * 14, "b": [0] * 14}
+        pred["a"][1] = pred["a"][13] = pred["b"][9] = pred["b"][4] = 1
+        generated = {"a": "The heart is enlarged.", "b": "No no effusion."}
+        gen_entities = {
+            "a": [{"tokens": "Heart", "label": "ANAT-DP"}, {"tokens": "enlarged", "label": "OBS-DP"}],
+            "b": [{"tokens": "effusion", "label": "OBS-DA"}, {"tokens": "pleural", "label": "ANAT-DP"}],
+        }
+        paths["corpus"].write_text("".join(json.dumps(row) + "\n" for row in corpus))
+        paths["generated"].write_text(
+            "".join(json.dumps({"study_id": s, "text": t}) + "\n" for s, t in generated.items())
+        )
+        paths["generated_labels"].write_text(
+            "study_id," + ",".join(f"l{i}" for i in range(1, 15)) + "\n"
+            + "".join(f"{sid},{','.join(map(str, vec))}\n" for sid, vec in pred.items())
+        )
+        paths["generated_entities"].write_text(
+            "".join(json.dumps({"study_id": s, "entities": e}) + "\n" for s, e in gen_entities.items())
+        )
+        patch_config(paths["config"], m_gt=[60, "cpl"])
+        for stage in ("filter", "score"):
+            proc = run_cli(stage, "--config", str(paths["config"]))
+            assert proc.returncode == 0, proc.stderr
+        # Tokens: a  the heart is enlarged .  /  the heart is normal .
+        #         b  no no effusion .          /  no effusion .
+        # Unigrams clipped 4/5 + 3/4 = 7/9 (b's second "no" is clipped), bigrams
+        # 2/4 + 2/3 = 4/7; 9 generated tokens against 8 reference ones, so no
+        # brevity penalty.  No 4-gram is shared.  LCS a: 4 of 5 and 5, so
+        # F = 4/5; b: 3 of 4 and 3, so F = (1 + 1.44) * 1 * 3/4 / (1 + 1.44 * 3/4) = 183/208.
+        # Labels, all 14: TP 2 (a:1, b:9), FP 2 (a:13, b:4), FN 1 (a:4); the
+        # CX5 positions exclude a:13.  Entities: a shares heart of 2 and 2,
+        # F = 1/2; b shares effusion of 2 and 1, F = 2/3.
+        want = {
+            "BL-2": math.sqrt(7 / 9 * 4 / 7),
+            "BL-4": 0.0,
+            "R_L": (4 / 5 + 183 / 208) / 2,
+            "CX14": 2 * 2 / (2 * 2 + 2 + 1),
+            "CX5": 2 * 2 / (2 * 2 + 1 + 1),
+            "RG-F1": (1 / 2 + 2 / 3) / 2,
+        }
+        scores = json.loads((paths["out_dir"] / "scores.json").read_text())
+        assert set(scores) == {"60", "cpl"}  # both references are shorter than 60 tokens
+        for setting, report in scores.items():
+            assert set(report) == set(want), setting
+            for name, value in want.items():
+                assert report[name] == pytest.approx(value, abs=1e-12), (setting, name)
 
     def test_validation_error_exit_2(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
@@ -502,6 +591,26 @@ class TestCli:
             + float(lines["local"])
         )
         assert abs(total - parts) < 1e-5
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_align_demo_prints_a_power_of_ten_at_or_above_the_error(self, monkeypatch, capsys, b):
+        import sei.cli
+
+        real, errors = sei.cli.max_fd_error, []
+
+        def recorded(*args):
+            errors.append(real(*args))
+            return errors[-1]
+
+        monkeypatch.setattr(sei.cli, "max_fd_error", recorded)
+        assert main(["align-demo", "--b", str(b), "--d", "8", "--seed", "3"]) == 0
+        printed = capsys.readouterr().out.splitlines()[-1].removeprefix("max_fd_rel_error: ")
+        ((max_err, _),) = errors
+        if max_err == 0:  # one study: every loss and gradient is 0
+            assert printed == "0"
+        else:
+            assert re.fullmatch(r"1e[+-]\d\d+", printed), printed
+            assert float(printed) / 10 < max_err <= float(printed)
 
     def test_index_cli_roundtrip(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)

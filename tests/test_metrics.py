@@ -59,6 +59,13 @@ class TestTruncation:
         with pytest.raises(ValidationError):
             truncate_reference(("a",), -1)
 
+    @pytest.mark.parametrize("m_gt", [math.nan, 2.5, -math.inf])
+    def test_invalid_rejected(self, m_gt):
+        with pytest.raises(ValidationError, match="m_gt"):
+            truncate_reference(("a",), m_gt)
+        with pytest.raises(ValidationError, match="m_gt"):
+            score_corpus([pair("a", "a")], m_gt=m_gt)
+
 
 class TestBleu:
     def test_hand_value(self):
@@ -116,9 +123,9 @@ class TestRougeL:
         for _ in range(40):
             a = [VOCAB[int(i)] for i in rng.integers(0, 6, size=int(rng.integers(0, 10)))]
             b = [VOCAB[int(i)] for i in rng.integers(0, 6, size=int(rng.integers(0, 10)))]
-            from sei.metrics import _lcs_len
+            from sei.metrics import _lcs_prefix_lengths
 
-            assert _lcs_len(a, b) == lcs_recursive(tuple(a), tuple(b))
+            assert _lcs_prefix_lengths(a, b)[-1] == lcs_recursive(tuple(a), tuple(b))
 
 
 class TestMicroF1:
@@ -213,6 +220,16 @@ class TestScoreCorpus:
             assert pairs[0].generated == gen
             assert pairs[0].reference == ref
         assert reports[60] != reports[math.inf]
+
+    def test_hand_values_through_score_corpus(self):
+        """The BLEU, ROUGE-L and micro-F1 hand values above, read from the scorer ``sei run`` uses."""
+        gold = [[1, 1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0], [1] + [0] * 13]
+        pred = [[1, 1, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 14]
+        bleu = score_corpus([pair("the cat sat", "the cat sat down")])
+        assert bleu["BL-2"] == pytest.approx(math.exp(-1.0 / 3.0), abs=1e-9)
+        assert score_corpus([pair("the cat", "the cat sat")])["R_L"] == pytest.approx(0.77215, abs=1e-5)
+        labelled = score_corpus([pair("a", "a")] * 2, labels=list(zip(pred, gold)))
+        assert labelled["CX14"] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_misaligned_inputs(self):
         with pytest.raises(ValidationError, match="label"):
