@@ -10,12 +10,14 @@ n=20,000, d=256, k=5 corpus of ``tests/conftest.py::write_pipeline_fixture``
 (seed 123) to ``.bench_build/run_bench`` in a subprocess of its own, so
 generating it sets no measured peak.  The directory is fixed, so the
 manifest's input paths, and with them every artifact, are the same for every
-side.  It then takes ``RUNS`` rounds; each round measures every side once,
-in a fresh process, the order flipped every round.  One measurement times
-one ``sei run`` through ``cli.main``, and the run's one ``attach_shc`` call
-where the pipeline looks it up, as perfbench's tracer does.  It then times
-``retrieval.load_index`` of the ``index.bin`` that run wrote and
-``retrieval.top_k`` on stored rows of that index.  Around the ``sei run``
+side.  It then takes ``--rounds`` rounds (default 3, as the committed BENCH
+files use; an A/A comparison of one ``src`` on both sides wants 10 or more);
+each round measures every side once, in a fresh process, the order flipped
+every round, so the first side named runs first in the odd rounds.  One
+measurement times one ``sei run`` through ``cli.main``, and the run's one
+``attach_shc`` call where the pipeline looks it up, as perfbench's tracer
+does.  It then times ``retrieval.load_index`` of the ``index.bin`` that run
+wrote and ``retrieval.top_k`` on stored rows of that index.  Around the ``sei run``
 alone it reads the CPU seconds (``ru_utime + ru_stime``) of the measuring
 process (``cpu_s``) and of the children ``sei`` forked and reaped
 (``children_cpu_s``), the involuntary context switches of each (``nivcsw``,
@@ -78,7 +80,6 @@ ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_build" / "run_bench"
 N, D, K, SEED = 20_000, 256, 5, 123
 TOP_K_CALLS = 2_000
-RUNS = 3  # rounds; each measures every side once
 FUSION_REPS = 5  # passes over one step's studies in each fusion measurement
 # metrics summarized over a side's runs
 SUMMARIZED = (
@@ -274,6 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         help="a sei package to measure under NAME, e.g. parent=../parent/src (repeatable; default change=src)",
     )
     parser.add_argument("--out", type=Path, help="JSON file to merge the result into")
+    parser.add_argument("--rounds", type=int, default=3, help="rounds, each measuring every side once (default 3)")
     # internal: the steps that run in a fresh interpreter
     parser.add_argument("--generate", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--measure", type=Path, metavar="SRC", help=argparse.SUPPRESS)
@@ -295,6 +297,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.out is None:
         parser.error("--out is required")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sides = dict(side.split("=", 1) for side in args.side or [f"change={ROOT / 'src'}"])
     sides = {name: Path(src) for name, src in sides.items()}
 
@@ -302,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         in_subprocess("--generate")
         runs: dict[str, list[dict]] = {name: [] for name in sides}
-        for round_no in range(RUNS):
+        for round_no in range(args.rounds):
             order = list(sides) if round_no % 2 == 0 else list(reversed(sides))
             for name in order:
                 printed = in_subprocess("--measure", str(sides[name]))  # sei's own line, then the result
@@ -322,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, src in sides.items():
         result = summarize(runs[name], src)
         result["setting"] = {
-            "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": RUNS,
+            "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": args.rounds,
             "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
             "fusion_helper": result.pop("fusion_helper"),
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),

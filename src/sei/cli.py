@@ -26,7 +26,7 @@ iff ``fusion.sn`` is and some record has one.
 the alignment losses at sizes no config section declares; it prints
 ``max_fd_rel_error`` as a power of ten, which a sum's last bits do not move.
 
-Exit codes: 0 success, 2 validation error, 3 IO error.
+Exit codes: 0 success, 2 validation error, 3 IO error or out of memory.
 """
 
 from __future__ import annotations
@@ -59,10 +59,10 @@ def _cmd_stage(args) -> int:
 
 def _cmd_retrieve(args) -> int:
     index = load_index(args.index)
-    row = index.row_of(args.query_id)
+    row = index.row_of(args.study_id)
     if row is None:
-        raise ValidationError(f"study {args.query_id!r} is not in the index")
-    result = top_k(index, index.matrix[row], args.k, exclude_id=args.query_id)
+        raise ValidationError(f"study {args.study_id!r} is not in the index")
+    result = top_k(index, index.matrix[row], args.k, exclude_id=args.study_id)
     for rank, (sid, score) in enumerate(result.hits, 1):
         print(f"{rank}\t{sid}\t{score:.6f}")
     return 0
@@ -78,6 +78,7 @@ def _decade_ceiling(value: float) -> str:
 
 def _cmd_align_demo(args) -> int:
     check_at_least(0, seed=args.seed, b=args.b)
+    check_at_least(1, d=args.d)
     rng = np.random.default_rng(args.seed)
     batch = AlignmentBatch(
         image_feats=rng.standard_normal((args.b, args.d)),
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="query the index by stored study id")
     p.add_argument("--index", required=True)
-    p.add_argument("--query-id", required=True)
+    p.add_argument("--query-id", dest="study_id", required=True)
     p.add_argument("--k", type=int, default=5)
     p.set_defaults(handler=_cmd_retrieve)
 
@@ -152,6 +153,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the array it could not allocate; Python's may have no text
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 3
 
 

@@ -1,8 +1,9 @@
 """Canonical corpus model: entity-annotated studies, JSONL ingestion, filtering.
 
-Every other module consumes the immutable record types defined here and
-shares one tokenization convention, so entity spans, sentence boundaries,
-report truncation, and n-gram metrics all agree on what a token is.
+Every other module consumes the immutable record types defined here (a
+``ReportDocument`` holds text, tokens and sentence ends; the id is its
+``StudyRecord``'s) and shares one tokenization convention, so entity spans,
+sentence boundaries, report truncation, and n-gram metrics agree on tokens.
 
 Corpus files are JSONL, one study per line:
 
@@ -35,7 +36,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .errors import CorpusError, ValidationError, check_at_least
+from .errors import CorpusError, ValidationError, check_at_least, check_labels14
 
 __all__ = [
     "EntityLabel",
@@ -125,7 +126,6 @@ class ReportDocument:
     agree with it.
     """
 
-    study_id: str
     text: str
     tokens: tuple[str, ...] = field(init=False)
     sentence_ends: tuple[int, ...] = field(init=False)
@@ -134,10 +134,6 @@ class ReportDocument:
         tokens = tuple(tokenize(self.text))
         object.__setattr__(self, "tokens", tokens)  # the dataclass is frozen once made
         object.__setattr__(self, "sentence_ends", tuple(i for i, tok in enumerate(tokens) if tok == "."))
-
-    @classmethod
-    def from_text(cls, study_id: str, text: str) -> "ReportDocument":
-        return cls(study_id, text)
 
 
 @dataclass(frozen=True)
@@ -159,12 +155,7 @@ class StudyRecord:
                     f"[{ent.start_ix}, {ent.end_ix}] exceeds the {n}-token report"
                 )
         if self.labels14 is not None:
-            if len(self.labels14) != 14:
-                raise ValidationError(
-                    f"study {self.study_id!r}: labels14 has {len(self.labels14)} entries, expected 14"
-                )
-            if any(v not in (0, 1) for v in self.labels14):
-                raise ValidationError(f"study {self.study_id!r}: labels14 entries must be 0 or 1")
+            check_labels14(self.labels14, f"study {self.study_id!r}: labels14")
 
 
 @dataclass(frozen=True)
@@ -247,7 +238,7 @@ def record_from_json(obj: dict) -> StudyRecord:
     indication, labels14 = obj.get("indication"), obj.get("labels14")
     return StudyRecord(
         study_id=study_id,
-        report=ReportDocument.from_text(study_id, _json_value(obj["findings"], str, "field 'findings'")),
+        report=ReportDocument(_json_value(obj["findings"], str, "field 'findings'")),
         entities=tuple(map(_entity, entities or ())),
         indication=None if indication is None else _json_value(indication, str, "field 'indication'"),
         labels14=None if labels14 is None else tuple(_json_list(labels14, int, "field 'labels14'")),

@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the checks that raise them:
-``check_at_least`` for sizes and counts, ``as_finite_array`` for array inputs."""
+``check_at_least``, ``as_finite_array`` and ``check_labels14``."""
 
 from __future__ import annotations
 
@@ -35,10 +35,19 @@ def as_finite_array(value, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def check_labels14(values, what: str) -> tuple[int, ...]:
+    """``values`` as 14 ints; another length, or an entry that is not 0 or 1, raises ValidationError naming ``what``."""
+    values = tuple(values)
+    if len(values) != 14:
+        raise ValidationError(f"{what} has {len(values)} entries, expected 14")
+    if any(v not in (0, 1) for v in values):
+        raise ValidationError(f"{what} entries must be 0 or 1")
+    return tuple(map(int, values))
+
+
 class StageError(ToolkitError):
     """A pipeline stage failed; wraps the underlying cause."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage {stage}: {cause}")
-        self.stage = stage
         self.cause = cause

@@ -64,7 +64,7 @@ Three rules keep it a gain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -89,26 +89,6 @@ __all__ = [
 ]
 
 LAYER_NAMES = ("img_enrich", "ind_enrich", "integrate")
-# Shape of every LayerParams weight in units of the feature width d, in field
-# order; init_params draws the matrices in this order.
-LAYER_SHAPES = {
-    "self_q": (1, 1),
-    "self_k": (1, 1),
-    "self_v": (1, 1),
-    "self_o": (1, 1),
-    "cross_q": (1, 1),
-    "cross_k": (1, 1),
-    "cross_v": (1, 1),
-    "cross_o": (1, 1),
-    "ff1": (1, 4),
-    "ff2": (4, 1),
-    "ln1_gain": (1,),
-    "ln1_bias": (1,),
-    "ln2_gain": (1,),
-    "ln2_bias": (1,),
-    "ln3_gain": (1,),
-    "ln3_bias": (1,),
-}
 # Each branch's decoder layers in forward order as (layer, queries, memory).
 # A source is an input ("image", "shc", "indication") or an earlier layer's
 # output.  fuse takes the first branch whose inputs are all present.
@@ -131,30 +111,34 @@ _GELU_B = 0.044715
 _HELPER_MIN_WORK = 1 << 20
 
 
+def _weight(*units: int):
+    """A LayerParams field whose array has shape ``units`` times the feature width d."""
+    return field(metadata={"units": units})
+
+
 @dataclass
 class LayerParams:
     """Weights of one decoder layer.
 
-    Projection matrices are (d, d); the feed-forward pair is (d, 4d) and
-    (4d, d); each sublayer has a pre-normalization gain and bias of length d.
+    Each field states its array's shape in units of the feature width d.
     """
 
-    self_q: np.ndarray
-    self_k: np.ndarray
-    self_v: np.ndarray
-    self_o: np.ndarray
-    cross_q: np.ndarray
-    cross_k: np.ndarray
-    cross_v: np.ndarray
-    cross_o: np.ndarray
-    ff1: np.ndarray
-    ff2: np.ndarray
-    ln1_gain: np.ndarray
-    ln1_bias: np.ndarray
-    ln2_gain: np.ndarray
-    ln2_bias: np.ndarray
-    ln3_gain: np.ndarray
-    ln3_bias: np.ndarray
+    self_q: np.ndarray = _weight(1, 1)
+    self_k: np.ndarray = _weight(1, 1)
+    self_v: np.ndarray = _weight(1, 1)
+    self_o: np.ndarray = _weight(1, 1)
+    cross_q: np.ndarray = _weight(1, 1)
+    cross_k: np.ndarray = _weight(1, 1)
+    cross_v: np.ndarray = _weight(1, 1)
+    cross_o: np.ndarray = _weight(1, 1)
+    ff1: np.ndarray = _weight(1, 4)
+    ff2: np.ndarray = _weight(4, 1)
+    ln1_gain: np.ndarray = _weight(1)
+    ln1_bias: np.ndarray = _weight(1)
+    ln2_gain: np.ndarray = _weight(1)
+    ln2_bias: np.ndarray = _weight(1)
+    ln3_gain: np.ndarray = _weight(1)
+    ln3_bias: np.ndarray = _weight(1)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -168,6 +152,10 @@ class LayerParams:
     @classmethod
     def zeros(cls, d: int) -> "LayerParams":
         return cls(**{name: np.zeros(_shape(name, d)) for name in LAYER_SHAPES})
+
+
+# Each LayerParams weight's shape in units of d, in field order: init_params draws in this order.
+LAYER_SHAPES = {f.name: f.metadata["units"] for f in fields(LayerParams)}
 
 
 def _shape(name: str, d: int) -> tuple[int, ...]:

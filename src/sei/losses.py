@@ -36,7 +36,6 @@ __all__ = [
     "total_alignment_loss_grad",
     "nll_loss",
     "nll_loss_grad",
-    "mean_pool",
 ]
 
 DIRECTIONS = ("image_to_text", "text_to_image")
@@ -85,12 +84,6 @@ class AlignmentBatch:
     @property
     def size(self) -> int:
         return self.image_feats.shape[0]
-
-
-def mean_pool(locals_: np.ndarray) -> np.ndarray:
-    """Pool (B, S, d) local features to (B, d) by the mean over positions."""
-    arr = as_finite_array(locals_, "locals", 3)
-    return arr.mean(axis=1)
 
 
 def _normalize_rows(x: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, check_labels14
 
 __all__ = [
     "LABELS14",
@@ -192,15 +192,6 @@ def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
     return sum(scores) / len(scores)
 
 
-def _validate_label_vector(vec: Sequence[int], what: str) -> tuple[int, ...]:
-    values = tuple(int(v) for v in vec)
-    if len(values) != 14:
-        raise ValidationError(f"{what} has {len(values)} entries, expected 14")
-    if any(v not in (0, 1) for v in values):
-        raise ValidationError(f"{what} entries must be 0 or 1")
-    return values
-
-
 def micro_f1(
     pred: Sequence[Sequence[int]],
     gold: Sequence[Sequence[int]],
@@ -222,8 +213,8 @@ def _validated_label_rows(rows: Iterable[tuple[Sequence[int], Sequence[int]]]) -
     """Each (pred, gold) row as validated 14-entry tuples, pred checked first."""
     return [
         (
-            _validate_label_vector(p_vec, f"pred row {row}"),
-            _validate_label_vector(g_vec, f"gold row {row}"),
+            check_labels14(p_vec, f"pred row {row}"),
+            check_labels14(g_vec, f"gold row {row}"),
         )
         for row, (p_vec, g_vec) in enumerate(rows)
     ]

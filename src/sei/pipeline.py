@@ -98,7 +98,7 @@ from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from . import __version__, retrieval
+from . import __version__
 from .corpus import (
     CorpusFilterConfig,
     EntityLabel,
@@ -305,11 +305,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     return _parse_config(PipelineConfig, _read_json(path))
 
 
+_HASH_CHUNK_BYTES = 1 << 20
+
+
 def sha256_file(path: Path) -> str:
-    """The hex sha256 of the file at ``path``, read ``retrieval._SLAB_BYTES`` bytes at a time."""
+    """The hex sha256 of the file at ``path``, read ``_HASH_CHUNK_BYTES`` bytes at a time."""
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        while chunk := handle.read(retrieval._SLAB_BYTES):
+        while chunk := handle.read(_HASH_CHUNK_BYTES):
             digest.update(chunk)
     return digest.hexdigest()
 

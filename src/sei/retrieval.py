@@ -5,7 +5,7 @@ which is the default).  Two implementations share one contract:
 ``top_k_naive`` scans and fully sorts, while ``top_k`` partitions the score
 vector around its k-th best score and sorts only the rows that reach it.
 Both order ties by row insertion order, so results are reproducible bit for
-bit.
+bit.  Either returns a ``RetrievalResult``, which is the hits and no more.
 
 Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
 ``load_embeddings`` parses them straight into the rows of one float64
@@ -134,7 +134,6 @@ class EmbeddingIndex:
 class RetrievalResult:
     """Top-K hits for one query, scores non-increasing, query excluded."""
 
-    query_id: str | None
     hits: tuple[tuple[str, float], ...]
 
 
@@ -225,9 +224,9 @@ def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
     return q
 
 
-def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray, query_id) -> RetrievalResult:
+def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray) -> RetrievalResult:
     hits = tuple((index.ids[int(r)], float(s)) for r, s in zip(rows, scores))
-    return RetrievalResult(query_id=query_id, hits=hits)
+    return RetrievalResult(hits=hits)
 
 
 def _slab_bounds(matrix: np.ndarray, group: int = 4) -> list[int]:
@@ -268,9 +267,7 @@ def _score_run(matrix: np.ndarray, bounds: list[int], queries: np.ndarray, out: 
         np.matmul(matrix[lo:hi], queries, out=out[:, lo:hi, None])
 
 
-def _select(
-    index: EmbeddingIndex, scores: np.ndarray, k: int, skip: int | None, query_id
-) -> RetrievalResult:
+def _select(index: EmbeddingIndex, scores: np.ndarray, k: int, skip: int | None) -> RetrievalResult:
     """The k best rows of ``scores``, never row ``skip``; needs 1 <= k <= the candidates.
 
     ``np.partition`` finds the k-th best score; every row reaching it is
@@ -286,7 +283,7 @@ def _select(
     if skip is not None:
         rows = rows[rows != skip]
     rows = rows[np.lexsort((rows, neg[rows]))[:k]]
-    return _result(index, rows, scores[rows], query_id)
+    return _result(index, rows, scores[rows])
 
 
 def top_k(
@@ -309,8 +306,8 @@ def top_k(
     skip = index.row_of(exclude_id) if exclude_id is not None else None
     k = min(k, index.n - (skip is not None))
     if k == 0:
-        return RetrievalResult(query_id=exclude_id, hits=())
-    return _select(index, index.matrix @ q, k, skip, exclude_id)
+        return RetrievalResult(hits=())
+    return _select(index, index.matrix @ q, k, skip)
 
 
 def top_k_naive(
@@ -330,7 +327,7 @@ def top_k_naive(
         rows = rows[keep]
         scores = scores[keep]
     order = np.lexsort((rows, -scores))[:k]
-    return _result(index, rows[order], scores[order], exclude_id)
+    return _result(index, rows[order], scores[order])
 
 
 def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
@@ -393,7 +390,7 @@ def attach_shc(
         try:
             _score_run(index.matrix, bounds, np.stack(queries)[:, :, None], scores[: len(block)])
             found = [
-                _select(index, scores[j], hits, index.row_of(rec.study_id), rec.study_id).hits
+                _select(index, scores[j], hits, index.row_of(rec.study_id)).hits
                 for j, rec in enumerate(block)
             ]
         finally:

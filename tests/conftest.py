@@ -57,7 +57,7 @@ def make_report(rng: np.random.Generator, study_id: str = "s0", n_sentences: int
         if s < n_sentences - 1 or trailing_period:
             text += "."
         sentences.append(text)
-    return ReportDocument.from_text(study_id, " ".join(sentences))
+    return ReportDocument(" ".join(sentences))
 
 
 def word_spans_by_sentence(report: ReportDocument) -> list[tuple[int, int]]:

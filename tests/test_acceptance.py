@@ -52,18 +52,18 @@ def report_pass(criterion: str, label: str, elapsed: float) -> None:
 def test_c1_see_golden_fragments():
     start = time.perf_counter()
     # cross-sentence entity removed
-    report = ReportDocument.from_text("g1", "device in place. swan ganz catheter unchanged.")
+    report = ReportDocument("device in place. swan ganz catheter unchanged.")
     crossing = span_entity(report, 1, 5, EntityLabel.OBS_DP)  # "in place . swan ganz"
     assert crossing.tokens == "in place . swan ganz"
     assert drop_cross_sentence([crossing], report.sentence_ends) == []
     # longest overlapping entity retained
-    report2 = ReportDocument.from_text("g2", "nodule measures 1.9 x 1.0 cm today.")
+    report2 = ReportDocument("nodule measures 1.9 x 1.0 cm today.")
     long = span_entity(report2, 2, 5, EntityLabel.OBS_DP)
     short = span_entity(report2, 4, 5, EntityLabel.OBS_DP)
     assert (long.tokens, short.tokens) == ("1.9 x 1.0 cm", "1.0 cm")
     assert dedupe_overlaps([short, long]) == [long]
     # one sentence emits one subsequence
-    report3 = ReportDocument.from_text("g3", "AICD in place.")
+    report3 = ReportDocument("AICD in place.")
     record3 = StudyRecord(
         study_id="g3",
         report=report3,
@@ -76,7 +76,7 @@ def test_c1_see_golden_fragments():
     assert len(seq3.subsequences) == 1
     assert seq3.rendered == "aicd in place"
     # OBS-DA -> "no", OBS-U -> "maybe"
-    report4 = ReportDocument.from_text("g4", "pleural effusion seen. pneumonia possible.")
+    report4 = ReportDocument("pleural effusion seen. pneumonia possible.")
     da_group = [span_entity(report4, 0, 1, EntityLabel.OBS_DA)]
     u_group = [span_entity(report4, 4, 4, EntityLabel.OBS_U)]
     assert apply_negation_prefix(da_group).render() == "no pleural effusion"

@@ -643,7 +643,7 @@ def test_sha256_file_hashes_in_chunks(tmp_path, monkeypatch, size):
         def hexdigest(self):
             return self.digest.hexdigest()
 
-    monkeypatch.setattr(pipeline.retrieval, "_SLAB_BYTES", 64)
+    monkeypatch.setattr(pipeline, "_HASH_CHUNK_BYTES", 64)
     monkeypatch.setattr(hashlib, "sha256", Counted)
     assert pipeline.sha256_file(path) == want
     assert reads == [64] * (size // 64) + [size % 64] * (size % 64 > 0)

@@ -20,6 +20,7 @@ from sei.corpus import (
 )
 from sei.cli import main
 from sei.errors import CorpusError, ValidationError
+from sei.metrics import micro_f1
 from sei.retrieval import load_embeddings
 
 from conftest import VOCAB, make_record, write_pipeline_fixture
@@ -103,11 +104,26 @@ class TestLoading:
             EntityAnnotation(tokens="two words", label=EntityLabel.OBS_DP, start_ix=0, end_ix=3)
 
     def test_labels14_validation(self):
-        report = ReportDocument.from_text("s0", "lungs clear.")
+        report = ReportDocument("lungs clear.")
         with pytest.raises(ValidationError, match="14"):
             StudyRecord(study_id="s0", report=report, entities=(), labels14=(0, 1))
         with pytest.raises(ValidationError, match="0 or 1"):
             StudyRecord(study_id="s0", report=report, entities=(), labels14=tuple([2] * 14))
+
+    @pytest.mark.parametrize("labels14", [(0, 1), (0,) * 15, (2,) * 14, (0.7,) * 14, (1.9,) * 14, (-1,) * 14])
+    def test_labels14_rule_is_the_one_metrics_applies(self, labels14):
+        """A StudyRecord and metrics reject the same vectors with the same message, naming each its own input."""
+        if len(labels14) != 14:
+            reason = f"has {len(labels14)} entries, expected 14"
+        else:
+            reason = "entries must be 0 or 1"
+        report = ReportDocument("lungs clear.")
+        with pytest.raises(ValidationError) as from_record:
+            StudyRecord(study_id="s0", report=report, entities=(), labels14=labels14)
+        with pytest.raises(ValidationError) as from_metrics:
+            micro_f1([labels14], [(0,) * 14])
+        assert str(from_record.value) == f"study 's0': labels14 {reason}"
+        assert str(from_metrics.value) == f"pred row 0 {reason}"
 
     def test_round_trip(self, tmp_path, rng):
         records = [make_record(rng, study_id=f"s{i}") for i in range(20)]
@@ -254,7 +270,7 @@ class TestEmbeddingsFile:
 class TestFilter:
     def _record(self, text, study_id="s0"):
         return StudyRecord(
-            study_id=study_id, report=ReportDocument.from_text(study_id, text), entities=()
+            study_id=study_id, report=ReportDocument(text), entities=()
         )
 
     def test_empty_reason(self):

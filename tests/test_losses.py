@@ -14,7 +14,6 @@ from sei.losses import (
     global_alignment_loss_grad,
     local_alignment_loss,
     local_alignment_loss_grad,
-    mean_pool,
     nll_loss,
     nll_loss_grad,
     total_alignment_loss,
@@ -194,10 +193,6 @@ class TestOracleAndProperties:
         )
         with pytest.raises(ValidationError, match="locals"):
             local_alignment_loss(batch)
-
-    def test_mean_pool(self, rng):
-        locals_ = rng.standard_normal((3, 5, 4))
-        assert np.allclose(mean_pool(locals_), locals_.mean(axis=1))
 
 
 class TestGradients:

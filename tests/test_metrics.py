@@ -167,6 +167,15 @@ class TestMicroF1:
         with pytest.raises(ValidationError, match="studies"):
             micro_f1([[0] * 14], [])
 
+    @pytest.mark.parametrize("value", [0.7, 1.9])
+    def test_fractional_label_rejected(self, value):
+        """A fraction is not a label: it raises, rather than being truncated to 0 or 1 and scored."""
+        fractions = [value] * 14
+        with pytest.raises(ValidationError, match="^pred row 0 entries must be 0 or 1$"):
+            micro_f1([fractions], [[0] * 14])
+        with pytest.raises(ValidationError, match="^gold row 0 entries must be 0 or 1$"):
+            score_corpus([EvalPair(("a",), ("a",))], labels=[([0] * 14, fractions)])
+
 
 class TestEntityF1:
     def test_identical(self):

@@ -100,7 +100,7 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
         with tempfile.TemporaryDirectory() as tmp:
             save_index(index, Path(tmp) / "index.bin")
             index = load_index(Path(tmp) / "index.bin")
-    report = ReportDocument.from_text("r", "lungs clear.")
+    report = ReportDocument("lungs clear.")
     records = [StudyRecord(study_id=ids[i], report=report, entities=()) for i in picked]
     embeddings = index_from_vectors([ids[i] for i in picked], queries, normalize=False)
     sequences = {sid: f"seq-{sid}" for sid in ids}
@@ -186,7 +186,7 @@ def annotated_record(draw):
     """A report of 1-4 sentences with entities that may overlap, repeat or cross sentences."""
     words = st.sampled_from(["lungs", "clear", "heart", "size", "normal", "effusion", "no"])
     sentences = draw(st.lists(st.lists(words, min_size=1, max_size=6), min_size=1, max_size=4))
-    report = ReportDocument.from_text("s0", " ".join(" ".join(s) + " ." for s in sentences))
+    report = ReportDocument(" ".join(" ".join(s) + " ." for s in sentences))
     word_ix = [i for i, tok in enumerate(report.tokens) if tok != "."]
     entities = []
     for _ in range(draw(st.integers(0, 8))):

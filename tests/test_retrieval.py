@@ -25,7 +25,7 @@ from sei.see import see_extract
 
 
 def plain_record(study_id, text="lungs are clear."):
-    return StudyRecord(study_id=study_id, report=ReportDocument.from_text(study_id, text), entities=())
+    return StudyRecord(study_id=study_id, report=ReportDocument(text), entities=())
 
 
 def random_embeddings(rng, n, d):
@@ -216,7 +216,7 @@ vectors = rng.standard_normal((n, d))
 ids = [f"s{i:05d}" for i in range(n)]
 index = index_from_vectors(ids, vectors)
 embeddings = index_from_vectors(ids, vectors, normalize=False)
-report = ReportDocument.from_text("s", "lungs clear.")
+report = ReportDocument("lungs clear.")
 records = [StudyRecord(study_id=ids[r], report=report, entities=()) for r in rng.choice(n, size=32, replace=False)]
 digest = hashlib.sha256()
 for rec, cases in attach_shc(records, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):

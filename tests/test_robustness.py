@@ -395,6 +395,8 @@ class TestNegativeSizes:
         [
             (("align-demo", "--seed", "-3"), "seed"),
             (("align-demo", "--b", "-1"), "b must be"),
+            (("align-demo", "--d", "-1"), "d must be >= 1, got -1"),
+            (("align-demo", "--d", "0"), "d must be >= 1, got 0"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, tuple) else None,
     )
@@ -402,6 +404,34 @@ class TestNegativeSizes:
         proc = run_cli(*args)
         assert_clean_exit_2(proc, needle)
         assert proc.stderr.count("error:") == 1
+
+
+class TestAllocationTooLarge:
+    """An array no machine can hold exits 3 with one ``error:`` line, never a traceback.
+
+    Each asks for at least 2**48 bytes, past a 47-bit user address space, so
+    malloc refuses it under any overcommit setting without touching memory.
+    """
+
+    @staticmethod
+    def assert_out_of_memory(proc):
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("error:") == 1
+        assert proc.stderr.startswith("error: out of memory: ")
+
+    def test_run(self, tmp_path):
+        """The fuse-demo stage's image features, 10**15 rows of width 8, are 2**55.8 bytes."""
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], fusion={"si": 10**15, "d": 8})
+        self.assert_out_of_memory(run_cli("run", "--config", str(paths["config"])))
+        manifest = json.loads((paths["out_dir"] / "run_manifest.json").read_text())
+        assert (manifest["status"], manifest["failed_stage"]) == ("failed", "fuse-demo")
+        assert "MemoryError: " in manifest["cause"]
+
+    def test_align_demo(self):
+        """One feature row of width 10**15 is 2**52.8 bytes."""
+        self.assert_out_of_memory(run_cli("align-demo", "--b", "1", "--d", str(10**15)))
 
 
 def test_run_without_generated_reports_writes_nothing(tmp_path):
@@ -443,7 +473,7 @@ def test_attach_shc_missing_sequence_names_id(rng):
 
 
 def shc_record(study_id):
-    return StudyRecord(study_id=study_id, report=ReportDocument.from_text(study_id, "lungs clear."), entities=())
+    return StudyRecord(study_id=study_id, report=ReportDocument("lungs clear."), entities=())
 
 
 def shc_inputs(indexed: dict, queries: dict, order) -> tuple:

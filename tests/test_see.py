@@ -66,7 +66,7 @@ def scan_grouping(entities, sentence_ends):
 
 class TestGoldenFragments:
     def test_cross_sentence_removed(self):
-        report = ReportDocument.from_text("s0", "device in place. swan ganz catheter unchanged.")
+        report = ReportDocument("device in place. swan ganz catheter unchanged.")
         # "in place . swan ganz" straddles the first period
         crossing = span_entity(report, 1, 5, EntityLabel.OBS_DP)
         inside = span_entity(report, 0, 0, EntityLabel.OBS_DP)
@@ -74,7 +74,7 @@ class TestGoldenFragments:
         assert kept == [inside]
 
     def test_longest_overlap_retained(self):
-        report = ReportDocument.from_text("s0", "nodule measures 1.9 x 1.0 cm today.")
+        report = ReportDocument("nodule measures 1.9 x 1.0 cm today.")
         long = span_entity(report, 2, 5, EntityLabel.OBS_DP)  # "1.9 x 1.0 cm"
         short = span_entity(report, 4, 5, EntityLabel.OBS_DP)  # "1.0 cm"
         assert long.tokens == "1.9 x 1.0 cm"
@@ -82,7 +82,7 @@ class TestGoldenFragments:
         assert dedupe_overlaps([short, long]) == [long]
 
     def test_single_sentence_group(self):
-        report = ReportDocument.from_text("s0", "AICD in place.")
+        report = ReportDocument("AICD in place.")
         ents = [
             span_entity(report, 0, 0, EntityLabel.OBS_DP),
             span_entity(report, 1, 2, EntityLabel.OBS_DP),
@@ -93,7 +93,7 @@ class TestGoldenFragments:
         assert sub.render() == "aicd in place"
 
     def test_full_two_sentence_example(self):
-        report = ReportDocument.from_text("s0", "AICD in place. No pleural effusion.")
+        report = ReportDocument("AICD in place. No pleural effusion.")
         record = StudyRecord(
             study_id="s0",
             report=report,
@@ -106,13 +106,13 @@ class TestGoldenFragments:
         assert see_extract(record).rendered == "aicd in place [SEP] no pleural effusion"
 
     def test_obs_u_prefix(self):
-        report = ReportDocument.from_text("s0", "possible pneumonia seen.")
+        report = ReportDocument("possible pneumonia seen.")
         sub = apply_negation_prefix([span_entity(report, 1, 1, EntityLabel.OBS_U)])
         assert sub.prefix == "maybe"
         assert sub.render() == "maybe pneumonia"
 
     def test_da_beats_u(self):
-        report = ReportDocument.from_text("s0", "effusion pneumonia lungs.")
+        report = ReportDocument("effusion pneumonia lungs.")
         group = [
             span_entity(report, 0, 0, EntityLabel.OBS_DA),
             span_entity(report, 1, 1, EntityLabel.OBS_U),
@@ -121,7 +121,7 @@ class TestGoldenFragments:
         assert apply_negation_prefix(group).prefix == "no"
 
     def test_no_prefix_without_special_labels(self):
-        report = ReportDocument.from_text("s0", "lungs clear.")
+        report = ReportDocument("lungs clear.")
         group = [
             span_entity(report, 0, 0, EntityLabel.ANAT_DP),
             span_entity(report, 1, 1, EntityLabel.OBS_DP),
@@ -137,7 +137,7 @@ class TestEdgeCases:
         assert seq.subsequences == ()
 
     def test_single_entity_single_sentence(self):
-        report = ReportDocument.from_text("s0", "cardiomegaly stable.")
+        report = ReportDocument("cardiomegaly stable.")
         record = StudyRecord(
             study_id="s0", report=report,
             entities=(span_entity(report, 0, 0, EntityLabel.OBS_DP),),
@@ -145,7 +145,7 @@ class TestEdgeCases:
         assert see_extract(record).rendered == "cardiomegaly"
 
     def test_middle_sentence_without_entities(self):
-        report = ReportDocument.from_text("s0", "lungs clear. heart normal. no effusion.")
+        report = ReportDocument("lungs clear. heart normal. no effusion.")
         record = StudyRecord(
             study_id="s0", report=report,
             entities=(
@@ -158,7 +158,7 @@ class TestEdgeCases:
         assert seq.rendered == "lungs clear [SEP] no effusion"
 
     def test_entities_after_last_period(self):
-        report = ReportDocument.from_text("s0", "lungs clear. heart normal")
+        report = ReportDocument("lungs clear. heart normal")
         record = StudyRecord(
             study_id="s0", report=report,
             entities=(
@@ -172,13 +172,13 @@ class TestEdgeCases:
         assert drop_cross_sentence([], (3,)) == []
 
     def test_disjoint_entities_both_kept(self):
-        report = ReportDocument.from_text("s0", "lungs clear effusion gone.")
+        report = ReportDocument("lungs clear effusion gone.")
         a = span_entity(report, 0, 0, EntityLabel.ANAT_DP)
         b = span_entity(report, 2, 2, EntityLabel.OBS_DP)
         assert dedupe_overlaps([b, a]) == [a, b]
 
     def test_overlap_chain_keeps_middle(self):
-        report = ReportDocument.from_text("s0", "right lower lobe opacity seen today.")
+        report = ReportDocument("right lower lobe opacity seen today.")
         a = span_entity(report, 0, 1, EntityLabel.ANAT_DP)  # overlaps b only
         b = span_entity(report, 1, 4, EntityLabel.OBS_DP)  # longest
         c = span_entity(report, 4, 5, EntityLabel.OBS_DP)  # overlaps b only
