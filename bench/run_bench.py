@@ -28,7 +28,13 @@ After each measurement a second fresh process imports the same ``sei``,
 loads that ``index.bin`` and nothing else, and reports its ``VmHWM``
 (``/proc/self/status``) as ``load_index_peak_rss_mb``: a new program image
 starts that mark afresh, where ``ru_maxrss`` would start at the peak of the
-process that started it.  A third fresh process runs fusion on the 16
+process that started it.  Each of those two processes imports numpy and
+then times its import of ``sei``: ``sei.cli`` in the first
+(``import.sei_cli.s``) and ``sei.retrieval`` in the second
+(``import.sei_retrieval.s``).  Each is a new program image, so the time
+includes compiling the ``sei`` source unless its bytecode is already cached
+on disk (``PYTHONDONTWRITEBYTECODE`` keeps it from being written).  A third
+fresh process runs fusion on the 16
 studies of one ``train-step`` step (``perfbench/inputs.py::train_step_arrays``
 at ``perfbench/worker.py``'s ``TrainStep.SHAPES``, seed 1, step 0): ``fuse``
 then ``fuse_backward`` per study, ``FUSION_REPS`` times.  It reports the
@@ -86,7 +92,8 @@ SUMMARIZED = (
     "cli.main.s", "throughput_per_s", "cpu_s_per_study", "cpu_s", "children_cpu_s",
     "nivcsw", "children_nivcsw", "steal_ticks", "peak_rss_mb", "children_peak_rss_mb",
     "retrieval.attach_shc.s", "retrieval.top_k.s", "retrieval.top_k.p50_ms",
-    "retrieval.load_index.s", "load_index_peak_rss_mb", "fusion.step_s",
+    "retrieval.load_index.s", "load_index_peak_rss_mb", "fusion.step_s", "import.sei_cli.s",
+    "import.sei_retrieval.s",
 )
 
 
@@ -127,7 +134,10 @@ def measure(src: Path, config_path: Path) -> dict:
     """One ``sei run`` of ``config_path`` with the ``sei`` under ``src``, then the ``top_k`` calls."""
     sys.path[:0] = [str(src)]
     import numpy as np
+
+    start = time.perf_counter()
     import sei.cli
+    import_s = time.perf_counter() - start
     from sei import pipeline, retrieval, threads
 
     if Path(sei.cli.__file__).resolve().parents[1] != src.resolve():
@@ -181,6 +191,7 @@ def measure(src: Path, config_path: Path) -> dict:
         "retrieval.attach_shc.records": attach_records,
         "retrieval.attach_shc.s": attach_s,
         "retrieval.load_index.s": load_s,
+        "import.sei_cli.s": import_s,
         "artifacts_sha256": artifacts,
         "scoring_threads": threads.usable_cpus(),
     }
@@ -232,15 +243,20 @@ def measure_fusion(src: Path) -> dict:
     return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest(), "fusion_helper": helper}
 
 
-def load_peak(src: Path, config_path: Path) -> float:
-    """The ``VmHWM`` in MB of this process after it loads the run's ``index.bin`` with the ``sei`` under ``src``."""
+def load_peak(src: Path, config_path: Path) -> dict:
+    """The ``VmHWM`` in MB of this process after it loads the run's ``index.bin`` with the ``sei`` under ``src``,
+    and the seconds ``import sei.retrieval`` took after numpy."""
     sys.path[:0] = [str(src)]
-    from sei import retrieval
+    import numpy  # noqa: F401  (imported first, so the timed import is sei's own)
 
+    start = time.perf_counter()
+    from sei import retrieval
+    import_s = time.perf_counter() - start
     out = json.loads(config_path.read_text(encoding="utf-8"))["paths"]["out_dir"]
     retrieval.load_index(Path(out) / "index.bin")
     with open("/proc/self/status", encoding="ascii") as status:
-        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
+        peak_mb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024.0
+    return {"load_index_peak_rss_mb": peak_mb, "import.sei_retrieval.s": import_s}
 
 
 def in_subprocess(*args: str) -> str:
@@ -290,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(measure(args.measure, WORK / "config.json")))
         return 0
     if args.load_peak:
-        print(load_peak(args.load_peak, WORK / "config.json"))
+        print(json.dumps(load_peak(args.load_peak, WORK / "config.json")))
         return 0
     if args.fusion:
         print(json.dumps(measure_fusion(args.fusion)))
@@ -311,7 +327,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in order:
                 printed = in_subprocess("--measure", str(sides[name]))  # sei's own line, then the result
                 runs[name].append(json.loads(printed.splitlines()[-1]))
-                runs[name][-1]["load_index_peak_rss_mb"] = float(in_subprocess("--load-peak", str(sides[name])))
+                runs[name][-1].update(json.loads(in_subprocess("--load-peak", str(sides[name]))))
                 runs[name][-1].update(json.loads(in_subprocess("--fusion", str(sides[name]))))
                 run = runs[name][-1]
                 print(

@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import threads
-from .errors import ValidationError, as_finite_array
+from .errors import ValidationError, as_finite_array, check_at_least
 
 __all__ = [
     "LAYER_NAMES",
@@ -189,8 +189,7 @@ def init_params(d: int, n_heads: int, seed: int) -> FusionParams:
     order; norm gains start at 1 and biases at 0.  The same seed always
     yields bit-identical weights.
     """
-    if d <= 0:
-        raise ValidationError(f"feature width must be positive, got {d}")
+    check_at_least(1, d=d)
     _check_heads(d, n_heads)
     rng = np.random.default_rng(seed)
 

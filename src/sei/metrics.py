@@ -163,7 +163,7 @@ def _one_pass(
         lcs = _lcs_prefix_lengths(gen, ref)
         clipped_at: dict[int, list[int]] = {}
         for m_gt in settings:
-            cut = len(ref) if m_gt == math.inf else min(int(m_gt), len(ref))
+            cut = len(truncate_reference(ref, m_gt))
             if cut not in clipped_at:
                 clipped_at[cut] = _clipped_counts(gen_counts, _ngram_counts(ref[:cut], max_n), max_n)
             tallies[m_gt].add(clipped_at[cut], len(gen), cut)
@@ -291,8 +291,6 @@ def score_settings(
     if entities is not None and len(entities) != len(pairs):
         raise ValidationError(f"{len(entities)} entity rows for {len(pairs)} pairs")
     settings = tuple(dict.fromkeys(m_gt_values))
-    for m_gt in settings:
-        truncate_reference((), m_gt)  # rejects an invalid setting before any work
     passes = _one_pass(pairs, settings, 4, ROUGE_BETA * ROUGE_BETA)
     shared = {}
     if labels is not None:

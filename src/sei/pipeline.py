@@ -115,7 +115,7 @@ from .corpus import (
     save_corpus,
     tokenize,
 )
-from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least
+from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least, check_labels14
 from .fusion import ROUTES, FeatureSet, _check_heads, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import max_fd_error
 from .indications import NormalizerConfig, normalize_indication
@@ -369,7 +369,7 @@ def read_generated(path: Path) -> dict[str, str]:
     return _read_id_map(path, "text")
 
 
-_LABEL_CELLS = frozenset(("0", "1"))
+_LABEL_INTS = {"0": 0, "1": 1}  # any other cell stays a string, which check_labels14 rejects
 
 
 def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
@@ -380,14 +380,14 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     if header is None or header[0] != "study_id" or len(header) != 15:
         raise CorpusError(f"{path}: expected header study_id,l1..l14")
     for lineno, row in enumerate(reader, 2):
-        if len(row) != 15:
-            raise CorpusError(f"{path}: line {lineno}: expected 15 columns, got {len(row)}")
+        try:
+            labels = check_labels14((_LABEL_INTS.get(cell, cell) for cell in row[1:]), "labels14")
+        except ValidationError as exc:
+            raise CorpusError(f"{path}: line {lineno}: {exc}") from None
         sid = row[0]
         if sid in out:
             raise CorpusError(f"{path}: line {lineno}: duplicate study_id {sid!r}")
-        if not _LABEL_CELLS.issuperset(row[1:]):
-            raise CorpusError(f"{path}: line {lineno}: labels must each be exactly 0 or 1")
-        out[sid] = tuple(map(int, row[1:]))
+        out[sid] = labels
     return out
 
 

@@ -34,10 +34,10 @@ The calling thread takes the blocks in record order, so errors come as one
 record at a time would raise them.
 
 Score bits and BLAS threads: ``attach_shc`` scores are the bits of the
-whole-matrix product run on one BLAS thread, on any BLAS thread count.
-``top_k`` and ``top_k_naive`` equal them when their product runs on one
-thread.  On more, OpenBLAS may split the rows at a point that is not a
-multiple of 4, which moves a few last bits when n is not a multiple of 4.
+whole-matrix product on one BLAS thread, on any BLAS thread count; ``top_k``
+and ``top_k_naive`` equal them when their product runs on one thread.  On
+two, OpenBLAS 0.3.31 (d = 256) moved a few last bits at n = 9801 to 9804,
+20001 and 20003, a multiple of 4 among them, but none at n = 12 or 20000.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -330,14 +330,13 @@ def top_k_naive(
     return _result(index, rows[order], scores[order])
 
 
-def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord, k: int) -> np.ndarray:
+def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord) -> np.ndarray:
     """Check one ``attach_shc`` record in the order ``top_k`` would; return its query."""
     row = embeddings.row_of(rec.study_id)
     if row is None:
         raise ValidationError(f"study {rec.study_id!r} has no embedding")
     if index.row_of(rec.study_id) is None:
         raise ValidationError(f"study {rec.study_id!r} is not indexed")
-    check_at_least(0, k=k)
     return _prepare_query(index, embeddings.matrix[row])
 
 
@@ -363,6 +362,7 @@ def attach_shc(
     its good records and no later record is looked at.  On any raise the
     blocks not yet started are cancelled.
     """
+    check_at_least(0, k=k)
     from concurrent.futures import ThreadPoolExecutor  # here, so importing this module does not pay for it
     from queue import SimpleQueue
 
@@ -379,7 +379,7 @@ def attach_shc(
         queries, error = [], None
         for rec in records[start : start + _QUERY_BLOCK]:
             try:
-                queries.append(_shc_query(index, embeddings, rec, k))
+                queries.append(_shc_query(index, embeddings, rec))
             except ValidationError as exc:  # raised after the records before it
                 error = exc
                 break

@@ -123,12 +123,11 @@ def split_subsequences(
     Entities after the last period belong to a final implicit sentence.
     Groups come back in sentence order; empty groups are omitted.
     """
+    from itertools import groupby  # enough: _canonical_key sorts by start_ix first, so by sentence too
+
     ends = sorted(sentence_ends)
-    groups: dict[int, list[EntityAnnotation]] = {}
-    for ent in sorted(entities, key=_canonical_key):
-        sentence = bisect_left(ends, ent.start_ix)
-        groups.setdefault(sentence, []).append(ent)
-    return [(sentence, groups[sentence]) for sentence in sorted(groups)]
+    groups = groupby(sorted(entities, key=_canonical_key), lambda ent: bisect_left(ends, ent.start_ix))
+    return [(sentence, list(group)) for sentence, group in groups]
 
 
 def apply_negation_prefix(group: Sequence[EntityAnnotation]) -> FactualSubsequence:
@@ -137,8 +136,6 @@ def apply_negation_prefix(group: Sequence[EntityAnnotation]) -> FactualSubsequen
     "no" fires when any entity is OBS-DA; otherwise "maybe" fires when any
     entity is OBS-U.  At most one prefix per group, and OBS-DA wins.
     """
-    if not group:
-        raise ValidationError("cannot build a subsequence from an empty group")
     labels = {ent.label for ent in group}
     if EntityLabel.OBS_DA in labels:
         prefix = "no"

@@ -43,7 +43,7 @@ def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def make_report(rng: np.random.Generator, study_id: str = "s0", n_sentences: int | None = None,
+def make_report(rng: np.random.Generator, n_sentences: int | None = None,
                 trailing_period: bool | None = None) -> ReportDocument:
     """Random multi-sentence report built from the word vocabulary."""
     if n_sentences is None:
@@ -110,14 +110,14 @@ def make_entities(
 
 
 def make_record(rng: np.random.Generator, study_id: str = "s0", **entity_kwargs) -> StudyRecord:
-    report = make_report(rng, study_id=study_id)
+    report = make_report(rng)
     entities = make_entities(rng, report, **entity_kwargs)
     return StudyRecord(study_id=study_id, report=report, entities=tuple(entities))
 
 
 def disjoint_plain_record(rng: np.random.Generator, study_id: str = "s0") -> StudyRecord:
     """Record with non-overlapping, within-sentence, non-negated entities only."""
-    report = make_report(rng, study_id=study_id)
+    report = make_report(rng)
     entities = []
     for lo, hi in word_spans_by_sentence(report):
         pos = lo
@@ -155,8 +155,7 @@ def write_pipeline_fixture(root: Path, n: int = 10, d: int = 8, seed: int = 123)
     ent_rows = []
     for i in range(n):
         sid = f"st{i:03d}"
-        report = make_report(rng, study_id=sid, n_sentences=int(rng.integers(2, 4)),
-                             trailing_period=True)
+        report = make_report(rng, n_sentences=int(rng.integers(2, 4)), trailing_period=True)
         entities = []
         for lo, hi in word_spans_by_sentence(report):
             end = min(hi, lo + int(rng.integers(0, 3)))

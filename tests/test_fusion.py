@@ -111,6 +111,12 @@ class TestInit:
         with pytest.raises(ValidationError, match="divide"):
             init_params(8, 3, 0)
 
+    @pytest.mark.parametrize("d", [0, -4])
+    def test_width_rule_is_the_config_one(self, d):
+        """The message FusionConfig and align-demo give for the same width."""
+        with pytest.raises(ValidationError, match=rf"^d must be >= 1, got {d}$"):
+            init_params(d, 1, 0)
+
 
 class TestDecoderLayer:
     def test_single_key_softmax(self, rng):

@@ -5,7 +5,6 @@ SEE invariants."""
 import math
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from sei import retrieval
 from sei.corpus import EntityAnnotation, EntityLabel, ReportDocument, StudyRecord
-from sei.fusion import LAYER_NAMES, LAYER_SHAPES, LayerParams, init_params
+from sei.fusion import LAYER_NAMES, LAYER_SHAPES, init_params
 from sei.metrics import EvalPair, score_corpus, score_settings, truncate_reference
 from sei.retrieval import attach_shc, index_from_vectors, load_index, save_index, top_k, top_k_naive
 from sei.see import see_extract
@@ -121,11 +120,14 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
 
 
 def test_shape_table_lists_layer_fields_in_order():
-    assert tuple(LAYER_SHAPES) == tuple(f.name for f in fields(LayerParams))
-    params = init_params(4, 2, 0)
+    d, seed = 4, 0
+    params = init_params(d, 2, seed)
+    # init_params draws in LAYER_SHAPES order, first layer first, which fixes the bytes of fusion.json
+    bound = 1 / math.sqrt(d)
+    assert np.array_equal(params.img_enrich.self_q, np.random.default_rng(seed).uniform(-bound, bound, (d, d)))
     for name in LAYER_NAMES:
         for weight, array in params.layers()[name].arrays().items():
-            assert array.shape == tuple(4 * units for units in LAYER_SHAPES[weight])
+            assert array.shape == tuple(d * units for units in LAYER_SHAPES[weight])
 
 
 def as_hex(report: dict) -> dict:

@@ -198,10 +198,10 @@ class TestAttachShc:
             assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
 
 
-# Scores 32 records against a 9801 x 256 index (20 slabs) with k = n - 1, so every
-# row's score is in the output, on argv[1] scoring threads, and prints a digest of
-# the ids and float.hex scores.  With "oracle" it also checks each record against
-# top_k_naive.
+# Scores 32 records against an argv[2] x 256 index (20 slabs at n = 9801) with
+# k = n - 1, so every row's score is in the output, on argv[1] scoring threads, and
+# prints a digest of the ids and float.hex scores.  With "oracle" it also checks
+# each record against top_k_naive.
 THREAD_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -210,7 +210,7 @@ from sei.corpus import ReportDocument, StudyRecord
 from sei.retrieval import attach_shc, index_from_vectors, top_k_naive
 
 threads.usable_cpus = lambda: int(sys.argv[1])
-n, d = 9801, 256
+n, d = int(sys.argv[2]), 256
 rng = np.random.default_rng(9801)
 vectors = rng.standard_normal((n, d))
 ids = [f"s{i:05d}" for i in range(n)]
@@ -222,7 +222,7 @@ digest = hashlib.sha256()
 for rec, cases in attach_shc(records, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
     got = [(c.study_id, c.score.hex()) for c in cases]
     digest.update(repr(got).encode())
-    if sys.argv[2:] == ["oracle"]:
+    if sys.argv[3:] == ["oracle"]:
         want = top_k_naive(index, vectors[ids.index(rec.study_id)], n - 1, exclude_id=rec.study_id)
         assert got == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
 print(digest.hexdigest())
@@ -233,25 +233,27 @@ class TestBlasThreads:
     """attach_shc scores are the one-thread product's bits on any mix of BLAS and
     scoring threads.
 
-    At n = 9801 (not a multiple of 4) a whole-matrix product on two OpenBLAS
-    threads differs from one thread in a few last bits; the slab kernel does not,
-    and each scoring thread scores whole query blocks over every slab.
+    With OpenBLAS 0.3.31 at d = 256, a whole-matrix product on two threads differed
+    from one thread in a few last bits at n = 9801 and at n = 9804, a multiple of 4,
+    and matched at n = 20000; the slab kernel does not differ, and each scoring
+    thread scores whole query blocks over every slab.
     """
 
-    def _probe(self, blas_threads, scoring_threads, *args):
+    def _probe(self, blas_threads, scoring_threads, n, *args):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
         env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parents[1]), env.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-c", THREAD_PROBE, str(scoring_threads), *args],
+            [sys.executable, "-c", THREAD_PROBE, str(scoring_threads), str(n), *args],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
-    def test_one_thread_equals_naive_and_two_threads_equal_one(self):
-        one = self._probe(1, 1, "oracle")
+    @pytest.mark.parametrize("n", [9801, 9804])
+    def test_one_thread_equals_naive_and_two_threads_equal_one(self, n):
+        one = self._probe(1, 1, n, "oracle")
         for blas_threads, scoring_threads in [(1, 2), (2, 1), (2, 2)]:
-            assert self._probe(blas_threads, scoring_threads) == one, (blas_threads, scoring_threads)
+            assert self._probe(blas_threads, scoring_threads, n) == one, (blas_threads, scoring_threads)
 
 
 class TestSerialization:

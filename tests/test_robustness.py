@@ -160,7 +160,24 @@ class TestCliMalformedInput:
         paths["generated_labels"].write_text("\n".join(labels) + "\n")
         run_stages(paths["config"], "filter")
         assert main(["score", "--config", str(paths["config"])]) == 2
-        assert f"{paths['generated_labels']}: line 3: labels must each be exactly 0 or 1" in capsys.readouterr().err
+        assert f"{paths['generated_labels']}: line 3: labels14 entries must be 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            (lambda cells: cells[:-1], "labels14 has 13 entries, expected 14"),
+            (lambda cells: [], "labels14 has 0 entries, expected 14"),
+        ],
+        ids=["13-labels", "blank-row"],
+    )
+    def test_score_label_row_not_14_labels(self, tmp_path, capsys, row, reason):
+        paths = write_pipeline_fixture(tmp_path)
+        labels = paths["generated_labels"].read_text().splitlines()
+        labels[2] = ",".join(row(labels[2].split(",")))
+        paths["generated_labels"].write_text("\n".join(labels) + "\n")
+        run_stages(paths["config"], "filter")
+        assert main(["score", "--config", str(paths["config"])]) == 2
+        assert f"{paths['generated_labels']}: line 3: {reason}" in capsys.readouterr().err
 
     def test_run_config_invalid_utf8(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
@@ -250,6 +267,87 @@ class TestCliMalformedInput:
         sequences.write_text("".join(json.dumps(row) + "\n" for row in rows))
         proc = self._attach(paths)
         assert_clean_exit_2(proc, str(sequences), "line 3", "'factual_sequence'")
+
+
+def _edit_row(path: Path, i: int, edit) -> None:
+    """Apply ``edit`` to the parsed row on line ``i + 1`` of the JSONL file at ``path``."""
+    lines = path.read_text().splitlines()
+    row = json.loads(lines[i])
+    edit(row)
+    lines[i] = json.dumps(row)
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def _drop_line(path: Path, i: int) -> None:
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:i] + lines[i + 1 :]))
+
+
+def _second_entity(edit):
+    """An ``_edit_row`` edit that applies ``edit`` to the row's second entity, which starts past word 0."""
+    return lambda row: edit(row["entities"][1])
+
+
+# (argv, what to break in a fresh write_pipeline_fixture, what stderr must hold); argv and needles are
+# formatted with the fixture's paths.  No other test reaches these error branches.
+RUN = ("run", "--config", "{config}")
+MALFORMED_INPUTS = {
+    "entity-negative-start": (
+        RUN, lambda p: _edit_row(p["corpus"], 1, _second_entity(lambda e: e.update(start_ix=-1))),
+        ("{corpus}: line 2: entity ", "start_ix -1 is negative"),
+    ),
+    "entity-end-before-start": (
+        RUN, lambda p: _edit_row(p["corpus"], 1, _second_entity(lambda e: e.update(end_ix=e["start_ix"] - 1))),
+        ("{corpus}: line 2: entity ", "precedes start_ix"),
+    ),
+    "config-top-level-list": (RUN, lambda p: p["config"].write_text("[]\n"), ("{config}: expected a JSON object",)),
+    "embedding-401-digit-integer": (
+        RUN, lambda p: _edit_row(p["embeddings"], 1, lambda row: row.update(vec=[10**400] + row["vec"][1:])),
+        ("{embeddings}: line 2: field 'vec' holds an integer too large for a float",),
+    ),
+    "retrieve-unknown-query-id": (
+        ("retrieve", "--index", "{out_dir}/index.bin", "--query-id", "nope"),
+        lambda p: run_stages(p["config"], "filter", "normalize", "index"),
+        ("study 'nope' is not in the index",),
+    ),
+    "align-demo-tau-0": (("align-demo", "--tau", "0"), None, ("temperature must be finite and positive, got 0.0",)),
+    "align-demo-tau-nan": (("align-demo", "--tau", "nan"), None, ("temperature must be finite and positive, got nan",)),
+    "align-demo-b-0": (("align-demo", "--b", "0"), None, ("batch must contain at least one study",)),
+    "generated-empty": (
+        RUN, lambda p: p["generated"].write_text(""), ("{generated}: no generated reports match the reference corpus",)
+    ),
+    "generated-entities-missing-id": (
+        RUN, lambda p: _drop_line(p["generated_entities"], 2),
+        ("{generated_entities}: study 'st002' has no generated entity set",),
+    ),
+    "empty-junk-pattern": (
+        RUN, lambda p: patch_config(p["config"], filter={"junk_patterns": [""]}),
+        ("config section 'filter': junk_patterns must be non-empty strings",),
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, breakage, needles", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_2_with_one_error_line(tmp_path, argv, breakage, needles):
+    paths = write_pipeline_fixture(tmp_path)
+    if breakage is not None:
+        breakage(paths)
+    proc = run_cli(*(arg.format(**paths) for arg in argv))
+    assert_clean_exit_2(proc, *(needle.format(**paths) for needle in needles))
+    assert proc.stderr.count("error:") == 1
+
+
+def test_blank_and_whitespace_corpus_lines_are_skipped(tmp_path):
+    """Blank and whitespace-only corpus lines change no artifact but the manifest, which hashes the corpus."""
+    paths = write_pipeline_fixture(tmp_path)
+    out = paths["out_dir"]
+    run_stages(paths["config"], "run")
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+    lines = paths["corpus"].read_text().splitlines(keepends=True)
+    blanks = ["  \t\n", "\r\n"] * len(lines)
+    paths["corpus"].write_text("\n" + "".join(line + blank for line, blank in zip(lines, blanks)))
+    run_stages(paths["config"], "run")
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"} == before
 
 
 # JSON that json.loads rejects with something other than a JSONDecodeError:
@@ -518,6 +616,12 @@ class TestAttachShcErrorOrder:
             attach_shc(records, index, 1, embeddings, sequences={"a": "x", "c": "z"})
         assert str(excinfo.value) == message
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("order", [(), ("z",)], ids=["no-records", "unindexed-record"])
+    def test_negative_k_is_checked_before_any_record(self, order):
+        index, embeddings, records = shc_inputs(self.INDEXED, self.QUERIES, order)
+        with pytest.raises(ValidationError, match=r"^k must be >= 0, got -1$"):
+            attach_shc(records, index, -1, embeddings, {})
 
     @pytest.mark.parametrize("failing", [0, 1])
     @pytest.mark.parametrize("threads", [1, 2])

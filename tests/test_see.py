@@ -188,14 +188,14 @@ class TestEdgeCases:
 
 class TestOracles:
     def test_dedupe_matches_brute_force(self, rng):
-        for trial in range(200):
-            report = make_report(rng, study_id=f"s{trial}")
+        for _ in range(200):
+            report = make_report(rng)
             entities = make_entities(rng, report, allow_cross=False)
             assert dedupe_overlaps(entities) == brute_force_dedupe(entities)
 
     def test_grouping_matches_scan(self, rng):
-        for trial in range(200):
-            report = make_report(rng, study_id=f"s{trial}")
+        for _ in range(200):
+            report = make_report(rng)
             entities = dedupe_overlaps(
                 drop_cross_sentence(make_entities(rng, report), report.sentence_ends)
             )
@@ -221,8 +221,8 @@ class TestProperties:
             assert "." not in seq.rendered.split()
 
     def test_dedupe_output_disjoint(self, rng):
-        for trial in range(300):
-            report = make_report(rng, study_id=f"s{trial}")
+        for _ in range(300):
+            report = make_report(rng)
             kept = dedupe_overlaps(make_entities(rng, report))
             for a, b in zip(kept, kept[1:]):
                 assert a.end_ix < b.start_ix
