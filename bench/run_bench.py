@@ -34,12 +34,12 @@ then times its import of ``sei``: ``sei.cli`` in the first
 (``import.sei_retrieval.s``).  Each is a new program image, so the time
 includes compiling the ``sei`` source unless its bytecode is already cached
 on disk (``PYTHONDONTWRITEBYTECODE`` keeps it from being written).  A third
-fresh process runs fusion on the 16
-studies of one ``train-step`` step (``perfbench/inputs.py::train_step_arrays``
-at ``perfbench/worker.py``'s ``TrainStep.SHAPES``, seed 1, step 0): ``fuse``
-then ``fuse_backward`` per study, ``FUSION_REPS`` times.  It reports the
-median time of one pass as ``fusion.step_s`` and the sha256 of every fused
-output and gradient, in study order, as ``fusion_sha256``.
+fresh process runs fusion on the 16 studies of one ``train-step`` step
+(``perfbench/inputs.py::train_step_arrays`` at ``perfbench/worker.py``'s
+``TrainStep.SHAPES``, seed 1, step 0): ``fuse`` then ``fuse_backward`` per
+study, ``FUSION_REPS`` times.  It reports the median time of one pass as
+``fusion.step_s`` and the sha256 of every fused output and gradient, in
+study order, as ``fusion_sha256``.
 
 Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 ``throughput_per_s`` means what it means on ``pipeline-10k``.

@@ -283,22 +283,18 @@ def _drop_line(path: Path, i: int) -> None:
     path.write_text("".join(lines[:i] + lines[i + 1 :]))
 
 
-def _second_entity(edit):
-    """An ``_edit_row`` edit that applies ``edit`` to the row's second entity, which starts past word 0."""
-    return lambda row: edit(row["entities"][1])
-
-
 # (argv, what to break in a fresh write_pipeline_fixture, what stderr must hold); argv and needles are
-# formatted with the fixture's paths.  No other test reaches these error branches.
+# formatted with the fixture's paths.  No other test reaches these error branches.  A corpus row's second
+# entity starts in its second sentence, past word 0.
 RUN = ("run", "--config", "{config}")
 MALFORMED_INPUTS = {
     "entity-negative-start": (
-        RUN, lambda p: _edit_row(p["corpus"], 1, _second_entity(lambda e: e.update(start_ix=-1))),
+        RUN, lambda p: _edit_row(p["corpus"], 1, lambda row: row["entities"][1].update(start_ix=-1)),
         ("{corpus}: line 2: entity ", "start_ix -1 is negative"),
     ),
     "entity-end-before-start": (
-        RUN, lambda p: _edit_row(p["corpus"], 1, _second_entity(lambda e: e.update(end_ix=e["start_ix"] - 1))),
-        ("{corpus}: line 2: entity ", "precedes start_ix"),
+        RUN, lambda p: _edit_row(p["corpus"], 1, lambda row: row["entities"][1].update(end_ix=0)),
+        ("{corpus}: line 2: entity ", "end_ix 0 precedes start_ix"),
     ),
     "config-top-level-list": (RUN, lambda p: p["config"].write_text("[]\n"), ("{config}: expected a JSON object",)),
     "embedding-401-digit-integer": (
