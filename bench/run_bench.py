@@ -48,13 +48,12 @@ Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 (``RUSAGE_CHILDREN``; 0 for a ``sei`` that forks none).  A forked child's
 peak counts the pages it shares with the measuring process at the fork (the
 interpreter, numpy, the records it reads), so it is an upper bound on the
-memory the child adds, not that memory itself.  ``setting.scoring_threads``
-is the size of ``attach_shc``'s scoring pool (``threads.usable_cpus``), and
-``setting.fusion_helper`` says whether fusion runs a helper thread at the
-``train-step`` shapes.  ``setting.numeric_env`` names what decides the bits of
-``fusion.json`` and ``shc.jsonl`` (see ``sei.pipeline``, C8): numpy's
-version, the dispatch target of the float64 ``power`` and ``exp`` loops,
-OpenBLAS's configuration string and ``OPENBLAS_CORETYPE``, if set.
+memory the child adds, not that memory itself.  ``setting.fusion_helper``
+says whether fusion runs a helper thread at the ``train-step`` shapes.
+``setting.numeric_env`` names what decides the bits of ``fusion.json`` and
+``shc.jsonl`` (see ``sei.pipeline``, C8): numpy's version, the dispatch
+target of the float64 ``power`` and ``exp`` loops, OpenBLAS's configuration
+string and ``OPENBLAS_CORETYPE``, if set.
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of
@@ -138,7 +137,7 @@ def measure(src: Path, config_path: Path) -> dict:
     start = time.perf_counter()
     import sei.cli
     import_s = time.perf_counter() - start
-    from sei import pipeline, retrieval, threads
+    from sei import pipeline, retrieval
 
     if Path(sei.cli.__file__).resolve().parents[1] != src.resolve():
         raise SystemExit(f"imported sei from {sei.cli.__file__}, not from {src}")
@@ -193,7 +192,6 @@ def measure(src: Path, config_path: Path) -> dict:
         "retrieval.load_index.s": load_s,
         "import.sei_cli.s": import_s,
         "artifacts_sha256": artifacts,
-        "scoring_threads": threads.usable_cpus(),
     }
 
 
@@ -269,7 +267,7 @@ def in_subprocess(*args: str) -> str:
 
 def summarize(runs: list[dict], src: Path) -> dict:
     first = runs[0]
-    per_side = ("artifacts_sha256", "scoring_threads", "fusion_sha256", "fusion_helper")
+    per_side = ("artifacts_sha256", "fusion_sha256", "fusion_helper")
     return {
         "runs": [{k: v for k, v in run.items() if k not in per_side} for run in runs],
         "median": {name: statistics.median(run[name] for run in runs) for name in SUMMARIZED},
@@ -279,7 +277,6 @@ def summarize(runs: list[dict], src: Path) -> dict:
         "fusion_sha256": first["fusion_sha256"],
         "fusion_same_every_run": all(run["fusion_sha256"] == first["fusion_sha256"] for run in runs),
         "src_lines": source_lines(src),
-        "scoring_threads": first["scoring_threads"],
         "fusion_helper": first["fusion_helper"],
     }
 
@@ -343,8 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         result = summarize(runs[name], src)
         result["setting"] = {
             "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": args.rounds,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "scoring_threads": result.pop("scoring_threads"),
-            "fusion_helper": result.pop("fusion_helper"),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "fusion_helper": result.pop("fusion_helper"),
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
             "numeric_env": numeric_environment(),
         }

@@ -66,14 +66,13 @@ waits for it there (``index`` for the parse, ``score`` for the scores), so a
 child's error surfaces at that stage, in stage order, as it would
 in-process; a child that dies without a result fails that stage with a
 ChildProcessError (exit 3).  When any stage fails, the children still running
-are killed and reaped before ``run_pipeline`` returns.  A forked child has
-only the thread that forked it, so both forks come before ``attach_shc``
-starts its thread pool.  Where a fork is not safe or not possible (another
-Python thread is running, this process is daemonic, or the fork fails), the
-work runs in this process at the stage that needs it, with the same result.
-Threads Python does not see, such as OpenBLAS's workers, are not counted:
-OpenBLAS stops them at a fork.  Python 3.12 and later may still warn about
-them at ``os.fork``, with a DeprecationWarning that is hidden by default.
+are killed and reaped before ``run_pipeline`` returns.  Where a fork is not
+safe or not possible (another Python thread is running, this process is
+daemonic, or the fork fails), the work runs in this process at the stage
+that needs it, with the same result.  Threads Python does not see, such as
+OpenBLAS's workers, are not counted: OpenBLAS stops them at a fork.  Python
+3.12 and later may still warn about them at ``os.fork``, with a
+DeprecationWarning that is hidden by default.
 
 A run is configured by one JSON file and nothing else.  Its keys are
 declared once, as dataclasses that mirror the file's sections, each with its

@@ -13,39 +13,30 @@ matrix, returned as an unnormalized ``EmbeddingIndex``.
 
 ``attach_shc`` queries with each record's own row of the raw embeddings
 matrix that ``load_embeddings`` returns, normalized here when the index
-is.  It scores its records in blocks of ``_QUERY_BLOCK`` queries.  It
-walks the index in slabs of rows that fit in ``_SLAB_BYTES`` and runs one
-matrix-vector product per query on each slab while the slab is still in
-cache, the blocked exact search of FAISS ``IndexFlatIP`` (Johnson,
-Douze and Jegou, arXiv:1702.08734).  The bits match one product over the
-whole matrix because of the 4-row rule: OpenBLAS sums each row of a
-matrix-vector product by its place in a group of 4 rows, and a product of a
-single row goes to a dot kernel instead.  So every slab starts on a
-multiple of 4 rows, and the last slab ends at row n and takes in any
-remainder of fewer than 4 rows.  ``top_k`` and ``top_k_naive`` answer one
-query, which has nothing to reuse from cache, so they keep one product over
-the whole matrix.
-
-Scoring threads: ``attach_shc`` runs its blocks on a pool of one thread
-per CPU the process may run on (``threads.usable_cpus``; no option sets it).
-Each task checks, scores and selects one whole block, so every product is
-still a slab on the 4-row grid and the bits do not depend on the pool size.
-The calling thread takes the blocks in record order, so errors come as one
-record at a time would raise them.
-
-Score bits and BLAS threads: ``attach_shc`` scores are the bits of the
-whole-matrix product on one BLAS thread, on any BLAS thread count; ``top_k``
-and ``top_k_naive`` equal them when their product runs on one thread.  On
+is.  It scores its records on the calling thread in blocks of
+``_QUERY_BLOCK`` queries.  A filter scores each block with one
+matrix-matrix product, as FAISS ``IndexFlatIP`` runs query batches
+(Johnson, Douze and Jegou, arXiv:1702.08734), and keeps each query's rows
+within a proven rounding margin of its k-th best score; only those rows are
+rescored exactly and ranked.  An exact score has the bits of one
+matrix-vector product over the whole matrix on one BLAS thread, by the
+4-row rule: OpenBLAS sums each row of a matrix-vector product by its place
+in a group of 4 rows, and a product of a single row goes to a dot kernel
+instead.  So ``_gemv_rows`` scores each row inside its group of 4, and the
+last group takes in the remainder of fewer than 4 rows.  Those products are
+too small for OpenBLAS to split, so ``attach_shc``'s bits are the same on
+any BLAS thread count.  ``top_k`` and ``top_k_naive`` answer one query with
+one product over the whole matrix and equal them on one BLAS thread; on
 two, OpenBLAS 0.3.31 (d = 256) moved a few last bits at n = 9801 to 9804,
 20001 and 20003, a multiple of 4 among them, but none at n = 12 or 20000.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
 row-major little-endian float32 matrix.  Reads and writes stream the
-matrix one slab of rows at a time (``_slab_bounds`` in groups of 1 row)
-through one reused float32 buffer: ``load_index`` widens each slab into the
-preallocated float64 matrix and checks it is finite, and ``save_index``
-narrows, overflow-checks and writes each slab.  The unit-norm check and the
+matrix one slab of rows at a time (``_slab_bounds``) through one reused
+float32 buffer: ``load_index`` widens each slab into the preallocated
+float64 matrix and checks it is finite, and ``save_index`` narrows,
+overflow-checks and writes each slab.  The unit-norm check and the
 norms ``index_from_vectors`` divides by run one slab at a time too; a row's
 norm does not depend on which slab holds it, so every bit is that of one
 pass over the whole matrix.  Loading or saving an index holds the float64
@@ -62,7 +53,6 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import threads
 from .corpus import StudyRecord, _json_list, atomic_write, read_keyed_jsonl
 from .errors import CorpusError, ValidationError, as_finite_array, check_at_least
 
@@ -82,8 +72,8 @@ __all__ = [
 _MAGIC = b"SEIX"
 _HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
-_SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass; stays in L2
-_QUERY_BLOCK = 64  # queries attach_shc scores per pass over the index
+_SLAB_BYTES = 1 << 20  # float64 index rows per slab: read, written, norm-checked or max-checked in one pass
+_QUERY_BLOCK = 64  # queries attach_shc scores with one matrix-matrix product
 
 
 @dataclass
@@ -229,42 +219,29 @@ def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray) -> Retr
     return RetrievalResult(hits=hits)
 
 
-def _slab_bounds(matrix: np.ndarray, group: int = 4) -> list[int]:
-    """Slab edges over the rows of ``matrix``, first 0 and last n.
-
-    Each slab is the largest multiple of ``group`` rows that fits in
-    ``_SLAB_BYTES`` (at least ``group``), and the last takes in a remainder
-    of fewer than ``group`` rows.  Scoring slabs keep the 4-row rule in the
-    module docstring; a pass that treats each row on its own (norms, file
-    IO) takes groups of 1.
-    """
+def _slab_bounds(matrix: np.ndarray) -> list[int]:
+    """Slab edges over ``matrix``'s rows, 0 to n; a slab is as many rows as fit in ``_SLAB_BYTES``, at least 1."""
     n, dim = matrix.shape
-    height = max(group, _SLAB_BYTES // max(dim * matrix.itemsize, 1) // group * group)
-    bounds = list(range(0, n, height))
-    if len(bounds) > 1 and n - bounds[-1] < group:
-        bounds.pop()
-    bounds.append(n)
-    return bounds
+    height = max(1, _SLAB_BYTES // max(dim * matrix.itemsize, 1))
+    return [*range(0, n, height), n]
 
 
 def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
     """The L2 norms of ``matrix``'s rows, one array per slab of rows, in row order."""
-    bounds = _slab_bounds(matrix, 1)
+    bounds = _slab_bounds(matrix)
     for lo, hi in zip(bounds, bounds[1:]):
         yield np.linalg.norm(matrix[lo:hi], axis=1)
 
 
-def _score_run(matrix: np.ndarray, bounds: list[int], queries: np.ndarray, out: np.ndarray) -> None:
-    """``out[j, lo:hi] = matrix[lo:hi] @ queries[j]`` for each slab between ``bounds``.
-
-    ``queries`` is a stack of column vectors, shape (m, d, 1), so numpy runs
-    each slab as one matrix-vector product per query: the bits of the
-    whole-matrix product on one BLAS thread.  OpenBLAS gives a slab of at
-    most 1 MiB the same bits on one thread or two, so the result does not
-    depend on the BLAS thread count either.
-    """
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.matmul(matrix[lo:hi], queries, out=out[:, lo:hi, None])
+def _gemv_rows(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(matrix @ q)[rows]`` in the bits of that product on one BLAS thread, by the 4-row rule (module docstring)."""
+    n = len(matrix)
+    last = max(0, n - 4 - n % 4)  # the last group runs to row n
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows.tolist()):
+        lo = min(row - row % 4, last)
+        out[i] = (matrix[lo : n if lo == last else lo + 4] @ q)[row - lo]
+    return out
 
 
 def _select(index: EmbeddingIndex, scores: np.ndarray, k: int, skip: int | None) -> RetrievalResult:
@@ -295,11 +272,9 @@ def top_k(
     """Exact top-k by dot product: partial selection, then an exact tie-break.
 
     Scores come from the same matrix-vector product over the whole matrix
-    as the naive scan, so they are bit-identical to it; a single query has
-    nothing to reuse from cache, so it is not split into slabs.  Selection
-    is ``_select``, shared with ``attach_shc``.  Ties break toward the
-    earlier row; ``exclude_id`` never appears; asking for more hits than
-    candidates returns all of them.
+    as the naive scan, so they are bit-identical to it; selection is
+    ``_select``.  Ties break toward the earlier row; ``exclude_id`` never
+    appears; asking for more hits than candidates returns all of them.
     """
     check_at_least(0, k=k)
     q = _prepare_query(index, query)
@@ -330,6 +305,41 @@ def top_k_naive(
     return _result(index, rows[order], scores[order])
 
 
+def _block_hits(
+    index: EmbeddingIndex, queries: np.ndarray, skips: list[int], k: int, scores: np.ndarray, big: float
+) -> list[tuple[tuple[str, float], ...]]:
+    """Each query's k best rows but its row in ``skips``, as ``_select`` ranks exact scores; ``big`` is max|M|."""
+    # The margin.  Any order of summing d products, FMA included, errs by at
+    # most E = gamma_d * sum|m_j q_j| + d * 2**-1074, gamma_d = d*u / (1 - d*u),
+    # u = 2**-53 (Higham 2002, section 3.1; under gradual underflow a product
+    # errs by at most 2**-1075 more, the eta of section 2.1), and sum|m_j q_j|
+    # <= B = d * big * max|q|.  So a filter score is within 2E of the exact one:
+    # k exact scores reach kth - 2E, kth the k-th best filter score, and every
+    # row of the exact top k, ties at the cut included, has a filter score of
+    # at least kth - 4E.  ``err`` takes 2B for B, which covers the roundings in
+    # computing E, plus 8 spare units of 2**-1074.  It is inf where 2B, and so
+    # a partial sum, could overflow, and NaN after a NaN or inf; the floor is
+    # then not finite, and that query takes the whole-matrix product instead.
+    d = index.dim
+    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = gamma * (2.0 * d * big * np.abs(queries).max(axis=1)) + (d + 8) * 2.0**-1074
+    np.matmul(queries, index.matrix.T, out=scores)
+    found = []
+    for q, skip, approx, e in zip(queries, skips, scores, err):
+        approx[skip] = -np.inf
+        with np.errstate(invalid="ignore"):
+            floor = np.partition(approx, -k)[-k] - 4 * e
+        if not np.isfinite(floor):
+            found.append(_select(index, index.matrix @ q, k, skip).hits)
+            continue
+        rows = np.flatnonzero(approx >= floor)
+        exact = _gemv_rows(index.matrix, q, rows)
+        order = np.lexsort((rows, -exact))[:k]
+        found.append(_result(index, rows[order], exact[order]).hits)
+    return found
+
+
 def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord) -> np.ndarray:
     """Check one ``attach_shc`` record in the order ``top_k`` would; return its query."""
     row = embeddings.row_of(rec.study_id)
@@ -354,28 +364,19 @@ def attach_shc(
     from its results).  ``sequences`` maps study_id to a rendered factual
     sequence.
 
-    Each block of ``_QUERY_BLOCK`` records is one pool task: it checks the
-    records up to the first that fails, scores the rest with ``_score_run``
-    and selects them with ``_select``, so the hits equal ``top_k``'s on one
-    BLAS thread, bit for bit.  This thread takes the blocks in record order
-    and looks up each hit's sequence, so a block's check error comes after
-    its good records and no later record is looked at.  On any raise the
-    blocks not yet started are cancelled.
+    Each block of ``_QUERY_BLOCK`` records is checked up to the first that
+    fails; the rest are scored by ``_block_hits``, whose hits equal
+    ``top_k``'s on one BLAS thread, bit for bit, and their hits' sequences
+    looked up before the check error is raised, so errors come as one record
+    at a time would raise them and no later record is looked at.
     """
     check_at_least(0, k=k)
-    from concurrent.futures import ThreadPoolExecutor  # here, so importing this module does not pay for it
-    from queue import SimpleQueue
-
     hits = min(k, index.n - 1)
     bounds = _slab_bounds(index.matrix)
-    starts = range(0, len(records), _QUERY_BLOCK)
-    workers = min(threads.usable_cpus(), len(starts)) or 1
-    buffers = SimpleQueue()  # filled here: pool threads' malloc arenas would keep their buffers
-    for _ in range(workers):
-        buffers.put(np.empty((min(_QUERY_BLOCK, len(records)), index.n)))
-
-    def run_block(start: int):
-        """Check one block's records up to the first that fails; score and select the rest."""
+    big = np.max([np.abs(index.matrix[lo:hi]).max() for lo, hi in zip(bounds, bounds[1:])], initial=0.0)
+    scores = np.empty((min(_QUERY_BLOCK, len(records)), index.n))
+    out = []
+    for start in range(0, len(records), _QUERY_BLOCK):
         queries, error = [], None
         for rec in records[start : start + _QUERY_BLOCK]:
             try:
@@ -384,32 +385,17 @@ def attach_shc(
                 error = exc
                 break
         block = records[start : start + len(queries)]
-        if hits <= 0 or not block:
-            return block, [()] * len(block), error
-        scores = buffers.get()
-        try:
-            _score_run(index.matrix, bounds, np.stack(queries)[:, :, None], scores[: len(block)])
-            found = [
-                _select(index, scores[j], hits, index.row_of(rec.study_id)).hits
-                for j, rec in enumerate(block)
-            ]
-        finally:
-            buffers.put(scores)
-        return block, found, error
-
-    out = []
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for block, found, error in pool.map(run_block, starts):
-            for rec, rec_hits in zip(block, found):
-                for sid, _ in rec_hits:
-                    if sid not in sequences:
-                        raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
-                out.append((rec, tuple(SimilarCase(sid, score, sequences[sid]) for sid, score in rec_hits)))
-            if error is not None:
-                raise error
-    finally:
-        pool.shutdown(cancel_futures=True)
+        found = [()] * len(block)
+        if hits > 0 and block:
+            skips = [index.row_of(rec.study_id) for rec in block]
+            found = _block_hits(index, np.stack(queries), skips, hits, scores[: len(block)], big)
+        for rec, rec_hits in zip(block, found):
+            for sid, _ in rec_hits:
+                if sid not in sequences:
+                    raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
+            out.append((rec, tuple(SimilarCase(sid, score, sequences[sid]) for sid, score in rec_hits)))
+        if error is not None:
+            raise error
     return out
 
 
@@ -419,7 +405,7 @@ def _float32_slabs(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     Every array is a view of one buffer, so a pass over the slabs holds one
     slab of float32 at a time.
     """
-    bounds = _slab_bounds(matrix, 1)
+    bounds = _slab_bounds(matrix)
     dim = matrix.shape[1]
     buffer = np.empty(max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0) * dim, dtype="<f4")
     for lo, hi in zip(bounds, bounds[1:]):

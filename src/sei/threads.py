@@ -1,8 +1,7 @@
 """How many CPUs ``sei`` may use, and the helper thread a fusion call lends work to.
 
-``usable_cpus`` is the one answer to "how many CPUs may this process run
-on": ``retrieval.attach_shc`` sizes its scoring pool by it, and ``fusion``
-runs everything on the calling thread when it is 1.
+``usable_cpus`` says how many CPUs this process may run on; ``fusion`` runs
+everything on the calling thread when it is 1.
 
 ``Helper`` is a one-worker ``ThreadPoolExecutor`` for one ``with`` block; on
 exit it cancels the tasks not yet started and joins its thread, so no thread

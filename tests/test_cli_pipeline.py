@@ -96,6 +96,20 @@ class TestRunPipeline:
         second = read_artifacts(paths["out_dir"])
         assert first == second
 
+    def test_run_starts_no_thread(self, tmp_path, monkeypatch):
+        """``sei run`` works on the calling thread and in forked children only: with
+        every thread start refused, it exits 0 and writes an unrefused run's bytes."""
+        paths = write_pipeline_fixture(tmp_path)
+        assert main(["run", "--config", str(paths["config"])]) == 0
+        want = read_artifacts(paths["out_dir"])
+
+        def refuse(thread):
+            raise AssertionError(f"sei run started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main(["run", "--config", str(paths["config"])]) == 0
+        assert read_artifacts(paths["out_dir"]) == want
+
     def test_deleting_intermediate_regenerates_identically(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         cfg = load_config(paths["config"])

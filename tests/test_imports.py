@@ -19,7 +19,7 @@ SRC = Path(sei.__file__).parent
     "statement, loaded",
     [
         ("import sei", {"sei"}),
-        ("import sei.retrieval", {"sei", "sei.errors", "sei.corpus", "sei.retrieval", "sei.threads"}),
+        ("import sei.retrieval", {"sei", "sei.errors", "sei.corpus", "sei.retrieval"}),
         ("import sei.fusion, sei.losses", {"sei", "sei.errors", "sei.fusion", "sei.losses", "sei.threads"}),
     ],
 )

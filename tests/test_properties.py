@@ -3,7 +3,6 @@ the shape table, the one-pass scorer against per-setting scoring, and the scorin
 SEE invariants."""
 
 import math
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -61,9 +60,8 @@ def hits_hex(hits) -> list[tuple[str, str]]:
 def shc_case(draw):
     """An index of at most 63 rows, so its products never split across BLAS threads,
     with every n % 4 residue; duplicate, quantized and unnormalized rows of very
-    different norms; a permuted subset of its studies as records; slabs of 4 or 8
-    rows and query blocks of 1-3, so all but the smallest cases cross both; and 1-4
-    scoring threads, or one more than there are blocks."""
+    different norms; a permuted subset of its studies as records; slabs of 4-8 rows
+    and query blocks of 1-3, so all but the smallest cases cross both."""
     n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
     # below 8 columns OpenBLAS sums every row alike, so a misplaced slab edge shows only from 8 on
@@ -80,19 +78,72 @@ def shc_case(draw):
     # a record's query is its own row, or now and then another row of the index
     queries = [rows[draw(st.sampled_from([i, draw(st.integers(0, n - 1))]))] for i in picked]
     k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
-    slab_rows = draw(st.integers(4, 8))  # the kernel rounds this down to 4 or 8
+    slab_rows = draw(st.integers(4, 8))
     block = draw(st.integers(1, 3))
-    blocks = -(-len(picked) // block)
-    threads = draw(st.integers(1, 4) | st.just(blocks + 1))
     reload = draw(st.booleans())
-    return rows, normalize, picked, queries, k, slab_rows, block, threads, reload
+    return rows, normalize, picked, queries, k, slab_rows, block, reload
 
 
 @settings(max_examples=200, deadline=None)
 @given(shc_case())
 def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
-    rows, normalize, picked, queries, k, slab_rows, block, threads, reload = case
-    d = len(rows[0])
+    rows, normalize, picked, queries, k, slab_rows, block, reload = case
+    assert_attach_shc_matches_naive(
+        rows, normalize, picked, queries, k, reload, _SLAB_BYTES=slab_rows * 8 * len(rows[0]), _QUERY_BLOCK=block
+    )
+
+
+SCALES = {
+    "unit": st.just(1.0),
+    "1e-3 to 1e3": st.floats(-3, 3).map(lambda e: 10.0**e),
+    "1e-170 to 1e-160": st.floats(160, 170).map(lambda e: 10.0**-e),
+    "1e160 and 1e300": st.sampled_from([1.0, 1e160, 1e300]),
+}
+FLOAT32_SCALES = ("unit", "1e-3 to 1e3")  # the scales an index file can hold
+
+
+@st.composite
+def near_tie_case(draw):
+    """Rows that tie or nearly tie: copies of a few base rows, some moved one ulp in
+    one value or in all, each row scaled by its own draw from one of SCALES, whose
+    products underflow, or overflow so that attach_shc takes its whole-matrix
+    fallback.  n takes every residue mod 4, from 1 up; an index at a scale float32
+    holds may be normalized, or reloaded through index.bin."""
+    n = draw(st.integers(0, 12)) * 4 + draw(st.integers(0, 3))
+    assume(n >= 1)
+    d = draw(st.integers(1, 24))
+    scale = draw(st.sampled_from(sorted(SCALES)))
+    value = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 1.0, width=32)
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    rows = []
+    for _ in range(n):
+        row = np.array(pool[draw(st.integers(0, len(pool) - 1))]) * draw(SCALES[scale])
+        toward = draw(st.sampled_from([None, np.inf, -np.inf]))
+        if toward is not None:
+            at = slice(None) if draw(st.booleans()) else draw(st.integers(0, d - 1))
+            row[at] = np.nextafter(row[at], toward)
+        rows.append(row.tolist())
+    normalize = scale in FLOAT32_SCALES and draw(st.booleans())
+    if normalize:
+        assume(all(any(row) for row in rows))
+    picked = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    queries = [rows[draw(st.sampled_from([i, draw(st.integers(0, n - 1))]))] for i in picked]
+    k = draw(st.sampled_from([1, 2, n - 1, n]))
+    block = draw(st.integers(1, 3))
+    reload = scale in FLOAT32_SCALES and draw(st.booleans())
+    return rows, normalize, picked, queries, k, block, reload
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tie_case())
+def test_attach_shc_matches_naive_at_near_ties_and_extreme_scales(case):
+    rows, normalize, picked, queries, k, block, reload = case
+    assert_attach_shc_matches_naive(rows, normalize, picked, queries, k, reload, _QUERY_BLOCK=block)
+
+
+def assert_attach_shc_matches_naive(rows, normalize, picked, queries, k, reload, **patches):
+    """attach_shc's hits for the records ``picked``, with ``patches`` set on sei.retrieval,
+    are top_k_naive's: the same ids and the same float.hex scores."""
     ids = [f"r{i}" for i in range(len(rows))]
     index = index_from_vectors(ids, rows, normalize)
     if reload:
@@ -103,18 +154,11 @@ def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
     records = [StudyRecord(study_id=ids[i], report=report, entities=()) for i in picked]
     embeddings = index_from_vectors([ids[i] for i in picked], queries, normalize=False)
     sequences = {sid: f"seq-{sid}" for sid in ids}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so a race between blocks would show
-    try:
-        with mock.patch.object(retrieval, "_SLAB_BYTES", slab_rows * 8 * d), mock.patch.object(
-            retrieval, "_QUERY_BLOCK", block
-        ), mock.patch("sei.threads.usable_cpus", lambda: threads):
-            attached = attach_shc(records, index, k, embeddings, sequences=sequences)
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.multiple(retrieval, **patches), np.errstate(over="ignore", invalid="ignore"):
+        attached = attach_shc(records, index, k, embeddings, sequences=sequences)
+        wants = [top_k_naive(index, np.asarray(q), k, exclude_id=rec.study_id) for rec, q in zip(records, queries)]
     assert [rec for rec, _ in attached] == records
-    for (rec, cases), query in zip(attached, queries):
-        want = top_k_naive(index, np.asarray(query), k, exclude_id=rec.study_id)
+    for (rec, cases), want in zip(attached, wants):
         assert hits_hex((c.study_id, c.score) for c in cases) == hits_hex(want.hits)
         assert [c.factual_sequence for c in cases] == [sequences[c.study_id] for c in cases]
 

@@ -620,19 +620,18 @@ class TestAttachShcErrorOrder:
             attach_shc(records, index, -1, embeddings, {})
 
     @pytest.mark.parametrize("failing", [0, 1])
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_scoring_error_comes_out_unchanged(self, monkeypatch, failing, threads):
+    def test_scoring_error_comes_out_unchanged(self, monkeypatch, failing):
         """A scoring error in one record's block comes out of attach_shc as is, after
         the records before it are finished and before any later record is looked at."""
         vectors = {f"s{i}": (float(i + 1), float(12 - i)) for i in range(12)}
         index, embeddings, records = shc_inputs(vectors, vectors, ["s0", "s1", "s2"])
         boom = MemoryError("no room for scores")
-        scoring = retrieval._score_run
+        scoring = retrieval._block_hits
 
-        def kernel(matrix, bounds, queries, out):
-            if np.allclose(queries[0, :, 0], index.matrix[failing]):
+        def kernel(index, queries, *args):
+            if np.allclose(queries[0], index.matrix[failing]):
                 raise boom
-            scoring(matrix, bounds, queries, out)
+            return scoring(index, queries, *args)
 
         looked_up = []
 
@@ -643,8 +642,7 @@ class TestAttachShcErrorOrder:
 
         monkeypatch.setattr(retrieval, "_QUERY_BLOCK", 1)
         monkeypatch.setattr(retrieval, "_SLAB_BYTES", 4 * 2 * 8)  # three slabs of 4 rows
-        monkeypatch.setattr("sei.threads.usable_cpus", lambda: threads)
-        monkeypatch.setattr(retrieval, "_score_run", kernel)
+        monkeypatch.setattr(retrieval, "_block_hits", kernel)
         before = threading.active_count()
         with pytest.raises(MemoryError) as excinfo:
             attach_shc(records, index, 1, embeddings, sequences=Sequences.fromkeys(vectors, ""))
@@ -653,24 +651,23 @@ class TestAttachShcErrorOrder:
         assert len(looked_up) == failing  # the one hit of each record before the failing one
 
     def test_error_in_record_0_cancels_the_later_blocks(self, monkeypatch):
-        """A check error in the first block stops the blocks not yet started: the
-        batch is not scored first, and no scoring thread outlives the call."""
+        """A check error in the first block stops attach_shc before any block is
+        scored, and no thread outlives the call."""
         vectors = {f"s{i}": (float(i + 1), float(200 - i)) for i in range(200)}
         index, embeddings, records = shc_inputs(vectors, {"z": (1.0, 1.0), **vectors}, ["z", *list(vectors)[1:]])
-        scoring = retrieval._score_run
+        scoring = retrieval._block_hits
         calls = []
 
-        def kernel(matrix, bounds, queries, out):
+        def kernel(index, queries, *args):
             calls.append(len(queries))
-            time.sleep(0.001)
-            scoring(matrix, bounds, queries, out)
+            return scoring(index, queries, *args)
 
         monkeypatch.setattr(retrieval, "_QUERY_BLOCK", 1)
-        monkeypatch.setattr(retrieval, "_score_run", kernel)
+        monkeypatch.setattr(retrieval, "_block_hits", kernel)
         before = threading.active_count()
         with pytest.raises(ValidationError, match="study 'z' is not indexed"):
             attach_shc(records, index, 1, embeddings, sequences=dict.fromkeys(vectors, ""))
-        assert len(calls) < 100
+        assert calls == []
         assert threading.active_count() == before
 
 
@@ -1231,7 +1228,7 @@ def test_load_index_survives_every_truncation_and_bit_flip_in_one_row_slabs(inde
     """The same with slabs of one row, so a 2- or 3-row index is read, written
     and norm-checked over several slabs."""
     with mock.patch.object(retrieval, "_SLAB_BYTES", 1):
-        assert len(retrieval._slab_bounds(index.matrix, 1)) == index.n + 1
+        assert len(retrieval._slab_bounds(index.matrix)) == index.n + 1
         _survives_every_truncation_and_bit_flip(index)
 
 
