@@ -22,25 +22,24 @@ rescored exactly and ranked.  An exact score has the bits of one
 matrix-vector product over the whole matrix on one BLAS thread, by the
 4-row rule: OpenBLAS sums each row of a matrix-vector product by its place
 in a group of 4 rows, and a product of a single row goes to a dot kernel
-instead.  So ``_gemv_rows`` scores each row inside its group of 4, and the
-last group takes in the remainder of fewer than 4 rows.  Those products are
-too small for OpenBLAS to split, so ``attach_shc``'s bits are the same on
-any BLAS thread count.  ``top_k`` and ``top_k_naive`` answer one query with
-one product over the whole matrix and equal them on one BLAS thread; on
-two, OpenBLAS 0.3.31 (d = 256) moved a few last bits at n = 9801 to 9804,
-20001 and 20003, a multiple of 4 among them, but none at n = 12 or 20000.
+instead.  So ``_gemv_rows`` scores a row in its group of 4 or in a slab of
+groups, and the last group takes in the remainder of fewer than 4 rows.
+OpenBLAS 0.3.31 gives a product of at most ``_SLAB_BYTES`` the same bits
+on one thread or two, so ``attach_shc``'s are the same on any BLAS thread
+count.  ``top_k`` and ``top_k_naive`` answer one query with one product
+over the whole matrix and equal them on one BLAS thread; on two, OpenBLAS
+(d = 256) moved a few last bits at n = 9801 to 9804, 20001 and 20003, a
+multiple of 4 among them, but none at n = 12 or 20000.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
-row-major little-endian float32 matrix.  Reads and writes stream the
-matrix one slab of rows at a time (``_slab_bounds``) through one reused
-float32 buffer: ``load_index`` widens each slab into the preallocated
-float64 matrix and checks it is finite, and ``save_index`` narrows,
-overflow-checks and writes each slab.  The unit-norm check and the
-norms ``index_from_vectors`` divides by run one slab at a time too; a row's
-norm does not depend on which slab holds it, so every bit is that of one
-pass over the whole matrix.  Loading or saving an index holds the float64
-matrix plus one slab at most.
+row-major little-endian float32 matrix.  ``load_index`` and
+``save_index`` stream the matrix one slab of rows (``_slab_bounds``) at a
+time through one reused float32 buffer.  The unit-norm check and the norms
+``index_from_vectors`` divides by run one slab at a time too; a row's norm
+does not depend on which slab holds it, so every bit is that of one pass
+over the whole matrix.  Loading or saving an index holds the float64 matrix
+plus one slab at most.
 """
 
 from __future__ import annotations
@@ -72,8 +71,9 @@ __all__ = [
 _MAGIC = b"SEIX"
 _HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
-_SLAB_BYTES = 1 << 20  # float64 index rows per slab: read, written, norm-checked or max-checked in one pass
+_SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass
 _QUERY_BLOCK = 64  # queries attach_shc scores with one matrix-matrix product
+_GROUP_COST = 16  # rows of a pass over the matrix that take as long as one 4-row group scored on its own
 
 
 @dataclass
@@ -234,13 +234,20 @@ def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _gemv_rows(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``(matrix @ q)[rows]`` in the bits of that product on one BLAS thread, by the 4-row rule (module docstring)."""
-    n = len(matrix)
+    """``(matrix @ q)[rows]``, ``rows`` ascending, in the bits of that product on one BLAS thread.
+
+    Each 4-row group holding one of ``rows`` is scored on its own or, when
+    that costs more than a pass over the matrix, every slab of groups is.
+    """
+    n, dim = matrix.shape
     last = max(0, n - 4 - n % 4)  # the last group runs to row n
+    starts, first = np.unique(np.minimum(rows - rows % 4, last), return_index=True)
+    if len(starts) * _GROUP_COST > n:
+        edges = [*range(0, last + 1, max(4, _SLAB_BYTES // (8 * dim) // 4 * 4)), n]
+        return np.concatenate([matrix[lo:hi] @ q for lo, hi in zip(edges, edges[1:])])[rows]
     out = np.empty(len(rows))
-    for i, row in enumerate(rows.tolist()):
-        lo = min(row - row % 4, last)
-        out[i] = (matrix[lo : n if lo == last else lo + 4] @ q)[row - lo]
+    for lo, a, b in zip(starts.tolist(), first.tolist(), [*first[1:].tolist(), len(rows)]):
+        out[a:b] = (matrix[lo : n if lo == last else lo + 4] @ q)[rows[a:b] - lo]
     return out
 
 
@@ -308,7 +315,7 @@ def top_k_naive(
 def _block_hits(
     index: EmbeddingIndex, queries: np.ndarray, skips: list[int], k: int, scores: np.ndarray, big: float
 ) -> list[tuple[tuple[str, float], ...]]:
-    """Each query's k best rows but its row in ``skips``, as ``_select`` ranks exact scores; ``big`` is max|M|."""
+    """Each query's k best rows but its row in ``skips``, as ``top_k_naive`` ranks exact scores; ``big`` is max|M|."""
     # The margin.  Any order of summing d products, FMA included, errs by at
     # most E = gamma_d * sum|m_j q_j| + d * 2**-1074, gamma_d = d*u / (1 - d*u),
     # u = 2**-53 (Higham 2002, section 3.1; under gradual underflow a product
@@ -319,7 +326,7 @@ def _block_hits(
     # at least kth - 4E.  ``err`` takes 2B for B, which covers the roundings in
     # computing E, plus 8 spare units of 2**-1074.  It is inf where 2B, and so
     # a partial sum, could overflow, and NaN after a NaN or inf; the floor is
-    # then not finite, and that query takes the whole-matrix product instead.
+    # then not finite, and that query keeps every row.
     d = index.dim
     gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -330,12 +337,9 @@ def _block_hits(
         approx[skip] = -np.inf
         with np.errstate(invalid="ignore"):
             floor = np.partition(approx, -k)[-k] - 4 * e
-        if not np.isfinite(floor):
-            found.append(_select(index, index.matrix @ q, k, skip).hits)
-            continue
-        rows = np.flatnonzero(approx >= floor)
+        rows = np.flatnonzero(approx >= floor) if np.isfinite(floor) else np.delete(np.arange(index.n), skip)
         exact = _gemv_rows(index.matrix, q, rows)
-        order = np.lexsort((rows, -exact))[:k]
+        order = np.lexsort((rows, -exact))[:k]  # NaN last, as in top_k_naive
         found.append(_result(index, rows[order], exact[order]).hits)
     return found
 
@@ -372,8 +376,7 @@ def attach_shc(
     """
     check_at_least(0, k=k)
     hits = min(k, index.n - 1)
-    bounds = _slab_bounds(index.matrix)
-    big = np.max([np.abs(index.matrix[lo:hi]).max() for lo, hi in zip(bounds, bounds[1:])], initial=0.0)
+    big = np.maximum(index.matrix.max(initial=0.0), -index.matrix.min(initial=0.0))
     scores = np.empty((min(_QUERY_BLOCK, len(records)), index.n))
     out = []
     for start in range(0, len(records), _QUERY_BLOCK):

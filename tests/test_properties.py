@@ -56,43 +56,6 @@ def hits_hex(hits) -> list[tuple[str, str]]:
     return [(sid, float(score).hex()) for sid, score in hits]
 
 
-@st.composite
-def shc_case(draw):
-    """An index of at most 63 rows, so its products never split across BLAS threads,
-    with every n % 4 residue; duplicate, quantized and unnormalized rows of very
-    different norms; a permuted subset of its studies as records; slabs of 4-8 rows
-    and query blocks of 1-3, so all but the smallest cases cross both."""
-    n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
-    assume(n >= 1)
-    # below 8 columns OpenBLAS sums every row alike, so a misplaced slab edge shows only from 8 on
-    d = draw(st.integers(1, 7) | st.integers(8, 24))
-    normalize = draw(st.booleans())
-    value = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 1.0, width=32)
-    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
-    scale = st.sampled_from([1.0, 1e-3, 37.5, 1e3])
-    rows = [[v * draw(scale) for v in pool[draw(st.integers(0, len(pool) - 1))]] for _ in range(n)]
-    if normalize:
-        assume(all(any(row) for row in rows))
-    order = draw(st.permutations(range(n)))
-    picked = order[: draw(st.integers(1, n))]
-    # a record's query is its own row, or now and then another row of the index
-    queries = [rows[draw(st.sampled_from([i, draw(st.integers(0, n - 1))]))] for i in picked]
-    k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
-    slab_rows = draw(st.integers(4, 8))
-    block = draw(st.integers(1, 3))
-    reload = draw(st.booleans())
-    return rows, normalize, picked, queries, k, slab_rows, block, reload
-
-
-@settings(max_examples=200, deadline=None)
-@given(shc_case())
-def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
-    rows, normalize, picked, queries, k, slab_rows, block, reload = case
-    assert_attach_shc_matches_naive(
-        rows, normalize, picked, queries, k, reload, _SLAB_BYTES=slab_rows * 8 * len(rows[0]), _QUERY_BLOCK=block
-    )
-
-
 SCALES = {
     "unit": st.just(1.0),
     "1e-3 to 1e3": st.floats(-3, 3).map(lambda e: 10.0**e),
@@ -103,18 +66,22 @@ FLOAT32_SCALES = ("unit", "1e-3 to 1e3")  # the scales an index file can hold
 
 
 @st.composite
-def near_tie_case(draw):
-    """Rows that tie or nearly tie: copies of a few base rows, some moved one ulp in
-    one value or in all, each row scaled by its own draw from one of SCALES, whose
-    products underflow, or overflow so that attach_shc takes its whole-matrix
-    fallback.  n takes every residue mod 4, from 1 up; an index at a scale float32
-    holds may be normalized, or reloaded through index.bin."""
-    n = draw(st.integers(0, 12)) * 4 + draw(st.integers(0, 3))
+def shc_case(draw):
+    """An index of at most 63 rows, so its products never split across BLAS threads,
+    with every n % 4 residue.  Its rows tie or nearly tie: copies of a few base rows,
+    some moved one ulp in one value or in all, each row scaled by its own draw from
+    one of SCALES, whose products underflow, or overflow so that attach_shc keeps
+    every row.  An index at a scale float32 holds may be normalized, or reloaded
+    through index.bin.  A permuted subset of its studies are the records, in query
+    blocks of 1-3; the kept rows are scored by 4-row group, by slabs of 4-8 rows, or
+    as their count decides."""
+    n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
-    d = draw(st.integers(1, 24))
+    # below 8 columns OpenBLAS sums every row alike, so a misplaced group edge shows only from 8 on
+    d = draw(st.integers(1, 7) | st.integers(8, 24))
     scale = draw(st.sampled_from(sorted(SCALES)))
     value = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.0, 1.0, width=32)
-    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=4))
+    pool = draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=6))
     rows = []
     for _ in range(n):
         row = np.array(pool[draw(st.integers(0, len(pool) - 1))]) * draw(SCALES[scale])
@@ -126,24 +93,24 @@ def near_tie_case(draw):
     normalize = scale in FLOAT32_SCALES and draw(st.booleans())
     if normalize:
         assume(all(any(row) for row in rows))
-    picked = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    order = draw(st.permutations(range(n)))
+    picked = order[: draw(st.integers(1, n))]
+    # a record's query is its own row, or now and then another row of the index
     queries = [rows[draw(st.sampled_from([i, draw(st.integers(0, n - 1))]))] for i in picked]
-    k = draw(st.sampled_from([1, 2, n - 1, n]))
-    block = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2) | st.sampled_from([0, n - 1, n, n + 5]))  # a margin too small shows at a small k
+    patches = {
+        "_QUERY_BLOCK": draw(st.integers(1, 3)),
+        "_SLAB_BYTES": draw(st.integers(4, 8)) * 8 * d,
+        "_GROUP_COST": draw(st.sampled_from([0, retrieval._GROUP_COST, n + 1])),
+    }
     reload = scale in FLOAT32_SCALES and draw(st.booleans())
-    return rows, normalize, picked, queries, k, block, reload
+    return rows, normalize, picked, queries, k, reload, patches
 
 
-@settings(max_examples=300, deadline=None)
-@given(near_tie_case())
-def test_attach_shc_matches_naive_at_near_ties_and_extreme_scales(case):
-    rows, normalize, picked, queries, k, block, reload = case
-    assert_attach_shc_matches_naive(rows, normalize, picked, queries, k, reload, _QUERY_BLOCK=block)
-
-
-def assert_attach_shc_matches_naive(rows, normalize, picked, queries, k, reload, **patches):
-    """attach_shc's hits for the records ``picked``, with ``patches`` set on sei.retrieval,
-    are top_k_naive's: the same ids and the same float.hex scores."""
+@settings(max_examples=400, deadline=None)
+@given(shc_case())
+def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
+    rows, normalize, picked, queries, k, reload, patches = case
     ids = [f"r{i}" for i in range(len(rows))]
     index = index_from_vectors(ids, rows, normalize)
     if reload:

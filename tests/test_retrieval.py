@@ -199,8 +199,9 @@ class TestAttachShc:
 
 
 # Scores 32 records against an argv[1] x 256 index with k = n - 1, so every row's
-# score is in the output, and prints a digest of the ids and float.hex scores.  With
-# "oracle" it also checks each record against top_k_naive.
+# score is in the output and each record scores the index slab by slab, and prints a
+# digest of the ids and float.hex scores.  With "oracle" it also checks each record
+# against top_k_naive.
 BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
@@ -232,7 +233,7 @@ class TestBlasThreads:
     With OpenBLAS 0.3.31 at d = 256, a whole-matrix product on two threads differed
     from one thread in a few last bits at n = 9801 and at n = 9804, a multiple of 4,
     and matched at n = 20000; attach_shc's exact scores come from products of at
-    most 7 rows, which OpenBLAS runs on one thread.
+    most 7 rows or of one slab of at most 1 MiB, which did not differ.
     """
 
     def _probe(self, blas_threads, n, *args):
@@ -247,6 +248,23 @@ class TestBlasThreads:
     @pytest.mark.parametrize("n", [9801, 9804])
     def test_one_thread_equals_naive_and_two_threads_equal_one(self, n):
         assert self._probe(2, n) == self._probe(1, n, "oracle")
+
+
+@pytest.mark.parametrize("d", [8, 17, 64])
+def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch, d):
+    """Both of _gemv_rows' paths, one product per 4-row group or one per slab of
+    4-12 rows, give each row the bits of the whole-matrix product, for every n up
+    to 39 (below 8 columns OpenBLAS sums every row alike, so d starts at 8)."""
+    for n in range(1, 40):
+        matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        q = rng.standard_normal(d)
+        want = matrix @ q
+        for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3)):
+            for group_cost, slab_rows in [(0, 4), (n + 1, 4), (n + 1, 8), (n + 1, 12)]:
+                monkeypatch.setattr(retrieval, "_GROUP_COST", group_cost)
+                monkeypatch.setattr(retrieval, "_SLAB_BYTES", slab_rows * 8 * d)
+                got = retrieval._gemv_rows(matrix, q, rows)
+                assert got.tobytes() == want[rows].tobytes(), (n, group_cost, slab_rows)
 
 
 class TestSerialization:
