@@ -28,8 +28,7 @@ OpenBLAS 0.3.31 gives a product of at most ``_SLAB_BYTES`` the same bits
 on one thread or two, so ``attach_shc``'s are the same on any BLAS thread
 count.  ``top_k`` and ``top_k_naive`` answer one query with one product
 over the whole matrix and equal them on one BLAS thread; on two, OpenBLAS
-(d = 256) moved a few last bits at n = 9801 to 9804, 20001 and 20003, a
-multiple of 4 among them, but none at n = 12 or 20000.
+(d = 256) moved a few last bits at n = 9801 to 9804, 20001 and 20003.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -73,7 +72,7 @@ _HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
 _SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass
 _QUERY_BLOCK = 64  # queries attach_shc scores with one matrix-matrix product
-_GROUP_COST = 16  # rows of a pass over the matrix that take as long as one 4-row group scored on its own
+_GROUP_COST = 16  # rows of a pass over the matrix that take as long as one kept row rescored on its own
 
 
 @dataclass
@@ -234,20 +233,20 @@ def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
 
 
 def _gemv_rows(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``(matrix @ q)[rows]``, ``rows`` ascending, in the bits of that product on one BLAS thread.
-
-    Each 4-row group holding one of ``rows`` is scored on its own or, when
-    that costs more than a pass over the matrix, every slab of groups is.
-    """
+    """``(matrix @ q)[rows]``, ``rows`` ascending, in one-BLAS-thread bits: by 4-row group, or by slab when cheaper."""
     n, dim = matrix.shape
     last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    starts, first = np.unique(np.minimum(rows - rows % 4, last), return_index=True)
-    if len(starts) * _GROUP_COST > n:
+    if len(rows) * _GROUP_COST > n:
         edges = [*range(0, last + 1, max(4, _SLAB_BYTES // (8 * dim) // 4 * 4)), n]
         return np.concatenate([matrix[lo:hi] @ q for lo, hi in zip(edges, edges[1:])])[rows]
     out = np.empty(len(rows))
-    for lo, a, b in zip(starts.tolist(), first.tolist(), [*first[1:].tolist(), len(rows)]):
-        out[a:b] = (matrix[lo : n if lo == last else lo + 4] @ q)[rows[a:b] - lo]
+    hi = 0
+    for i, row in enumerate(rows.tolist()):
+        if row >= hi:  # rows ascend, so each group is scored once
+            lo = min(row - row % 4, last)
+            hi = n if lo == last else lo + 4
+            group = matrix[lo:hi] @ q
+        out[i] = group[row - lo]
     return out
 
 
