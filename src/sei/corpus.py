@@ -360,11 +360,15 @@ def read_keyed_jsonl(path: str | Path, field: str | None, convert: Callable) -> 
     return out
 
 
+_SORTED_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(obj, sort_keys=True) without a new encoder per call
+
+
 def dump_jsonl(path: str | Path, objects: Iterable[dict]) -> None:
     """Write one sorted-key JSON object per line, atomically."""
+    encode = _SORTED_JSON.encode
     with atomic_write(path) as handle:
         for obj in objects:
-            handle.write(json.dumps(obj, sort_keys=True) + "\n")
+            handle.write(encode(obj) + "\n")
 
 
 def load_corpus(path: str | Path) -> list[StudyRecord]:

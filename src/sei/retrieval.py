@@ -1,11 +1,12 @@
 """Exact top-K dot-product retrieval over dense study embeddings.
 
 Scores are plain dot products (cosine once rows and query are unit length,
-which is the default).  Two implementations share one contract:
-``top_k_naive`` scans and fully sorts, while ``top_k`` partitions the score
-vector around its k-th best score and sorts only the rows that reach it.
-Both order ties by row insertion order, so results are reproducible bit for
-bit.  Either returns a ``RetrievalResult``, which is the hits and no more.
+which is the default), in float64 over the matrix widened to float64.  Two
+implementations share one contract: ``top_k_naive`` scores every row and
+fully sorts, while ``top_k`` and ``attach_shc`` filter and rescore (below).
+All order ties by row insertion order, so results are reproducible bit for
+bit.  ``top_k`` and ``top_k_naive`` return a ``RetrievalResult``, which is
+the hits and no more.
 
 Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
 ``load_embeddings`` parses them straight into the rows of one float64
@@ -13,32 +14,34 @@ matrix, returned as an unnormalized ``EmbeddingIndex``.
 
 ``attach_shc`` queries with each record's own row of the raw embeddings
 matrix that ``load_embeddings`` returns, normalized here when the index
-is.  It scores its records on the calling thread in blocks of
-``_QUERY_BLOCK`` queries.  A filter scores each block with one
-matrix-matrix product, as FAISS ``IndexFlatIP`` runs query batches
-(Johnson, Douze and Jegou, arXiv:1702.08734), and keeps each query's rows
-within a proven rounding margin of its k-th best score; only those rows are
-rescored exactly and ranked.  An exact score has the bits of one
-matrix-vector product over the whole matrix on one BLAS thread, by the
-4-row rule: OpenBLAS sums each row of a matrix-vector product by its place
-in a group of 4 rows, and a product of a single row goes to a dot kernel
-instead.  So ``_gemv_rows`` scores a row in its group of 4 or in a slab of
-groups, and the last group takes in the remainder of fewer than 4 rows.
-OpenBLAS 0.3.31 gives a product of at most ``_SLAB_BYTES`` the same bits
-on one thread or two, so ``attach_shc``'s are the same on any BLAS thread
-count.  ``top_k`` and ``top_k_naive`` answer one query with one product
-over the whole matrix and equal them on one BLAS thread; on two, OpenBLAS
-(d = 256) moved a few last bits at n = 9801 to 9804, 20001 and 20003.
+is, in blocks of ``_QUERY_BLOCK`` queries; ``top_k`` is a block of one.
+A filter scores each block with one float32 matrix-matrix product, as
+FAISS ``IndexFlatIP`` runs query batches (Johnson, Douze and Jegou,
+arXiv:1702.08734), and keeps each query's rows within a proven rounding
+margin of its k-th best score; only those rows are rescored exactly and
+ranked.  An exact score has the bits of one float64 matrix-vector product
+over the whole matrix on one BLAS thread, by the 4-row rule: OpenBLAS sums
+each row of a matrix-vector product by its place in a group of 4 rows, and
+a product of a single row goes to a dot kernel instead.  So ``_gemv``
+widens and scores a matrix by slabs on its 4-row grid, the last group taking
+in the remainder of fewer than 4 rows; ``top_k_naive`` scores every row that
+way, and ``_gemv_rows`` scores a stack of the groups that hold the kept
+rows.  OpenBLAS 0.3.31 gives a product of at most ``_SLAB_BYTES`` the same
+bits on one thread or two, so all three give the same bits on any BLAS
+thread count.  One product over the whole matrix would not: on two threads,
+OpenBLAS (d = 256) moved a few last bits at n = 9801 to 9804, 20001 and
+20003.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
-row-major little-endian float32 matrix.  ``load_index`` and
-``save_index`` stream the matrix one slab of rows (``_slab_bounds``) at a
-time through one reused float32 buffer.  The unit-norm check and the norms
-``index_from_vectors`` divides by run one slab at a time too; a row's norm
-does not depend on which slab holds it, so every bit is that of one pass
-over the whole matrix.  Loading or saving an index holds the float64 matrix
-plus one slab at most.
+row-major little-endian float32 matrix.  ``load_index`` reads that matrix
+into the index as it is, one slab of rows (``_slab_bounds``) at a time, and
+``save_index`` narrows and writes it one slab at a time.  The unit-norm
+check and the norms ``index_from_vectors`` divides by run one slab at a
+time too, in float64; a row's norm does not depend on which slab holds it,
+so every bit is that of one pass over the whole matrix.  Loading an index
+holds its float32 matrix plus one slab's temporaries at most; saving holds
+one float32 slab next to the index.
 """
 
 from __future__ import annotations
@@ -71,7 +74,8 @@ _MAGIC = b"SEIX"
 _HEADER = "<4sIIIB"  # magic, version, n, d, normalized flag
 _VERSION = 1
 _SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass
-_QUERY_BLOCK = 64  # queries attach_shc scores with one matrix-matrix product
+_QUERY_BLOCK = 128  # queries attach_shc's filter scores with one float32 matrix-matrix product
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 _GROUP_COST = 16  # rows of a pass over the matrix that take as long as one kept row rescored on its own
 
 
@@ -79,15 +83,21 @@ _GROUP_COST = 16  # rows of a pass over the matrix that take as long as one kept
 class EmbeddingIndex:
     """Immutable id-addressed dense-vector store.
 
+    ``load_index`` gives it the little-endian float32 matrix its file holds;
+    ``index_from_vectors`` and ``load_embeddings`` give it a float64 matrix.
     A normalized index checks that its rows are unit length one slab at a
-    time, so the check holds one slab of temporaries next to the matrix.
+    time, each slab widened to float64, so the check holds one slab of
+    temporaries next to the matrix.  The float32 matrix the retrieval filter
+    scores, and max|M|, are made on the first query and kept: a float32
+    matrix is its own filter, a float64 one gets a float32 copy.
     """
 
     dim: int
     ids: tuple[str, ...]
-    matrix: np.ndarray  # (n, dim) float64
+    matrix: np.ndarray  # (n, dim), float64 or <f4, read-only
     normalized: bool
     _row_of: dict[str, int] = field(init=False, repr=False)
+    _filter: tuple[np.ndarray, float] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.matrix.shape != (len(self.ids), self.dim):
@@ -117,6 +127,15 @@ class EmbeddingIndex:
 
     def row_of(self, study_id: str) -> int | None:
         return self._row_of.get(study_id)
+
+    def _float32(self) -> tuple[np.ndarray, float]:
+        """The float32 matrix the filter scores and max|M|, made on the first call and then kept."""
+        if self._filter is None:
+            with np.errstate(over="ignore"):  # a value past float32's range is inf here; _block_hits then keeps every row
+                matrix32 = self.matrix.astype(np.float32, copy=False)
+            big = float(np.maximum(self.matrix.max(initial=0.0), -self.matrix.min(initial=0.0)))
+            self._filter = (matrix32, big)
+        return self._filter
 
 
 @dataclass(frozen=True)
@@ -214,59 +233,62 @@ def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
 
 
 def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray) -> RetrievalResult:
-    hits = tuple((index.ids[int(r)], float(s)) for r, s in zip(rows, scores))
+    hits = tuple((index.ids[r], s) for r, s in zip(rows.tolist(), scores.tolist()))
     return RetrievalResult(hits=hits)
 
 
 def _slab_bounds(matrix: np.ndarray) -> list[int]:
-    """Slab edges over ``matrix``'s rows, 0 to n; a slab is as many rows as fit in ``_SLAB_BYTES``, at least 1."""
+    """Slab edges over ``matrix``'s rows, 0 to n; a slab is as many rows as fit in ``_SLAB_BYTES`` as float64, at least 1."""
     n, dim = matrix.shape
-    height = max(1, _SLAB_BYTES // max(dim * matrix.itemsize, 1))
+    height = max(1, _SLAB_BYTES // max(dim * 8, 1))
     return [*range(0, n, height), n]
 
 
 def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
-    """The L2 norms of ``matrix``'s rows, one array per slab of rows, in row order."""
+    """The L2 norms of ``matrix``'s rows widened to float64, one array per slab of rows, in row order.
+
+    Each slab's float64 squares go to one reused buffer, then are summed and
+    rooted as ``np.linalg.norm`` does, so every norm has its bits.
+    """
     bounds = _slab_bounds(matrix)
+    squares = np.empty((bounds[1] if len(bounds) > 1 else 0, matrix.shape[1]))
     for lo, hi in zip(bounds, bounds[1:]):
-        yield np.linalg.norm(matrix[lo:hi], axis=1)
+        np.multiply(matrix[lo:hi], matrix[lo:hi], out=squares[: hi - lo], dtype=np.float64)
+        yield np.sqrt(np.add.reduce(squares[: hi - lo], axis=1))
+
+
+def _gemv(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``matrix @ q`` with ``matrix`` widened to float64, in one-BLAS-thread bits on any BLAS thread count.
+
+    It is scored by slabs of at most ``_SLAB_BYTES`` of float64 that start
+    on the 4-row grid; the last slab takes in the remainder of fewer than 4
+    rows.
+    """
+    n, dim = matrix.shape
+    last = max(0, n - 4 - n % 4)  # the last group runs to row n
+    edges = [*range(0, last + 1, max(4, _SLAB_BYTES // max(8 * dim, 1) // 4 * 4)), n]
+    return np.concatenate([np.asarray(matrix[lo:hi], dtype=np.float64) @ q for lo, hi in zip(edges, edges[1:])])
 
 
 def _gemv_rows(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``(matrix @ q)[rows]``, ``rows`` ascending, in one-BLAS-thread bits: by 4-row group, or by slab when cheaper."""
-    n, dim = matrix.shape
-    last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    if len(rows) * _GROUP_COST > n:
-        edges = [*range(0, last + 1, max(4, _SLAB_BYTES // (8 * dim) // 4 * 4)), n]
-        return np.concatenate([matrix[lo:hi] @ q for lo, hi in zip(edges, edges[1:])])[rows]
-    out = np.empty(len(rows))
-    hi = 0
-    for i, row in enumerate(rows.tolist()):
-        if row >= hi:  # rows ascend, so each group is scored once
-            lo = min(row - row % 4, last)
-            hi = n if lo == last else lo + 4
-            group = matrix[lo:hi] @ q
-        out[i] = group[row - lo]
-    return out
+    """``_gemv(matrix, q)[rows]``, ``rows`` ascending: only the 4-row groups that hold a row, or every row when cheaper.
 
-
-def _select(index: EmbeddingIndex, scores: np.ndarray, k: int, skip: int | None) -> RetrievalResult:
-    """The k best rows of ``scores``, never row ``skip``; needs 1 <= k <= the candidates.
-
-    ``np.partition`` finds the k-th best score; every row reaching it is
-    kept, so ties at the cut are complete, and only those rows are sorted.
-    Ties break toward the earlier row and NaN scores rank last, as in the
-    naive scan's ``lexsort``.
+    The groups are stacked in row order, each once, and scored by ``_gemv``:
+    each starts on the stack's 4-row grid, and the last group of the matrix,
+    which takes in its remainder, can only come last, so every row keeps its
+    bits.
     """
-    neg = -scores  # ascending order of neg is the ranking; NaN sorts last, as in lexsort
-    if skip is not None:
-        neg[skip] = np.inf
-    kth = np.partition(neg, k - 1)[k - 1]
-    rows = np.flatnonzero(~(neg > kth))
-    if skip is not None:
-        rows = rows[rows != skip]
-    rows = rows[np.lexsort((rows, neg[rows]))[:k]]
-    return _result(index, rows, scores[rows])
+    n = len(matrix)
+    if len(rows) * _GROUP_COST > n:
+        return _gemv(matrix, q)[rows]
+    last = max(0, n - 4 - n % 4)  # the last group runs to row n
+    groups, at = [], []
+    for row in rows.tolist():
+        lo = min(row - row % 4, last)
+        if not groups or groups[-1].start != lo:  # rows ascend, so each group is stacked once
+            groups.append(slice(lo, n if lo == last else lo + 4))
+        at.append(4 * (len(groups) - 1) + row - lo)
+    return _gemv(np.concatenate([matrix[g] for g in groups] or [matrix[:0]]), q)[at]
 
 
 def top_k(
@@ -275,12 +297,11 @@ def top_k(
     k: int,
     exclude_id: str | None = None,
 ) -> RetrievalResult:
-    """Exact top-k by dot product: partial selection, then an exact tie-break.
+    """Exact top-k by dot product: a block of one query through ``_block_hits``.
 
-    Scores come from the same matrix-vector product over the whole matrix
-    as the naive scan, so they are bit-identical to it; selection is
-    ``_select``.  Ties break toward the earlier row; ``exclude_id`` never
-    appears; asking for more hits than candidates returns all of them.
+    Its hits equal ``top_k_naive``'s, bit for bit, on any BLAS thread count.
+    Ties break toward the earlier row; ``exclude_id`` never appears; asking
+    for more hits than candidates returns all of them.
     """
     check_at_least(0, k=k)
     q = _prepare_query(index, query)
@@ -288,7 +309,8 @@ def top_k(
     k = min(k, index.n - (skip is not None))
     if k == 0:
         return RetrievalResult(hits=())
-    return _select(index, index.matrix @ q, k, skip)
+    scores = np.empty((1, index.n), dtype=np.float32)
+    return RetrievalResult(hits=_block_hits(index, q[None], [skip], k, scores)[0])
 
 
 def top_k_naive(
@@ -297,10 +319,15 @@ def top_k_naive(
     k: int,
     exclude_id: str | None = None,
 ) -> RetrievalResult:
-    """Reference implementation: full scan, full sort.  Same contract as top_k."""
+    """Reference implementation: every row scored, full sort.  Same contract as top_k.
+
+    The scores are ``_gemv``'s, so they are the bits of one float64
+    matrix-vector product over the whole matrix on one BLAS thread, on any
+    BLAS thread count.
+    """
     check_at_least(0, k=k)
     q = _prepare_query(index, query)
-    scores = index.matrix @ q
+    scores = _gemv(index.matrix, q)
     rows = np.arange(index.n, dtype=np.int64)
     skip = index.row_of(exclude_id) if exclude_id is not None else None
     if skip is not None:
@@ -312,31 +339,52 @@ def top_k_naive(
 
 
 def _block_hits(
-    index: EmbeddingIndex, queries: np.ndarray, skips: list[int], k: int, scores: np.ndarray, big: float
+    index: EmbeddingIndex, queries: np.ndarray, skips: list[int | None], k: int, scores: np.ndarray
 ) -> list[tuple[tuple[str, float], ...]]:
-    """Each query's k best rows but its row in ``skips``, as ``top_k_naive`` ranks exact scores; ``big`` is max|M|."""
-    # The margin.  Any order of summing d products, FMA included, errs by at
-    # most E = gamma_d * sum|m_j q_j| + d * 2**-1074, gamma_d = d*u / (1 - d*u),
-    # u = 2**-53 (Higham 2002, section 3.1; under gradual underflow a product
-    # errs by at most 2**-1075 more, the eta of section 2.1), and sum|m_j q_j|
-    # <= B = d * big * max|q|.  So a filter score is within 2E of the exact one:
-    # k exact scores reach kth - 2E, kth the k-th best filter score, and every
-    # row of the exact top k, ties at the cut included, has a filter score of
-    # at least kth - 4E.  ``err`` takes 2B for B, which covers the roundings in
-    # computing E, plus 8 spare units of 2**-1074.  It is inf where 2B, and so
-    # a partial sum, could overflow, and NaN after a NaN or inf; the floor is
-    # then not finite, and that query keeps every row.
+    """Each query's k best rows but its row in ``skips`` (None skips none), as ``top_k_naive`` ranks exact scores.
+
+    ``scores`` is a float32 buffer of one row per query and one column per
+    index row; ``queries`` are float64.
+    """
+    # The margin.  The filter sums a_j b_j in float32, a_j and b_j the float32
+    # roundings of m_j and q_j; the exact score sums m_j q_j in float64.
+    # Rounding to float32 errs by at most u|x| or, under gradual underflow,
+    # eta = 2**-150, u = 2**-24 (Higham 2002, section 2.1).  Any order of
+    # summing d products, FMA included, errs by at most gamma_d * sum|a_j b_j|
+    # plus 2 * eta per product under underflow, gamma_d = d*u / (1 - d*u)
+    # (section 3.1).  With the two roundings of each product's inputs, a filter
+    # score is within E = gamma_(d+2) * sum|m_j q_j| + d * 2**-148 * (big + max|q|)
+    # + d * 2**-149 of sum m_j q_j, big = max|M|, and the float64 score, with
+    # its u = 2**-53, is nearer still.  sum|m_j q_j| <= B = d * big * max|q|.
+    # So a filter score is within 2E of the exact one: k exact scores reach
+    # kth - 2E, kth the k-th best filter score, and every row of the exact top
+    # k, ties at the cut included, has a filter score of at least kth - 4E.
+    # ``err`` takes 2B for B and doubles the underflow term, which covers the
+    # roundings in computing E, plus 8 spare units of 2**-149.  It is inf
+    # where big, max|q| or 2B, and so a value or a partial sum, could overflow
+    # float32, and where d + 2 >= 2**23, past which a partial sum could pass
+    # 2B; NaN after a NaN or inf.  The floor is then not finite, and that
+    # query keeps every row.
     d = index.dim
-    gamma = d * 2.0**-53 / (1 - d * 2.0**-53)
+    matrix32, big = index._float32()
+    ud = (d + 2) * 2.0**-24
+    gamma = ud / (1 - ud) if ud < 0.5 else np.inf
+    maxq = np.abs(queries).max(axis=1, initial=0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        err = gamma * (2.0 * d * big * np.abs(queries).max(axis=1)) + (d + 8) * 2.0**-1074
-    np.matmul(queries, index.matrix.T, out=scores)
+        two_b = 2.0 * d * big * maxq
+        err = gamma * two_b + d * 2.0**-147 * (big + maxq) + (d + 8) * 2.0**-149
+        err[~(np.maximum(np.maximum(big, maxq), two_b) < _FLOAT32_MAX)] = np.inf
+        np.matmul(queries.astype(np.float32), matrix32.T, out=scores)
     found = []
     for q, skip, approx, e in zip(queries, skips, scores, err):
-        approx[skip] = -np.inf
+        if skip is not None:
+            approx[skip] = -np.inf
         with np.errstate(invalid="ignore"):
-            floor = np.partition(approx, -k)[-k] - 4 * e
-        rows = np.flatnonzero(approx >= floor) if np.isfinite(floor) else np.delete(np.arange(index.n), skip)
+            floor = np.partition(approx, -k)[-k] - 4 * e  # float64, so approx >= floor compares exactly
+        if np.isfinite(floor):
+            rows = np.flatnonzero(approx >= floor)  # never skip: -inf is below a finite floor
+        else:
+            rows = np.arange(index.n) if skip is None else np.delete(np.arange(index.n), skip)
         exact = _gemv_rows(index.matrix, q, rows)
         order = np.lexsort((rows, -exact))[:k]  # NaN last, as in top_k_naive
         found.append(_result(index, rows[order], exact[order]).hits)
@@ -375,8 +423,7 @@ def attach_shc(
     """
     check_at_least(0, k=k)
     hits = min(k, index.n - 1)
-    big = np.maximum(index.matrix.max(initial=0.0), -index.matrix.min(initial=0.0))
-    scores = np.empty((min(_QUERY_BLOCK, len(records)), index.n))
+    scores = np.empty((min(_QUERY_BLOCK, len(records)), index.n), dtype=np.float32)
     out = []
     for start in range(0, len(records), _QUERY_BLOCK):
         queries, error = [], None
@@ -390,7 +437,7 @@ def attach_shc(
         found = [()] * len(block)
         if hits > 0 and block:
             skips = [index.row_of(rec.study_id) for rec in block]
-            found = _block_hits(index, np.stack(queries), skips, hits, scores[: len(block)], big)
+            found = _block_hits(index, np.stack(queries), skips, hits, scores[: len(block)])
         for rec, rec_hits in zip(block, found):
             for sid, _ in rec_hits:
                 if sid not in sequences:
@@ -401,34 +448,23 @@ def attach_shc(
     return out
 
 
-def _float32_slabs(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Each slab of ``matrix``'s rows as its first row and a float32 array of its shape.
-
-    Every array is a view of one buffer, so a pass over the slabs holds one
-    slab of float32 at a time.
-    """
-    bounds = _slab_bounds(matrix)
-    dim = matrix.shape[1]
-    buffer = np.empty(max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0) * dim, dtype="<f4")
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield lo, buffer[: (hi - lo) * dim].reshape(hi - lo, dim)
-
-
 def save_index(index: EmbeddingIndex, path: str | Path) -> None:
     """Write the binary index format described in the module docstring.
 
-    The matrix is narrowed to float32, checked and written one slab at a
-    time; a value float32 cannot hold raises naming its study and value, and
-    ``path`` then keeps its old content.
+    The matrix is narrowed to little-endian float32 (a loaded index's matrix
+    already is), checked and written one slab at a time; a value float32
+    cannot hold raises naming its study and value, and ``path`` then keeps
+    its old content.
     """
     with atomic_write(path, binary=True) as handle:
         handle.write(struct.pack(_HEADER, _MAGIC, _VERSION, index.n, index.dim, int(index.normalized)))
         for sid in index.ids:
             raw = sid.encode("utf-8")
             handle.write(struct.pack("<I", len(raw)) + raw)
-        for lo, slab in _float32_slabs(index.matrix):
+        bounds = _slab_bounds(index.matrix)
+        for lo, hi in zip(bounds, bounds[1:]):
             with np.errstate(over="ignore"):
-                np.copyto(slab, index.matrix[lo : lo + len(slab)], casting="unsafe")
+                slab = index.matrix[lo:hi].astype("<f4", copy=False)
             overflow = np.argwhere(np.isinf(slab))
             if overflow.size:
                 row, col = overflow[0]
@@ -440,13 +476,13 @@ def save_index(index: EmbeddingIndex, path: str | Path) -> None:
 
 
 def load_index(path: str | Path) -> EmbeddingIndex:
-    """Read an index written by save_index; the matrix loads as float64.
+    """Read an index written by save_index; the matrix is the file's little-endian float32.
 
     The header and id table are read first, each id's length checked
     against the file size; then the float32 payload is read one slab at a
-    time into one reused buffer, widened into the preallocated matrix and
-    checked finite.  Every error, a NaN or infinite value or a repeated id
-    among them, is a CorpusError starting with ``path``.
+    time straight into the preallocated matrix and checked finite.  Every
+    error, a NaN or infinite value or a repeated id among them, is a
+    CorpusError starting with ``path``.
     """
     ids: list[str] = []
     with open(path, "rb") as handle:
@@ -466,14 +502,13 @@ def load_index(path: str | Path) -> EmbeddingIndex:
                 ids.append(handle.read(length).decode("utf-8"))
             if size - offset != n * dim * 4:
                 raise ValidationError(f"matrix payload is {size - offset} bytes, expected {n * dim * 4}")
-            matrix = np.empty((n, dim))
-            for lo, slab in _float32_slabs(matrix):
-                if handle.readinto(slab) != slab.nbytes:
+            matrix = np.empty((n, dim), dtype="<f4")
+            bounds = _slab_bounds(matrix)
+            for lo, hi in zip(bounds, bounds[1:]):
+                if handle.readinto(matrix[lo:hi]) != matrix[lo:hi].nbytes:
                     raise ValidationError("index file truncated")
-                rows = matrix[lo : lo + len(slab)]
                 with np.errstate(invalid="ignore"):  # a signalling NaN warns as it widens; it is rejected here
-                    np.copyto(rows, slab)
-                as_finite_array(rows, "index matrix", 2)
+                    as_finite_array(matrix[lo:hi], "index matrix", 2)
             return EmbeddingIndex(dim=dim, ids=tuple(ids), matrix=matrix, normalized=bool(normalized))
         except struct.error:
             raise CorpusError(f"{path}: index file truncated") from None

@@ -21,37 +21,6 @@ from sei.see import see_extract
 M_GT_SETTINGS = (60, 80, 90, 100, math.inf)
 
 
-@st.composite
-def tie_heavy_case(draw):
-    """A small index with duplicate rows and few distinct values, plus one query."""
-    n = draw(st.integers(1, 24))
-    d = draw(st.integers(1, 5))
-    values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    pool = draw(st.lists(st.lists(values, min_size=d, max_size=d), min_size=1, max_size=4))
-    rows = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(n)]
-    normalize = draw(st.booleans())
-    if draw(st.booleans()):
-        query = rows[draw(st.integers(0, n - 1))]
-    else:
-        query = draw(st.lists(values, min_size=d, max_size=d))
-    exclude = draw(st.sampled_from([None, "missing"] + [f"r{i}" for i in range(n)]))
-    k = draw(st.sampled_from([0, 1, n - 1, n, n + 5]))
-    return rows, normalize, np.asarray(query), exclude, k
-
-
-@settings(max_examples=300, deadline=None)
-@given(tie_heavy_case())
-def test_top_k_matches_naive_bit_for_bit(case):
-    rows, normalize, query, exclude, k = case
-    if normalize:
-        assume(all(any(rows_i) for rows_i in rows) and query.any())
-    index = index_from_vectors([f"r{i}" for i in range(len(rows))], rows, normalize)
-    fast = top_k(index, query, k, exclude_id=exclude)
-    slow = top_k_naive(index, query, k, exclude_id=exclude)
-    assert [sid for sid, _ in fast.hits] == [sid for sid, _ in slow.hits]
-    assert [float(s).hex() for _, s in fast.hits] == [float(s).hex() for _, s in slow.hits]
-
-
 def hits_hex(hits) -> list[tuple[str, str]]:
     return [(sid, float(score).hex()) for sid, score in hits]
 
@@ -59,10 +28,12 @@ def hits_hex(hits) -> list[tuple[str, str]]:
 SCALES = {
     "unit": st.just(1.0),
     "1e-3 to 1e3": st.floats(-3, 3).map(lambda e: 10.0**e),
+    "1e-23.5 to 1e-22": st.floats(22, 23.5).map(lambda e: 10.0**-e),  # float32 products underflow
+    "1e18 to 1e20": st.floats(18, 20).map(lambda e: 10.0**e),  # float32 sums can overflow
     "1e-170 to 1e-160": st.floats(160, 170).map(lambda e: 10.0**-e),
     "1e160 and 1e300": st.sampled_from([1.0, 1e160, 1e300]),
 }
-FLOAT32_SCALES = ("unit", "1e-3 to 1e3")  # the scales an index file can hold
+FLOAT32_SCALES = ("unit", "1e-3 to 1e3", "1e-23.5 to 1e-22", "1e18 to 1e20")  # the scales an index file can hold
 
 
 @st.composite
@@ -70,11 +41,12 @@ def shc_case(draw):
     """An index of at most 63 rows, so its products never split across BLAS threads,
     with every n % 4 residue.  Its rows tie or nearly tie: copies of a few base rows,
     some moved one ulp in one value or in all, each row scaled by its own draw from
-    one of SCALES, whose products underflow, or overflow so that attach_shc keeps
-    every row.  An index at a scale float32 holds may be normalized, or reloaded
-    through index.bin.  A permuted subset of its studies are the records, in query
-    blocks of 1-3; the kept rows are scored by 4-row group, by slabs of 4-8 rows, or
-    as their count decides."""
+    one of SCALES, whose products underflow in float32 or float64, or overflow so
+    that retrieval keeps every row.  An index at a scale float32 holds may be
+    normalized, or reloaded through index.bin as float32.  A permuted subset of its
+    studies are the records, in query blocks of 1-3; the kept rows' 4-row groups or
+    the whole matrix, as forced or as their count decides, are scored by slabs of
+    4-8 rows."""
     n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
     # below 8 columns OpenBLAS sums every row alike, so a misplaced group edge shows only from 8 on
@@ -92,7 +64,7 @@ def shc_case(draw):
         rows.append(row.tolist())
     normalize = scale in FLOAT32_SCALES and draw(st.booleans())
     if normalize:
-        assume(all(any(row) for row in rows))
+        assume(all(np.linalg.norm(row) > 0 for row in rows))  # a row of 5e-324 has a norm of 0
     order = draw(st.permutations(range(n)))
     picked = order[: draw(st.integers(1, n))]
     # a record's query is its own row, or now and then another row of the index
@@ -107,16 +79,37 @@ def shc_case(draw):
     return rows, normalize, picked, queries, k, reload, patches
 
 
-@settings(max_examples=400, deadline=None)
-@given(shc_case())
-def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
-    rows, normalize, picked, queries, k, reload, patches = case
-    ids = [f"r{i}" for i in range(len(rows))]
-    index = index_from_vectors(ids, rows, normalize)
+def shc_index(rows, normalize, reload):
+    """The index of rows r0, r1, ...: float64 as built, or float32 reloaded through index.bin."""
+    index = index_from_vectors([f"r{i}" for i in range(len(rows))], rows, normalize)
     if reload:
         with tempfile.TemporaryDirectory() as tmp:
             save_index(index, Path(tmp) / "index.bin")
             index = load_index(Path(tmp) / "index.bin")
+    return index
+
+
+@settings(max_examples=400, deadline=None)
+@given(shc_case(), st.data())
+def test_top_k_matches_naive_bit_for_bit(case, data):
+    """top_k gives top_k_naive's ids and score bits for each of shc_case's queries,
+    excluding its record's row, as attach_shc does, another row, an id the index
+    lacks or nothing."""
+    rows, normalize, picked, queries, k, reload, patches = case
+    index = shc_index(rows, normalize, reload)
+    with mock.patch.multiple(retrieval, **patches), np.errstate(over="ignore", invalid="ignore"):
+        for i, q in zip(picked, queries):
+            exclude = data.draw(st.just(index.ids[i]) | st.sampled_from([None, "missing", *index.ids]))
+            fast = top_k(index, np.asarray(q), k, exclude_id=exclude)
+            assert hits_hex(fast.hits) == hits_hex(top_k_naive(index, np.asarray(q), k, exclude_id=exclude).hits)
+
+
+@settings(max_examples=400, deadline=None)
+@given(shc_case())
+def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
+    rows, normalize, picked, queries, k, reload, patches = case
+    index = shc_index(rows, normalize, reload)
+    ids = index.ids
     report = ReportDocument("lungs clear.")
     records = [StudyRecord(study_id=ids[i], report=report, entities=()) for i in picked]
     embeddings = index_from_vectors([ids[i] for i in picked], queries, normalize=False)

@@ -111,6 +111,11 @@ class TestTopK:
             assert [h[0] for h in fast.hits] == [h[0] for h in slow.hits]
             assert [h[1] for h in fast.hits] == [h[1] for h in slow.hits]
 
+    def test_zero_dimension_scores_zero(self):
+        index = index_from_vectors(["a", "b", "c"], [[], [], []], normalize=False)
+        for search in (top_k, top_k_naive):
+            assert search(index, np.zeros(0), 5, exclude_id="b").hits == (("a", 0.0), ("c", 0.0))
+
     def test_tie_break_by_insertion_order(self):
         rows = [[1.0, 0.0], [1.0, 0.0], [0.5, 0.1], [1.0, 0.0]]
         index = index_from_vectors([f"s{i}" for i in range(4)], rows, normalize=False)
@@ -198,15 +203,16 @@ class TestAttachShc:
             assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
 
 
-# Scores 32 records against an argv[1] x 256 index with k = n - 1, so every row's
-# score is in the output and each record scores the index slab by slab, and prints a
-# digest of the ids and float.hex scores.  With "oracle" it also checks each record
-# against top_k_naive.
+# Scores 32 records against an argv[1] x 256 index with k = n - 1, through attach_shc
+# and through top_k, so every row's score is in the output and each record scores the
+# index slab by slab, and prints a digest of the ids and float.hex scores.  With
+# "oracle" it also checks each record's hits from both against top_k_naive, and
+# their scores against one product over the whole matrix.
 BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
 from sei.corpus import ReportDocument, StudyRecord
-from sei.retrieval import attach_shc, index_from_vectors, top_k_naive
+from sei.retrieval import attach_shc, index_from_vectors, top_k, top_k_naive
 
 n, d = int(sys.argv[1]), 256
 rng = np.random.default_rng(9801)
@@ -218,22 +224,28 @@ report = ReportDocument("lungs clear.")
 records = [StudyRecord(study_id=ids[r], report=report, entities=()) for r in rng.choice(n, size=32, replace=False)]
 digest = hashlib.sha256()
 for rec, cases in attach_shc(records, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
+    query = vectors[ids.index(rec.study_id)]
     got = [(c.study_id, c.score.hex()) for c in cases]
-    digest.update(repr(got).encode())
+    alone = [(sid, s.hex()) for sid, s in top_k(index, query, n - 1, exclude_id=rec.study_id).hits]
+    digest.update(repr((got, alone)).encode())
     if sys.argv[2:] == ["oracle"]:
-        want = top_k_naive(index, vectors[ids.index(rec.study_id)], n - 1, exclude_id=rec.study_id)
-        assert got == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
+        want = top_k_naive(index, query, n - 1, exclude_id=rec.study_id)
+        assert got == alone == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
+        whole = index.matrix @ (query / np.linalg.norm(query))
+        assert [s for _, s in got] == [whole[index.row_of(sid)].hex() for sid, _ in got], rec.study_id
 print(digest.hexdigest())
 """
 
 
 class TestBlasThreads:
-    """attach_shc scores are the one-thread product's bits on one BLAS thread or two.
+    """attach_shc, top_k and top_k_naive scores are the one-thread product's bits
+    on one BLAS thread or two.
 
     With OpenBLAS 0.3.31 at d = 256, a whole-matrix product on two threads differed
     from one thread in a few last bits at n = 9801 and at n = 9804, a multiple of 4,
-    and matched at n = 20000; attach_shc's exact scores come from products of at
-    most 7 rows or of one slab of at most 1 MiB, which did not differ.
+    and matched at n = 20000; the exact scores of attach_shc, top_k and top_k_naive
+    come from products of at most 7 rows or of one slab of at most 1 MiB, which did
+    not differ.
     """
 
     def _probe(self, blas_threads, n, *args):
@@ -252,19 +264,22 @@ class TestBlasThreads:
 
 @pytest.mark.parametrize("d", [8, 17, 64])
 def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch, d):
-    """Both of _gemv_rows' paths, one product per 4-row group or one per slab of
-    4-12 rows, give each row the bits of the whole-matrix product, for every n up
-    to 39 (below 8 columns OpenBLAS sums every row alike, so d starts at 8)."""
+    """Both of _gemv_rows' paths, the stacked 4-row groups that hold its rows or the
+    whole matrix, each scored by slabs of 4-12 rows, give each row the bits of the
+    whole-matrix float64 product, for every n up to 39, from a float64 matrix or
+    from a float32 one, which they widen (below 8 columns OpenBLAS sums every row
+    alike, so d starts at 8)."""
     for n in range(1, 40):
         matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
         q = rng.standard_normal(d)
-        want = matrix @ q
-        for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3)):
-            for group_cost, slab_rows in [(0, 4), (n + 1, 4), (n + 1, 8), (n + 1, 12)]:
-                monkeypatch.setattr(retrieval, "_GROUP_COST", group_cost)
-                monkeypatch.setattr(retrieval, "_SLAB_BYTES", slab_rows * 8 * d)
-                got = retrieval._gemv_rows(matrix, q, rows)
-                assert got.tobytes() == want[rows].tobytes(), (n, group_cost, slab_rows)
+        for stored in (matrix, matrix.astype("<f4")):
+            want = stored.astype(np.float64) @ q
+            for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3)):
+                for group_cost, slab_rows in [(c, r) for c in (0, n + 1) for r in (4, 8, 12)]:
+                    monkeypatch.setattr(retrieval, "_GROUP_COST", group_cost)
+                    monkeypatch.setattr(retrieval, "_SLAB_BYTES", slab_rows * 8 * d)
+                    got = retrieval._gemv_rows(stored, q, rows)
+                    assert got.tobytes() == want[rows].tobytes(), (n, stored.dtype, group_cost, slab_rows)
 
 
 class TestSerialization:
@@ -276,7 +291,9 @@ class TestSerialization:
         assert loaded.ids == index.ids
         assert loaded.dim == index.dim
         assert loaded.normalized == index.normalized
-        # float32 storage: values match at float32 precision
+        # the loaded matrix is the file's float32 payload, bit for bit
+        payload = path.read_bytes()[-index.n * index.dim * 4 :]
+        assert loaded.matrix.dtype == np.dtype("<f4") and loaded.matrix.tobytes() == payload
         assert np.allclose(loaded.matrix, index.matrix, atol=1e-6)
         # byte-stable: saving the loaded index reproduces the same file
         path2 = tmp_path / "index2.bin"
@@ -328,8 +345,9 @@ class TestSlabEdges:
         save_index(index, path)
         loaded = load_index(path)
         payload = np.frombuffer(path.read_bytes()[-n * self.D * 4 :], dtype="<f4").reshape(n, self.D)
-        assert loaded.matrix.tobytes() == payload.astype(np.float64).tobytes()
-        assert loaded.matrix.tobytes() == index.matrix.astype(np.float32).astype(np.float64).tobytes()
+        assert loaded.matrix.dtype == np.dtype("<f4")
+        assert loaded.matrix.tobytes() == payload.tobytes()
+        assert loaded.matrix.tobytes() == index.matrix.astype("<f4").tobytes()
         save_index(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
