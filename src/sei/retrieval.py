@@ -18,19 +18,22 @@ is, in blocks of ``_QUERY_BLOCK`` queries; ``top_k`` is a block of one.
 A filter scores each block with one float32 matrix-matrix product, as
 FAISS ``IndexFlatIP`` runs query batches (Johnson, Douze and Jegou,
 arXiv:1702.08734), and keeps each query's rows within a proven rounding
-margin of its k-th best score; only those rows are rescored exactly and
-ranked.  An exact score has the bits of one float64 matrix-vector product
-over the whole matrix on one BLAS thread, by the 4-row rule: OpenBLAS sums
-each row of a matrix-vector product by its place in a group of 4 rows, and
-a product of a single row goes to a dot kernel instead.  So ``_gemv``
-widens and scores a matrix by slabs on its 4-row grid, the last group taking
-in the remainder of fewer than 4 rows; ``top_k_naive`` scores every row that
-way, and ``_gemv_rows`` scores a stack of the groups that hold the kept
-rows.  OpenBLAS 0.3.31 gives a product of at most ``_SLAB_BYTES`` the same
-bits on one thread or two, so all three give the same bits on any BLAS
-thread count.  One product over the whole matrix would not: on two threads,
-OpenBLAS (d = 256) moved a few last bits at n = 9801 to 9804, 20001 and
-20003.
+margin of its k-th best score.  Where that keeps more than k rows, as it
+does among rows of one tight cluster, a float64 product over just those
+rows keeps the ones within its far narrower margin.  Only the rows left are
+rescored exactly and ranked.  An exact score has the bits of one float64
+matrix-vector product over the whole matrix on one BLAS thread, by the
+4-row rule: OpenBLAS sums each row of a matrix-vector product by its place
+in a group of 4 rows, and a product of a single row goes to a dot kernel
+instead.  So ``_gemv`` widens and scores a matrix by slabs on its 4-row
+grid, the last group taking in the remainder of fewer than 4 rows, and
+``_gemv_rows`` scores a stack of the groups that hold the kept rows;
+``top_k_naive``, the oracle, widens the whole matrix and scores it one
+4-row group at a time.  OpenBLAS 0.3.31 gives a product of at most
+``_SLAB_BYTES`` the same bits on one thread or two, so all of them give the
+same bits on any BLAS thread count.  One product over the whole matrix
+would not: on two threads, OpenBLAS (d = 256) moved a few last bits at
+n = 9801 to 9804, 20001 and 20003.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -88,8 +91,9 @@ class EmbeddingIndex:
     A normalized index checks that its rows are unit length one slab at a
     time, each slab widened to float64, so the check holds one slab of
     temporaries next to the matrix.  The float32 matrix the retrieval filter
-    scores, and max|M|, are made on the first query and kept: a float32
-    matrix is its own filter, a float64 one gets a float32 copy.
+    scores, its largest row norm and max|M| are made on the first query and
+    kept: a float32 matrix is its own filter, a float64 one gets a float32
+    copy.
     """
 
     dim: int
@@ -97,7 +101,7 @@ class EmbeddingIndex:
     matrix: np.ndarray  # (n, dim), float64 or <f4, read-only
     normalized: bool
     _row_of: dict[str, int] = field(init=False, repr=False)
-    _filter: tuple[np.ndarray, float] | None = field(init=False, repr=False, compare=False, default=None)
+    _filter: tuple[np.ndarray, float, float] | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.matrix.shape != (len(self.ids), self.dim):
@@ -128,13 +132,14 @@ class EmbeddingIndex:
     def row_of(self, study_id: str) -> int | None:
         return self._row_of.get(study_id)
 
-    def _float32(self) -> tuple[np.ndarray, float]:
-        """The float32 matrix the filter scores and max|M|, made on the first call and then kept."""
+    def _float32(self) -> tuple[np.ndarray, float, float]:
+        """The float32 matrix the filter scores, its largest row norm and max|M|, made on the first call and kept."""
         if self._filter is None:
             with np.errstate(over="ignore"):  # a value past float32's range is inf here; _block_hits then keeps every row
                 matrix32 = self.matrix.astype(np.float32, copy=False)
+                norm = max((float(norms.max()) for norms in _row_norms(self.matrix)), default=0.0)
             big = float(np.maximum(self.matrix.max(initial=0.0), -self.matrix.min(initial=0.0)))
-            self._filter = (matrix32, big)
+            self._filter = (matrix32, norm, big)
         return self._filter
 
 
@@ -237,11 +242,15 @@ def _result(index: EmbeddingIndex, rows: np.ndarray, scores: np.ndarray) -> Retr
     return RetrievalResult(hits=hits)
 
 
+def _slab_height(dim: int) -> int:
+    """Rows of ``dim`` values in a slab: as many as fit in ``_SLAB_BYTES`` as float64, at least 1."""
+    return max(1, _SLAB_BYTES // max(dim * 8, 1))
+
+
 def _slab_bounds(matrix: np.ndarray) -> list[int]:
-    """Slab edges over ``matrix``'s rows, 0 to n; a slab is as many rows as fit in ``_SLAB_BYTES`` as float64, at least 1."""
+    """Slab edges over ``matrix``'s rows, 0 to n, ``_slab_height`` rows apart."""
     n, dim = matrix.shape
-    height = max(1, _SLAB_BYTES // max(dim * 8, 1))
-    return [*range(0, n, height), n]
+    return [*range(0, n, _slab_height(dim)), n]
 
 
 def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
@@ -266,7 +275,7 @@ def _gemv(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     n, dim = matrix.shape
     last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    edges = [*range(0, last + 1, max(4, _SLAB_BYTES // max(8 * dim, 1) // 4 * 4)), n]
+    edges = [*range(0, last + 1, max(4, _slab_height(dim) // 4 * 4)), n]
     return np.concatenate([np.asarray(matrix[lo:hi], dtype=np.float64) @ q for lo, hi in zip(edges, edges[1:])])
 
 
@@ -321,14 +330,17 @@ def top_k_naive(
 ) -> RetrievalResult:
     """Reference implementation: every row scored, full sort.  Same contract as top_k.
 
-    The scores are ``_gemv``'s, so they are the bits of one float64
-    matrix-vector product over the whole matrix on one BLAS thread, on any
-    BLAS thread count.
+    The whole matrix is widened to float64 and scored one 4-row group at a
+    time, the last group taking in the remainder, so each score has the bits
+    of one float64 matrix-vector product over the whole matrix on one BLAS
+    thread, on any BLAS thread count.
     """
     check_at_least(0, k=k)
     q = _prepare_query(index, query)
-    scores = _gemv(index.matrix, q)
-    rows = np.arange(index.n, dtype=np.int64)
+    matrix, n = index.matrix.astype(np.float64), index.n
+    last = max(0, n - 4 - n % 4)
+    scores = np.concatenate([matrix[lo : n if lo == last else lo + 4] @ q for lo in range(0, last + 1, 4)])
+    rows = np.arange(n, dtype=np.int64)
     skip = index.row_of(exclude_id) if exclude_id is not None else None
     if skip is not None:
         keep = rows != skip
@@ -353,36 +365,61 @@ def _block_hits(
     # summing d products, FMA included, errs by at most gamma_d * sum|a_j b_j|
     # plus 2 * eta per product under underflow, gamma_d = d*u / (1 - d*u)
     # (section 3.1).  With the two roundings of each product's inputs, a filter
-    # score is within E = gamma_(d+2) * sum|m_j q_j| + d * 2**-148 * (big + max|q|)
-    # + d * 2**-149 of sum m_j q_j, big = max|M|, and the float64 score, with
-    # its u = 2**-53, is nearer still.  sum|m_j q_j| <= B = d * big * max|q|.
-    # So a filter score is within 2E of the exact one: k exact scores reach
-    # kth - 2E, kth the k-th best filter score, and every row of the exact top
-    # k, ties at the cut included, has a filter score of at least kth - 4E.
-    # ``err`` takes 2B for B and doubles the underflow term, which covers the
-    # roundings in computing E, plus 8 spare units of 2**-149.  It is inf
-    # where big, max|q| or 2B, and so a value or a partial sum, could overflow
+    # score is within E = gamma_(d+2) * sum|m_j q_j| + d * 2**-148 * (|m| + |q|)
+    # + d * 2**-149 of sum m_j q_j, |m| and |q| the 2-norms of the row and the
+    # query, each at least its largest value; the float64 score, with its
+    # u = 2**-53, is nearer still.  By Cauchy-Schwarz sum|m_j q_j| <= B = R * |q|,
+    # R the largest row norm.  So a filter score is within 2E of the exact one:
+    # k exact scores reach kth - 2E, kth the k-th best filter score, and every
+    # row of the exact top k, ties at the cut included, has a filter score of
+    # at least kth - 4E.  ``err`` takes 2B for B and doubles the underflow
+    # term, which covers the roundings in computing E, R and |q|, plus 8 spare
+    # units of 2**-149, which cover the squares that underflow in the float64
+    # norms (each norm errs by less than sqrt(d) * 2**-537 then).  It is inf
+    # where R, |q| or 2B, and so a value or a partial sum, could overflow
     # float32, and where d + 2 >= 2**23, past which a partial sum could pass
     # 2B; NaN after a NaN or inf.  The floor is then not finite, and that
     # query keeps every row.
+    #
+    # Where the filter keeps more than k rows, a second filter scores them in
+    # float64 and keeps those of at least its k-th best score less 4 * err64,
+    # by the same argument over the kept rows, which hold the exact top k:
+    # float64 inputs are exact, so E = gamma_d * sum|m_j q_j| + d * 2**-1074
+    # with u = 2**-53, and sum|m_j q_j| <= d * big * max|q|, big = max|M|,
+    # which no underflow shrinks.  err64 takes 2B for B plus 8 spare units of
+    # 2**-1074, and is inf where 2B overflows.  Rows of one cluster can all
+    # lie within the float32 margin; the float64 one holds near-ties only.
     d = index.dim
-    matrix32, big = index._float32()
+    matrix32, norm, big = index._float32()
     ud = (d + 2) * 2.0**-24
     gamma = ud / (1 - ud) if ud < 0.5 else np.inf
-    maxq = np.abs(queries).max(axis=1, initial=0.0)
+    gamma64 = d * 2.0**-53 / (1 - d * 2.0**-53)
     with np.errstate(over="ignore", invalid="ignore"):
-        two_b = 2.0 * d * big * maxq
-        err = gamma * two_b + d * 2.0**-147 * (big + maxq) + (d + 8) * 2.0**-149
-        err[~(np.maximum(np.maximum(big, maxq), two_b) < _FLOAT32_MAX)] = np.inf
+        normq = np.linalg.norm(queries, axis=1)
+        two_b = 2.0 * norm * normq
+        err = gamma * two_b + d * 2.0**-147 * (norm + normq) + (d + 8) * 2.0**-149
+        err[~(np.maximum(np.maximum(norm, normq), two_b) < _FLOAT32_MAX)] = np.inf
+        err64 = gamma64 * (2.0 * d * big * np.abs(queries).max(axis=1, initial=0.0)) + (d + 8) * 2.0**-1074
         np.matmul(queries.astype(np.float32), matrix32.T, out=scores)
+    height = _slab_height(d)
     found = []
-    for q, skip, approx, e in zip(queries, skips, scores, err):
+    for q, skip, approx, e, e64 in zip(queries, skips, scores, err, err64):
         if skip is not None:
             approx[skip] = -np.inf
         with np.errstate(invalid="ignore"):
-            floor = np.partition(approx, -k)[-k] - 4 * e  # float64, so approx >= floor compares exactly
+            floor = np.partition(approx, -k)[-k] - 4 * e
         if np.isfinite(floor):
-            rows = np.flatnonzero(approx >= floor)  # never skip: -inf is below a finite floor
+            # numpy 2 compares in float64; numpy 1.x first rounds floor to the nearest
+            # float32, which can keep one more float32 value but drops none.  Never skip:
+            # -inf is below a finite floor.
+            rows = np.flatnonzero(approx >= floor)
+            if len(rows) > k:  # the float64 filter, over slabs of the kept rows
+                slabs = (rows[at : at + height] for at in range(0, len(rows), height))
+                near = np.concatenate([np.asarray(index.matrix[slab], dtype=np.float64) @ q for slab in slabs])
+                with np.errstate(invalid="ignore"):
+                    floor = np.partition(near, -k)[-k] - 4 * e64
+                if np.isfinite(floor):
+                    rows = rows[near >= floor]
         else:
             rows = np.arange(index.n) if skip is None else np.delete(np.arange(index.n), skip)
         exact = _gemv_rows(index.matrix, q, rows)
@@ -417,7 +454,7 @@ def attach_shc(
 
     Each block of ``_QUERY_BLOCK`` records is checked up to the first that
     fails; the rest are scored by ``_block_hits``, whose hits equal
-    ``top_k``'s on one BLAS thread, bit for bit, and their hits' sequences
+    ``top_k``'s on any BLAS thread count, bit for bit, and their hits' sequences
     looked up before the check error is raised, so errors come as one record
     at a time would raise them and no later record is looked at.
     """

@@ -282,6 +282,21 @@ def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch
                     assert got.tobytes() == want[rows].tobytes(), (n, stored.dtype, group_cost, slab_rows)
 
 
+@pytest.mark.parametrize("d", [8, 17, 64])
+def test_naive_gives_whole_matrix_bits(rng, d):
+    """top_k_naive, the oracle, scores every row with the bits of the whole-matrix
+    float64 product, for every n up to 39, from a float64 matrix or a float32 one."""
+    for n in range(1, 40):
+        matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+        q = rng.standard_normal(d)
+        ids = tuple(f"s{i:05d}" for i in range(n))
+        for stored in (matrix, matrix.astype("<f4")):
+            index = EmbeddingIndex(dim=d, ids=ids, matrix=stored, normalized=False)
+            got = dict(top_k_naive(index, q, n).hits)
+            want = stored.astype(np.float64) @ q
+            assert [got[sid].hex() for sid in ids] == [s.hex() for s in want.tolist()], (n, stored.dtype)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, rng):
         index = index_of(random_embeddings(rng, 20, 7))
