@@ -369,10 +369,10 @@ def _block_hits(
     # + d * 2**-149 of sum m_j q_j, |m| and |q| the 2-norms of the row and the
     # query, each at least its largest value; the float64 score, with its
     # u = 2**-53, is nearer still.  By Cauchy-Schwarz sum|m_j q_j| <= B = R * |q|,
-    # R the largest row norm.  So a filter score is within 2E of the exact one:
-    # k exact scores reach kth - 2E, kth the k-th best filter score, and every
-    # row of the exact top k, ties at the cut included, has a filter score of
-    # at least kth - 4E.  ``err`` takes 2B for B and doubles the underflow
+    # R the largest row norm, which ``err`` also puts for |m|.  So a filter
+    # score is within 2E of the exact one: k exact scores reach kth - 2E, kth
+    # the k-th best filter score, and every row of the exact top k, ties at
+    # the cut included, has a filter score of at least kth - 4E.  ``err`` takes 2B for B and doubles the underflow
     # term, which covers the roundings in computing E, R and |q|, plus 8 spare
     # units of 2**-149, which cover the squares that underflow in the float64
     # norms (each norm errs by less than sqrt(d) * 2**-537 then).  It is inf
