@@ -17,7 +17,7 @@ One measurement is a fresh process with one BLAS thread, as perfbench runs:
 it normalizes the rows into an index, round-trips it through ``save_index``
 and ``load_index`` as ``sei run`` does, times ``top_k`` (k = 5, own row
 excluded) on 400 stored rows after one untimed call, then one
-``attach_shc`` over 2,560 records.  It counts the rows each query hands to
+``attach_shc`` over 2,560 study ids.  It counts the rows each query hands to
 exact rescoring (``retrieval._gemv_rows``) and hashes every hit's id and
 score bits, which must agree between sides.  ``--rounds`` rounds (default 3)
 measure every side once per spread, the order flipped every round; the
@@ -48,7 +48,6 @@ def measure(src: Path, spread: float) -> dict:
     import numpy as np
 
     from sei import retrieval
-    from sei.corpus import ReportDocument, StudyRecord
 
     rng = np.random.default_rng(SEED)
     centres = rng.standard_normal((CENTRES, D))
@@ -75,12 +74,11 @@ def measure(src: Path, spread: float) -> dict:
         calls.append(time.perf_counter() - start)
         digest.update(repr([(sid, score.hex()) for sid, score in hits]).encode())
     embeddings = retrieval.index_from_vectors(ids, raw, normalize=False)
-    records = [StudyRecord(study_id=ids[r], report=ReportDocument("x."), entities=()) for r in range(RECORDS)]
     start = time.perf_counter()
-    attached = retrieval.attach_shc(records, index, K, embeddings, dict.fromkeys(ids, ""))
+    attached = retrieval.attach_shc(ids[:RECORDS], index, K, embeddings, dict.fromkeys(ids, ""))
     attach_s = time.perf_counter() - start
-    for _, cases in attached:
-        digest.update(repr([(c.study_id, c.score.hex()) for c in cases]).encode())
+    for row in attached:
+        digest.update(repr([(c["study_id"], c["score"].hex()) for c in row["cases"]]).encode())
     calls.sort()
     return {
         "top_k.p50_ms": 1000.0 * statistics.median(calls),

@@ -55,7 +55,7 @@ LABELS14 = (
 CX5_INDICES = (1, 4, 5, 7, 9)  # Cardiomegaly, Edema, Consolidation, Atelectasis, Pleural Effusion
 
 M_GT_CHOICES = (60, 80, 90, 100, math.inf)
-ROUGE_BETA = 1.2
+_ROUGE_BETA_SQ = 1.2 * 1.2  # ROUGE-L's beta, squared
 
 
 @dataclass(frozen=True)
@@ -138,16 +138,16 @@ def _lcs_prefix_lengths(a: Sequence[str], b: Sequence[str]) -> list[int]:
     return prev
 
 
-def _rouge_f(lcs: int, gen_len: int, ref_len: int, beta_sq: float) -> float:
+def _rouge_f(lcs: int, gen_len: int, ref_len: int) -> float:
     """One pair's LCS F-measure; no common token, and so an empty side, scores 0."""
     if lcs == 0:
         return 0.0
     precision, recall = lcs / gen_len, lcs / ref_len
-    return (1 + beta_sq) * recall * precision / (recall + beta_sq * precision)
+    return (1 + _ROUGE_BETA_SQ) * recall * precision / (recall + _ROUGE_BETA_SQ * precision)
 
 
 def _one_pass(
-    pairs: Sequence[EvalPair], settings: Sequence[float], max_n: int, beta_sq: float
+    pairs: Sequence[EvalPair], settings: Sequence[float], max_n: int
 ) -> dict[float, tuple[_BleuTally, list[float]]]:
     """Per truncation setting, the BLEU sums up to ``max_n`` and each pair's ROUGE-L F-measure.
 
@@ -167,7 +167,7 @@ def _one_pass(
             if cut not in clipped_at:
                 clipped_at[cut] = _clipped_counts(gen_counts, _ngram_counts(ref[:cut], max_n), max_n)
             tallies[m_gt].add(clipped_at[cut], len(gen), cut)
-            rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut, beta_sq))
+            rouge[m_gt].append(_rouge_f(lcs[cut], len(gen), cut))
     return {m_gt: (tallies[m_gt], rouge[m_gt]) for m_gt in settings}
 
 
@@ -181,14 +181,14 @@ def corpus_bleu(pairs: Sequence[EvalPair], n: int) -> float:
         raise ValidationError("corpus_bleu requires at least one pair")
     if n < 1:
         raise ValidationError(f"n-gram order must be >= 1, got {n}")
-    return _one_pass(pairs, (math.inf,), n, ROUGE_BETA * ROUGE_BETA)[math.inf][0].bleu(n)
+    return _one_pass(pairs, (math.inf,), n)[math.inf][0].bleu(n)
 
 
-def rouge_l(pairs: Sequence[EvalPair], beta: float = ROUGE_BETA) -> float:
+def rouge_l(pairs: Sequence[EvalPair]) -> float:
     """Mean per-pair LCS F-measure; a pair with an empty reference scores 0."""
     if not pairs:
         raise ValidationError("rouge_l requires at least one pair")
-    _, scores = _one_pass(pairs, (math.inf,), 1, beta * beta)[math.inf]
+    _, scores = _one_pass(pairs, (math.inf,), 1)[math.inf]
     return sum(scores) / len(scores)
 
 
@@ -291,7 +291,7 @@ def score_settings(
     if entities is not None and len(entities) != len(pairs):
         raise ValidationError(f"{len(entities)} entity rows for {len(pairs)} pairs")
     settings = tuple(dict.fromkeys(m_gt_values))
-    passes = _one_pass(pairs, settings, 4, ROUGE_BETA * ROUGE_BETA)
+    passes = _one_pass(pairs, settings, 4)
     shared = {}
     if labels is not None:
         rows = _validated_label_rows(labels)

@@ -518,15 +518,14 @@ def _stage_attach(
     embeddings: EmbeddingIndex,
     sequences: dict[str, str],
 ) -> int:
-    """Write each record's top-k similar cases; returns the record count.
+    """Write the rows ``attach_shc`` gives, each record's top-k similar cases; returns the record count.
 
     A record's query is its row of the raw ``embeddings``; ``sequences`` maps
     study_id to factual sequence.
     """
-    attached = attach_shc(records, index, cfg.k, embeddings, sequences=sequences)
-    rows = ({"study_id": rec.study_id, "cases": [vars(c) for c in cases]} for rec, cases in attached)
+    rows = attach_shc([rec.study_id for rec in records], index, cfg.k, embeddings, sequences=sequences)
     dump_jsonl(out, rows)
-    return len(attached)
+    return len(rows)
 
 
 def _stage_fuse_demo(cfg: PipelineConfig, out: Path, records: list[StudyRecord]) -> None:

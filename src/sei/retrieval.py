@@ -6,13 +6,13 @@ implementations share one contract: ``top_k_naive`` scores every row and
 fully sorts, while ``top_k`` and ``attach_shc`` filter and rescore (below).
 All order ties by row insertion order, so results are reproducible bit for
 bit.  ``top_k`` and ``top_k_naive`` return a ``RetrievalResult``, which is
-the hits and no more.
+the hits and no more; ``attach_shc`` returns the rows of ``shc.jsonl``.
 
 Embedding files are JSONL with ``{"study_id": id, "vec": [number x d]}``.
 ``load_embeddings`` parses them straight into the rows of one float64
 matrix, returned as an unnormalized ``EmbeddingIndex``.
 
-``attach_shc`` queries with each record's own row of the raw embeddings
+``attach_shc`` queries with each study's own row of the raw embeddings
 matrix that ``load_embeddings`` returns, normalized here when the index
 is, in blocks of ``_QUERY_BLOCK`` queries; ``top_k`` is a block of one.
 A filter scores each block with one float32 matrix-matrix product, as
@@ -27,13 +27,14 @@ matrix-vector product over the whole matrix on one BLAS thread, by the
 in a group of 4 rows, and a product of a single row goes to a dot kernel
 instead.  So ``_gemv`` widens and scores a matrix by slabs on its 4-row
 grid, the last group taking in the remainder of fewer than 4 rows, and
-``_gemv_rows`` scores a stack of the groups that hold the kept rows;
-``top_k_naive``, the oracle, widens the whole matrix and scores it one
-4-row group at a time.  OpenBLAS 0.3.31 gives a product of at most
-``_SLAB_BYTES`` the same bits on one thread or two, so all of them give the
-same bits on any BLAS thread count.  One product over the whole matrix
-would not: on two threads, OpenBLAS (d = 256) moved a few last bits at
-n = 9801 to 9804, 20001 and 20003.
+``_gemv_rows`` scores a stack of the groups that hold the kept rows; no
+product holds more than ``_SLAB_BYTES`` of float64, or 7 rows where a slab
+is shorter.  ``top_k_naive``, the oracle, widens the whole matrix and
+scores it one 4-row group at a time.  OpenBLAS 0.3.31 gives such products
+the same bits on one thread or two, so all of them give the same bits on
+any BLAS thread count.  One product over the whole matrix would not: on
+two threads, OpenBLAS (d = 256) moved a few last bits at n = 9801 to 9804,
+20001 and 20003.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -57,13 +58,12 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import StudyRecord, _json_list, atomic_write, read_keyed_jsonl
+from .corpus import _json_list, atomic_write, read_keyed_jsonl
 from .errors import CorpusError, ValidationError, as_finite_array, check_at_least
 
 __all__ = [
     "EmbeddingIndex",
     "RetrievalResult",
-    "SimilarCase",
     "index_from_vectors",
     "load_embeddings",
     "top_k",
@@ -148,15 +148,6 @@ class RetrievalResult:
     """Top-K hits for one query, scores non-increasing, query excluded."""
 
     hits: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class SimilarCase:
-    """One retrieved historical case: id, score, and its factual sequence."""
-
-    study_id: str
-    score: float
-    factual_sequence: str
 
 
 def index_from_vectors(
@@ -269,13 +260,14 @@ def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
 def _gemv(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     """``matrix @ q`` with ``matrix`` widened to float64, in one-BLAS-thread bits on any BLAS thread count.
 
-    It is scored by slabs of at most ``_SLAB_BYTES`` of float64 that start
-    on the 4-row grid; the last slab takes in the remainder of fewer than 4
-    rows.
+    It is scored by slabs that start on the 4-row grid, each of at most
+    ``_slab_height`` rows, or of at most 7 where that is less.  The last slab
+    also takes in the remainder of fewer than 4 rows, so the slabs step by a
+    multiple of 4 rows at least 3 rows below the height.
     """
     n, dim = matrix.shape
     last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    edges = [*range(0, last + 1, max(4, _slab_height(dim) // 4 * 4)), n]
+    edges = [*range(0, last + 1, max(4, (_slab_height(dim) - 3) // 4 * 4)), n]
     return np.concatenate([np.asarray(matrix[lo:hi], dtype=np.float64) @ q for lo, hi in zip(edges, edges[1:])])
 
 
@@ -318,8 +310,8 @@ def top_k(
     k = min(k, index.n - (skip is not None))
     if k == 0:
         return RetrievalResult(hits=())
-    scores = np.empty((1, index.n), dtype=np.float32)
-    return RetrievalResult(hits=_block_hits(index, q[None], [skip], k, scores)[0])
+    ((rows, scores),) = _block_hits(index, q[None], [skip], k, np.empty((1, index.n), dtype=np.float32))
+    return _result(index, rows, scores)
 
 
 def top_k_naive(
@@ -352,11 +344,11 @@ def top_k_naive(
 
 def _block_hits(
     index: EmbeddingIndex, queries: np.ndarray, skips: list[int | None], k: int, scores: np.ndarray
-) -> list[tuple[tuple[str, float], ...]]:
-    """Each query's k best rows but its row in ``skips`` (None skips none), as ``top_k_naive`` ranks exact scores.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each query's k best rows but its row in ``skips`` (None skips none), and their exact scores, as two arrays.
 
-    ``scores`` is a float32 buffer of one row per query and one column per
-    index row; ``queries`` are float64.
+    They rank as in ``top_k_naive``.  ``scores`` is a float32 buffer of one
+    row per query and one column per index row; ``queries`` are float64.
     """
     # The margin.  The filter sums a_j b_j in float32, a_j and b_j the float32
     # roundings of m_j and q_j; the exact score sums m_j q_j in float64.
@@ -424,62 +416,69 @@ def _block_hits(
             rows = np.arange(index.n) if skip is None else np.delete(np.arange(index.n), skip)
         exact = _gemv_rows(index.matrix, q, rows)
         order = np.lexsort((rows, -exact))[:k]  # NaN last, as in top_k_naive
-        found.append(_result(index, rows[order], exact[order]).hits)
+        found.append((rows[order], exact[order]))
     return found
 
 
-def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, rec: StudyRecord) -> np.ndarray:
-    """Check one ``attach_shc`` record in the order ``top_k`` would; return its query."""
-    row = embeddings.row_of(rec.study_id)
+def _shc_query(index: EmbeddingIndex, embeddings: EmbeddingIndex, study_id: str) -> np.ndarray:
+    """Check one ``attach_shc`` study in the order ``top_k`` would; return its query."""
+    row = embeddings.row_of(study_id)
     if row is None:
-        raise ValidationError(f"study {rec.study_id!r} has no embedding")
-    if index.row_of(rec.study_id) is None:
-        raise ValidationError(f"study {rec.study_id!r} is not indexed")
+        raise ValidationError(f"study {study_id!r} has no embedding")
+    if index.row_of(study_id) is None:
+        raise ValidationError(f"study {study_id!r} is not indexed")
     return _prepare_query(index, embeddings.matrix[row])
 
 
 def attach_shc(
-    records: Sequence[StudyRecord],
+    ids: Sequence[str],
     index: EmbeddingIndex,
     k: int,
     embeddings: EmbeddingIndex,
     sequences: Mapping[str, str],
-) -> list[tuple[StudyRecord, tuple[SimilarCase, ...]]]:
-    """Pair each record with its top-k similar *other* studies.
+) -> list[dict]:
+    """The ``shc.jsonl`` row of each study in ``ids``: its top-k similar *other* studies.
 
-    Every record must have a row in ``embeddings``, the raw vectors its
-    query comes from, and be present in the index (its own id is excluded
-    from its results).  ``sequences`` maps study_id to a rendered factual
-    sequence.
+    A row is ``{"study_id": id, "cases": [{"study_id", "score",
+    "factual_sequence"}, ...]}``, cases best first.  Every study must have a
+    row in ``embeddings``, the raw vectors its query comes from, and be
+    present in the index (its own id is excluded from its results).
+    ``sequences`` maps study_id to a rendered factual sequence.
 
-    Each block of ``_QUERY_BLOCK`` records is checked up to the first that
+    Each block of ``_QUERY_BLOCK`` studies is checked up to the first that
     fails; the rest are scored by ``_block_hits``, whose hits equal
     ``top_k``'s on any BLAS thread count, bit for bit, and their hits' sequences
-    looked up before the check error is raised, so errors come as one record
-    at a time would raise them and no later record is looked at.
+    looked up before the check error is raised, so errors come as one study
+    at a time would raise them and no later study is looked at.
     """
     check_at_least(0, k=k)
     hits = min(k, index.n - 1)
-    scores = np.empty((min(_QUERY_BLOCK, len(records)), index.n), dtype=np.float32)
+    scores = np.empty((min(_QUERY_BLOCK, len(ids)), index.n), dtype=np.float32)
+    empty = np.empty(0, dtype=np.int64)
     out = []
-    for start in range(0, len(records), _QUERY_BLOCK):
+    for start in range(0, len(ids), _QUERY_BLOCK):
         queries, error = [], None
-        for rec in records[start : start + _QUERY_BLOCK]:
+        for study_id in ids[start : start + _QUERY_BLOCK]:
             try:
-                queries.append(_shc_query(index, embeddings, rec))
-            except ValidationError as exc:  # raised after the records before it
+                queries.append(_shc_query(index, embeddings, study_id))
+            except ValidationError as exc:  # raised after the studies before it
                 error = exc
                 break
-        block = records[start : start + len(queries)]
-        found = [()] * len(block)
+        block = ids[start : start + len(queries)]
+        found = [(empty, empty)] * len(block)
         if hits > 0 and block:
-            skips = [index.row_of(rec.study_id) for rec in block]
+            skips = [index.row_of(study_id) for study_id in block]
             found = _block_hits(index, np.stack(queries), skips, hits, scores[: len(block)])
-        for rec, rec_hits in zip(block, found):
-            for sid, _ in rec_hits:
+        for study_id, (rows, row_scores) in zip(block, found):
+            names = [index.ids[row] for row in rows.tolist()]
+            for sid in names:
                 if sid not in sequences:
                     raise ValidationError(f"no factual sequence for retrieved study {sid!r}")
-            out.append((rec, tuple(SimilarCase(sid, score, sequences[sid]) for sid, score in rec_hits)))
+            cases = [
+                {"study_id": sid, "score": score, "factual_sequence": sequences[sid]}
+                for sid, score in zip(names, row_scores.tolist())
+            ]
+            out.append({"study_id": study_id, "cases": cases})
         if error is not None:
             raise error
     return out

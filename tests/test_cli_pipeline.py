@@ -147,6 +147,25 @@ class TestRunPipeline:
             assert len(row["cases"]) == 1
             assert row["cases"][0]["study_id"] != row["study_id"]
 
+    def test_shc_rows_keep_their_layout(self, tmp_path):
+        """Each shc.jsonl row is a study and its cases, each case an id, a float score
+        and a factual sequence; scores do not rise down a row, and no row holds its
+        own study."""
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], k=4)
+        assert main(["run", "--config", str(paths["config"])]) == 0
+        rows = [json.loads(line) for line in (paths["out_dir"] / "shc.jsonl").read_text().splitlines()]
+        assert rows
+        for row in rows:
+            assert set(row) == {"study_id", "cases"}
+            assert len(row["cases"]) == 4
+            for case in row["cases"]:
+                assert set(case) == {"study_id", "score", "factual_sequence"}
+                assert isinstance(case["score"], float)
+                assert case["study_id"] != row["study_id"]
+            scores = [case["score"] for case in row["cases"]]
+            assert scores == sorted(scores, reverse=True)
+
     def test_junk_filter_applied(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         # append a junk record plus its embedding

@@ -48,7 +48,7 @@ def shc_case(draw):
     normalized, or reloaded through index.bin as float32.  A permuted subset of its
     studies are the records, in query blocks of 1-3; the kept rows' 4-row groups or
     the whole matrix, as forced or as their count decides, are scored by slabs of
-    4-8 rows."""
+    4 or 8 rows (a slab height of 4-12 rows)."""
     n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
     assume(n >= 1)
     # below 8 columns OpenBLAS sums every row alike, so a misplaced group edge shows only from 8 on
@@ -73,7 +73,7 @@ def shc_case(draw):
     k = draw(st.integers(1, 2) | st.sampled_from([0, n - 1, n, n + 5]))  # a margin too small shows at a small k
     patches = {
         "_QUERY_BLOCK": draw(st.integers(1, 3)),
-        "_SLAB_BYTES": draw(st.integers(4, 8)) * 8 * d,
+        "_SLAB_BYTES": draw(st.integers(4, 12)) * 8 * d,
         "_GROUP_COST": draw(st.sampled_from([0, retrieval._GROUP_COST, n + 1])),
     }
     reload = scale in FLOAT32_SCALES and draw(st.booleans())
@@ -121,18 +121,17 @@ def test_top_k_matches_naive_bit_for_bit(case, data):
 def test_attach_shc_matches_naive_across_slabs_and_blocks(case):
     rows, normalize, picked, queries, k, reload, patches = case
     index = shc_index(rows, normalize, reload)
-    ids = index.ids
-    report = ReportDocument("lungs clear.")
-    records = [StudyRecord(study_id=ids[i], report=report, entities=()) for i in picked]
-    embeddings = index_from_vectors([ids[i] for i in picked], queries, normalize=False)
-    sequences = {sid: f"seq-{sid}" for sid in ids}
+    ids = [index.ids[i] for i in picked]
+    embeddings = index_from_vectors(ids, queries, normalize=False)
+    sequences = {sid: f"seq-{sid}" for sid in index.ids}
     with mock.patch.multiple(retrieval, **patches), np.errstate(over="ignore", invalid="ignore"):
-        attached = attach_shc(records, index, k, embeddings, sequences=sequences)
-        wants = [top_k_naive(index, np.asarray(q), k, exclude_id=rec.study_id) for rec, q in zip(records, queries)]
-    assert [rec for rec, _ in attached] == records
-    for (rec, cases), want in zip(attached, wants):
-        assert hits_hex((c.study_id, c.score) for c in cases) == hits_hex(want.hits)
-        assert [c.factual_sequence for c in cases] == [sequences[c.study_id] for c in cases]
+        attached = attach_shc(ids, index, k, embeddings, sequences=sequences)
+        wants = [top_k_naive(index, np.asarray(q), k, exclude_id=sid) for sid, q in zip(ids, queries)]
+    assert [row["study_id"] for row in attached] == ids
+    for row, want in zip(attached, wants):
+        cases = row["cases"]
+        assert hits_hex((c["study_id"], c["score"]) for c in cases) == hits_hex(want.hits)
+        assert [c["factual_sequence"] for c in cases] == [sequences[c["study_id"]] for c in cases]
 
 
 def test_shape_table_lists_layer_fields_in_order():

@@ -159,17 +159,17 @@ class TestAttachShc:
     def test_mutual_pair(self):
         records = [plain_record("a", "lungs clear."), plain_record("b", "heart normal.")]
         embeddings = index_from_vectors(["a", "b"], [[1.0, 0.0], [0.9, 0.1]], normalize=False)
-        attached = attach_shc(records, index_of(embeddings), 1, embeddings, sequences_of(records))
-        by_id = {rec.study_id: cases for rec, cases in attached}
-        assert by_id["a"][0].study_id == "b"
-        assert by_id["b"][0].study_id == "a"
-        assert by_id["a"][0].factual_sequence == ""
+        attached = attach_shc(embeddings.ids, index_of(embeddings), 1, embeddings, sequences_of(records))
+        by_id = {row["study_id"]: row["cases"] for row in attached}
+        assert by_id["a"][0]["study_id"] == "b"
+        assert by_id["b"][0]["study_id"] == "a"
+        assert by_id["a"][0]["factual_sequence"] == ""
 
     def test_k_zero_gives_empty_case_lists(self, rng):
         embeddings = random_embeddings(rng, 5, 4)
         records = records_of(embeddings)
-        attached = attach_shc(records, index_of(embeddings), 0, embeddings, sequences_of(records))
-        assert all(cases == () for _, cases in attached)
+        attached = attach_shc(embeddings.ids, index_of(embeddings), 0, embeddings, sequences_of(records))
+        assert all(row["cases"] == [] for row in attached)
 
     def test_never_retrieves_self(self, rng):
         for _ in range(20):
@@ -177,30 +177,30 @@ class TestAttachShc:
             embeddings = random_embeddings(rng, n, 6)
             k = int(rng.integers(1, n + 2))
             records = records_of(embeddings)
-            for rec, cases in attach_shc(records, index_of(embeddings), k, embeddings, sequences_of(records)):
-                assert rec.study_id not in [c.study_id for c in cases]
+            for row in attach_shc(embeddings.ids, index_of(embeddings), k, embeddings, sequences_of(records)):
+                assert row["study_id"] not in [c["study_id"] for c in row["cases"]]
 
     def test_missing_embedding_names_study(self, rng):
         embeddings = random_embeddings(rng, 3, 4)
         index = index_of(embeddings)
         records = records_of(embeddings) + [plain_record("missing", "ok.")]
         with pytest.raises(ValidationError, match="study 'missing' has no embedding"):
-            attach_shc(records, index, 1, embeddings, sequences_of(records))
+            attach_shc([rec.study_id for rec in records], index, 1, embeddings, sequences_of(records))
 
     def test_unindexed_record_rejected(self, rng):
         embeddings = random_embeddings(rng, 3, 4)
         index = index_from_vectors(embeddings.ids[:2], embeddings.matrix[:2])
         records = records_of(embeddings)
         with pytest.raises(ValidationError, match="not indexed"):
-            attach_shc(records, index, 1, embeddings, sequences_of(records))
+            attach_shc(embeddings.ids, index, 1, embeddings, sequences_of(records))
 
     def test_sequences_mapping_used(self, rng):
         embeddings = random_embeddings(rng, 3, 4)
         records = records_of(embeddings)
         sequences = {rec.study_id: f"seq-{rec.study_id}" for rec in records}
-        attached = attach_shc(records, index_of(embeddings), 1, embeddings, sequences=sequences)
-        for rec, cases in attached:
-            assert cases[0].factual_sequence == f"seq-{cases[0].study_id}"
+        attached = attach_shc(embeddings.ids, index_of(embeddings), 1, embeddings, sequences=sequences)
+        for row in attached:
+            assert row["cases"][0]["factual_sequence"] == f"seq-{row['cases'][0]['study_id']}"
 
 
 # Scores 32 records against an argv[1] x 256 index with k = n - 1, through attach_shc
@@ -211,7 +211,6 @@ class TestAttachShc:
 BLAS_PROBE = """
 import hashlib, sys
 import numpy as np
-from sei.corpus import ReportDocument, StudyRecord
 from sei.retrieval import attach_shc, index_from_vectors, top_k, top_k_naive
 
 n, d = int(sys.argv[1]), 256
@@ -220,19 +219,19 @@ vectors = rng.standard_normal((n, d))
 ids = [f"s{i:05d}" for i in range(n)]
 index = index_from_vectors(ids, vectors)
 embeddings = index_from_vectors(ids, vectors, normalize=False)
-report = ReportDocument("lungs clear.")
-records = [StudyRecord(study_id=ids[r], report=report, entities=()) for r in rng.choice(n, size=32, replace=False)]
+picked = [ids[r] for r in rng.choice(n, size=32, replace=False)]
 digest = hashlib.sha256()
-for rec, cases in attach_shc(records, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
-    query = vectors[ids.index(rec.study_id)]
-    got = [(c.study_id, c.score.hex()) for c in cases]
-    alone = [(sid, s.hex()) for sid, s in top_k(index, query, n - 1, exclude_id=rec.study_id).hits]
+for row in attach_shc(picked, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
+    sid = row["study_id"]
+    query = vectors[ids.index(sid)]
+    got = [(c["study_id"], c["score"].hex()) for c in row["cases"]]
+    alone = [(hit, s.hex()) for hit, s in top_k(index, query, n - 1, exclude_id=sid).hits]
     digest.update(repr((got, alone)).encode())
     if sys.argv[2:] == ["oracle"]:
-        want = top_k_naive(index, query, n - 1, exclude_id=rec.study_id)
-        assert got == alone == [(sid, s.hex()) for sid, s in want.hits], rec.study_id
+        want = top_k_naive(index, query, n - 1, exclude_id=sid)
+        assert got == alone == [(hit, s.hex()) for hit, s in want.hits], sid
         whole = index.matrix @ (query / np.linalg.norm(query))
-        assert [s for _, s in got] == [whole[index.row_of(sid)].hex() for sid, _ in got], rec.study_id
+        assert [s for _, s in got] == [whole[index.row_of(hit)].hex() for hit, _ in got], sid
 print(digest.hexdigest())
 """
 
@@ -265,7 +264,8 @@ class TestBlasThreads:
 @pytest.mark.parametrize("d", [8, 17, 64])
 def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch, d):
     """Both of _gemv_rows' paths, the stacked 4-row groups that hold its rows or the
-    whole matrix, each scored by slabs of 4-12 rows, give each row the bits of the
+    whole matrix, each scored by slabs of 4, 8 or 12 rows (a slab height of 7, 11 or
+    15 rows, which the last slab can fill), give each row the bits of the
     whole-matrix float64 product, for every n up to 39, from a float64 matrix or
     from a float32 one, which they widen (below 8 columns OpenBLAS sums every row
     alike, so d starts at 8)."""
@@ -275,11 +275,51 @@ def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch
         for stored in (matrix, matrix.astype("<f4")):
             want = stored.astype(np.float64) @ q
             for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3)):
-                for group_cost, slab_rows in [(c, r) for c in (0, n + 1) for r in (4, 8, 12)]:
+                for group_cost, height in [(c, h) for c in (0, n + 1) for h in (7, 11, 15)]:
                     monkeypatch.setattr(retrieval, "_GROUP_COST", group_cost)
-                    monkeypatch.setattr(retrieval, "_SLAB_BYTES", slab_rows * 8 * d)
+                    monkeypatch.setattr(retrieval, "_SLAB_BYTES", height * 8 * d)
                     got = retrieval._gemv_rows(stored, q, rows)
-                    assert got.tobytes() == want[rows].tobytes(), (n, stored.dtype, group_cost, slab_rows)
+                    assert got.tobytes() == want[rows].tobytes(), (n, stored.dtype, group_cost, height)
+
+
+class ProductRows:
+    """A query vector that records the row count of each product a matrix makes with it."""
+
+    __array_ufunc__ = None  # so ``matrix @ query`` calls __rmatmul__
+
+    def __init__(self, q):
+        self.q, self.rows = q, []
+
+    def __rmatmul__(self, matrix):
+        self.rows.append(len(matrix))
+        return matrix @ self.q
+
+
+def gemv_product_rows(matrix):
+    """The row count of each product ``_gemv`` makes over ``matrix``, in order."""
+    query = ProductRows(np.ones(matrix.shape[1]))
+    assert len(retrieval._gemv(matrix, query)) == len(matrix)
+    return query.rows
+
+
+@pytest.mark.parametrize("d, ns", [(256, [512, 513, 514, 515, 516, 1027, 1031]), (768, [170, 171, 173, 341, 343])])
+def test_every_gemv_product_fits_a_slab(d, ns):
+    """Each product _gemv makes holds at most _SLAB_BYTES of float64, though its
+    last product takes in the remainder of fewer than 4 rows."""
+    for n in ns:
+        rows = gemv_product_rows(np.zeros((n, d)))
+        assert sum(rows) == n and max(rows) <= retrieval._slab_height(d), (n, rows)
+
+
+def test_every_gemv_product_fits_a_slab_of_any_height(monkeypatch):
+    """At every slab height, each product holds at most that many rows, or 7 where
+    the height is less."""
+    d = 8
+    for height in range(1, 20):
+        monkeypatch.setattr(retrieval, "_SLAB_BYTES", height * 8 * d)
+        for n in range(1, 60):
+            rows = gemv_product_rows(np.zeros((n, d)))
+            assert sum(rows) == n and max(rows) <= max(height, 7), (height, n, rows)
 
 
 @pytest.mark.parametrize("d", [8, 17, 64])

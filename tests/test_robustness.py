@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from sei import pipeline, retrieval
 from sei.cli import main
-from sei.corpus import ReportDocument, StudyRecord, atomic_write, load_corpus, save_corpus
+from sei.corpus import atomic_write, load_corpus, save_corpus
 from sei.errors import CorpusError, ValidationError
 from sei.pipeline import STAGE_ORDER, STAGES, load_config, run_pipeline
 from sei.retrieval import attach_shc, index_from_vectors
@@ -559,22 +559,17 @@ def test_run_with_a_missing_input_makes_no_out_dir(tmp_path, missing):
 
 
 def test_attach_shc_missing_sequence_names_id(rng):
-    records = [make_record(rng, study_id=f"s{i}") for i in range(3)]
     embeddings = index_from_vectors(["s0", "s1", "s2"], rng.standard_normal((3, 3)), normalize=False)
     index = index_from_vectors(embeddings.ids, embeddings.matrix)
     with pytest.raises(ValidationError, match="'s2'"):
-        attach_shc(records, index, 2, embeddings, sequences={"s0": "x", "s1": "y"})
-
-
-def shc_record(study_id):
-    return StudyRecord(study_id=study_id, report=ReportDocument("lungs clear."), entities=())
+        attach_shc(embeddings.ids, index, 2, embeddings, sequences={"s0": "x", "s1": "y"})
 
 
 def shc_inputs(indexed: dict, queries: dict, order) -> tuple:
-    """The normalized index over ``indexed``, the raw embeddings ``queries`` and the records in ``order``."""
+    """The normalized index over ``indexed``, the raw embeddings ``queries`` and the study ids in ``order``."""
     index = index_from_vectors(list(indexed), list(indexed.values()))
     embeddings = index_from_vectors(list(queries), list(queries.values()), normalize=False)
-    return index, embeddings, [shc_record(sid) for sid in order]
+    return index, embeddings, list(order)
 
 
 class TestAttachShcErrorOrder:
@@ -606,25 +601,25 @@ class TestAttachShcErrorOrder:
     def test_first_fault_in_record_order(self, monkeypatch, block, order, message):
         if block is not None:
             monkeypatch.setattr(retrieval, "_QUERY_BLOCK", block)
-        index, embeddings, records = shc_inputs(self.INDEXED, self.QUERIES, order)
+        index, embeddings, ids = shc_inputs(self.INDEXED, self.QUERIES, order)
         before = threading.active_count()
         with pytest.raises(ValidationError) as excinfo:
-            attach_shc(records, index, 1, embeddings, sequences={"a": "x", "c": "z"})
+            attach_shc(ids, index, 1, embeddings, sequences={"a": "x", "c": "z"})
         assert str(excinfo.value) == message
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("order", [(), ("z",)], ids=["no-records", "unindexed-record"])
     def test_negative_k_is_checked_before_any_record(self, order):
-        index, embeddings, records = shc_inputs(self.INDEXED, self.QUERIES, order)
+        index, embeddings, ids = shc_inputs(self.INDEXED, self.QUERIES, order)
         with pytest.raises(ValidationError, match=r"^k must be >= 0, got -1$"):
-            attach_shc(records, index, -1, embeddings, {})
+            attach_shc(ids, index, -1, embeddings, {})
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_scoring_error_comes_out_unchanged(self, monkeypatch, failing):
         """A scoring error in one record's block comes out of attach_shc as is, after
         the records before it are finished and before any later record is looked at."""
         vectors = {f"s{i}": (float(i + 1), float(12 - i)) for i in range(12)}
-        index, embeddings, records = shc_inputs(vectors, vectors, ["s0", "s1", "s2"])
+        index, embeddings, ids = shc_inputs(vectors, vectors, ["s0", "s1", "s2"])
         boom = MemoryError("no room for scores")
         scoring = retrieval._block_hits
 
@@ -645,7 +640,7 @@ class TestAttachShcErrorOrder:
         monkeypatch.setattr(retrieval, "_block_hits", kernel)
         before = threading.active_count()
         with pytest.raises(MemoryError) as excinfo:
-            attach_shc(records, index, 1, embeddings, sequences=Sequences.fromkeys(vectors, ""))
+            attach_shc(ids, index, 1, embeddings, sequences=Sequences.fromkeys(vectors, ""))
         assert excinfo.value is boom
         assert threading.active_count() == before
         assert len(looked_up) == failing  # the one hit of each record before the failing one
@@ -654,7 +649,7 @@ class TestAttachShcErrorOrder:
         """A check error in the first block stops attach_shc before any block is
         scored, and no thread outlives the call."""
         vectors = {f"s{i}": (float(i + 1), float(200 - i)) for i in range(200)}
-        index, embeddings, records = shc_inputs(vectors, {"z": (1.0, 1.0), **vectors}, ["z", *list(vectors)[1:]])
+        index, embeddings, ids = shc_inputs(vectors, {"z": (1.0, 1.0), **vectors}, ["z", *list(vectors)[1:]])
         scoring = retrieval._block_hits
         calls = []
 
@@ -666,7 +661,7 @@ class TestAttachShcErrorOrder:
         monkeypatch.setattr(retrieval, "_block_hits", kernel)
         before = threading.active_count()
         with pytest.raises(ValidationError, match="study 'z' is not indexed"):
-            attach_shc(records, index, 1, embeddings, sequences=dict.fromkeys(vectors, ""))
+            attach_shc(ids, index, 1, embeddings, sequences=dict.fromkeys(vectors, ""))
         assert calls == []
         assert threading.active_count() == before
 
