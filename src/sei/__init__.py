@@ -9,7 +9,8 @@ module that defines it:
 * ``sei.indications``: indication normalization;
 * ``sei.retrieval``: the embeddings reader, the embedding index and its
   file format, exact top-k retrieval and similar-case attachment;
-* ``sei.fusion``: the cross-modal fusion network and its backward pass;
+* ``sei.fusion``: the cross-modal fusion network, its backward pass and its
+  helper thread;
 * ``sei.losses``: the alignment and NLL objectives with their gradients;
 * ``sei.metrics``: BLEU, ROUGE-L, label micro-F1 and entity F1;
 * ``sei.pipeline``: the run configuration, the stage table and manifests;

@@ -36,7 +36,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
-from .errors import CorpusError, ValidationError, check_at_least, check_labels14
+from .errors import CorpusError, ValidationError, check_at_least, check_labels14, check_non_blank
 
 __all__ = [
     "EntityLabel",
@@ -103,7 +103,7 @@ class EntityAnnotation:
             raise ValidationError(
                 f"entity {self.tokens!r}: end_ix {self.end_ix} precedes start_ix {self.start_ix}"
             )
-        n_text = len(self.tokens.split())
+        n_text = len(tokenize(self.tokens))
         if self.span_len != n_text:
             raise ValidationError(
                 f"entity {self.tokens!r}: span covers {self.span_len} tokens "
@@ -167,8 +167,7 @@ class CorpusFilterConfig:
 
     def __post_init__(self):
         check_at_least(0, min_tokens=self.min_tokens)
-        if any(not p for p in self.junk_patterns):
-            raise ValidationError("junk_patterns must be non-empty strings")
+        check_non_blank(junk_patterns=self.junk_patterns)
 
 
 # The Python types ``json.loads`` gives for each kind of field value, keyed by the

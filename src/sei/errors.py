@@ -1,5 +1,5 @@
 """Exception types shared across the toolkit, and the checks that raise them:
-``check_at_least``, ``as_finite_array`` and ``check_labels14``."""
+``check_at_least``, ``check_non_blank``, ``as_finite_array`` and ``check_labels14``."""
 
 from __future__ import annotations
 
@@ -23,6 +23,13 @@ def check_at_least(low: int, **values: int) -> None:
     for name, value in values.items():
         if value < low:
             raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def check_non_blank(**string_sets) -> None:
+    """Raise ValidationError naming the first of ``string_sets`` with an empty or whitespace-only entry."""
+    for name, strings in string_sets.items():
+        if not all(s.strip() for s in strings):
+            raise ValidationError(f"{name} must be non-empty strings")
 
 
 def as_finite_array(value, name: str, ndim: int) -> np.ndarray:

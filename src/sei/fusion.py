@@ -24,28 +24,29 @@ the output is invariant to memory row order.  ``fuse_backward`` returns
 analytic gradients of sum(fused * upstream) for every parameter and input.
 
 Threads: ``fuse``, ``fuse_backward``, ``fusion_objective`` and
-``decoder_layer`` each open one ``threads.Helper``, a one-worker thread pool,
-and shut it down before they return, so no thread outlives a call (and
-``sei run`` may still fork).  In each layer's forward pass the helper runs
-the cross-attention K/V projections and the tanh term of the top half of
-the GELU rows; in the backward pass it runs each sublayer's weight-gradient
-matmuls as one task (the FFN pair, the four cross-attention ones, the four
-self-attention ones), off the chain of input gradients.  No bit can move:
-the helper makes the same numpy calls on the same operands as the calling
-thread would, and GELU is element-wise, so a row split changes nothing.
-Three rules keep it a gain:
+``decoder_layer`` each open one ``Helper``, a one-worker thread pool that
+cancels its unstarted tasks and joins its thread as the call returns, so no
+thread outlives a call (and ``sei run`` may still fork).  In each layer's
+forward pass the helper runs the cross-attention K/V projections and the
+tanh term of the top half of the GELU rows; in the backward pass it runs
+each sublayer's weight-gradient matmuls as one task (the FFN pair, the four
+cross-attention ones, the four self-attention ones), off the chain of input
+gradients.  No bit can move: the helper makes the same numpy calls on the
+same operands as the calling thread would, and GELU is element-wise, so a
+row split changes nothing.  Three rules keep it a gain:
 
 1. The caller allocates every array the helper writes (``out=``): arrays the
    helper allocated would come from a second malloc arena and raise the
    peak RSS.
 2. ``Helper.result`` takes back a task the helper has not started and runs
-   it on the caller, so a late or descheduled helper never stalls a call.
+   it on the caller, the work-first rule of work stealing (Blumofe and
+   Leiserson, JACM 1999), so a late or descheduled helper never stalls a call.
 3. Small networks run inline, through the same code: below
    ``_HELPER_MIN_WORK`` of d * d * rows (rows: all input rows of a call), or
-   on a process that may run on one CPU, the helper has no thread.  The
-   crossover, ``fuse`` then ``fuse_backward`` of one ``full``-branch study
-   with 49 + 100 + 20 rows unless given (best of 3 x 15, 2-CPU Xeon, BLAS on
-   one thread):
+   when ``usable_cpus`` is 1, the helper has no thread and takes back every
+   task, as it does once its thread cannot start.  The crossover, ``fuse``
+   then ``fuse_backward`` of one ``full``-branch study with 49 + 100 + 20
+   rows unless given (best of 3 x 15, 2-CPU Xeon, BLAS on one thread):
 
    ====  =====  ============  =========  =========
    d     rows   d * d * rows  inline ms  helper ms
@@ -64,12 +65,12 @@ Three rules keep it a gain:
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import threads
 from .errors import ValidationError, as_finite_array, check_at_least
 
 __all__ = [
@@ -109,6 +110,62 @@ _GELU_B = 0.044715
 # Below this d * d * rows (rows: all input rows of a call) a call runs its
 # helper tasks on the calling thread; see "Threads" in the module docstring.
 _HELPER_MIN_WORK = 1 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class Helper:
+    """One worker thread that runs submitted tasks in order, for the length of a ``with`` block."""
+
+    def __init__(self, threaded: bool):
+        self._pool = None
+        if threaded:
+            from concurrent.futures import ThreadPoolExecutor  # here, so importing fusion does not pay for it
+
+            self._pool = ThreadPoolExecutor(1, thread_name_prefix="sei-helper")
+        self.taken_back = 0  # tasks run by the caller because the helper had not started them
+
+    @property
+    def threaded(self) -> bool:
+        """Whether tasks may run on the helper's thread."""
+        return self._pool is not None
+
+    def __enter__(self) -> "Helper":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, fn: Callable, *args) -> list:
+        """Queue ``fn(*args)``; the task is ``[future, fn, args]``, its future None if no thread will run it."""
+        task = [None, fn, args]
+        if self._pool is not None:
+            try:
+                task[0] = self._pool.submit(_run, task)
+            except RuntimeError:  # no thread to be had: this task and every later one is taken back
+                self._pool = None
+        return task
+
+    def result(self, task: list):
+        """What ``task`` returned, or raise what it raised: run here if the helper has not started it."""
+        if task[0] is None or task[0].cancel():
+            self.taken_back += 1
+            return _run(task)
+        return task[0].result()
+
+
+def _run(task: list):
+    """Call the task's ``fn(*args)``, dropping both first, so its operands are freed once it returns."""
+    fn, args = task[1], task[2]
+    task[1] = task[2] = None
+    return fn(*args)
 
 
 def _weight(*units: int):
@@ -280,7 +337,7 @@ def _gelu_tanh(x: np.ndarray, t: np.ndarray) -> None:
     np.tanh(t, out=t)
 
 
-def _gelu(x: np.ndarray, helper: threads.Helper) -> tuple[np.ndarray, np.ndarray]:
+def _gelu(x: np.ndarray, helper: Helper) -> tuple[np.ndarray, np.ndarray]:
     """GELU (tanh form) and its tanh term, which the backward pass reuses.
 
     The helper writes the tanh term of the top half of the rows, this thread
@@ -370,7 +427,7 @@ def _matmuls(products) -> None:
         np.matmul(a, b, out=out)
 
 
-def _submit_products(helper: threads.Helper, pairs) -> tuple[list, list[np.ndarray]]:
+def _submit_products(helper: Helper, pairs) -> tuple[list, list[np.ndarray]]:
     """Submit ``a @ b`` for each ``(a, b)`` as one helper task into arrays allocated here."""
     outs = [np.empty((a.shape[0], b.shape[1])) for a, b in pairs]
     return helper.submit(_matmuls, [(a, b, out) for (a, b), out in zip(pairs, outs)]), outs
@@ -390,7 +447,7 @@ def _attention_forward(x_q, memory, k, v, wq, wk, wv, wo, n_heads):
     return out, _AttnTape(x_q, memory, wq, wk, wv, wo, qh, kh, vh, probs, merged_ctx, scale, n_heads)
 
 
-def _attention_backward(dout: np.ndarray, tape: _AttnTape, helper: threads.Helper):
+def _attention_backward(dout: np.ndarray, tape: _AttnTape, helper: Helper):
     """Input gradients, plus one helper task and the arrays it fills: the grads of wq, wk, wv, wo."""
     dctx = _split_heads(dout @ tape.wo.T, tape.n_heads)
     dprobs = np.matmul(dctx, tape.vh.transpose(0, 2, 1))
@@ -423,7 +480,7 @@ class _DecoderTape(NamedTuple):
     ff_act: np.ndarray
 
 
-def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int, helper: threads.Helper):
+def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int, helper: Helper):
     kv_task, kv = _submit_products(helper, ((memory, layer.cross_k), (memory, layer.cross_v)))
     n1, t_ln1 = _layer_norm_forward(queries, layer.ln1_gain, layer.ln1_bias)
     sa, t_sa = _attention_forward(
@@ -444,7 +501,7 @@ def _decoder_forward(queries, memory, layer: LayerParams, n_heads: int, helper: 
     return out, _DecoderTape(t_ln1, t_sa, t_ln2, t_ca, t_ln3, n3, ff_pre, ff_tanh, ff_act)
 
 
-def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams, helper: threads.Helper):
+def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams, helper: Helper):
     """Input gradients, the layer's weight gradients, and the helper tasks that fill them.
 
     Each sublayer's weight-gradient matmuls are one helper task, off the
@@ -474,10 +531,10 @@ def _decoder_backward(dout: np.ndarray, tape: _DecoderTape, layer: LayerParams, 
 # ---------------------------------------------------------------------------
 
 
-def _helper(d: int, *inputs: np.ndarray | None) -> threads.Helper:
+def _helper(d: int, *inputs: np.ndarray | None) -> Helper:
     """A helper with a thread when a second CPU is there and d * d * (rows of ``inputs``) pays for one."""
     rows = sum(x.shape[0] for x in inputs if x is not None)
-    return threads.Helper(threaded=d * d * rows >= _HELPER_MIN_WORK and threads.usable_cpus() > 1)
+    return Helper(threaded=d * d * rows >= _HELPER_MIN_WORK and usable_cpus() > 1)
 
 
 def decoder_layer(
@@ -506,7 +563,7 @@ def decoder_layer(
     return out
 
 
-def _fuse_forward(features: FeatureSet, params: FusionParams, helper: threads.Helper):
+def _fuse_forward(features: FeatureSet, params: FusionParams, helper: Helper):
     params.validate()
     image = features.image
     if image.shape[1] != params.d:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, check_non_blank
 
 __all__ = ["NormalizerConfig", "DEFAULT_NORMALIZER", "normalize_indication"]
 
@@ -24,8 +24,7 @@ class NormalizerConfig:
     female_terms: frozenset[str] = frozenset({"female", "woman", "f", "lady"})
 
     def __post_init__(self):
-        if any(not phrase for phrase in self.invalid_words):
-            raise ValidationError("invalid_words must be non-empty strings")
+        check_non_blank(**vars(self))  # every field is a set of strings
         male = {t.lower() for t in self.male_terms}
         female = {t.lower() for t in self.female_terms}
         shared = male & female

@@ -281,6 +281,8 @@ def _convert(tp, value, key: str, metadata):
         item = metadata.get("parse_item") or (lambda v: _convert(get_args(tp)[0], v, key, {}))
         return get_origin(tp)(item(v) for v in value)
     value = _json_value(value, str if tp is Path else tp, f"config key {key!r}")
+    if tp is Path and "\0" in value:  # no file system takes one; open and mkdir would raise ValueError
+        raise ValidationError(f"config key {key!r} must not contain a NUL character")
     # not NaN, ±Infinity or an integer past float range
     if tp is float and not abs(value) <= sys.float_info.max:
         raise ValidationError(f"config key {key!r} must be a finite number, got {value!r}")
@@ -376,7 +378,7 @@ def read_label_csv(path: Path) -> dict[str, tuple[int, ...]]:
     out: dict[str, tuple[int, ...]] = {}
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     header = next(reader, None)
-    if header is None or header[0] != "study_id" or len(header) != 15:
+    if not header or header[0] != "study_id" or len(header) != 15:
         raise CorpusError(f"{path}: expected header study_id,l1..l14")
     for lineno, row in enumerate(reader, 2):
         try:

@@ -103,6 +103,15 @@ class TestLoading:
         with pytest.raises(ValidationError, match="span covers"):
             EntityAnnotation(tokens="two words", label=EntityLabel.OBS_DP, start_ix=0, end_ix=3)
 
+    def test_entity_text_is_counted_by_the_report_tokenizer(self):
+        """"/" is a token of its own in the entity text as in the report."""
+        report = ReportDocument("Small effusion/atelectasis.")
+        assert report.tokens[1:4] == ("effusion", "/", "atelectasis")
+        entity = EntityAnnotation("effusion/atelectasis", EntityLabel.OBS_DP, start_ix=1, end_ix=3)
+        assert StudyRecord(study_id="s0", report=report, entities=(entity,)).entities == (entity,)
+        with pytest.raises(ValidationError, match="span covers 1 tokens but the text has 3"):
+            EntityAnnotation("effusion/atelectasis", EntityLabel.OBS_DP, start_ix=1, end_ix=1)
+
     def test_labels14_validation(self):
         report = ReportDocument("lungs clear.")
         with pytest.raises(ValidationError, match="14"):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sei import fusion, threads
+from sei import fusion
 from sei.errors import ValidationError
 from sei.fusion import FeatureSet, decoder_layer, fuse, fuse_backward, fusion_objective, init_params
 from sei.pipeline import load_config, run_pipeline
@@ -23,7 +23,7 @@ BRANCH_INPUTS = {
 }
 
 
-class BusyHelper(threads.Helper):
+class BusyHelper(fusion.Helper):
     """A threaded helper held on a blocker task for its whole life, so the caller takes every task back."""
 
     made: list["BusyHelper"] = []
@@ -59,12 +59,12 @@ class BusyHelper(threads.Helper):
 def force(monkeypatch, mode: str) -> None:
     """Run fusion calls inline, on a helper thread, or on a helper thread held busy."""
     if mode == "inline":
-        monkeypatch.setattr(threads, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(fusion, "usable_cpus", lambda: 1)
         return
-    monkeypatch.setattr(threads, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(fusion, "usable_cpus", lambda: 2)
     monkeypatch.setattr(fusion, "_HELPER_MIN_WORK", 0)
     if mode == "busy":
-        monkeypatch.setattr(threads, "Helper", BusyHelper)
+        monkeypatch.setattr(fusion, "Helper", BusyHelper)
 
 
 def fusion_bytes(features, params, upstream) -> list[bytes]:
@@ -149,7 +149,7 @@ def test_helper_error_reaches_the_caller_unchanged():
         started.set()
         raise boom
 
-    with threads.Helper(threaded=True) as helper:
+    with fusion.Helper(threaded=True) as helper:
         task = helper.submit(fail)
         assert started.wait(timeout=60)  # the helper, not the caller, runs it
     # Leaving the block joins the helper, so the task has finished before its result is asked for.
@@ -234,5 +234,5 @@ def test_a_thread_that_cannot_start_leaves_the_call_inline(monkeypatch):
 )
 def test_crossover(monkeypatch, d, rows, cpus, threaded):
     """Small networks, and any network on a process that may use one CPU, run inline."""
-    monkeypatch.setattr(threads, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fusion, "usable_cpus", lambda: cpus)
     assert fusion._helper(d, np.empty((rows, d))).threaded is threaded

@@ -20,7 +20,7 @@ SRC = Path(sei.__file__).parent
     [
         ("import sei", {"sei"}),
         ("import sei.retrieval", {"sei", "sei.errors", "sei.corpus", "sei.retrieval"}),
-        ("import sei.fusion, sei.losses", {"sei", "sei.errors", "sei.fusion", "sei.losses", "sei.threads"}),
+        ("import sei.fusion, sei.losses", {"sei", "sei.errors", "sei.fusion", "sei.losses"}),
     ],
 )
 def test_fresh_import_loads_only_what_it_uses(statement, loaded):
@@ -35,6 +35,12 @@ def test_thread_and_process_pools_load_only_when_used():
         "print(json.dumps(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)))"
     )
     assert fresh_json(probe) == []
+
+
+def test_package_docstring_names_every_module():
+    """``sei/__init__.py``'s docstring is the package's module map."""
+    modules = [path.stem for path in sorted(SRC.glob("*.py")) if path.stem not in ("__init__", "__main__")]
+    assert [name for name in modules if f"``sei.{name}``" not in sei.__doc__] == []
 
 
 def fresh_json(probe: str):

@@ -13,7 +13,7 @@ import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from sei import pipeline, retrieval
 from sei.cli import main
-from sei.corpus import atomic_write, load_corpus, save_corpus
+from sei.corpus import CorpusFilterConfig, atomic_write, load_corpus, save_corpus
 from sei.errors import CorpusError, ValidationError
-from sei.pipeline import STAGE_ORDER, STAGES, load_config, run_pipeline
+from sei.indications import NormalizerConfig
+from sei.pipeline import STAGE_ORDER, STAGES, PathsConfig, load_config, run_pipeline
 from sei.retrieval import attach_shc, index_from_vectors
 
 from conftest import make_record, patch_config, write_pipeline_fixture, write_study_fixture
@@ -283,6 +284,10 @@ def _drop_line(path: Path, i: int) -> None:
     path.write_text("".join(lines[:i] + lines[i + 1 :]))
 
 
+def _blank_first_line(path: Path) -> None:
+    path.write_text("\n" + path.read_text())
+
+
 # (argv, what to break in a fresh write_pipeline_fixture, what stderr must hold); argv and needles are
 # formatted with the fixture's paths.  No other test reaches these error branches.  A corpus row's second
 # entity starts in its second sentence, past word 0.
@@ -319,6 +324,15 @@ MALFORMED_INPUTS = {
     "empty-junk-pattern": (
         RUN, lambda p: patch_config(p["config"], filter={"junk_patterns": [""]}),
         ("config section 'filter': junk_patterns must be non-empty strings",),
+    ),
+    "run-label-csv-blank-first-line": (
+        RUN, lambda p: _blank_first_line(p["generated_labels"]),
+        ("stage score: {generated_labels}: expected header study_id,l1..l14",),
+    ),
+    "score-label-csv-blank-first-line": (
+        ("score", "--config", "{config}"),
+        lambda p: (run_stages(p["config"], "filter"), _blank_first_line(p["generated_labels"])),
+        ("{generated_labels}: expected header study_id,l1..l14",),
     ),
 }
 
@@ -664,6 +678,64 @@ class TestAttachShcErrorOrder:
             attach_shc(ids, index, 1, embeddings, sequences=dict.fromkeys(vectors, ""))
         assert calls == []
         assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(PathsConfig)])
+def test_a_nul_in_a_config_path_exits_2_before_any_stage(tmp_path, capsys, key):
+    paths = write_pipeline_fixture(tmp_path)
+    patch_config(paths["config"], paths={key: "o\u0000ut"})
+    assert main(["run", "--config", str(paths["config"])]) == 2
+    assert capsys.readouterr().err == f"error: config key 'paths.{key}' must not contain a NUL character\n"
+    assert not paths["out_dir"].exists()
+
+
+# Each set of strings a config section holds, with its section and dataclass.
+STRING_SETS = {
+    "junk_patterns": ("filter", CorpusFilterConfig),
+    "illegal_chars": ("normalizer", NormalizerConfig),
+    "invalid_words": ("normalizer", NormalizerConfig),
+    "male_terms": ("normalizer", NormalizerConfig),
+    "female_terms": ("normalizer", NormalizerConfig),
+}
+
+
+class TestBlankStringSetEntry:
+    """An empty or whitespace-only entry in any config string set is rejected by one rule."""
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"], ids=["empty", "space", "tab-newline"])
+    @pytest.mark.parametrize("key", STRING_SETS)
+    def test_dataclass(self, key, blank):
+        _, cls = STRING_SETS[key]
+        kind = type(getattr(cls(), key))  # a tuple or a frozenset
+        with pytest.raises(ValidationError) as excinfo:
+            cls(**{key: kind((blank, "zz"))})
+        assert str(excinfo.value) == f"{key} must be non-empty strings"
+
+    @pytest.mark.parametrize("blank", ["", " "], ids=["empty", "space"])
+    @pytest.mark.parametrize("key", STRING_SETS)
+    def test_config_file_exits_2_naming_the_section(self, tmp_path, capsys, key, blank):
+        section, _ = STRING_SETS[key]
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], **{section: {key: [blank, "zz"]}})
+        command = "filter" if section == "filter" else "normalize"
+        assert main([command, "--config", str(paths["config"])]) == 2
+        assert capsys.readouterr().err == f"error: config section {section!r}: {key} must be non-empty strings\n"
+        assert not paths["out_dir"].exists()
+
+    @pytest.mark.parametrize(
+        "normalizer", [{"male_terms": ["", "male"]}, {"female_terms": [" "]}], ids=["empty-male", "space-female"]
+    )
+    def test_blank_gender_term_fails_normalize(self, tmp_path, capsys, normalizer):
+        """A blank term would match at every word boundary: "fever and cough" became
+        "manfeverman manandman mancoughman" with the empty male term, and
+        "feverwomanandwomancough" with the female term " "."""
+        paths = write_pipeline_fixture(tmp_path)
+        _edit_row(paths["corpus"], 0, lambda row: row.update(indication="fever and cough"))
+        run_stages(paths["config"], "filter")
+        patch_config(paths["config"], normalizer=normalizer)
+        assert main(["normalize", "--config", str(paths["config"])]) == 2
+        assert "must be non-empty strings" in capsys.readouterr().err
+        assert not (paths["out_dir"] / "normalized.jsonl").exists()
 
 
 class TestConfigStrictness:
