@@ -18,10 +18,12 @@ it normalizes the rows into an index, round-trips it through ``save_index``
 and ``load_index`` as ``sei run`` does, times ``top_k`` (k = 5, own row
 excluded) on 400 stored rows after one untimed call, then one
 ``attach_shc`` over 2,560 study ids.  It counts the rows each query hands to
-exact rescoring (``retrieval._gemv_rows``) and hashes every hit's id and
-score bits, which must agree between sides.  ``--rounds`` rounds (default 3)
-measure every side once per spread, the order flipped every round; the
-summary keeps each metric's median per side and spread.
+exact rescoring (``retrieval._exact_scores``, or ``_gemv_rows`` in ``sei``
+before 0.2.0) and hashes every hit's id, which must agree between sides.
+Score bits are left out, as 0.2.0 changed the exact score's definition.
+``--rounds`` rounds (default 3) measure every side once per spread, the
+order flipped every round; the summary keeps each metric's median per side
+and spread.
 """
 
 from __future__ import annotations
@@ -57,13 +59,14 @@ def measure(src: Path, spread: float) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         retrieval.save_index(retrieval.index_from_vectors(ids, raw), Path(tmp) / "index.bin")
         index = retrieval.load_index(Path(tmp) / "index.bin")
-    rescored, gemv_rows = [], retrieval._gemv_rows
+    helper = "_exact_scores" if hasattr(retrieval, "_exact_scores") else "_gemv_rows"
+    rescored, rescore = [], getattr(retrieval, helper)
 
     def counting(matrix, q, rows):
         rescored.append(len(rows))
-        return gemv_rows(matrix, q, rows)
+        return rescore(matrix, q, rows)
 
-    retrieval._gemv_rows = counting
+    setattr(retrieval, helper, counting)
     digest = hashlib.sha256()
     retrieval.top_k(index, raw[0], K)
     rescored.clear()
@@ -72,13 +75,13 @@ def measure(src: Path, spread: float) -> dict:
         start = time.perf_counter()
         hits = retrieval.top_k(index, raw[row], K, exclude_id=ids[row]).hits
         calls.append(time.perf_counter() - start)
-        digest.update(repr([(sid, score.hex()) for sid, score in hits]).encode())
+        digest.update(repr([sid for sid, _ in hits]).encode())
     embeddings = retrieval.index_from_vectors(ids, raw, normalize=False)
     start = time.perf_counter()
     attached = retrieval.attach_shc(ids[:RECORDS], index, K, embeddings, dict.fromkeys(ids, ""))
     attach_s = time.perf_counter() - start
     for row in attached:
-        digest.update(repr([(c["study_id"], c["score"].hex()) for c in row["cases"]]).encode())
+        digest.update(repr([c["study_id"] for c in row["cases"]]).encode())
     calls.sort()
     return {
         "top_k.p50_ms": 1000.0 * statistics.median(calls),
@@ -86,7 +89,7 @@ def measure(src: Path, spread: float) -> dict:
         "attach_shc.s": attach_s,
         "rescored_rows.p50": statistics.median(rescored),
         "rescored_rows.max": max(rescored),
-        "hits_sha256": digest.hexdigest(),
+        "hit_ids_sha256": digest.hexdigest(),
     }
 
 
@@ -112,8 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     summary = {
         name: {
             f"spread {spread:g}": {
-                **{m: statistics.median(r[m] for r in rs) for m in rs[0] if m != "hits_sha256"},
-                "hits_sha256": sorted({r["hits_sha256"] for r in rs}),
+                **{m: statistics.median(r[m] for r in rs) for m in rs[0] if m != "hit_ids_sha256"},
+                "hit_ids_sha256": sorted({r["hit_ids_sha256"] for r in rs}),
             }
             for spread, rs in by_spread.items()
         }

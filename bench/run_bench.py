@@ -50,10 +50,11 @@ peak counts the pages it shares with the measuring process at the fork (the
 interpreter, numpy, the records it reads), so it is an upper bound on the
 memory the child adds, not that memory itself.  ``setting.fusion_helper``
 says whether fusion runs a helper thread at the ``train-step`` shapes.
-``setting.numeric_env`` names what decides the bits of ``fusion.json`` and
-``shc.jsonl`` (see ``sei.pipeline``, C8): numpy's version, the dispatch
-target of the float64 ``power`` and ``exp`` loops, OpenBLAS's configuration
-string and ``OPENBLAS_CORETYPE``, if set.
+``setting.numeric_env`` names what decides the bits of ``fusion.json``, the
+one artifact that follows the numeric environment (see ``sei.pipeline``,
+C8): numpy's version, the dispatch target of the float64 ``power`` and
+``exp`` loops, OpenBLAS's configuration string and ``OPENBLAS_CORETYPE``,
+if set.
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of

@@ -19,4 +19,4 @@ module that defines it:
 * ``sei.gradcheck``: the finite-difference gradient probe.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

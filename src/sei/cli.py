@@ -38,7 +38,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import StageError, ToolkitError, ValidationError, check_at_least
+from .errors import StageError, ToolkitError, ValidationError, check_addressable, check_at_least
 from .gradcheck import max_fd_error
 from .losses import (
     AlignmentBatch,
@@ -79,6 +79,7 @@ def _decade_ceiling(value: float) -> str:
 def _cmd_align_demo(args) -> int:
     check_at_least(0, seed=args.seed, b=args.b)
     check_at_least(1, d=args.d)
+    check_addressable(image_locals=(args.b, 3, args.d))
     rng = np.random.default_rng(args.seed)
     batch = AlignmentBatch(
         image_feats=rng.standard_normal((args.b, args.d)),

@@ -114,9 +114,6 @@ class EntityAnnotation:
     def span_len(self) -> int:
         return self.end_ix - self.start_ix + 1
 
-    def overlaps(self, other: "EntityAnnotation") -> bool:
-        return self.start_ix <= other.end_ix and other.start_ix <= self.end_ix
-
 
 @dataclass(frozen=True)
 class ReportDocument:

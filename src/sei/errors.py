@@ -1,7 +1,9 @@
 """Exception types shared across the toolkit, and the checks that raise them:
-``check_at_least``, ``check_non_blank``, ``as_finite_array`` and ``check_labels14``."""
+``check_at_least``, ``check_addressable``, ``check_non_blank``, ``as_finite_array`` and ``check_labels14``."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +25,14 @@ def check_at_least(low: int, **values: int) -> None:
     for name, value in values.items():
         if value < low:
             raise ValidationError(f"{name} must be >= {low}, got {value}")
+
+
+def check_addressable(**shapes: tuple[int, ...]) -> None:
+    """Raise ValidationError naming the first of ``shapes`` whose float64 array has more bytes than numpy can address."""
+    limit = int(np.iinfo(np.intp).max)
+    for name, shape in shapes.items():
+        if max(shape) > limit or 8 * math.prod(shape) > limit:
+            raise ValidationError(f"{name} of shape {shape} is past numpy's limit of {limit} bytes as float64")
 
 
 def check_non_blank(**string_sets) -> None:

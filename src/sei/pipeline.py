@@ -42,15 +42,15 @@ The table runs two ways, and both write the same bytes:
   ``run_pipeline``, and a stage run alone changes them.
 
 Runs are deterministic (C8): identical inputs and config reproduce
-byte-identical artifacts on one machine.  Across machines, five artifacts
+byte-identical artifacts on one machine.  Across machines, six artifacts
 keep their bytes: ``filtered.jsonl``, ``sequences.jsonl``,
-``normalized.jsonl``, ``index.bin`` and ``scores.json``.  Two follow the
-numeric environment: ``fusion.json`` changes with numpy's SIMD dispatch
-(``np.power`` and ``np.exp`` change bits with it) and with OpenBLAS's
-kernel, and ``shc.jsonl`` with OpenBLAS's kernel (its scores are BLAS
-products).  ``run_manifest.json`` hashes them, so it follows both.
-``tests/test_portable_bytes.py`` pins this under
-``NPY_DISABLE_CPU_FEATURES`` and ``OPENBLAS_CORETYPE``.
+``normalized.jsonl``, ``index.bin``, ``shc.jsonl`` (its scores are sums
+numpy takes in a fixed order, see ``sei.retrieval``) and ``scores.json``.
+Only ``fusion.json`` follows the numeric environment: it changes with
+numpy's SIMD dispatch (``np.power`` and ``np.exp`` change bits with it) and
+with OpenBLAS's kernel.  ``run_manifest.json`` hashes it, so it follows
+``fusion.json``.  ``tests/test_portable_bytes.py`` pins this under
+``NPY_DISABLE_CPU_FEATURES``, ``OPENBLAS_CORETYPE`` and two OpenBLAS threads.
 
 Two pieces of ``run_pipeline``'s work depend on nothing the stages before
 them produce, so each runs in a forked child process (``_Forked``) while
@@ -114,7 +114,15 @@ from .corpus import (
     save_corpus,
     tokenize,
 )
-from .errors import CorpusError, StageError, ToolkitError, ValidationError, check_at_least, check_labels14
+from .errors import (
+    CorpusError,
+    StageError,
+    ToolkitError,
+    ValidationError,
+    check_addressable,
+    check_at_least,
+    check_labels14,
+)
 from .fusion import ROUTES, FeatureSet, _check_heads, fuse, fuse_backward, fusion_objective, init_params
 from .gradcheck import max_fd_error
 from .indications import NormalizerConfig, normalize_indication
@@ -194,6 +202,8 @@ class FusionConfig:
         check_at_least(0, sh=self.sh, sn=self.sn)
         check_at_least(1, d=self.d)
         _check_heads(self.d, self.heads)
+        d = self.d
+        check_addressable(image=(self.si, d), shc=(self.sh, d), indication=(self.sn, d), ff1=(d, 4 * d))
 
 
 @dataclass

@@ -21,20 +21,16 @@ arXiv:1702.08734), and keeps each query's rows within a proven rounding
 margin of its k-th best score.  Where that keeps more than k rows, as it
 does among rows of one tight cluster, a float64 product over just those
 rows keeps the ones within its far narrower margin.  Only the rows left are
-rescored exactly and ranked.  An exact score has the bits of one float64
-matrix-vector product over the whole matrix on one BLAS thread, by the
-4-row rule: OpenBLAS sums each row of a matrix-vector product by its place
-in a group of 4 rows, and a product of a single row goes to a dot kernel
-instead.  So ``_gemv`` widens and scores a matrix by slabs on its 4-row
-grid, the last group taking in the remainder of fewer than 4 rows, and
-``_gemv_rows`` scores a stack of the groups that hold the kept rows; no
-product holds more than ``_SLAB_BYTES`` of float64, or 7 rows where a slab
-is shorter.  ``top_k_naive``, the oracle, widens the whole matrix and
-scores it one 4-row group at a time.  OpenBLAS 0.3.31 gives such products
-the same bits on one thread or two, so all of them give the same bits on
-any BLAS thread count.  One product over the whole matrix would not: on
-two threads, OpenBLAS (d = 256) moved a few last bits at n = 9801 to 9804,
-20001 and 20003.
+rescored exactly and ranked.  The exact score is defined by code, not by
+BLAS: the row widened to float64, times the query, summed by
+``np.add.reduce``, whose pairwise order within a row depends on d alone.
+IEEE multiplication and addition are correctly rounded, so a row's exact
+score has the same bits whichever rows are scored with it, on any CPU, SIMD
+dispatch target or BLAS thread count.  ``_exact_scores`` gathers the kept
+rows ``_slab_height`` at a time, and ``top_k_naive``, the oracle, scores the
+whole matrix slab by slab under the same expression.  A normalized index
+divides a query by its norm summed the same way, ``_row_norms``' bits, so a
+query that is a study's raw vector rounds to that study's index row.
 
 Indexes serialize to a small binary format: magic "SEIX", u32 version,
 u32 n, u32 d, u8 normalized flag, length-prefixed UTF-8 ids, then the
@@ -79,7 +75,6 @@ _VERSION = 1
 _SLAB_BYTES = 1 << 20  # float64 index rows per slab: scored, read, written or norm-checked in one pass
 _QUERY_BLOCK = 128  # queries attach_shc's filter scores with one float32 matrix-matrix product
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
-_GROUP_COST = 16  # rows of a pass over the matrix that take as long as one kept row rescored on its own
 
 
 @dataclass
@@ -221,7 +216,7 @@ def _prepare_query(index: EmbeddingIndex, query: np.ndarray) -> np.ndarray:
             f"but the index dimension is {index.dim}"
         )
     if index.normalized:
-        norm = float(np.linalg.norm(q))
+        norm = float(_norms(q))
         if norm == 0.0:
             raise ValidationError("cannot normalize a zero-norm query")
         q = q / norm
@@ -257,39 +252,23 @@ def _row_norms(matrix: np.ndarray) -> Iterator[np.ndarray]:
         yield np.sqrt(np.add.reduce(squares[: hi - lo], axis=1))
 
 
-def _gemv(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``matrix @ q`` with ``matrix`` widened to float64, in one-BLAS-thread bits on any BLAS thread count.
+def _norms(x: np.ndarray) -> np.ndarray:
+    """The L2 norm of float64 ``x``, or of each of its rows, summed as ``_row_norms`` sums, so with its bits."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
-    It is scored by slabs that start on the 4-row grid, each of at most
-    ``_slab_height`` rows, or of at most 7 where that is less.  The last slab
-    also takes in the remainder of fewer than 4 rows, so the slabs step by a
-    multiple of 4 rows at least 3 rows below the height.
+
+def _exact_scores(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The exact scores of ``matrix``'s ``rows`` against ``q``, gathered ``_slab_height`` rows at a time.
+
+    A query whose margin is not finite keeps every row, hence the slabs.
     """
-    n, dim = matrix.shape
-    last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    edges = [*range(0, last + 1, max(4, (_slab_height(dim) - 3) // 4 * 4)), n]
-    return np.concatenate([np.asarray(matrix[lo:hi], dtype=np.float64) @ q for lo, hi in zip(edges, edges[1:])])
-
-
-def _gemv_rows(matrix: np.ndarray, q: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``_gemv(matrix, q)[rows]``, ``rows`` ascending: only the 4-row groups that hold a row, or every row when cheaper.
-
-    The groups are stacked in row order, each once, and scored by ``_gemv``:
-    each starts on the stack's 4-row grid, and the last group of the matrix,
-    which takes in its remainder, can only come last, so every row keeps its
-    bits.
-    """
-    n = len(matrix)
-    if len(rows) * _GROUP_COST > n:
-        return _gemv(matrix, q)[rows]
-    last = max(0, n - 4 - n % 4)  # the last group runs to row n
-    groups, at = [], []
-    for row in rows.tolist():
-        lo = min(row - row % 4, last)
-        if not groups or groups[-1].start != lo:  # rows ascend, so each group is stacked once
-            groups.append(slice(lo, n if lo == last else lo + 4))
-        at.append(4 * (len(groups) - 1) + row - lo)
-    return _gemv(np.concatenate([matrix[g] for g in groups] or [matrix[:0]]), q)[at]
+    height = _slab_height(len(q))
+    exact = np.empty(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN scores rank as in top_k_naive
+        for at in range(0, len(rows), height):
+            slab = matrix[rows[at : at + height]]
+            exact[at : at + len(slab)] = np.add.reduce(np.multiply(slab, q, dtype=np.float64), axis=1)
+    return exact
 
 
 def top_k(
@@ -300,7 +279,7 @@ def top_k(
 ) -> RetrievalResult:
     """Exact top-k by dot product: a block of one query through ``_block_hits``.
 
-    Its hits equal ``top_k_naive``'s, bit for bit, on any BLAS thread count.
+    Its hits equal ``top_k_naive``'s, bit for bit.
     Ties break toward the earlier row; ``exclude_id`` never appears; asking
     for more hits than candidates returns all of them.
     """
@@ -322,17 +301,17 @@ def top_k_naive(
 ) -> RetrievalResult:
     """Reference implementation: every row scored, full sort.  Same contract as top_k.
 
-    The whole matrix is widened to float64 and scored one 4-row group at a
-    time, the last group taking in the remainder, so each score has the bits
-    of one float64 matrix-vector product over the whole matrix on one BLAS
-    thread, on any BLAS thread count.
+    The matrix is scored slab by slab, each row widened to float64, times q,
+    summed by ``np.add.reduce``: the exact score of the module docstring.
     """
     check_at_least(0, k=k)
     q = _prepare_query(index, query)
-    matrix, n = index.matrix.astype(np.float64), index.n
-    last = max(0, n - 4 - n % 4)
-    scores = np.concatenate([matrix[lo : n if lo == last else lo + 4] @ q for lo in range(0, last + 1, 4)])
-    rows = np.arange(n, dtype=np.int64)
+    scores = np.empty(index.n)
+    bounds = _slab_bounds(index.matrix)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):
+            scores[lo:hi] = np.add.reduce(np.multiply(index.matrix[lo:hi], q, dtype=np.float64), axis=1)
+    rows = np.arange(index.n, dtype=np.int64)
     skip = index.row_of(exclude_id) if exclude_id is not None else None
     if skip is not None:
         keep = rows != skip
@@ -359,8 +338,9 @@ def _block_hits(
     # (section 3.1).  With the two roundings of each product's inputs, a filter
     # score is within E = gamma_(d+2) * sum|m_j q_j| + d * 2**-148 * (|m| + |q|)
     # + d * 2**-149 of sum m_j q_j, |m| and |q| the 2-norms of the row and the
-    # query, each at least its largest value; the float64 score, with its
-    # u = 2**-53, is nearer still.  By Cauchy-Schwarz sum|m_j q_j| <= B = R * |q|,
+    # query, each at least its largest value; the exact score, numpy's fixed
+    # pairwise sum in float64 with its u = 2**-53, errs by less than that
+    # bound (section 4.2).  By Cauchy-Schwarz sum|m_j q_j| <= B = R * |q|,
     # R the largest row norm, which ``err`` also puts for |m|.  So a filter
     # score is within 2E of the exact one: k exact scores reach kth - 2E, kth
     # the k-th best filter score, and every row of the exact top k, ties at
@@ -387,7 +367,7 @@ def _block_hits(
     gamma = ud / (1 - ud) if ud < 0.5 else np.inf
     gamma64 = d * 2.0**-53 / (1 - d * 2.0**-53)
     with np.errstate(over="ignore", invalid="ignore"):
-        normq = np.linalg.norm(queries, axis=1)
+        normq = _norms(queries)
         two_b = 2.0 * norm * normq
         err = gamma * two_b + d * 2.0**-147 * (norm + normq) + (d + 8) * 2.0**-149
         err[~(np.maximum(np.maximum(norm, normq), two_b) < _FLOAT32_MAX)] = np.inf
@@ -414,7 +394,7 @@ def _block_hits(
                     rows = rows[near >= floor]
         else:
             rows = np.arange(index.n) if skip is None else np.delete(np.arange(index.n), skip)
-        exact = _gemv_rows(index.matrix, q, rows)
+        exact = _exact_scores(index.matrix, q, rows)
         order = np.lexsort((rows, -exact))[:k]  # NaN last, as in top_k_naive
         found.append((rows[order], exact[order]))
     return found
@@ -447,7 +427,7 @@ def attach_shc(
 
     Each block of ``_QUERY_BLOCK`` studies is checked up to the first that
     fails; the rest are scored by ``_block_hits``, whose hits equal
-    ``top_k``'s on any BLAS thread count, bit for bit, and their hits' sequences
+    ``top_k``'s bit for bit, and their hits' sequences
     looked up before the check error is raised, so errors come as one study
     at a time would raise them and no later study is looked at.
     """

@@ -40,18 +40,15 @@ VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) | st.floats(-1.
 
 @st.composite
 def shc_case(draw):
-    """An index of at most 63 rows, so its products never split across BLAS threads,
-    with every n % 4 residue.  Its rows tie or nearly tie: copies of a few base rows,
+    """An index of 1 to 63 rows.  Its rows tie or nearly tie: copies of a few base rows,
     some moved one ulp in one value or in all, each row scaled by its own draw from
     one of SCALES, whose products underflow in float32 or float64, or overflow so
     that retrieval keeps every row.  An index at a scale float32 holds may be
     normalized, or reloaded through index.bin as float32.  A permuted subset of its
-    studies are the records, in query blocks of 1-3; the kept rows' 4-row groups or
-    the whole matrix, as forced or as their count decides, are scored by slabs of
-    4 or 8 rows (a slab height of 4-12 rows)."""
-    n = draw(st.integers(0, 15)) * 4 + draw(st.integers(0, 3))
-    assume(n >= 1)
-    # below 8 columns OpenBLAS sums every row alike, so a misplaced group edge shows only from 8 on
+    studies are the records, in query blocks of 1-3; the kept rows are gathered and
+    scored by slabs of 1-12 rows."""
+    n = draw(st.integers(1, 63))
+    # below 8 values numpy sums a row in order, from 8 on with 8 partial sums
     d = draw(st.integers(1, 7) | st.integers(8, 24))
     scale = draw(st.sampled_from(sorted(SCALES)))
     pool = draw(st.lists(st.lists(VALUES, min_size=d, max_size=d), min_size=1, max_size=6))
@@ -73,8 +70,7 @@ def shc_case(draw):
     k = draw(st.integers(1, 2) | st.sampled_from([0, n - 1, n, n + 5]))  # a margin too small shows at a small k
     patches = {
         "_QUERY_BLOCK": draw(st.integers(1, 3)),
-        "_SLAB_BYTES": draw(st.integers(4, 12)) * 8 * d,
-        "_GROUP_COST": draw(st.sampled_from([0, retrieval._GROUP_COST, n + 1])),
+        "_SLAB_BYTES": draw(st.integers(1, 12)) * 8 * d,
     }
     reload = scale in FLOAT32_SCALES and draw(st.booleans())
     return rows, normalize, picked, queries, k, reload, patches

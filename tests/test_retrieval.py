@@ -1,5 +1,6 @@
-"""Retrieval engine: construction, oracle equivalence, ties, BLAS threads, serialization."""
+"""Retrieval engine: construction, oracle equivalence, ties, the exact score, serialization."""
 
+import math
 import os
 import subprocess
 import sys
@@ -203,138 +204,49 @@ class TestAttachShc:
             assert row["cases"][0]["factual_sequence"] == f"seq-{row['cases'][0]['study_id']}"
 
 
-# Scores 32 records against an argv[1] x 256 index with k = n - 1, through attach_shc
-# and through top_k, so every row's score is in the output and each record scores the
-# index slab by slab, and prints a digest of the ids and float.hex scores.  With
-# "oracle" it also checks each record's hits from both against top_k_naive, and
-# their scores against one product over the whole matrix.
-BLAS_PROBE = """
-import hashlib, sys
-import numpy as np
-from sei.retrieval import attach_shc, index_from_vectors, top_k, top_k_naive
-
-n, d = int(sys.argv[1]), 256
-rng = np.random.default_rng(9801)
-vectors = rng.standard_normal((n, d))
-ids = [f"s{i:05d}" for i in range(n)]
-index = index_from_vectors(ids, vectors)
-embeddings = index_from_vectors(ids, vectors, normalize=False)
-picked = [ids[r] for r in rng.choice(n, size=32, replace=False)]
-digest = hashlib.sha256()
-for row in attach_shc(picked, index, n - 1, embeddings, sequences=dict.fromkeys(ids, "")):
-    sid = row["study_id"]
-    query = vectors[ids.index(sid)]
-    got = [(c["study_id"], c["score"].hex()) for c in row["cases"]]
-    alone = [(hit, s.hex()) for hit, s in top_k(index, query, n - 1, exclude_id=sid).hits]
-    digest.update(repr((got, alone)).encode())
-    if sys.argv[2:] == ["oracle"]:
-        want = top_k_naive(index, query, n - 1, exclude_id=sid)
-        assert got == alone == [(hit, s.hex()) for hit, s in want.hits], sid
-        whole = index.matrix @ (query / np.linalg.norm(query))
-        assert [s for _, s in got] == [whole[index.row_of(hit)].hex() for hit, _ in got], sid
-print(digest.hexdigest())
-"""
+# d runs past 8 and past 128, where numpy's pairwise sum starts unrolling by 8 and
+# where it splits a row in halves
+EXACT_DIMS = [1, 7, 8, 9, 17, 64, 128, 129, 256, 257, 1000]
 
 
-class TestBlasThreads:
-    """attach_shc, top_k and top_k_naive scores are the one-thread product's bits
-    on one BLAS thread or two.
-
-    With OpenBLAS 0.3.31 at d = 256, a whole-matrix product on two threads differed
-    from one thread in a few last bits at n = 9801 and at n = 9804, a multiple of 4,
-    and matched at n = 20000; the exact scores of attach_shc, top_k and top_k_naive
-    come from products of at most 7 rows or of one slab of at most 1 MiB, which did
-    not differ.
-    """
-
-    def _probe(self, blas_threads, n, *args):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads))
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(sei.__file__).parents[1]), env.get("PYTHONPATH", "")])
-        proc = subprocess.run(
-            [sys.executable, "-c", BLAS_PROBE, str(n), *args], capture_output=True, text=True, env=env, timeout=300
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
-
-    @pytest.mark.parametrize("n", [9801, 9804])
-    def test_one_thread_equals_naive_and_two_threads_equal_one(self, n):
-        assert self._probe(2, n) == self._probe(1, n, "oracle")
-
-
-@pytest.mark.parametrize("d", [8, 17, 64])
-def test_gemv_rows_gives_whole_matrix_bits_by_group_and_by_slab(rng, monkeypatch, d):
-    """Both of _gemv_rows' paths, the stacked 4-row groups that hold its rows or the
-    whole matrix, each scored by slabs of 4, 8 or 12 rows (a slab height of 7, 11 or
-    15 rows, which the last slab can fill), give each row the bits of the
-    whole-matrix float64 product, for every n up to 39, from a float64 matrix or
-    from a float32 one, which they widen (below 8 columns OpenBLAS sums every row
-    alike, so d starts at 8)."""
-    for n in range(1, 40):
-        matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
-        q = rng.standard_normal(d)
-        for stored in (matrix, matrix.astype("<f4")):
-            want = stored.astype(np.float64) @ q
-            for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3)):
-                for group_cost, height in [(c, h) for c in (0, n + 1) for h in (7, 11, 15)]:
-                    monkeypatch.setattr(retrieval, "_GROUP_COST", group_cost)
-                    monkeypatch.setattr(retrieval, "_SLAB_BYTES", height * 8 * d)
-                    got = retrieval._gemv_rows(stored, q, rows)
-                    assert got.tobytes() == want[rows].tobytes(), (n, stored.dtype, group_cost, height)
+@pytest.mark.parametrize("d", EXACT_DIMS)
+def test_exact_score_is_defined_by_code(rng, monkeypatch, d):
+    """A row's exact score is its float64 widening times q summed by np.add.reduce:
+    _block_hits' rescoring of any gathered subset of rows, by slabs of 1 to 3 rows or
+    in one, and top_k_naive give each row the bits of that sum over the whole matrix,
+    from float32 or float64 storage, and each lies within gamma_(d+1) * sum|m_j q_j|
+    of the correctly rounded sum of the float64 products."""
+    n = 37
+    matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
+    q = rng.standard_normal(d)
+    ids = tuple(f"s{i:05d}" for i in range(n))
+    ud = (d + 1) * 2.0**-53
+    for stored in (matrix, matrix.astype("<f4")):
+        wide = stored.astype(np.float64)
+        whole = np.add.reduce(wide * q, axis=1)
+        naive = dict(top_k_naive(EmbeddingIndex(dim=d, ids=ids, matrix=stored, normalized=False), q, n).hits)
+        assert [naive[sid].hex() for sid in ids] == [s.hex() for s in whole.tolist()], stored.dtype
+        for height in (1, 2, 3, n):
+            monkeypatch.setattr(retrieval, "_SLAB_BYTES", height * 8 * d)
+            for rows in (np.arange(n), np.flatnonzero(rng.random(n) < 0.3), np.array([n - 1])):
+                got = retrieval._exact_scores(stored, q, rows)
+                assert got.tobytes() == whole[rows].tobytes(), (stored.dtype, height, rows)
+        for row, score in zip(wide, whole.tolist()):
+            products = (row * q).tolist()
+            assert abs(score - math.fsum(products)) <= ud / (1 - ud) * math.fsum(map(abs, products))
 
 
-class ProductRows:
-    """A query vector that records the row count of each product a matrix makes with it."""
-
-    __array_ufunc__ = None  # so ``matrix @ query`` calls __rmatmul__
-
-    def __init__(self, q):
-        self.q, self.rows = q, []
-
-    def __rmatmul__(self, matrix):
-        self.rows.append(len(matrix))
-        return matrix @ self.q
-
-
-def gemv_product_rows(matrix):
-    """The row count of each product ``_gemv`` makes over ``matrix``, in order."""
-    query = ProductRows(np.ones(matrix.shape[1]))
-    assert len(retrieval._gemv(matrix, query)) == len(matrix)
-    return query.rows
-
-
-@pytest.mark.parametrize("d, ns", [(256, [512, 513, 514, 515, 516, 1027, 1031]), (768, [170, 171, 173, 341, 343])])
-def test_every_gemv_product_fits_a_slab(d, ns):
-    """Each product _gemv makes holds at most _SLAB_BYTES of float64, though its
-    last product takes in the remainder of fewer than 4 rows."""
-    for n in ns:
-        rows = gemv_product_rows(np.zeros((n, d)))
-        assert sum(rows) == n and max(rows) <= retrieval._slab_height(d), (n, rows)
-
-
-def test_every_gemv_product_fits_a_slab_of_any_height(monkeypatch):
-    """At every slab height, each product holds at most that many rows, or 7 where
-    the height is less."""
-    d = 8
-    for height in range(1, 20):
-        monkeypatch.setattr(retrieval, "_SLAB_BYTES", height * 8 * d)
-        for n in range(1, 60):
-            rows = gemv_product_rows(np.zeros((n, d)))
-            assert sum(rows) == n and max(rows) <= max(height, 7), (height, n, rows)
-
-
-@pytest.mark.parametrize("d", [8, 17, 64])
-def test_naive_gives_whole_matrix_bits(rng, d):
-    """top_k_naive, the oracle, scores every row with the bits of the whole-matrix
-    float64 product, for every n up to 39, from a float64 matrix or a float32 one."""
-    for n in range(1, 40):
-        matrix = rng.standard_normal((n, d)) * rng.choice([1e-3, 1.0, 1e3], size=(n, 1))
-        q = rng.standard_normal(d)
-        ids = tuple(f"s{i:05d}" for i in range(n))
-        for stored in (matrix, matrix.astype("<f4")):
-            index = EmbeddingIndex(dim=d, ids=ids, matrix=stored, normalized=False)
-            got = dict(top_k_naive(index, q, n).hits)
-            want = stored.astype(np.float64) @ q
-            assert [got[sid].hex() for sid in ids] == [s.hex() for s in want.tolist()], (n, stored.dtype)
+@pytest.mark.parametrize("d", EXACT_DIMS)
+def test_query_norm_has_the_index_row_norm_bits(rng, d):
+    """A query's norm has _row_norms' bits, so a normalized index turns each study's
+    raw vector into that study's row, bit for bit, as a query or as a row."""
+    n = 37
+    vectors = rng.standard_normal((n, d)) * rng.uniform(1e-3, 1e3, (n, 1))
+    (row_norms,) = retrieval._row_norms(vectors)
+    assert b"".join(retrieval._norms(v).tobytes() for v in vectors) == row_norms.tobytes()
+    index = index_from_vectors([f"s{i:05d}" for i in range(n)], vectors)
+    for vector, row in zip(vectors, index.matrix):
+        assert retrieval._prepare_query(index, vector).tobytes() == row.tobytes()
 
 
 class TestSerialization:

@@ -542,6 +542,41 @@ class TestAllocationTooLarge:
         self.assert_out_of_memory(run_cli("align-demo", "--b", "1", "--d", str(10**15)))
 
 
+class TestUnaddressableSize:
+    """A size whose float64 array numpy cannot address exits 2 naming the sizes, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "fusion, needle",
+        [
+            ({"si": 10**18}, "image of shape (1000000000000000000, 8) is past numpy's limit"),
+            ({"d": 10**10, "heads": 1}, "ff1 of shape (10000000000, 40000000000) is past numpy's limit"),
+        ],
+        ids=["fusion-si", "fusion-d"],
+    )
+    @pytest.mark.parametrize("command", ["run", "fuse-demo"])
+    def test_config(self, tmp_path, command, fusion, needle):
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], fusion=fusion)
+        proc = run_cli(command, "--config", str(paths["config"]))
+        assert_clean_exit_2(proc, "config section 'fusion': ", needle)
+        assert proc.stderr.count("error:") == 1
+        assert not paths["out_dir"].exists()
+
+    @pytest.mark.parametrize(
+        "args, shape",
+        [
+            (("--d", str(10**10), "--b", str(10**10)), (10**10, 3, 10**10)),
+            (("--d", str(10**20)), (4, 3, 10**20)),
+            (("--d", str(10**20), "--b", "0"), (0, 3, 10**20)),  # no bytes, but a size numpy cannot hold
+        ],
+        ids=["b-and-d", "d-past-intp", "empty-b"],
+    )
+    def test_align_demo(self, args, shape):
+        proc = run_cli("align-demo", *args)
+        assert_clean_exit_2(proc, f"image_locals of shape {shape} is past numpy's limit")
+        assert proc.stderr.count("error:") == 1
+
+
 def test_run_without_generated_reports_writes_nothing(tmp_path):
     """``sei run`` rejects a config without ``paths.generated``, which its score stage reads, before any
     stage; every stage but score still runs alone without it, and score alone exits 2 writing nothing."""

@@ -40,7 +40,7 @@ def brute_force_dedupe(entities):
         while frontier:
             cur = frontier.pop()
             for other in list(unvisited - component):
-                if ents[cur].overlaps(ents[other]):
+                if ents[cur].start_ix <= ents[other].end_ix and ents[other].start_ix <= ents[cur].end_ix:
                     component.add(other)
                     frontier.append(other)
         unvisited -= component
