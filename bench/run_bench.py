@@ -48,13 +48,12 @@ Names follow ``perfbench/METRICS.md``: ``cli.main.s`` is the whole run and
 (``RUSAGE_CHILDREN``; 0 for a ``sei`` that forks none).  A forked child's
 peak counts the pages it shares with the measuring process at the fork (the
 interpreter, numpy, the records it reads), so it is an upper bound on the
-memory the child adds, not that memory itself.  ``setting.fusion_helper``
-says whether fusion runs a helper thread at the ``train-step`` shapes.
-``setting.numeric_env`` names what decides the bits of ``fusion.json``, the
-one artifact that follows the numeric environment (see ``sei.pipeline``,
-C8): numpy's version, the dispatch target of the float64 ``power`` and
-``exp`` loops, OpenBLAS's configuration string and ``OPENBLAS_CORETYPE``,
-if set.
+memory the child adds, not that memory itself.  ``setting.numeric_env``
+names what decides the bits of ``fusion.json``, the one artifact that
+follows the numeric environment (see ``sei.pipeline``, C8): numpy's version,
+the dispatch targets of the float64 ``exp``, ``tanh`` and ``sqrt`` loops
+fusion calls, OpenBLAS's configuration string and ``OPENBLAS_CORETYPE``, if
+set.
 
 Each side of ``--out`` keeps every run, the ``median`` and the ``spread``
 (max - min) of each timing and memory metric over the runs, the sha256 of
@@ -197,15 +196,14 @@ def measure(src: Path, config_path: Path) -> dict:
 
 
 def numeric_environment() -> dict:
-    """numpy's version and float64 ``power``/``exp`` dispatch targets, OpenBLAS's configuration and core type."""
+    """numpy's version, fusion's float64 ufunc dispatch targets, OpenBLAS's configuration and core type."""
     import numpy as np
     from numpy._core._multiarray_umath import __cpu_targets_info__ as targets
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "power_ddd": targets["power"]["ddd"]["current"],
-        "exp_dd": targets["exp"]["dd"]["current"],
+        **{f"{ufunc}_dd": targets[ufunc]["dd"]["current"] for ufunc in ("exp", "tanh", "sqrt")},
         "openblas_configuration": blas.get("openblas configuration"),
         "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE"),
     }
@@ -237,9 +235,7 @@ def measure_fusion(src: Path) -> dict:
                 for array in arrays:
                     digest.update(b"-" if array is None else array.tobytes())
         del results
-    first = studies[0][0]
-    helper = fusion._helper(params.d, first.image, first.shc, first.indication).threaded
-    return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest(), "fusion_helper": helper}
+    return {"fusion.step_s": statistics.median(times), "fusion_sha256": digest.hexdigest()}
 
 
 def load_peak(src: Path, config_path: Path) -> dict:
@@ -268,7 +264,7 @@ def in_subprocess(*args: str) -> str:
 
 def summarize(runs: list[dict], src: Path) -> dict:
     first = runs[0]
-    per_side = ("artifacts_sha256", "fusion_sha256", "fusion_helper")
+    per_side = ("artifacts_sha256", "fusion_sha256")
     return {
         "runs": [{k: v for k, v in run.items() if k not in per_side} for run in runs],
         "median": {name: statistics.median(run[name] for run in runs) for name in SUMMARIZED},
@@ -278,7 +274,6 @@ def summarize(runs: list[dict], src: Path) -> dict:
         "fusion_sha256": first["fusion_sha256"],
         "fusion_same_every_run": all(run["fusion_sha256"] == first["fusion_sha256"] for run in runs),
         "src_lines": source_lines(src),
-        "fusion_helper": first["fusion_helper"],
     }
 
 
@@ -341,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         result = summarize(runs[name], src)
         result["setting"] = {
             "n": N, "d": D, "k": K, "seed": SEED, "top_k_calls": TOP_K_CALLS, "runs": args.rounds,
-            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"], "fusion_helper": result.pop("fusion_helper"),
+            "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
             "python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count(),
             "numeric_env": numeric_environment(),
         }

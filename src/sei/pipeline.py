@@ -47,8 +47,8 @@ keep their bytes: ``filtered.jsonl``, ``sequences.jsonl``,
 ``normalized.jsonl``, ``index.bin``, ``shc.jsonl`` (its scores are sums
 numpy takes in a fixed order, see ``sei.retrieval``) and ``scores.json``.
 Only ``fusion.json`` follows the numeric environment: it changes with
-numpy's SIMD dispatch (``np.power`` and ``np.exp`` change bits with it) and
-with OpenBLAS's kernel.  ``run_manifest.json`` hashes it, so it follows
+numpy's SIMD dispatch (``np.exp`` changes bits with it) and with OpenBLAS's
+kernel.  ``run_manifest.json`` hashes it, so it follows
 ``fusion.json``.  ``tests/test_portable_bytes.py`` pins this under
 ``NPY_DISABLE_CPU_FEATURES``, ``OPENBLAS_CORETYPE`` and two OpenBLAS threads.
 
@@ -213,10 +213,10 @@ class PipelineConfig:
     Each field is one key of the file; a dataclass-typed field is a section
     whose own fields are its keys.  A scalar key takes the JSON kind
     ``corpus._JSON_KINDS`` gives its type (a path is a string, a float is
-    finite), and each section checks its values as it is built.  ``tau`` and
-    ``jobs`` are read by no stage, yet still parsed, validated and echoed:
-    their values are part of ``run_manifest.json``, whose bytes a rerun must
-    reproduce.
+    finite), and each section checks its values as it is built.  ``tau`` is
+    read by no stage (``sei align-demo`` takes its own ``--tau``), yet still
+    parsed, validated and echoed into ``run_manifest.json``:
+    ``perfbench/inputs.py`` writes it, so it stays while perfbench does.
     """
 
     paths: PathsConfig
@@ -230,11 +230,9 @@ class PipelineConfig:
     tau: float = AlignmentBatch.temperature
     seed: int = 7
     index_normalize: bool = True
-    jobs: int = 1
 
     def __post_init__(self):
         check_at_least(0, k=self.k, seed=self.seed)
-        check_at_least(1, jobs=self.jobs)
         if not self.m_gt:
             raise ValidationError("m_gt must list at least one setting")
         for value in self.m_gt:

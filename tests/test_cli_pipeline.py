@@ -246,14 +246,6 @@ class TestRunPipeline:
         listed = str(err.value).split("one of ")[1].split(";")[0]
         assert listed.replace(" or ", " ").replace(",", "").split() == [pipeline.m_gt_key(c) for c in choices]
 
-    def test_jobs_change_artifacts_not(self, tmp_path):
-        paths = write_pipeline_fixture(tmp_path)
-        run_pipeline(replace(load_config(paths["config"]), jobs=1))
-        first = {name: (paths["out_dir"] / name).read_bytes() for name in ARTIFACT_NAMES}
-        run_pipeline(replace(load_config(paths["config"]), jobs=3))
-        second = {name: (paths["out_dir"] / name).read_bytes() for name in ARTIFACT_NAMES}
-        assert first == second
-
 
 class TestParseOnce:
     """One run parses the corpus and the embeddings file once each."""

@@ -1,10 +1,16 @@
-"""Fusion network: layer math against a scalar oracle, branches, gradients."""
+"""Fusion network: layer math against a scalar oracle, branches, gradients, one thread."""
 
 import math
+import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sei import fusion
 from sei.errors import ValidationError
 from sei.fusion import (
     FeatureSet,
@@ -17,7 +23,9 @@ from sei.fusion import (
     init_params,
 )
 
-from conftest import central_diff, rel_err
+from sei.pipeline import load_config, run_pipeline
+
+from conftest import central_diff, rel_err, write_pipeline_fixture
 
 
 def scalar_decoder_trace(queries, memory, weights, d):
@@ -357,3 +365,59 @@ class TestHeadCount:
         ):
             with pytest.raises(ValidationError, match=f"n_heads {heads} does not divide feature width 8"):
                 call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 9),
+    width=st.integers(1, 40),
+    scale=st.sampled_from([1e-3, 1.0, 4.0, 30.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_gelu_matches_the_cube_expression_bit_for_bit(rows, width, scale, seed):
+    """GELU's cube is ``x * x * x``: ``np.power(x, 3)`` changes bits with numpy's dispatch target."""
+    x = scale * np.random.default_rng(seed).standard_normal((rows, width))
+    t = np.tanh(fusion._GELU_A * (x + fusion._GELU_B * (x * x * x)))
+    act, tanh_term = fusion._gelu(x)
+    assert tanh_term.tobytes() == t.tobytes()
+    assert act.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+
+
+def test_no_fusion_call_leaves_a_thread_and_sei_run_still_forks(monkeypatch, tmp_path):
+    rng = np.random.default_rng(5)
+    d = 16
+    features = FeatureSet(
+        image=rng.standard_normal((6, d)), shc=rng.standard_normal((9, d)), indication=rng.standard_normal((4, d))
+    )
+    params, upstream = init_params(d, 4, 5), rng.standard_normal((6, d))
+    before = threading.active_count()
+
+    fuse(features, params)
+    fuse_backward(features, params, upstream)
+    fusion_objective(features, params, upstream)
+    decoder_layer(features.image, features.shc, params.img_enrich, params.n_heads)
+    wrong = upstream[:, :-1]
+    message = f"upstream gradient shape {wrong.shape} does not match output {upstream.shape}"
+    with pytest.raises(ValidationError) as excinfo:
+        fuse_backward(features, params, wrong)
+    assert str(excinfo.value) == message
+    with pytest.raises(ValidationError) as excinfo:
+        fusion_objective(features, params, wrong)
+    assert str(excinfo.value) == message
+    bad = init_params(params.d, params.n_heads, params.seed)
+    bad.integrate.ff1[1, 2] = np.nan
+    for call in (lambda: fuse(features, bad), lambda: fuse_backward(features, bad, upstream)):
+        with pytest.raises(ValidationError, match="layer weight ff1"):
+            call()
+    assert threading.active_count() == before
+
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    paths = write_pipeline_fixture(tmp_path, n=20, d=16)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    run_pipeline(replace(load_config(paths["config"]), k=2))
+    assert len(forks) == 2  # the embeddings parse and the scoring

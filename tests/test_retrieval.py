@@ -203,6 +203,22 @@ class TestAttachShc:
         for row in attached:
             assert row["cases"][0]["factual_sequence"] == f"seq-{row['cases'][0]['study_id']}"
 
+    def test_float32_margin_keeps_the_rows_underflow_ranks_wrong(self):
+        """Products near 1e-45 underflow in float32: the filter scores r10 above r5, the exact
+        score r5 above r10, so a float32 margin of 0 keeps r10 alone.  A counterexample that
+        test_attach_shc_matches_naive_across_slabs_and_blocks shrank to, without its patches."""
+        far = [-5e-24, -2e-23, -2e-23]
+        rows = [[-5e-23, -2e-22, -2e-22], *[far] * 4, [0.0, -1.4997884186649116e-22, -3.749471046662279e-23]]
+        rows += [*[far] * 4, [-2.265791818800409e-23, -9.063167275201636e-23, -9.063167275201636e-23]]
+        index = index_from_vectors([f"r{i}" for i in range(len(rows))], rows, normalize=False)
+        query = np.asarray(rows[0])
+        want = [(sid, score.hex()) for sid, score in top_k_naive(index, query, 1, exclude_id="r0").hits]
+        assert want[0][0] == "r5"
+        embeddings = index_from_vectors(["r0"], [rows[0]], normalize=False)
+        (row,) = attach_shc(["r0"], index, 1, embeddings, sequences={sid: sid for sid in index.ids})
+        assert [(c["study_id"], c["score"].hex()) for c in row["cases"]] == want
+        assert [(sid, score.hex()) for sid, score in top_k(index, query, 1, exclude_id="r0").hits] == want
+
 
 # d runs past 8 and past 128, where numpy's pairwise sum starts unrolling by 8 and
 # where it splits a row in halves

@@ -778,6 +778,7 @@ class TestConfigStrictness:
         "file_patch, key",
         [
             ({"kk": 1}, "kk"),
+            ({"jobs": 1}, "jobs"),
             ({"paths": {"corpos": "x"}}, "paths.corpos"),
             ({"filter": {"min_token": 3}}, "filter.min_token"),
             ({"normalizer": {"male_term": ["m"]}}, "normalizer.male_term"),
@@ -816,7 +817,7 @@ class TestConfigStrictness:
     def test_every_declared_key_round_trips_through_echo(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)
         raw = json.loads(paths["config"].read_text())
-        raw.update(index_normalize=False, jobs=2)
+        raw.update(index_normalize=False)
         raw["normalizer"] = {"illegal_chars": ["/"], "invalid_words": ["history:"],
                              "male_terms": ["man"], "female_terms": ["woman"]}
         paths["config"].write_text(json.dumps(raw))
@@ -824,7 +825,7 @@ class TestConfigStrictness:
         echoed = tmp_path / "echoed.json"
         echoed.write_text(json.dumps(cfg.echo()))
         assert load_config(echoed) == cfg
-        assert cfg.index_normalize is False and cfg.jobs == 2
+        assert cfg.index_normalize is False
 
     def test_bad_json_names_the_line(self, tmp_path):
         bad = tmp_path / "config.json"
@@ -841,7 +842,6 @@ def test_manifest_config_block_is_pinned(tmp_path):
         "filter": {"junk_patterns": ["is subnitted"], "min_tokens": 3},
         "fusion": {"d": 8, "heads": 2, "sh": 6, "si": 4, "sn": 3},
         "index_normalize": True,
-        "jobs": 1,
         "k": 1,
         "m_gt": ["60", "80", "90", "100", "cpl"],
         "normalizer": {
