@@ -11,12 +11,14 @@ import subprocess
 import sys
 import threading
 import time
+import tomllib
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sei
 from sei import pipeline
 from sei.cli import main
 from sei.pipeline import (
@@ -415,6 +417,21 @@ class TestCli:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert "sei" in proc.stdout
+
+    def test_version_is_the_package_and_project_version(self):
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+        proc = run_cli("--version")
+        assert proc.stdout.strip() == f"sei {sei.__version__}"
+        assert project["project"]["version"] == sei.__version__
+
+    def test_a_config_that_sets_jobs_exits_2_before_any_stage(self, tmp_path):
+        """``jobs`` is no longer a config key: no stage read it."""
+        paths = write_pipeline_fixture(tmp_path)
+        patch_config(paths["config"], jobs=2)
+        proc = run_cli("run", "--config", str(paths["config"]))
+        assert proc.returncode == 2
+        assert "unknown config key 'jobs'" in proc.stderr
+        assert not paths["out_dir"].exists() or not any(paths["out_dir"].iterdir())
 
     def test_run_and_rerun_via_cli(self, tmp_path):
         paths = write_pipeline_fixture(tmp_path)

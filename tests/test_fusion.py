@@ -126,6 +126,36 @@ class TestInit:
             init_params(d, 1, 0)
 
 
+def head_loop_decoder(queries, memory, layer, heads):
+    """One decoder layer with attention written as a loop over heads, each on its own column slice."""
+    w = layer.arrays()
+
+    def layer_norm(x, gain, bias):
+        centered = x - x.mean(axis=1, keepdims=True)
+        return centered / np.sqrt((centered**2).mean(axis=1, keepdims=True) + 1e-5) * gain + bias
+
+    def attention(xq, mem, kind):
+        width = xq.shape[1] // heads
+        ctx, probs = np.zeros((xq.shape[0], xq.shape[1])), []
+        for h in range(heads):
+            cols = slice(h * width, (h + 1) * width)
+            q, k, v = (x @ w[f"{kind}_{p}"][:, cols] for x, p in ((xq, "q"), (mem, "k"), (mem, "v")))
+            scores = q @ k.T / math.sqrt(width)
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            probs.append(e / e.sum(axis=1, keepdims=True))
+            ctx[:, cols] = probs[-1] @ v
+        return ctx @ w[f"{kind}_o"], np.stack(probs)
+
+    n1 = layer_norm(queries, w["ln1_gain"], w["ln1_bias"])
+    sa, self_probs = attention(n1, n1, "self")
+    x1 = queries + sa
+    ca, cross_probs = attention(layer_norm(x1, w["ln2_gain"], w["ln2_bias"]), memory, "cross")
+    x2 = x1 + ca
+    pre = layer_norm(x2, w["ln3_gain"], w["ln3_bias"]) @ w["ff1"]
+    act = 0.5 * pre * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (pre + 0.044715 * pre**3)))
+    return x2 + act @ w["ff2"], {"self": self_probs, "cross": cross_probs}
+
+
 class TestDecoderLayer:
     def test_single_key_softmax(self, rng):
         params = init_params(4, 1, 5)
@@ -164,6 +194,20 @@ class TestDecoderLayer:
         got = decoder_layer(np.asarray(queries), np.asarray(memory), layer, 1)
         want = scalar_decoder_trace(queries, memory, weights, d)
         assert np.allclose(got, np.asarray(want), atol=1e-6)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_a_loop_over_heads(self, rng, heads):
+        """Each head attends with its own d/heads columns of the projections, scaled by 1/sqrt(d/heads)."""
+        d = 8
+        layer = init_params(d, heads, 17).ind_enrich
+        for arr in layer.arrays().values():  # move gains and biases off 1 and 0
+            arr += 0.1 * rng.standard_normal(arr.shape)
+        queries, memory = rng.standard_normal((3, d)), rng.standard_normal((5, d))
+        got, probs = decoder_layer(queries, memory, layer, heads, return_probs=True)
+        want, want_probs = head_loop_decoder(queries, memory, layer, heads)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+        for kind in ("self", "cross"):
+            assert np.allclose(probs[kind], want_probs[kind], rtol=0, atol=1e-14)
 
     def test_attention_rows_sum_to_one(self, rng):
         for _ in range(20):
@@ -246,6 +290,27 @@ class TestFuseBranches:
                 image=features.image, shc=features.shc[perm], indication=features.indication
             )
             assert np.allclose(fuse(shuffled, params).fused, base, atol=1e-10)
+
+    @pytest.mark.parametrize("branch", ["full", "no_indication", "no_shc", "image_only"])
+    def test_image_row_order_permutes_outputs_and_gradients(self, rng, branch):
+        """No positional encoding: reordering the image rows reorders the fused rows and the image gradient."""
+        params = init_params(8, 2, 13)
+        features = self._features(
+            rng, shc=branch in ("full", "no_indication"), indication=branch in ("full", "no_shc")
+        )
+        upstream = rng.standard_normal((4, 8))
+        perm = np.array([2, 0, 3, 1])
+        shuffled = replace(features, image=features.image[perm])
+        out, out_perm = fuse(features, params), fuse(shuffled, params)
+        assert out_perm.branch_taken == out.branch_taken == branch
+        assert np.allclose(out_perm.fused, out.fused[perm], rtol=0, atol=1e-12)
+        grads = fuse_backward(features, params, upstream)
+        grads_perm = fuse_backward(shuffled, params, upstream[perm])
+        assert np.allclose(grads_perm.image, grads.image[perm], rtol=0, atol=1e-12)
+        for name, layer in grads.layers().items():
+            for field_name, arr in layer.arrays().items():
+                other = grads_perm.layers()[name].arrays()[field_name]
+                assert np.allclose(other, arr, rtol=0, atol=1e-12), (name, field_name)
 
     def test_image_required(self):
         with pytest.raises(ValidationError):
@@ -381,6 +446,14 @@ def test_gelu_matches_the_cube_expression_bit_for_bit(rows, width, scale, seed):
     act, tanh_term = fusion._gelu(x)
     assert tanh_term.tobytes() == t.tobytes()
     assert act.tobytes() == (0.5 * x * (1.0 + t)).tobytes()
+
+
+def test_gelu_grad_is_the_derivative_of_gelu():
+    """``_gelu_grad`` from the saved tanh term matches a central difference of ``_gelu`` at every scale."""
+    x = np.concatenate([s * np.random.default_rng(3).standard_normal(50) for s in (1e-3, 1.0, 4.0)])
+    h = 1e-6
+    numeric = (fusion._gelu(x + h)[0] - fusion._gelu(x - h)[0]) / (2 * h)
+    assert np.allclose(fusion._gelu_grad(x, fusion._gelu(x)[1]), numeric, rtol=1e-7, atol=1e-8)
 
 
 def test_no_fusion_call_leaves_a_thread_and_sei_run_still_forks(monkeypatch, tmp_path):
